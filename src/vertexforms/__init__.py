@@ -3,7 +3,8 @@
 Six-vertex states are studied through discrete 1-forms over F3 and
 proper 3-colorings (forms_rect, toroidal), eight-vertex states through
 F2 linear algebra (eightvertex), and families of Boltzmann weights
-through the Yang-Baxter equation (yangbaxter).  All arithmetic is
+through the Yang-Baxter equation (yangbaxter).  Counts and partition
+functions come from one transfer sweep (transfer).  All arithmetic is
 exact: prime fields and rationals, never floats.
 """
 
@@ -59,12 +60,20 @@ from .forms_rect import (
     random_proper_coloring,
     state_to_form,
 )
+from .transfer import (
+    EIGHT_VERTEX,
+    PATTERNS,
+    SIX_VERTEX,
+    count_states,
+    weighted_sum,
+)
 from .toroidal import (
     CohomologyDecomposition,
     FiberEntry,
     PeriodicField,
     ToroidalOneForm,
     admissible_shifts,
+    count_six_toroidal,
     decompose,
     enumerate_six_toroidal,
     has_toroidal_boundary,

@@ -55,6 +55,8 @@ from .toroidal import (
     CohomologyDecomposition,
     PeriodicField,
     ToroidalOneForm,
+    check_periods,
+    count_six_toroidal,
     decompose,
     enumerate_six_toroidal,
     is_closed_toroidal,
@@ -86,6 +88,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise CLIError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise CLIError(f"cannot read {path}: {e}") from None
 
 
 def _load_state(path: str):
@@ -108,6 +112,13 @@ def _load_weights(path: str):
 def _shape(args) -> GridShape:
     try:
         return GridShape(args.m, args.n)
+    except ValueError as e:
+        raise CLIError(str(e)) from None
+
+
+def _check_periods(shape: GridShape) -> None:
+    try:
+        check_periods(shape)
     except ValueError as e:
         raise CLIError(str(e)) from None
 
@@ -156,7 +167,8 @@ def cmd_count(args) -> int:
     if args.model == "toroidal":
         if args.boundary is not None:
             raise CLIError("toroidal counting does not take a boundary file")
-        _emit({"count": len(enumerate_six_toroidal(shape, force=args.force))})
+        _check_periods(shape)
+        _emit({"count": count_six_toroidal(shape, force=args.force)})
         return 0
     if args.check_colorings:
         states = count_six(shape, force=args.force)
@@ -170,13 +182,7 @@ def cmd_count(args) -> int:
     if args.boundary is not None:
         b = _load_boundary(args.boundary, GF3)
         _check_shape(b, shape, "boundary")
-        key = b.edge_tuple()
-        hits = sum(
-            1
-            for st in enumerate_six(shape, force=args.force)
-            if boundary_of(st).edge_tuple() == key
-        )
-        _emit({"count": hits})
+        _emit({"count": count_six(shape, force=args.force, boundary=b)})
         return 0
     _emit({"count": count_six(shape, force=args.force)})
     return 0
@@ -196,6 +202,7 @@ def cmd_enumerate(args) -> int:
     elif args.model == "toroidal":
         if args.boundary is not None:
             raise CLIError("toroidal enumeration does not take a boundary file")
+        _check_periods(shape)
         states = enumerate_six_toroidal(shape, force=args.force)
     else:
         states = enumerate_six(shape, force=args.force)
@@ -279,10 +286,7 @@ def _iter_closed_toroidal(shape: GridShape):
 
 def _verify_cohomology(args) -> tuple:
     shape = _shape(args)
-    try:
-        PeriodicField(shape=shape, values=tuple((0,) * shape.n for _ in range(shape.m)))
-    except ValueError as e:
-        raise CLIError(str(e)) from None
+    _check_periods(shape)
     rng = random.Random(args.seed)
     m, n = shape.m, shape.n
     exhaustive = args.force or 4 * m * n <= SIZE_GUARD_BITS
@@ -333,11 +337,10 @@ def _verify_cohomology(args) -> tuple:
 
 def _verify_sparse_fibers(args) -> tuple:
     shape = _shape(args)
-    try:
-        entries = sparse_fibers(shape, force=args.force)
-    except ValueError as e:
-        raise CLIError(str(e)) from None
-    total = len(enumerate_six_toroidal(shape, force=args.force))
+    _check_periods(shape)
+    entries = sparse_fibers(shape, force=args.force)
+    # fiber sizes come from the enumeration, the total from the transfer trace
+    total = count_six_toroidal(shape, force=args.force)
     report = []
     seen = 0
     for fe in entries:
@@ -396,13 +399,11 @@ def _verify_state(args) -> tuple:
     if args.infile is None:
         raise CLIError("verify state requires --in FILE")
     state = _load_state(args.infile)
-    if args.model == "eight":
-        admissible = is_admissible_eight(state)
-    else:
-        try:
-            admissible = is_admissible_six(state)
-        except ValueError as e:
-            raise CLIError(str(e)) from None
+    check = is_admissible_eight if args.model == "eight" else is_admissible_six
+    try:
+        admissible = check(state)
+    except ValueError as e:
+        raise CLIError(str(e)) from None
     if admissible:
         return {"admissible": True}, True
     m, n = state.shape.m, state.shape.n
@@ -606,9 +607,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CLIError, SizeGuardError, StateFormatError, WeightFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

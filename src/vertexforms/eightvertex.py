@@ -233,6 +233,14 @@ def _enumerate_kernel(shape: GridShape, boundary, force: bool) -> list:
     return out
 
 
+def check_eight_boundary(boundary: BoundarySpec, shape: GridShape) -> None:
+    """Refuse a boundary of another shape or over a field other than F2."""
+    if boundary.shape != shape:
+        raise ValueError("boundary shape does not match the requested shape")
+    if boundary.field is not GF2:
+        raise ValueError("eight-vertex boundaries live over F2")
+
+
 def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
                     method: str = "kernel", force: bool = False) -> list:
     """All admissible states, optionally restricted to one boundary.
@@ -243,10 +251,7 @@ def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
     by edge_tuple.  An odd-parity boundary yields the empty list.
     """
     if boundary is not None:
-        if boundary.shape != shape:
-            raise ValueError("boundary shape does not match the requested shape")
-        if boundary.field is not GF2:
-            raise ValueError("enumerate_eight expects an F2 boundary")
+        check_eight_boundary(boundary, shape)
     if method == "brute":
         states = _enumerate_brute(shape, boundary, force)
     elif method == "kernel":

@@ -14,7 +14,9 @@ explicit antiderivative summed along a bottom-then-up path.
 
 Six-vertex states over {0, 1} correspond to closed 1-forms, and these in
 turn correspond to proper 3-colorings of the corner grid; both
-directions are implemented here and used for exact counting.
+directions are implemented here.  Counts come from the transfer sweep
+(transfer); enumerate_six and count_colorings are its independent
+brute-force oracles.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Iterator, Sequence
 
 from .algebra import GF3, FieldMatrix, nullspace_basis
 from .grid import (
+    BoundarySpec,
     GridShape,
     LatticeState,
     SizeGuardError,
@@ -34,6 +37,7 @@ from .grid import (
     guard_size,
     vertex_index,
 )
+from .transfer import SIX_VERTEX, count_states
 
 
 def _freeze_table(values: Sequence[Sequence[int]], rows: int, cols: int, label: str) -> tuple:
@@ -369,10 +373,25 @@ def enumerate_six(shape: GridShape, force: bool = False) -> list[LatticeState]:
     return states
 
 
-def count_six(shape: GridShape, force: bool = False) -> int:
-    """Number of admissible six-vertex states of the given shape."""
+def count_six(shape: GridShape, force: bool = False,
+              boundary: BoundarySpec | None = None) -> int:
+    """Number of admissible six-vertex states, optionally with a fixed boundary.
+
+    Computed by the transfer sweep; enumerate_six is the independent
+    oracle.  A boundary value of 2 admits no state.
+    """
     guard_size(shape.edge_count, force)
-    return sum(1 for _ in _iter_six_states(shape))
+    if boundary is not None:
+        check_six_boundary(boundary, shape)
+    return count_states(SIX_VERTEX, shape, boundary)
+
+
+def check_six_boundary(boundary: BoundarySpec, shape: GridShape) -> None:
+    """Refuse a boundary of another shape or over a field other than F3."""
+    if boundary.shape != shape:
+        raise ValueError("boundary shape does not match the requested shape")
+    if boundary.field is not GF3:
+        raise ValueError("six-vertex boundaries live over F3")
 
 
 def count_colorings(width: int, height: int, force: bool = False) -> int:

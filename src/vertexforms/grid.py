@@ -83,7 +83,8 @@ def _freeze_grid(values: Sequence[Sequence[int]], rows: int, cols: int,
         if len(r) != cols:
             raise ValueError(f"{label} rows must have {cols} entries, got {len(r)}")
         for x in r:
-            if not isinstance(x, int) or not (0 <= x < field.p):
+            # type(), not isinstance(): a bool (JSON true) is no edge value
+            if type(x) is not int or not (0 <= x < field.p):
                 raise ValueError(f"{label} entries must be ints in [0, {field.p})")
         out.append(tuple(r))
     return tuple(out)
@@ -144,7 +145,7 @@ class BoundarySpec:
             if len(seq) != length:
                 raise ValueError(f"{name} must have {length} entries, got {len(seq)}")
             for x in seq:
-                if not isinstance(x, int) or not (0 <= x < self.field.p):
+                if type(x) is not int or not (0 <= x < self.field.p):
                     raise ValueError(f"{name} entries must be ints in [0, {self.field.p})")
             object.__setattr__(self, name, tuple(seq))
 
@@ -211,7 +212,7 @@ def _parse_shape(doc: dict, where: str) -> GridShape:
         m, n = doc["m"], doc["n"]
     except KeyError as e:
         raise StateFormatError(f"{where}: missing required key {e.args[0]!r}") from None
-    if not isinstance(m, int) or not isinstance(n, int):
+    if type(m) is not int or type(n) is not int:
         raise StateFormatError(f"{where}: 'm' and 'n' must be integers")
     try:
         return GridShape(m, n)

@@ -25,6 +25,7 @@ from typing import Sequence
 from .forms_rect import is_admissible_six
 from .grid import GridShape, LatticeState, guard_size
 from .algebra import GF3
+from .transfer import SIX_VERTEX, count_states
 
 _INV3 = {1: 1, 2: 2}
 
@@ -36,7 +37,8 @@ def index_reduce(i: int, period: int) -> int:
     return (i - 1) % period + 1
 
 
-def _check_periods(shape: GridShape) -> None:
+def check_periods(shape: GridShape) -> None:
+    """Refuse a toroidal shape with a period divisible by 3."""
     if shape.m % 3 == 0 or shape.n % 3 == 0:
         raise ValueError(
             f"toroidal shape ({shape.m}, {shape.n}) rejected: periods divisible "
@@ -66,7 +68,7 @@ class PeriodicField:
     values: tuple
 
     def __post_init__(self):
-        _check_periods(self.shape)
+        check_periods(self.shape)
         object.__setattr__(
             self, "values",
             _freeze_domain(self.values, self.shape.m, self.shape.n, "values"),
@@ -88,7 +90,7 @@ class ToroidalOneForm:
     gy: tuple
 
     def __post_init__(self):
-        _check_periods(self.shape)
+        check_periods(self.shape)
         m, n = self.shape.m, self.shape.n
         object.__setattr__(self, "fx", _freeze_domain(self.fx, m, n, "fx"))
         object.__setattr__(self, "gy", _freeze_domain(self.gy, m, n, "gy"))
@@ -236,7 +238,7 @@ def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[Lattic
     Brute force over the 2 * m * n fundamental-domain edges; the
     periodic extension fixes the remaining boundary edges.
     """
-    _check_periods(shape)
+    check_periods(shape)
     m, n = shape.m, shape.n
     bits = 2 * m * n
     guard_size(bits, force)
@@ -253,6 +255,17 @@ def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[Lattic
             states.append(state)
     states.sort(key=lambda s: s.edge_tuple())
     return states
+
+
+def count_six_toroidal(shape: GridShape, force: bool = False) -> int:
+    """Number of admissible toroidal six-vertex states, by the transfer trace.
+
+    Same checks as enumerate_six_toroidal, which is its brute-force
+    oracle.
+    """
+    check_periods(shape)
+    guard_size(2 * shape.m * shape.n, force)
+    return count_states(SIX_VERTEX, shape, toroidal=True)
 
 
 @dataclass(frozen=True)
@@ -289,7 +302,7 @@ def sparse_fibers(shape: GridShape, force: bool = False) -> list[FiberEntry]:
     fiber is exactly {r dx + s dy + dh} over those choices, so its size
     is the product of the two choice counts.
     """
-    _check_periods(shape)
+    check_periods(shape)
     groups: dict = {}
     for state in enumerate_six_toroidal(shape, force=force):
         h = state_to_sparse(state)

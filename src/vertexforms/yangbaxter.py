@@ -28,9 +28,10 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import QQ, FieldMatrix, mat_sub, matmul, nullspace_basis
-from .eightvertex import enumerate_eight
-from .forms_rect import enumerate_six
-from .grid import BoundarySpec, GridShape, boundary_of, edges_at_vertex
+from .eightvertex import boundary_parity, check_eight_boundary
+from .forms_rect import check_six_boundary
+from .grid import BoundarySpec, GridShape, guard_size
+from .transfer import EIGHT_VERTEX, PATTERNS, SIX_VERTEX, weighted_sum
 
 WEIGHT_KEYS = ("a1", "a-1", "b1", "b-1", "c1", "c-1", "d1", "d-1")
 
@@ -47,8 +48,10 @@ class WeightFormatError(ValueError):
 
 
 def _exact(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("weights must be exact (int, str, or Fraction), not float")
+    if isinstance(x, (float, bool)):
+        raise TypeError(
+            f"weights must be exact (int, str, or Fraction), not {type(x).__name__}"
+        )
     return Fraction(x)
 
 
@@ -135,13 +138,6 @@ _MATRIX_SLOTS = {
     ("d", 1): (0, 3), ("d", -1): (3, 0),
 }
 
-_COMPONENT_TABLE = {
-    (0, 0, 0, 0): ("a", 1), (1, 1, 1, 1): ("a", -1),
-    (0, 1, 0, 1): ("b", 1), (1, 0, 1, 0): ("b", -1),
-    (1, 0, 0, 1): ("c", 1), (0, 1, 1, 0): ("c", -1),
-    (1, 1, 0, 0): ("d", 1), (0, 0, 1, 1): ("d", -1),
-}
-
 
 def weights_to_matrix(w: VertexWeights) -> FieldMatrix:
     """The 4x4 R-matrix over the rationals, basis v0v0, v0v1, v1v0, v1v1."""
@@ -178,7 +174,7 @@ def component(w: VertexWeights, nu: int, beta: int, theta: int, gamma: int) -> F
     for x in (nu, beta, theta, gamma):
         if x not in (0, 1):
             raise ValueError("component labels must be bits")
-    slot = _COMPONENT_TABLE.get((nu, beta, theta, gamma))
+    slot = PATTERNS.get((nu, beta, theta, gamma))
     if slot is None:
         return Fraction(0)
     return w.weight(*slot)
@@ -541,29 +537,29 @@ def partition_function(w: VertexWeights, shape: GridShape, model: str,
                        force: bool = False) -> Fraction:
     """Sum over admissible states of the product of vertex weights.
 
-    model "six" enumerates six-vertex states and requires both d
-    weights to be zero; "eight" enumerates eight-vertex states.  A
-    None boundary means free boundary, otherwise states are restricted
-    to it.  Exact.
+    model "six" sums over six-vertex states and requires both d weights
+    to be zero; "eight" sums over eight-vertex states.  A None boundary
+    means free boundary, otherwise states are restricted to it (over F3
+    for six, F2 for eight).  Exact, by the transfer sweep; the size
+    guard still charges what listing the states would cost.
     """
     if model == "six":
         if w.d1 != 0 or w.d_neg1 != 0:
             raise ValueError("six-vertex partition function requires d1 = d-1 = 0")
-        states = enumerate_six(shape, force=force)
+        guard_size(shape.edge_count, force)
         if boundary is not None:
-            if boundary.shape != shape:
-                raise ValueError("boundary shape does not match the requested shape")
-            states = [st for st in states if boundary_of(st) == boundary]
+            check_six_boundary(boundary, shape)
+        patterns = SIX_VERTEX
     elif model == "eight":
-        states = enumerate_eight(shape, boundary=boundary, force=force)
+        if boundary is None:
+            guard_size(shape.m + shape.n + shape.m * shape.n, force)
+        else:
+            check_eight_boundary(boundary, shape)
+            if boundary_parity(boundary):
+                return Fraction(0)
+            guard_size((shape.m - 1) * (shape.n - 1), force)
+        patterns = EIGHT_VERTEX
     else:
         raise ValueError(f"unknown model {model!r}")
-    total = Fraction(0)
-    for st in states:
-        prod = Fraction(1)
-        for i in range(1, shape.m + 1):
-            for j in range(1, shape.n + 1):
-                left, top, right, bottom = edges_at_vertex(st, i, j)
-                prod *= component(w, left, top, right, bottom)
-        total += prod
-    return total
+    weights = {p: w.weight(*PATTERNS[p]) for p in patterns}
+    return weighted_sum(weights, shape, boundary)

@@ -219,6 +219,14 @@ def test_verify_sparse_fibers(capsys):
     )
 
 
+def test_verify_sparse_fibers_checks_an_independent_total(capsys, monkeypatch):
+    import vertexforms.cli as cli
+
+    monkeypatch.setattr(cli, "count_six_toroidal", lambda shape, force=False: 17)
+    code, doc = run_json(capsys, "verify", "sparse-fibers", "--m", "2", "--n", "2")
+    assert code == 1 and doc["passed"] is False and doc["states"] == 17
+
+
 def test_verify_sparse_fibers_csv(capsys):
     code, out, err = run(
         capsys, "verify", "sparse-fibers", "--m", "2", "--n", "2",
@@ -385,6 +393,76 @@ def test_unknown_command_exits_2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+def write_json(tmp_path, name, doc):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_boolean_edge_in_state_exits_2(capsys, tmp_path):
+    f = write_json(tmp_path, "s.json", {
+        "m": 2, "n": 2, "field": "F3",
+        "f": [[0, True, 0], [0, 0, 0]], "g": [[0, 0], [0, 0], [0, 0]]})
+    code, out, err = run(capsys, "verify", "state", "--in", f)
+    assert code == 2 and out == "" and "f entries" in err
+
+
+def test_boolean_shape_in_state_exits_2(capsys, tmp_path):
+    f = write_json(tmp_path, "s.json", {
+        "m": True, "n": 2, "field": "F3",
+        "f": [[0, 0, 0]], "g": [[0, 0], [0, 0]]})
+    code, out, err = run(capsys, "verify", "state", "--in", f)
+    assert code == 2 and "integers" in err
+
+
+def test_boolean_boundary_value_exits_2(capsys, tmp_path):
+    f = write_json(tmp_path, "b.json", {
+        "m": 2, "n": 2, "field": "F3", "f_bottom": [True, 0], "f_top": [1, 0],
+        "g_left": [0, 0], "g_right": [0, 0]})
+    code, out, err = run(capsys, "count", "--m", "2", "--n", "2", "--boundary", f)
+    assert code == 2 and out == "" and "f_bottom" in err
+
+
+def test_boolean_weight_exits_2(capsys, tmp_path):
+    doc = json.loads(serialize_weights(VertexWeights(1, 1, 1, 1, 1, 1, 0, 0)))
+    doc["a1"] = True
+    f = write_json(tmp_path, "w.json", doc)
+    code, out, err = run(capsys, "partition", "--m", "2", "--n", "2", "--weights", f)
+    assert code == 2 and out == "" and "'a1'" in err
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_toroidal_period_refusal_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--model", "toroidal", "--m", "5", "--n", "3")
+    assert code == 2 and out == "" and "divisible by 3" in err
+
+
+def test_verify_state_eight_with_value_two_exits_2(capsys, tmp_path):
+    f = write_json(tmp_path, "s.json", {
+        "m": 2, "n": 2, "field": "F3",
+        "f": [[0, 2, 0], [0, 0, 0]], "g": [[0, 0], [0, 0], [0, 0]]})
+    code, out, err = run(capsys, "verify", "state", "--in", f, "--model", "eight")
+    assert code == 2 and out == "" and "{0, 1}" in err
+
+
+def test_undecodable_file_exits_2(capsys, tmp_path):
+    p = tmp_path / "bin.json"
+    p.write_bytes(b"\xff\xfe not utf-8")
+    code, out, err = run(capsys, "verify", "state", "--in", str(p))
+    assert code == 2 and "cannot read" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    import vertexforms.cli as cli
+
+    def broken(shape, force=False):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "count_six_toroidal", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["count", "--model", "toroidal", "--m", "2", "--n", "2"])
 
 
 def test_console_script_smoke():

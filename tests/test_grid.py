@@ -155,6 +155,17 @@ def test_state_format_diagnostics(text, fragment):
         deserialize_state(text)
 
 
+def test_booleans_are_not_edge_values():
+    shape = GridShape(2, 2)
+    with pytest.raises(ValueError, match="f entries"):
+        LatticeState(shape=shape, field=GF3, f=[[0, True, 0], [0, 0, 0]], g=[[0, 0]] * 3)
+    with pytest.raises(ValueError, match="f_bottom"):
+        BoundarySpec(shape=shape, field=GF2, f_bottom=(True, 0), f_top=(0, 0),
+                     g_left=(0, 0), g_right=(0, 0))
+    with pytest.raises(StateFormatError, match="integers"):
+        deserialize_state('{"m": true, "n": 2, "field": "F3", "f": [], "g": []}')
+
+
 def test_state_format_reports_bad_entry():
     doc = {
         "m": 2, "n": 2, "field": "F3",

@@ -1,0 +1,191 @@
+"""Differential tests: the transfer sweep against the brute-force oracles.
+
+Counts are compared with the enumerators (enumerate_six,
+enumerate_six_toroidal, enumerate_eight) and partition functions with a
+per-state product of R-matrix components over those same lists, on
+shapes up to 3x3, free, fixed and toroidal boundaries, and rational
+weights that include zeros and negative values.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vertexforms.algebra import GF2, GF3
+from vertexforms.eightvertex import boundary_parity, enumerate_eight
+from vertexforms.forms_rect import count_six, enumerate_six
+from vertexforms.grid import BoundarySpec, GridShape, boundary_of, edges_at_vertex
+from vertexforms.toroidal import count_six_toroidal, enumerate_six_toroidal
+from vertexforms.transfer import (
+    EIGHT_VERTEX,
+    PATTERNS,
+    SIX_VERTEX,
+    count_states,
+    weighted_sum,
+)
+from vertexforms.yangbaxter import VertexWeights, component, partition_function
+
+SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3)]
+# free eight-vertex sums list every state, 2^(m+n+mn); keep those small
+EIGHT_FREE_SHAPES = [(2, 2), (2, 3), (3, 2)]
+
+
+@lru_cache(maxsize=None)
+def six_states(m, n):
+    return tuple(enumerate_six(GridShape(m, n)))
+
+
+@lru_cache(maxsize=None)
+def eight_states(m, n, boundary=None):
+    return tuple(enumerate_eight(GridShape(m, n), boundary=boundary))
+
+
+def direct_sum(w, states):
+    """The reference: sum over states of the product of vertex components."""
+    total = Fraction(0)
+    for state in states:
+        prod = Fraction(1)
+        for i in range(1, state.shape.m + 1):
+            for j in range(1, state.shape.n + 1):
+                prod *= component(w, *edges_at_vertex(state, i, j))
+        total += prod
+    return total
+
+
+def boundary(shape, field, values):
+    m, n = shape.m, shape.n
+    return BoundarySpec(
+        shape=shape, field=field,
+        f_bottom=tuple(values[:m]), f_top=tuple(values[m:2 * m]),
+        g_left=tuple(values[2 * m:2 * m + n]), g_right=tuple(values[2 * m + n:]),
+    )
+
+
+ratios = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+six_weights = st.builds(lambda v: VertexWeights(*v, 0, 0), st.tuples(*[ratios] * 6))
+eight_weights = st.builds(lambda v: VertexWeights(*v), st.tuples(*[ratios] * 8))
+
+
+def test_six_vertex_table_is_the_closedness_rule():
+    expected = {
+        p for p in product((0, 1), repeat=4)
+        if (p[2] - p[0]) % 3 == (p[1] - p[3]) % 3
+    }
+    assert set(SIX_VERTEX) == expected and len(SIX_VERTEX) == 6
+
+
+def test_eight_vertex_table_is_the_parity_rule():
+    expected = {p for p in product((0, 1), repeat=4) if sum(p) % 2 == 0}
+    assert set(EIGHT_VERTEX) == expected == set(PATTERNS)
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_count_six_matches_enumeration(m, n):
+    assert count_six(GridShape(m, n)) == len(six_states(m, n))
+
+
+@pytest.mark.parametrize("m,n", EIGHT_FREE_SHAPES)
+def test_eight_count_matches_enumeration(m, n):
+    shape = GridShape(m, n)
+    assert count_states(EIGHT_VERTEX, shape) == len(eight_states(m, n))
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (4, 2)])
+def test_toroidal_count_matches_enumeration(m, n):
+    shape = GridShape(m, n)
+    states = enumerate_six_toroidal(shape)
+    assert count_six_toroidal(shape) == len(states)
+    w = VertexWeights(1, Fraction(-2, 3), 0, Fraction(1, 2), 3, Fraction(-1, 4), 0, 0)
+    table = {p: w.weight(*PATTERNS[p]) for p in SIX_VERTEX}
+    assert weighted_sum(table, shape, toroidal=True) == direct_sum(w, states)
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_six_boundary_counts_match_filtered_enumeration(m, n):
+    shape = GridShape(m, n)
+    fibers = {}
+    for state in six_states(m, n):
+        b = boundary_of(state)
+        fibers[b] = fibers.get(b, 0) + 1
+    for b, size in fibers.items():
+        assert count_six(shape, boundary=b) == size
+    for values in product((0, 1), repeat=2 * m + 2 * n):
+        b = boundary(shape, GF3, values)
+        assert count_six(shape, boundary=b) == fibers.get(b, 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SHAPES), six_weights, st.data())
+def test_six_partition_function_matches_direct_sum(shape, w, data):
+    m, n = shape
+    states = six_states(m, n)
+    assert partition_function(w, GridShape(m, n), "six") == direct_sum(w, states)
+    # a boundary realised by a state
+    b = boundary_of(data.draw(st.sampled_from(states)))
+    kept = [s for s in states if boundary_of(s) == b]
+    assert partition_function(w, GridShape(m, n), "six", boundary=b) == direct_sum(w, kept)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(EIGHT_FREE_SHAPES), eight_weights)
+def test_eight_partition_function_matches_direct_sum(shape, w):
+    m, n = shape
+    assert partition_function(w, GridShape(m, n), "eight") == direct_sum(w, eight_states(m, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SHAPES), eight_weights, st.data())
+def test_eight_fixed_boundary_matches_direct_sum(shape, w, data):
+    m, n = shape
+    values = data.draw(st.lists(st.integers(0, 1), min_size=2 * m + 2 * n,
+                                max_size=2 * m + 2 * n))
+    b = boundary(GridShape(m, n), GF2, values)
+    z = partition_function(w, GridShape(m, n), "eight", boundary=b)
+    states = eight_states(m, n, b)
+    assert z == direct_sum(w, states)
+    if boundary_parity(b):
+        assert z == 0 and states == ()
+
+
+def test_six_boundary_with_no_states():
+    shape = GridShape(2, 2)
+    empty = boundary(shape, GF3, (1, 0, 0, 0, 0, 0, 0, 0))
+    assert empty not in {boundary_of(s) for s in six_states(2, 2)}
+    w = VertexWeights(1, 2, 3, 4, 5, 6, 0, 0)
+    assert count_six(shape, boundary=empty) == 0
+    assert partition_function(w, shape, "six", boundary=empty) == 0
+
+
+def test_f3_boundary_value_two_admits_no_state():
+    shape = GridShape(3, 2)
+    b = boundary(shape, GF3, (0, 2, 0, 0, 2, 0, 1, 1, 1, 1))
+    assert count_six(shape, boundary=b) == 0
+    w = VertexWeights(1, 1, 1, 1, 1, 1, 0, 0)
+    assert partition_function(w, shape, "six", boundary=b) == 0
+
+
+def test_six_partition_function_refuses_f2_boundary():
+    shape = GridShape(2, 2)
+    b = boundary(shape, GF2, (0,) * 8)
+    w = VertexWeights(1, 1, 1, 1, 1, 1, 0, 0)
+    with pytest.raises(ValueError, match="F3"):
+        partition_function(w, shape, "six", boundary=b)
+    with pytest.raises(ValueError, match="F3"):
+        count_six(shape, boundary=b)
+
+
+def test_eight_partition_function_refuses_f3_boundary():
+    shape = GridShape(2, 2)
+    b = boundary(shape, GF3, (0,) * 8)
+    with pytest.raises(ValueError, match="F2"):
+        partition_function(VertexWeights(*(1,) * 8), shape, "eight", boundary=b)
+
+
+def test_weighted_sum_with_all_zero_weights_is_zero():
+    table = dict.fromkeys(EIGHT_VERTEX, Fraction(0))
+    assert weighted_sum(table, GridShape(3, 3)) == 0
+    assert weighted_sum({}, GridShape(2, 2), toroidal=True) == 0

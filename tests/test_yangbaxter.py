@@ -49,6 +49,8 @@ def test_weights_are_exact():
     assert w.b1 == Fraction(2, 3)
     with pytest.raises(TypeError, match="not float"):
         VertexWeights(0.5, 1, 1, 1, 0, 0, 0, 0)
+    with pytest.raises(TypeError, match="not bool"):
+        VertexWeights(True, 1, 1, 1, 0, 0, 0, 0)
 
 
 def test_vector_round_trip():
