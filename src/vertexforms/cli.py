@@ -45,7 +45,6 @@ from .grid import (
     SIZE_GUARD_BITS,
     SizeGuardError,
     StateFormatError,
-    boundary_of,
     deserialize_boundary,
     deserialize_state,
     edges_at_vertex,
@@ -64,8 +63,10 @@ from .toroidal import (
     sparse_fibers,
     toroidal_derivatives,
 )
+from .transfer import EIGHT_VERTEX, SIX_VERTEX
 from .yangbaxter import (
     RESIDUALS28_LABELS,
+    WeightConditionError,
     WeightFormatError,
     check_necessary_conditions,
     deserialize_weights,
@@ -193,24 +194,19 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     shape = _shape(args)
-    if args.model == "eight":
-        boundary = None
-        if args.boundary is not None:
-            boundary = _load_boundary(args.boundary, GF2)
-            _check_shape(boundary, shape, "boundary")
-        states = enumerate_eight(shape, boundary=boundary, force=args.force)
-    elif args.model == "toroidal":
+    if args.model == "toroidal":
         if args.boundary is not None:
             raise CLIError("toroidal enumeration does not take a boundary file")
         _check_periods(shape)
         states = enumerate_six_toroidal(shape, force=args.force)
     else:
-        states = enumerate_six(shape, force=args.force)
+        eight = args.model == "eight"
+        boundary = None
         if args.boundary is not None:
-            b = _load_boundary(args.boundary, GF3)
-            _check_shape(b, shape, "boundary")
-            key = b.edge_tuple()
-            states = [st for st in states if boundary_of(st).edge_tuple() == key]
+            boundary = _load_boundary(args.boundary, GF2 if eight else GF3)
+            _check_shape(boundary, shape, "boundary")
+        enumerate_states = enumerate_eight if eight else enumerate_six
+        states = enumerate_states(shape, boundary=boundary, force=args.force)
     if args.format == "csv":
         _emit_csv(_edge_headers(shape), (st.edge_tuple() for st in states))
     else:
@@ -406,23 +402,17 @@ def _verify_state(args) -> tuple:
         raise CLIError(str(e)) from None
     if admissible:
         return {"admissible": True}, True
+    allowed = EIGHT_VERTEX if args.model == "eight" else SIX_VERTEX
     m, n = state.shape.m, state.shape.n
     bad = next(
         (i, j)
         for i in range(1, m + 1)
         for j in range(1, n + 1)
-        if not _vertex_ok(state, i, j, args.model)
+        if edges_at_vertex(state, i, j) not in allowed
     )
     return {"admissible": False,
             "counterexample": {"vertex": list(bad),
                                "edges": list(edges_at_vertex(state, *bad))}}, False
-
-
-def _vertex_ok(state, i: int, j: int, model: str) -> bool:
-    left, top, right, bottom = edges_at_vertex(state, i, j)
-    if model == "eight":
-        return (left + top + right + bottom) % 2 == 0
-    return (right - left) % 3 == (top - bottom) % 3
 
 
 def cmd_verify(args) -> int:
@@ -475,10 +465,7 @@ def cmd_ybe(args) -> int:
             })
         return 0
     if args.action == "conditions":
-        try:
-            report = check_necessary_conditions(s, t)
-        except ValueError as e:
-            raise CLIError(str(e)) from None
+        report = check_necessary_conditions(s, t)
         _emit(report.as_dict())
         return 0 if report.all_hold else 1
     # solve
@@ -511,10 +498,7 @@ def cmd_partition(args) -> int:
         field = GF2 if args.model == "eight" else GF3
         boundary = _load_boundary(args.boundary, field)
         _check_shape(boundary, shape, "boundary")
-    try:
-        z = partition_function(w, shape, args.model, boundary=boundary, force=args.force)
-    except ValueError as e:
-        raise CLIError(str(e)) from None
+    z = partition_function(w, shape, args.model, boundary=boundary, force=args.force)
     _emit({"value": str(z)})
     return 0
 
@@ -606,7 +590,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (CLIError, SizeGuardError, StateFormatError, WeightFormatError) as e:
+    except (CLIError, SizeGuardError, StateFormatError, WeightFormatError,
+            WeightConditionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,9 @@ Six-vertex states over {0, 1} correspond to closed 1-forms, and these in
 turn correspond to proper 3-colorings of the corner grid; both
 directions are implemented here.  Counts come from the transfer sweep
 (transfer); enumerate_six and count_colorings are its independent
-brute-force oracles.
+brute-force oracles.  enumerate_six lists the states, optionally with a
+fixed boundary that is pinned during generation, not filtered after it;
+the toroidal listing reuses that generator with periodic boundaries.
 """
 
 from __future__ import annotations
@@ -32,26 +34,13 @@ from .grid import (
     GridShape,
     LatticeState,
     SizeGuardError,
+    _freeze_grid,
     f_edge_index,
     g_edge_index,
     guard_size,
     vertex_index,
 )
 from .transfer import SIX_VERTEX, count_states
-
-
-def _freeze_table(values: Sequence[Sequence[int]], rows: int, cols: int, label: str) -> tuple:
-    if len(values) != rows:
-        raise ValueError(f"{label} must have {rows} rows, got {len(values)}")
-    out = []
-    for r in values:
-        if len(r) != cols:
-            raise ValueError(f"{label} rows must have {cols} entries, got {len(r)}")
-        for x in r:
-            if not isinstance(x, int) or not (0 <= x < 3):
-                raise ValueError(f"{label} entries must be ints in [0, 3)")
-        out.append(tuple(r))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,7 @@ class ScalarField:
 
     def __post_init__(self):
         m, n = self.shape.m, self.shape.n
-        object.__setattr__(self, "h", _freeze_table(self.h, m + 1, n + 1, "h"))
+        object.__setattr__(self, "h", _freeze_grid(self.h, m + 1, n + 1, GF3, "h"))
 
     def at(self, i: int, j: int) -> int:
         return self.h[i - 1][j - 1]
@@ -79,8 +68,8 @@ class OneForm:
 
     def __post_init__(self):
         m, n = self.shape.m, self.shape.n
-        object.__setattr__(self, "fx", _freeze_table(self.fx, m, n + 1, "fx"))
-        object.__setattr__(self, "gy", _freeze_table(self.gy, m + 1, n, "gy"))
+        object.__setattr__(self, "fx", _freeze_grid(self.fx, m, n + 1, GF3, "fx"))
+        object.__setattr__(self, "gy", _freeze_grid(self.gy, m + 1, n, GF3, "gy"))
 
     def fx_at(self, i: int, j: int) -> int:
         return self.fx[i - 1][j - 1]
@@ -98,7 +87,7 @@ class Coloring:
 
     def __post_init__(self):
         m, n = self.shape.m, self.shape.n
-        object.__setattr__(self, "cells", _freeze_table(self.cells, m + 1, n + 1, "cells"))
+        object.__setattr__(self, "cells", _freeze_grid(self.cells, m + 1, n + 1, GF3, "cells"))
 
     def at(self, i: int, j: int) -> int:
         return self.cells[i - 1][j - 1]
@@ -325,16 +314,26 @@ def form_from_coloring(c: Coloring) -> tuple:
     return w, c.cells[0][0]
 
 
-def _iter_six_states(shape: GridShape) -> Iterator[tuple]:
-    """Yield (f, g) value tables of all admissible six-vertex states.
+def _iter_six_states(shape: GridShape,
+                     boundary: BoundarySpec | None = None) -> Iterator[tuple]:
+    """Yield (f, g) value tables of the admissible six-vertex states.
 
-    Bottom f edges and left g edges range freely over {0, 1}; every
-    other edge is forced or binary-branched by the vertex rule, worked
-    through the vertices row by row.  At a vertex with bottom value fb
-    and left value gl, the (top, right) completions are (fb, gl) when
-    fb != gl, and {(0, 0), (1, 1)} when fb == gl.
+    Bottom f edges and left g edges range freely over {0, 1}, or are
+    pinned by a fixed boundary; every other edge is forced or
+    binary-branched by the vertex rule, worked through the vertices row
+    by row.  At a vertex with bottom value fb and left value gl, the
+    (top, right) completions are (fb, gl) when fb != gl, and
+    {(0, 0), (1, 1)} when fb == gl.  A fixed boundary's top f and right
+    g values are checked at the vertex that sets them; a boundary value
+    of 2 yields no state.
     """
     m, n = shape.m, shape.n
+    if boundary is None:
+        starts = product(product((0, 1), repeat=m), product((0, 1), repeat=n))
+    elif 2 in boundary.edge_tuple():
+        return
+    else:
+        starts = ((boundary.f_bottom, boundary.g_left),)
     f = [[0] * (n + 1) for _ in range(m)]
     g = [[0] * n for _ in range(m + 1)]
 
@@ -349,25 +348,37 @@ def _iter_six_states(shape: GridShape) -> Iterator[tuple]:
         else:
             options = ((0, 0), (1, 1))
         for top, right in options:
+            if boundary is not None and (
+                (j == n - 1 and top != boundary.f_top[i])
+                or (i == m - 1 and right != boundary.g_right[j])
+            ):
+                continue
             f[i][j + 1] = top
             g[i + 1][j] = right
             yield from fill_vertex(k + 1)
 
-    for bottom in range(1 << m):
+    for bottom, left in starts:
         for i in range(m):
-            f[i][0] = (bottom >> i) & 1
-        for left in range(1 << n):
-            for j in range(n):
-                g[0][j] = (left >> j) & 1
-            yield from fill_vertex(0)
+            f[i][0] = bottom[i]
+        for j in range(n):
+            g[0][j] = left[j]
+        yield from fill_vertex(0)
 
 
-def enumerate_six(shape: GridShape, force: bool = False) -> list[LatticeState]:
-    """All admissible six-vertex states, sorted by edge tuple (f block, g block)."""
+def enumerate_six(shape: GridShape, boundary: BoundarySpec | None = None,
+                  force: bool = False) -> list[LatticeState]:
+    """Admissible six-vertex states, optionally with a fixed boundary.
+
+    Sorted by edge tuple (f block, g block).  The boundary is pinned
+    during generation, so only matching states are built; a boundary
+    value of 2 admits no state.  Same checks and guard as count_six.
+    """
     guard_size(shape.edge_count, force)
+    if boundary is not None:
+        check_six_boundary(boundary, shape)
     states = [
         LatticeState(shape=shape, field=GF3, f=f, g=g)
-        for f, g in _iter_six_states(shape)
+        for f, g in _iter_six_states(shape, boundary)
     ]
     states.sort(key=lambda s: s.edge_tuple())
     return states

@@ -78,14 +78,15 @@ def _freeze_grid(values: Sequence[Sequence[int]], rows: int, cols: int,
                  field: PrimeField, label: str) -> tuple:
     if len(values) != rows:
         raise ValueError(f"{label} must have {rows} rows, got {len(values)}")
+    p = field.p
     out = []
     for r in values:
         if len(r) != cols:
             raise ValueError(f"{label} rows must have {cols} entries, got {len(r)}")
         for x in r:
-            # type(), not isinstance(): a bool (JSON true) is no edge value
-            if type(x) is not int or not (0 <= x < field.p):
-                raise ValueError(f"{label} entries must be ints in [0, {field.p})")
+            # type(), not isinstance(): a bool (JSON true) is no field value
+            if type(x) is not int or not (0 <= x < p):
+                raise ValueError(f"{label} entries must be ints in [0, {p})")
         out.append(tuple(r))
     return tuple(out)
 

@@ -20,10 +20,10 @@ its partial derivatives attains every F3 value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import product
 
-from .forms_rect import is_admissible_six
-from .grid import GridShape, LatticeState, guard_size
+from .forms_rect import _iter_six_states, is_admissible_six
+from .grid import BoundarySpec, GridShape, LatticeState, _freeze_grid, guard_size
 from .algebra import GF3
 from .transfer import SIX_VERTEX, count_states
 
@@ -46,20 +46,6 @@ def check_periods(shape: GridShape) -> None:
         )
 
 
-def _freeze_domain(values: Sequence[Sequence[int]], m: int, n: int, label: str) -> tuple:
-    if len(values) != m:
-        raise ValueError(f"{label} must have {m} rows, got {len(values)}")
-    out = []
-    for r in values:
-        if len(r) != n:
-            raise ValueError(f"{label} rows must have {n} entries, got {len(r)}")
-        for x in r:
-            if not isinstance(x, int) or not (0 <= x < 3):
-                raise ValueError(f"{label} entries must be ints in [0, 3)")
-        out.append(tuple(r))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PeriodicField:
     """Doubly periodic F3 function given by its fundamental-domain values."""
@@ -71,7 +57,7 @@ class PeriodicField:
         check_periods(self.shape)
         object.__setattr__(
             self, "values",
-            _freeze_domain(self.values, self.shape.m, self.shape.n, "values"),
+            _freeze_grid(self.values, self.shape.m, self.shape.n, GF3, "values"),
         )
 
     def at(self, i: int, j: int) -> int:
@@ -92,8 +78,8 @@ class ToroidalOneForm:
     def __post_init__(self):
         check_periods(self.shape)
         m, n = self.shape.m, self.shape.n
-        object.__setattr__(self, "fx", _freeze_domain(self.fx, m, n, "fx"))
-        object.__setattr__(self, "gy", _freeze_domain(self.gy, m, n, "gy"))
+        object.__setattr__(self, "fx", _freeze_grid(self.fx, m, n, GF3, "fx"))
+        object.__setattr__(self, "gy", _freeze_grid(self.gy, m, n, GF3, "gy"))
 
     def fx_at(self, i: int, j: int) -> int:
         return self.fx[index_reduce(i, self.shape.m) - 1][
@@ -235,24 +221,23 @@ def state_to_sparse(state: LatticeState) -> PeriodicField:
 def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[LatticeState]:
     """All admissible six-vertex states with toroidal boundary conditions.
 
-    Brute force over the 2 * m * n fundamental-domain edges; the
-    periodic extension fixes the remaining boundary edges.
+    These are the rectangle states whose top f row repeats the bottom
+    one and whose right g column repeats the left one, so each of the
+    2^(m+n) periodic boundaries is pinned in turn during generation.
+    Sorted by edge tuple.
     """
     check_periods(shape)
     m, n = shape.m, shape.n
-    bits = 2 * m * n
-    guard_size(bits, force)
+    guard_size(2 * m * n, force)
     states = []
-    for mask in range(1 << bits):
-        fvals = [[(mask >> (i * n + j)) & 1 for j in range(n)] for i in range(m)]
-        gvals = [
-            [(mask >> (m * n + i * n + j)) & 1 for j in range(n)] for i in range(m)
-        ]
-        f = [row + [row[0]] for row in fvals]
-        g = [list(row) for row in gvals] + [list(gvals[0])]
-        state = LatticeState(shape=shape, field=GF3, f=f, g=g)
-        if is_admissible_six(state):
-            states.append(state)
+    for bottom in product((0, 1), repeat=m):
+        for left in product((0, 1), repeat=n):
+            b = BoundarySpec(shape=shape, field=GF3, f_bottom=bottom, f_top=bottom,
+                             g_left=left, g_right=left)
+            states.extend(
+                LatticeState(shape=shape, field=GF3, f=f, g=g)
+                for f, g in _iter_six_states(shape, b)
+            )
     states.sort(key=lambda s: s.edge_tuple())
     return states
 
@@ -260,8 +245,8 @@ def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[Lattic
 def count_six_toroidal(shape: GridShape, force: bool = False) -> int:
     """Number of admissible toroidal six-vertex states, by the transfer trace.
 
-    Same checks as enumerate_six_toroidal, which is its brute-force
-    oracle.
+    Same checks as enumerate_six_toroidal, which is its oracle and does
+    not use the sweep.
     """
     check_periods(shape)
     guard_size(2 * shape.m * shape.n, force)

@@ -47,6 +47,10 @@ class WeightFormatError(ValueError):
     """Raised when serialized weights fail to parse."""
 
 
+class WeightConditionError(ValueError):
+    """Raised when weights break a precondition of the computation asked for."""
+
+
 def _exact(x) -> Fraction:
     if isinstance(x, (float, bool)):
         raise TypeError(
@@ -442,7 +446,8 @@ def check_necessary_conditions(s: VertexWeights, t: VertexWeights) -> ConditionR
     """
     for party, name in ((s, "S"), (t, "T")):
         if any(x == 0 for x in party.as_vector()):
-            raise ValueError(f"necessary conditions need all weights of {name} nonzero")
+            raise WeightConditionError(
+                f"necessary conditions need all weights of {name} nonzero")
     f_s, f_t = f_invariant(s), f_invariant(t)
     g_plus, g_minus = g_invariant(1, s, t), g_invariant(-1, s, t)
     alpha = tuple(
@@ -545,7 +550,7 @@ def partition_function(w: VertexWeights, shape: GridShape, model: str,
     """
     if model == "six":
         if w.d1 != 0 or w.d_neg1 != 0:
-            raise ValueError("six-vertex partition function requires d1 = d-1 = 0")
+            raise WeightConditionError("six-vertex partition function requires d1 = d-1 = 0")
         guard_size(shape.edge_count, force)
         if boundary is not None:
             check_six_boundary(boundary, shape)

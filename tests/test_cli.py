@@ -117,6 +117,32 @@ def test_enumerate_six_csv(capsys):
     assert len(lines[0].split(",")) == GridShape(2, 2).edge_count
 
 
+@pytest.mark.parametrize("values", [
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0),
+])
+def test_enumerate_six_with_boundary(capsys, tmp_path, values):
+    shape = GridShape(3, 3)
+    b = BoundarySpec(shape=shape, field=GF3, f_bottom=values[:3], f_top=values[3:6],
+                     g_left=values[6:9], g_right=values[9:])
+    bfile = tmp_path / "b.json"
+    bfile.write_text(serialize_boundary(b))
+    want = [st for st in enumerate_six(shape) if boundary_of(st) == b]
+    assert want
+    code, doc = run_json(capsys, "enumerate", "--m", "3", "--n", "3",
+                         "--boundary", str(bfile))
+    assert code == 0
+    assert doc == {"count": len(want),
+                   "states": [json.loads(serialize_state(st)) for st in want]}
+    code, out, err = run(capsys, "enumerate", "--m", "3", "--n", "3",
+                         "--boundary", str(bfile), "--format", "csv")
+    assert code == 0 and err == ""
+    rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert rows == [st.edge_tuple() for st in want]
+    code, doc = run_json(capsys, "count", "--m", "3", "--n", "3", "--boundary", str(bfile))
+    assert code == 0 and doc == {"count": len(want)}
+
+
 def test_enumerate_toroidal_rejects_boundary(capsys, tmp_path):
     bfile = zero_boundary_file(tmp_path, GridShape(2, 2), GF3)
     code, out, err = run(
@@ -152,6 +178,19 @@ def test_verify_state_inadmissible(capsys, tmp_path):
     assert doc["admissible"] is False
     assert doc["counterexample"]["vertex"] == [1, 1]
     assert len(doc["counterexample"]["edges"]) == 4
+
+
+def test_verify_state_eight_inadmissible(capsys, tmp_path):
+    bad = LatticeState(
+        shape=GridShape(2, 2), field=GF2,
+        f=[[0, 0, 0], [0, 0, 0]], g=[[0, 0], [0, 0], [0, 1]],
+    )
+    p = tmp_path / "bad8.json"
+    p.write_text(serialize_state(bad))
+    code, doc = run_json(capsys, "verify", "state", "--in", str(p), "--model", "eight")
+    assert code == 1
+    assert doc == {"admissible": False,
+                   "counterexample": {"vertex": [2, 2], "edges": [0, 0, 1, 0]}}
 
 
 def test_verify_state_eight_model(capsys, tmp_path):
@@ -463,6 +502,23 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_six_toroidal", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["count", "--model", "toroidal", "--m", "2", "--n", "2"])
+
+
+@pytest.mark.parametrize("target,command", [
+    ("partition_function", "partition --m 2 --n 2 --weights {w}"),
+    ("check_necessary_conditions", "ybe conditions --s {w} --t {w}"),
+])
+def test_internal_value_error_in_weight_commands_propagates(tmp_path, monkeypatch,
+                                                            target, command):
+    import vertexforms.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    wfile = write_weights(tmp_path, "w.json", VertexWeights(1, 1, 1, 1, 1, 1, 1, 1))
+    monkeypatch.setattr(cli, target, broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(command.format(w=wfile).split())
 
 
 def test_console_script_smoke():

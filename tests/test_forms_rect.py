@@ -29,7 +29,8 @@ from vertexforms.forms_rect import (
     random_proper_coloring,
     state_to_form,
 )
-from vertexforms.grid import GridShape, LatticeState, SizeGuardError
+from vertexforms.grid import BoundarySpec, GridShape, LatticeState, SizeGuardError, boundary_of
+from vertexforms.toroidal import PeriodicField, ToroidalOneForm
 
 
 def scalar(shape, fn):
@@ -331,3 +332,53 @@ def test_antiderivative_normalizes_random_potentials(m, n, data):
         for i in range(1, m + 2)
         for j in range(1, n + 2)
     )
+
+
+def six_boundary(shape, values, field=GF3):
+    m, n = shape.m, shape.n
+    return BoundarySpec(
+        shape=shape, field=field,
+        f_bottom=values[:m], f_top=values[m:2 * m],
+        g_left=values[2 * m:2 * m + n], g_right=values[2 * m + n:],
+    )
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_enumerate_six_with_boundary_matches_filter(m, n):
+    shape = GridShape(m, n)
+    by_boundary = {}
+    for s in enumerate_six(shape):
+        by_boundary.setdefault(boundary_of(s), []).append(s)
+    for b, kept in by_boundary.items():
+        assert enumerate_six(shape, boundary=b) == kept
+
+
+def test_enumerate_six_with_unrealisable_boundary():
+    unrealised = six_boundary(S22, (1, 0, 0, 0, 0, 0, 0, 0))
+    assert unrealised not in {boundary_of(s) for s in enumerate_six(S22)}
+    assert enumerate_six(S22, boundary=unrealised) == []
+    assert enumerate_six(S22, boundary=six_boundary(S22, (0, 2, 0, 0, 1, 0, 0, 1))) == []
+
+
+def test_enumerate_six_boundary_refusals():
+    zeros = (0,) * 8
+    with pytest.raises(ValueError, match="F3"):
+        enumerate_six(S22, boundary=six_boundary(S22, zeros, field=GF2))
+    with pytest.raises(ValueError, match="shape"):
+        enumerate_six(GridShape(2, 3), boundary=six_boundary(S22, zeros))
+    big = GridShape(9, 9)
+    with pytest.raises(SizeGuardError):
+        enumerate_six(big, boundary=six_boundary(big, (0,) * 36))
+
+
+@pytest.mark.parametrize("make", [
+    lambda t: ScalarField(shape=S22, h=((0, t, 0),) * 3),
+    lambda t: OneForm(shape=S22, fx=((t, 0, 0), (0, 0, 0)), gy=((0, 0),) * 3),
+    lambda t: Coloring(shape=S22, cells=((0, 1, 0), (1, 0, 1), (0, 1, t))),
+    lambda t: PeriodicField(shape=S22, values=((0, 0), (t, 0))),
+    lambda t: ToroidalOneForm(shape=S22, fx=((0, 0), (0, 0)), gy=((0, t), (0, 0))),
+], ids=["ScalarField", "OneForm", "Coloring", "PeriodicField", "ToroidalOneForm"])
+def test_tables_refuse_booleans(make):
+    make(1)
+    with pytest.raises(ValueError, match="entries must be ints"):
+        make(True)

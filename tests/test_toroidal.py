@@ -4,7 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexforms.grid import GridShape, SizeGuardError
+from vertexforms.algebra import GF3
+from vertexforms.forms_rect import is_admissible_six
+from vertexforms.grid import GridShape, LatticeState, SizeGuardError
 from vertexforms.toroidal import (
     CohomologyDecomposition,
     PeriodicField,
@@ -270,6 +272,29 @@ def test_toroidal_counts():
     assert len(enumerate_six_toroidal(T22)) == 18
     assert len(enumerate_six_toroidal(GridShape(4, 2))) == 114
     assert len(enumerate_six_toroidal(GridShape(2, 4))) == 114
+
+
+def all_toroidal_states(shape):
+    """The reference listing: every labeling of the 2mn fundamental-domain
+    edges, extended periodically and kept when admissible."""
+    m, n = shape.m, shape.n
+    states = []
+    for mask in range(1 << 2 * m * n):
+        fvals = [[(mask >> (i * n + j)) & 1 for j in range(n)] for i in range(m)]
+        gvals = [[(mask >> (m * n + i * n + j)) & 1 for j in range(n)] for i in range(m)]
+        f = [row + [row[0]] for row in fvals]
+        g = [list(row) for row in gvals] + [list(gvals[0])]
+        state = LatticeState(shape=shape, field=GF3, f=f, g=g)
+        if is_admissible_six(state):
+            states.append(state)
+    states.sort(key=lambda s: s.edge_tuple())
+    return states
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (4, 2)])
+def test_toroidal_listing_matches_reference(m, n):
+    shape = GridShape(m, n)
+    assert enumerate_six_toroidal(shape) == all_toroidal_states(shape)
 
 
 def test_enumeration_guard():
