@@ -15,7 +15,6 @@ import csv
 import json
 import random
 import sys
-from itertools import product
 
 from .algebra import GF2, GF3, rank
 from .eightvertex import (
@@ -48,20 +47,18 @@ from .grid import (
     deserialize_boundary,
     deserialize_state,
     edges_at_vertex,
-    serialize_state,
+    state_doc,
 )
 from .toroidal import (
     CohomologyDecomposition,
     PeriodicField,
-    ToroidalOneForm,
     check_periods,
     count_six_toroidal,
     decompose,
+    enumerate_closed_toroidal,
     enumerate_six_toroidal,
-    is_closed_toroidal,
     reconstruct,
     sparse_fibers,
-    toroidal_derivatives,
 )
 from .transfer import EIGHT_VERTEX, SIX_VERTEX
 from .yangbaxter import (
@@ -130,10 +127,6 @@ def _check_shape(b, shape: GridShape, what: str) -> None:
             f"{what} is for shape ({b.shape.m}, {b.shape.n}), "
             f"requested ({shape.m}, {shape.n})"
         )
-
-
-def _state_doc(state) -> dict:
-    return json.loads(serialize_state(state))
 
 
 def _emit(payload) -> None:
@@ -210,7 +203,7 @@ def cmd_enumerate(args) -> int:
     if args.format == "csv":
         _emit_csv(_edge_headers(shape), (st.edge_tuple() for st in states))
     else:
-        _emit({"count": len(states), "states": [_state_doc(st) for st in states]})
+        _emit({"count": len(states), "states": [state_doc(st) for st in states]})
     return 0
 
 
@@ -254,7 +247,7 @@ def _verify_bijection(args) -> tuple:
             w2, t2 = form_from_coloring(coloring_from_form(w, t))
             if t2 != t or (w2.fx, w2.gy) != (w.fx, w.gy):
                 return {"suite": "bijection", "passed": False,
-                        "counterexample": _state_doc(st) | {"t": t}}, False
+                        "counterexample": state_doc(st) | {"t": t}}, False
             checked += 1
     for _ in range(args.samples):
         c = random_proper_coloring(shape, rng)
@@ -268,18 +261,6 @@ def _verify_bijection(args) -> tuple:
             "checked": checked, "passed": True}, True
 
 
-def _iter_closed_toroidal(shape: GridShape):
-    m, n = shape.m, shape.n
-    for vals in product((0, 1, 2), repeat=2 * m * n):
-        fx = tuple(tuple(vals[i * n + j] for j in range(n)) for i in range(m))
-        gy = tuple(
-            tuple(vals[m * n + i * n + j] for j in range(n)) for i in range(m)
-        )
-        w = ToroidalOneForm(shape=shape, fx=fx, gy=gy)
-        if is_closed_toroidal(w):
-            yield w
-
-
 def _verify_cohomology(args) -> tuple:
     shape = _shape(args)
     _check_periods(shape)
@@ -289,7 +270,7 @@ def _verify_cohomology(args) -> tuple:
     checked = 0
     if exhaustive:
         mode = "exhaustive"
-        for w in _iter_closed_toroidal(shape):
+        for w in enumerate_closed_toroidal(shape, force=args.force):
             dec = decompose(w)
             w2 = reconstruct(dec)
             if (w2.fx, w2.gy) != (w.fx, w.gy) or dec.h.at(1, 1) != 0:
@@ -297,22 +278,13 @@ def _verify_cohomology(args) -> tuple:
                         "counterexample": {"fx": [list(r) for r in w.fx],
                                            "gy": [list(r) for r in w.gy]}}, False
             checked += 1
-        # uniqueness: no potential h makes r dx + s dy exact unless r = s = 0
-        for r, s in product((0, 1, 2), repeat=2):
-            if (r, s) == (0, 0):
-                continue
-            for hv in product((0, 1, 2), repeat=m * n):
-                h = PeriodicField(
-                    shape=shape,
-                    values=tuple(tuple(hv[i * n + j] for j in range(n)) for i in range(m)),
-                )
-                dh = toroidal_derivatives(h)
-                if all(x == r for row in dh.fx for x in row) and all(
-                    x == s for row in dh.gy for x in row
-                ):
-                    return {"suite": "cohomology", "passed": False,
-                            "counterexample": {"r": r, "s": s,
-                                               "h": [list(rw) for rw in h.values]}}, False
+        # decompose is one-to-one on the closed forms; as many of them as
+        # triples (r, s, h) with h(1, 1) = 0 make it a bijection
+        triples = 3 ** (m * n + 1)
+        if checked != triples:
+            return {"suite": "cohomology", "passed": False,
+                    "counterexample": {"closed_forms": checked,
+                                       "decompositions": triples}}, False
     else:
         mode = "random"
         for _ in range(args.samples):

@@ -17,9 +17,11 @@ from .grid import (
     BoundarySpec,
     GridShape,
     LatticeState,
+    check_boundary,
     edges_at_vertex,
     f_edge_index,
     g_edge_index,
+    guard_cost,
     guard_size,
     vertex_index,
 )
@@ -202,14 +204,14 @@ def _enumerate_brute(shape: GridShape, boundary, force: bool) -> list:
 
 
 def _enumerate_kernel(shape: GridShape, boundary, force: bool) -> list:
+    m, n = shape.m, shape.n
+    states = 2 ** (m + n + m * n) if boundary is None else count_with_boundary(boundary)
+    if not states:
+        return []
+    guard_cost(states * shape.edge_count, force)
     rows = defect_map(shape).matrix.to_rows()
     base = 0
-    if boundary is None:
-        guard_size(shape.m + shape.n + shape.m * shape.n, force)
-    else:
-        if boundary_parity(boundary) != 0:
-            return []
-        guard_size((shape.m - 1) * (shape.n - 1), force)
+    if boundary is not None:
         for col, _ in _boundary_columns(boundary):
             pin = [0] * shape.edge_count  # pin boundary edges to 0 in the kernel
             pin[col] = 1
@@ -233,14 +235,6 @@ def _enumerate_kernel(shape: GridShape, boundary, force: bool) -> list:
     return out
 
 
-def check_eight_boundary(boundary: BoundarySpec, shape: GridShape) -> None:
-    """Refuse a boundary of another shape or over a field other than F2."""
-    if boundary.shape != shape:
-        raise ValueError("boundary shape does not match the requested shape")
-    if boundary.field is not GF2:
-        raise ValueError("eight-vertex boundaries live over F2")
-
-
 def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
                     method: str = "kernel", force: bool = False) -> list:
     """All admissible states, optionally restricted to one boundary.
@@ -248,10 +242,10 @@ def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
     "kernel" spans the solution space of the parity equations (plus a
     particular solution when a boundary is fixed); "brute" sweeps every
     edge assignment and filters.  Both produce the same states, sorted
-    by edge_tuple.  An odd-parity boundary yields the empty list.
+    by edge_tuple.  An odd-parity boundary yields the empty list.  The
+    guard charges "kernel" its states times edge_count, "brute" 2^edges.
     """
-    if boundary is not None:
-        check_eight_boundary(boundary, shape)
+    check_boundary(boundary, shape, GF2)
     if method == "brute":
         states = _enumerate_brute(shape, boundary, force)
     elif method == "kernel":

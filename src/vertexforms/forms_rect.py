@@ -33,10 +33,11 @@ from .grid import (
     BoundarySpec,
     GridShape,
     LatticeState,
-    SizeGuardError,
     _freeze_grid,
+    check_boundary,
     f_edge_index,
     g_edge_index,
+    guard_cost,
     guard_size,
     vertex_index,
 )
@@ -186,23 +187,29 @@ def _closed_basis(shape: GridShape) -> list:
     return nullspace_basis(closedness_matrix(shape))
 
 
+def _combine(coeffs, basis: list, length: int) -> list:
+    """The F3 vector sum of c * b over the coefficients and basis vectors."""
+    vec = [0] * length
+    for c, b in zip(coeffs, basis):
+        if c:
+            for k, x in enumerate(b):
+                vec[k] = (vec[k] + c * x) % 3
+    return vec
+
+
 def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
     """All closed 1-forms on the shape, spanned from a kernel basis.
 
     The closedness conditions are F3-linear in the edge values, so the
     closed forms are exactly the kernel of closedness_matrix; there are
-    3^(mn + m + n) of them.
+    3^(mn + m + n) of them.  The guard charges forms times edge_count.
     """
     basis = _closed_basis(shape)
-    guard_size(2 * len(basis), force)
-    forms = []
-    for coeffs in product((0, 1, 2), repeat=len(basis)):
-        vec = [0] * shape.edge_count
-        for c, b in zip(coeffs, basis):
-            if c:
-                for k, x in enumerate(b):
-                    vec[k] = (vec[k] + c * x) % 3
-        forms.append(_form_from_vector(shape, vec))
+    guard_cost(3 ** len(basis) * shape.edge_count, force)
+    forms = [
+        _form_from_vector(shape, _combine(coeffs, basis, shape.edge_count))
+        for coeffs in product((0, 1, 2), repeat=len(basis))
+    ]
     forms.sort(key=lambda w: (w.fx, w.gy))
     return forms
 
@@ -210,13 +217,8 @@ def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
 def random_closed_form(shape: GridShape, rng: random.Random) -> OneForm:
     """A uniformly random closed 1-form: random coefficients on the kernel basis."""
     basis = _closed_basis(shape)
-    vec = [0] * shape.edge_count
-    for b in basis:
-        c = rng.randrange(3)
-        if c:
-            for k, x in enumerate(b):
-                vec[k] = (vec[k] + c * x) % 3
-    return _form_from_vector(shape, vec)
+    coeffs = [rng.randrange(3) for _ in basis]
+    return _form_from_vector(shape, _combine(coeffs, basis, shape.edge_count))
 
 
 def is_admissible_form(w: OneForm) -> bool:
@@ -371,11 +373,11 @@ def enumerate_six(shape: GridShape, boundary: BoundarySpec | None = None,
 
     Sorted by edge tuple (f block, g block).  The boundary is pinned
     during generation, so only matching states are built; a boundary
-    value of 2 admits no state.  Same checks and guard as count_six.
+    value of 2 admits no state.  The guard charges the free state count
+    times edge_count, which bounds what a pinned listing builds.
     """
-    guard_size(shape.edge_count, force)
-    if boundary is not None:
-        check_six_boundary(boundary, shape)
+    check_boundary(boundary, shape, GF3)
+    guard_cost(count_states(SIX_VERTEX, shape, force=force) * shape.edge_count, force)
     states = [
         LatticeState(shape=shape, field=GF3, f=f, g=g)
         for f, g in _iter_six_states(shape, boundary)
@@ -388,21 +390,12 @@ def count_six(shape: GridShape, force: bool = False,
               boundary: BoundarySpec | None = None) -> int:
     """Number of admissible six-vertex states, optionally with a fixed boundary.
 
-    Computed by the transfer sweep; enumerate_six is the independent
-    oracle.  A boundary value of 2 admits no state.
+    Computed by the transfer sweep, which charges the guard its own
+    work; enumerate_six is the independent oracle.  A boundary value of
+    2 admits no state.
     """
-    guard_size(shape.edge_count, force)
-    if boundary is not None:
-        check_six_boundary(boundary, shape)
-    return count_states(SIX_VERTEX, shape, boundary)
-
-
-def check_six_boundary(boundary: BoundarySpec, shape: GridShape) -> None:
-    """Refuse a boundary of another shape or over a field other than F3."""
-    if boundary.shape != shape:
-        raise ValueError("boundary shape does not match the requested shape")
-    if boundary.field is not GF3:
-        raise ValueError("six-vertex boundaries live over F3")
+    check_boundary(boundary, shape, GF3)
+    return count_states(SIX_VERTEX, shape, boundary, force=force)
 
 
 def count_colorings(width: int, height: int, force: bool = False) -> int:

@@ -34,16 +34,21 @@ class StateFormatError(ValueError):
 
 
 class SizeGuardError(RuntimeError):
-    """Raised when a brute-force space exceeds the desk-scale guard."""
+    """Raised when an operation's charge exceeds the desk-scale guard."""
 
 
 def guard_size(log2_count: int, force: bool = False) -> None:
-    """Refuse searches larger than 2^SIZE_GUARD_BITS unless forced."""
+    """Refuse operations charged more than 2^SIZE_GUARD_BITS unless forced."""
     if log2_count > SIZE_GUARD_BITS and not force:
         raise SizeGuardError(
-            f"search space of 2^{log2_count} exceeds the 2^{SIZE_GUARD_BITS} guard; "
+            f"cost of 2^{log2_count} exceeds the 2^{SIZE_GUARD_BITS} guard; "
             "pass force=True (CLI: --force) to override"
         )
+
+
+def guard_cost(units: int, force: bool = False) -> None:
+    """guard_size at ceil(log2(units)): dict updates, or edge values listed."""
+    guard_size(max(units - 1, 0).bit_length(), force)
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,14 @@ def boundary_of(state: LatticeState) -> BoundarySpec:
     )
 
 
-def _field_name(field: PrimeField) -> str:
-    return field.name
+def check_boundary(boundary: BoundarySpec | None, shape: GridShape, field: PrimeField) -> None:
+    """Refuse a boundary of another shape or over another field; None is free."""
+    if boundary is None:
+        return
+    if boundary.shape != shape:
+        raise ValueError("boundary shape does not match the requested shape")
+    if boundary.field is not field:
+        raise ValueError(f"boundary is over {boundary.field.name}, not {field.name}")
 
 
 def _parse_field(doc: dict, where: str) -> PrimeField:
@@ -221,16 +232,20 @@ def _parse_shape(doc: dict, where: str) -> GridShape:
         raise StateFormatError(f"{where}: {e}") from None
 
 
-def serialize_state(state: LatticeState) -> str:
-    """State as a JSON document with keys m, n, field, f, g."""
-    doc = {
+def state_doc(state: LatticeState) -> dict:
+    """The state document: keys m, n, field, f, g."""
+    return {
         "m": state.shape.m,
         "n": state.shape.n,
-        "field": _field_name(state.field),
+        "field": state.field.name,
         "f": [list(row) for row in state.f],
         "g": [list(row) for row in state.g],
     }
-    return json.dumps(doc, sort_keys=True)
+
+
+def serialize_state(state: LatticeState) -> str:
+    """The state document as JSON text."""
+    return json.dumps(state_doc(state), sort_keys=True)
 
 
 def deserialize_state(text: str) -> LatticeState:
@@ -259,7 +274,7 @@ def serialize_boundary(b: BoundarySpec) -> str:
     doc = {
         "m": b.shape.m,
         "n": b.shape.n,
-        "field": _field_name(b.field),
+        "field": b.field.name,
         "f_bottom": list(b.f_bottom),
         "f_top": list(b.f_top),
         "g_left": list(b.g_left),

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .forms_rect import _iter_six_states, is_admissible_six
-from .grid import BoundarySpec, GridShape, LatticeState, _freeze_grid, guard_size
-from .algebra import GF3
+from .forms_rect import _combine, _iter_six_states, is_admissible_six
+from .grid import BoundarySpec, GridShape, LatticeState, _freeze_grid, guard_cost
+from .algebra import GF3, FieldMatrix, nullspace_basis
 from .transfer import SIX_VERTEX, count_states
 
 _INV3 = {1: 1, 2: 2}
@@ -127,6 +127,35 @@ def is_closed_toroidal(w: ToroidalOneForm) -> bool:
     return True
 
 
+def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[ToroidalOneForm]:
+    """All closed toroidal 1-forms, sorted, as enumerate_closed lists them.
+
+    They are the kernel of the mn x 2mn closedness map with wraparound
+    (fx row-major, then gy); there are 3^(mn + 1) of them.
+    """
+    check_periods(shape)
+    m, n = shape.m, shape.n
+    rows = []
+    for i in range(m):
+        for j in range(n):
+            # fx[i][j+1] - fx[i][j] - gy[i+1][j] + gy[i][j], indices wrapped
+            row = [0] * (2 * m * n)
+            row[i * n + (j + 1) % n] = 1
+            row[i * n + j] = 2
+            row[m * n + (i + 1) % m * n + j] = 2
+            row[m * n + i * n + j] = 1
+            rows.append(row)
+    basis = nullspace_basis(FieldMatrix.from_rows(GF3, rows))
+    guard_cost(3 ** len(basis) * shape.edge_count, force)
+    forms = []
+    for coeffs in product((0, 1, 2), repeat=len(basis)):
+        vec = _combine(coeffs, basis, 2 * m * n)
+        table = [vec[k:k + n] for k in range(0, 2 * m * n, n)]
+        forms.append(ToroidalOneForm(shape=shape, fx=table[:m], gy=table[m:]))
+    forms.sort(key=lambda w: (w.fx, w.gy))
+    return forms
+
+
 def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
     """Split a closed toroidal form as r dx + s dy + dh.
 
@@ -224,11 +253,12 @@ def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[Lattic
     These are the rectangle states whose top f row repeats the bottom
     one and whose right g column repeats the left one, so each of the
     2^(m+n) periodic boundaries is pinned in turn during generation.
-    Sorted by edge tuple.
+    Sorted by edge tuple.  The pinned generations split the free one,
+    so the guard charges its state count times edge_count.
     """
     check_periods(shape)
     m, n = shape.m, shape.n
-    guard_size(2 * m * n, force)
+    guard_cost(count_states(SIX_VERTEX, shape, force=force) * shape.edge_count, force)
     states = []
     for bottom in product((0, 1), repeat=m):
         for left in product((0, 1), repeat=n):
@@ -245,12 +275,11 @@ def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[Lattic
 def count_six_toroidal(shape: GridShape, force: bool = False) -> int:
     """Number of admissible toroidal six-vertex states, by the transfer trace.
 
-    Same checks as enumerate_six_toroidal, which is its oracle and does
-    not use the sweep.
+    Same period check as enumerate_six_toroidal, which is its oracle and
+    does not use the sweep; the trace charges the guard its own work.
     """
     check_periods(shape)
-    guard_size(2 * shape.m * shape.n, force)
-    return count_states(SIX_VERTEX, shape, toroidal=True)
+    return count_states(SIX_VERTEX, shape, toroidal=True, force=force)
 
 
 @dataclass(frozen=True)
@@ -287,7 +316,6 @@ def sparse_fibers(shape: GridShape, force: bool = False) -> list[FiberEntry]:
     fiber is exactly {r dx + s dy + dh} over those choices, so its size
     is the product of the two choice counts.
     """
-    check_periods(shape)
     groups: dict = {}
     for state in enumerate_six_toroidal(shape, force=force):
         h = state_to_sparse(state)

@@ -12,8 +12,9 @@ The frontier key holds the m vertical bits (bit i - 1 for column i),
 and inside a row the horizontal bit carried to the next vertex at bit
 m.  A toroidal sweep also carries the row's first left bit at bit
 m + 1, so that the row's last right bit can be matched to it.  The
-work is O(mn 2^(m+2)) dict updates, 2^m times that for the toroidal
-trace, against the 2^(edge count) labelings behind it.
+work is at most 2^(m+1) keys (2^(m+2) on the torus) times the moves
+per key times mn dict updates, 2^m times that for the toroidal trace;
+the size guard charges every sum that bound before it starts.
 
 Boundaries:
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .grid import BoundarySpec, GridShape
+from .grid import BoundarySpec, GridShape, guard_cost
 
 # (left, top, right, bottom) pattern -> the (letter, sign) of the weight
 # it carries.  This is also the R-matrix component layout of yangbaxter.
@@ -49,13 +50,13 @@ EIGHT_VERTEX = tuple(PATTERNS)
 
 
 def count_states(patterns, shape: GridShape, boundary: BoundarySpec | None = None,
-                 toroidal: bool = False) -> int:
+                 toroidal: bool = False, force: bool = False) -> int:
     """Number of labelings in which every vertex shows one of the patterns."""
-    return _integer_sum(dict.fromkeys(patterns, 1), shape, boundary, toroidal)
+    return _integer_sum(dict.fromkeys(patterns, 1), shape, boundary, toroidal, force)
 
 
 def weighted_sum(weights: dict, shape: GridShape, boundary: BoundarySpec | None = None,
-                 toroidal: bool = False) -> Fraction:
+                 toroidal: bool = False, force: bool = False) -> Fraction:
     """Sum over labelings of the product of per-vertex weights, exactly.
 
     weights maps patterns to ints or Fractions; zero and negative
@@ -63,7 +64,7 @@ def weighted_sum(weights: dict, shape: GridShape, boundary: BoundarySpec | None 
     """
     scale = lcm(*(Fraction(w).denominator for w in weights.values()))
     table = {p: int(Fraction(w) * scale) for p, w in weights.items()}
-    total = _integer_sum(table, shape, boundary, toroidal)
+    total = _integer_sum(table, shape, boundary, toroidal, force)
     return Fraction(total, scale ** shape.vertex_count)
 
 
@@ -71,15 +72,18 @@ def _bits(values) -> int:
     return sum(x << k for k, x in enumerate(values))
 
 
-def _integer_sum(table: dict, shape: GridShape, boundary, toroidal: bool) -> int:
+def _integer_sum(table: dict, shape: GridShape, boundary, toroidal: bool, force: bool) -> int:
+    if toroidal and boundary is not None:
+        raise ValueError("a toroidal sum takes no boundary")
     m, n = shape.m, shape.n
     moves = {(left, bottom): [] for left in (0, 1) for bottom in (0, 1)}
     for (left, top, right, bottom), w in table.items():
         if w:
             moves[left, bottom].append((top, right, w))
+    keys = 1 << m + (2 if toroidal else 1)
+    starts = 1 << m if toroidal else 1
+    guard_cost(keys * max(map(len, moves.values())) * m * n * starts, force)
     if toroidal:
-        if boundary is not None:
-            raise ValueError("a toroidal sum takes no boundary")
         return sum(
             _sweep(moves, m, n, {s0: 1}, toroidal=True).get(s0, 0) for s0 in range(1 << m)
         )

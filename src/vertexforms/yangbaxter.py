@@ -27,10 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import QQ, FieldMatrix, mat_sub, matmul, nullspace_basis
-from .eightvertex import boundary_parity, check_eight_boundary
-from .forms_rect import check_six_boundary
-from .grid import BoundarySpec, GridShape, guard_size
+from .algebra import GF2, GF3, QQ, FieldMatrix, mat_sub, matmul, nullspace_basis
+from .grid import BoundarySpec, GridShape, check_boundary
 from .transfer import EIGHT_VERTEX, PATTERNS, SIX_VERTEX, weighted_sum
 
 WEIGHT_KEYS = ("a1", "a-1", "b1", "b-1", "c1", "c-1", "d1", "d-1")
@@ -545,26 +543,17 @@ def partition_function(w: VertexWeights, shape: GridShape, model: str,
     model "six" sums over six-vertex states and requires both d weights
     to be zero; "eight" sums over eight-vertex states.  A None boundary
     means free boundary, otherwise states are restricted to it (over F3
-    for six, F2 for eight).  Exact, by the transfer sweep; the size
-    guard still charges what listing the states would cost.
+    for six, F2 for eight); an odd eight-vertex boundary gives 0.  Exact,
+    by the transfer sweep, which charges the size guard its own work.
     """
     if model == "six":
         if w.d1 != 0 or w.d_neg1 != 0:
             raise WeightConditionError("six-vertex partition function requires d1 = d-1 = 0")
-        guard_size(shape.edge_count, force)
-        if boundary is not None:
-            check_six_boundary(boundary, shape)
-        patterns = SIX_VERTEX
+        patterns, field = SIX_VERTEX, GF3
     elif model == "eight":
-        if boundary is None:
-            guard_size(shape.m + shape.n + shape.m * shape.n, force)
-        else:
-            check_eight_boundary(boundary, shape)
-            if boundary_parity(boundary):
-                return Fraction(0)
-            guard_size((shape.m - 1) * (shape.n - 1), force)
-        patterns = EIGHT_VERTEX
+        patterns, field = EIGHT_VERTEX, GF2
     else:
         raise ValueError(f"unknown model {model!r}")
+    check_boundary(boundary, shape, field)
     weights = {p: w.weight(*PATTERNS[p]) for p in patterns}
-    return weighted_sum(weights, shape, boundary)
+    return weighted_sum(weights, shape, boundary, force=force)

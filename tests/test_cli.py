@@ -234,6 +234,19 @@ def test_verify_cohomology_exhaustive(capsys):
     assert doc["mode"] == "exhaustive" and doc["checked"] == 243
 
 
+def test_verify_cohomology_counts_the_closed_forms(capsys, monkeypatch):
+    # a span missing one form round-trips every form it has, so only the
+    # count against the 3^(mn+1) decompositions can catch it
+    import vertexforms.cli as cli
+
+    real = cli.enumerate_closed_toroidal
+    monkeypatch.setattr(cli, "enumerate_closed_toroidal",
+                        lambda shape, force=False: real(shape, force)[1:])
+    code, doc = run_json(capsys, "verify", "cohomology", "--m", "2", "--n", "2")
+    assert code == 1 and doc["passed"] is False
+    assert doc["counterexample"] == {"closed_forms": 242, "decompositions": 243}
+
+
 def test_verify_cohomology_random(capsys):
     code, doc = run_json(
         capsys, "verify", "cohomology", "--m", "4", "--n", "2", "--samples", "30"
@@ -400,7 +413,7 @@ def test_partition_six_rejects_d_weights(capsys, tmp_path):
 
 
 def test_size_guard_exits_2(capsys):
-    code, out, err = run(capsys, "count", "--m", "9", "--n", "9")
+    code, out, err = run(capsys, "count", "--m", "30", "--n", "2")
     assert code == 2 and "guard" in err
 
 

@@ -300,7 +300,7 @@ def test_enumeration_sorted_and_admissible():
 
 def test_size_guard_trips():
     with pytest.raises(SizeGuardError):
-        count_six(GridShape(10, 10))
+        count_six(GridShape(30, 2))
     with pytest.raises(SizeGuardError):
         count_colorings(8, 8)
     with pytest.raises(SizeGuardError):

@@ -13,6 +13,7 @@ from vertexforms.toroidal import (
     ToroidalOneForm,
     admissible_shifts,
     decompose,
+    enumerate_closed_toroidal,
     enumerate_six_toroidal,
     has_toroidal_boundary,
     index_reduce,
@@ -299,7 +300,40 @@ def test_toroidal_listing_matches_reference(m, n):
 
 def test_enumeration_guard():
     with pytest.raises(SizeGuardError):
-        enumerate_six_toroidal(GridShape(4, 4))
+        enumerate_six_toroidal(GridShape(5, 5))
+    with pytest.raises(SizeGuardError):
+        enumerate_closed_toroidal(GridShape(5, 5))
+
+
+def all_closed_toroidal_forms(shape):
+    """The reference listing: every F3 labeling of the 2mn fundamental-domain
+    edges, kept when closed with wraparound."""
+    m, n = shape.m, shape.n
+    forms = []
+    for vals in product((0, 1, 2), repeat=2 * m * n):
+        w = form(shape, [vals[i * n:(i + 1) * n] for i in range(m)],
+                 [vals[m * n + i * n:m * n + (i + 1) * n] for i in range(m)])
+        if is_closed_toroidal(w):
+            forms.append(w)
+    forms.sort(key=lambda w: (w.fx, w.gy))
+    return forms
+
+
+def test_closed_toroidal_forms_match_reference():
+    assert enumerate_closed_toroidal(T22) == all_closed_toroidal_forms(T22)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (4, 2)])
+def test_closed_toroidal_forms_are_the_decompositions(m, n):
+    # one closed form per (r, s, h) with h(1, 1) = 0, each distinct,
+    # closed, and rebuilt by its decomposition
+    shape = GridShape(m, n)
+    forms = enumerate_closed_toroidal(shape)
+    assert len(forms) == len({(w.fx, w.gy) for w in forms}) == 3 ** (m * n + 1)
+    for w in forms:
+        assert is_closed_toroidal(w)
+        w2 = reconstruct(decompose(w))
+        assert (w2.fx, w2.gy) == (w.fx, w.gy)
 
 
 def test_fibers_partition_2x2():

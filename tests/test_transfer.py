@@ -4,9 +4,12 @@ Counts are compared with the enumerators (enumerate_six,
 enumerate_six_toroidal, enumerate_eight) and partition functions with a
 per-state product of R-matrix components over those same lists, on
 shapes up to 3x3, free, fixed and toroidal boundaries, and rational
-weights that include zeros and negative values.
+weights that include zeros and negative values.  Also here: what the
+size guard charges sums and listings, and the commuting row transfer
+matrices of weights that solve the Yang-Baxter equation.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -15,10 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexforms.algebra import GF2, GF3
-from vertexforms.eightvertex import boundary_parity, enumerate_eight
+from conftest import random_solvable_triple, random_weights
+from vertexforms import eightvertex, forms_rect, grid
+from vertexforms.algebra import GF2, GF3, QQ, FieldMatrix, matmul, rank
+from vertexforms.eightvertex import boundary_parity, count_total, enumerate_eight
 from vertexforms.forms_rect import count_six, enumerate_six
-from vertexforms.grid import BoundarySpec, GridShape, boundary_of, edges_at_vertex
+from vertexforms.grid import (
+    BoundarySpec,
+    GridShape,
+    SizeGuardError,
+    boundary_of,
+    edges_at_vertex,
+)
 from vertexforms.toroidal import count_six_toroidal, enumerate_six_toroidal
 from vertexforms.transfer import (
     EIGHT_VERTEX,
@@ -27,7 +38,12 @@ from vertexforms.transfer import (
     count_states,
     weighted_sum,
 )
-from vertexforms.yangbaxter import VertexWeights, component, partition_function
+from vertexforms.yangbaxter import (
+    VertexWeights,
+    component,
+    partition_function,
+    weights_to_matrix,
+)
 
 SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 # free eight-vertex sums list every state, 2^(m+n+mn); keep those small
@@ -189,3 +205,89 @@ def test_weighted_sum_with_all_zero_weights_is_zero():
     table = dict.fromkeys(EIGHT_VERTEX, Fraction(0))
     assert weighted_sum(table, GridShape(3, 3)) == 0
     assert weighted_sum({}, GridShape(2, 2), toroidal=True) == 0
+
+
+# -- the size guard: a sum is charged its sweep, a listing its states
+
+
+def test_cheap_sums_and_listings_need_no_force():
+    assert count_six(GridShape(4, 3)) == len(enumerate_six(GridShape(4, 3))) == 18150
+    s44 = GridShape(4, 4)
+    assert count_six_toroidal(s44) == len(enumerate_six_toroidal(s44)) == 2970
+    ones = VertexWeights(*(1,) * 8)
+    s55 = GridShape(5, 5)
+    assert partition_function(ones, s55, "eight") == count_total(s55) == 2 ** 35
+
+
+def test_listing_refusals_build_nothing(monkeypatch):
+    def build(*args):
+        raise AssertionError("a refused listing started building")
+
+    monkeypatch.setattr(forms_rect, "_iter_six_states", build)
+    monkeypatch.setattr(eightvertex, "defect_map", build)
+    with pytest.raises(SizeGuardError, match="2\\^27"):
+        enumerate_six(GridShape(5, 4))
+    with pytest.raises(SizeGuardError, match="2\\^30"):
+        enumerate_eight(GridShape(4, 4))
+    s66 = GridShape(6, 6)
+    with pytest.raises(SizeGuardError):
+        enumerate_eight(s66, boundary=boundary(s66, GF2, (0,) * 24))
+
+
+def test_force_reaches_the_sweep(monkeypatch):
+    monkeypatch.setattr(grid, "SIZE_GUARD_BITS", 5)
+    with pytest.raises(SizeGuardError):
+        count_six(GridShape(4, 3))
+    assert count_six(GridShape(4, 3), force=True) == 18150
+
+
+# -- commuting row transfer matrices
+
+
+def row_matrix(w, width):
+    """The periodic row transfer matrix: entry (a, b) sums, over the
+    horizontal bits of a closed row of the given width, the product of
+    vertex weights with bottom bits a and top bits b."""
+    table = {p: w.weight(*PATTERNS[p]) for p in PATTERNS}
+    rows = []
+    for a in range(1 << width):
+        row = []
+        for b in range(1 << width):
+            total = Fraction(0)
+            for h in product((0, 1), repeat=width):
+                prod = Fraction(1)
+                for i in range(width):
+                    pattern = (h[i], b >> i & 1, h[(i + 1) % width], a >> i & 1)
+                    prod *= table.get(pattern, 0)
+                total += prod
+            row.append(total)
+        rows.append(row)
+    return FieldMatrix.from_rows(QQ, rows)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_row_matrix_trace_is_the_toroidal_sum(m, n):
+    w = random_weights(random.Random(m * 10 + n))
+    t = row_matrix(w, m)
+    power = t
+    for _ in range(n - 1):
+        power = matmul(power, t)
+    trace = sum(power.entries[k * (power.cols + 1)] for k in range(power.rows))
+    table = {p: w.weight(*PATTERNS[p]) for p in PATTERNS}
+    assert trace == weighted_sum(table, GridShape(m, n), toroidal=True)
+
+
+def test_solvable_weights_give_commuting_row_matrices():
+    # R12 S13 T23 = T23 S13 R12 with R invertible makes t_S and t_T commute
+    rng = random.Random(3)
+    for _ in range(4):
+        r, s, t = random_solvable_triple(rng)
+        assert rank(weights_to_matrix(r)) == 4
+        for width in (2, 3, 4):
+            ts, tt = row_matrix(s, width), row_matrix(t, width)
+            assert matmul(ts, tt) == matmul(tt, ts)
+    pairs = [(random_weights(rng), random_weights(rng)) for _ in range(6)]
+    assert any(
+        matmul(row_matrix(s, 2), row_matrix(t, 2)) != matmul(row_matrix(t, 2), row_matrix(s, 2))
+        for s, t in pairs
+    )
