@@ -246,14 +246,18 @@ def rref(m: FieldMatrix) -> FieldMatrix:
         inv = f.inv(rows[pivot_row][col])
         if inv != f.one:
             rows[pivot_row] = [f.mul(inv, x) for x in rows[pivot_row]]
+        prow = rows[pivot_row]
+        # only the pivot row's nonzero columns change the rows it clears
+        support = [c for c in range(col, m.cols) if prow[c] != zero]
         for r in range(m.rows):
             if r == pivot_row:
                 continue
             factor = rows[r][col]
             if factor == zero:
                 continue
-            prow = rows[pivot_row]
-            rows[r] = [f.sub(x, f.mul(factor, px)) for x, px in zip(rows[r], prow)]
+            row = rows[r]
+            for c in support:
+                row[c] = f.sub(row[c], f.mul(factor, prow[c]))
         pivot_row += 1
     flat = tuple(x for row in rows for x in row)
     return FieldMatrix(f, m.rows, m.cols, flat)

@@ -35,7 +35,7 @@ from .forms_rect import (
     exterior_derivative,
     form_from_coloring,
     is_admissible_six,
-    random_closed_form,
+    random_closed_forms,
     random_proper_coloring,
     state_to_form,
 )
@@ -66,13 +66,13 @@ from .yangbaxter import (
     WeightConditionError,
     WeightFormatError,
     check_necessary_conditions,
+    commutator_vanishes,
     deserialize_weights,
     partition_function,
     residuals28,
     serialize_weights,
     solve_R,
     star_triangle_residuals,
-    yb_commutator,
 )
 
 
@@ -219,7 +219,7 @@ def _verify_poincare(args) -> tuple:
         forms = enumerate_closed(shape, force=args.force)
         mode = "exhaustive"
     else:
-        forms = [random_closed_form(shape, rng) for _ in range(args.samples)]
+        forms = random_closed_forms(shape, rng, args.samples)
         mode = "random"
     checked = 0
     for w in forms:
@@ -414,7 +414,7 @@ def cmd_ybe(args) -> int:
         s = _load_weights(args.s)
         t = _load_weights(args.t)
     if args.action == "check":
-        zero = yb_commutator(r, s, t).is_zero()
+        zero = commutator_vanishes(r, s, t)
         _emit({"commutator_zero": zero})
         return 0 if zero else 1
     if args.action == "residuals":
@@ -433,7 +433,7 @@ def cmd_ybe(args) -> int:
                     {"label": RESIDUALS28_LABELS[i], "value": str(v)}
                     for i, v in enumerate(r28)
                 ],
-                "all_zero": not any(r64) and not any(r28),
+                "all_zero": not any(r64),
             })
         return 0
     if args.action == "conditions":
@@ -449,9 +449,7 @@ def cmd_ybe(args) -> int:
     }
     if report.witness is not None:
         payload["witness"] = json.loads(serialize_weights(report.witness))
-        payload["witness_commutator_zero"] = yb_commutator(
-            report.witness, s, t
-        ).is_zero()
+        payload["witness_commutator_zero"] = commutator_vanishes(report.witness, s, t)
     else:
         payload["witness"] = None
         payload["message"] = "none found in scan"
@@ -476,6 +474,17 @@ def cmd_partition(args) -> int:
 
 
 # -- parser -----------------------------------------------------------
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: a decimal integer >= 0, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
 
 
 def _add_shape_args(p) -> None:
@@ -539,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         yp.add_argument("--s", required=True, help="S weights JSON file")
         yp.add_argument("--t", required=True, help="T weights JSON file")
         if name == "solve":
-            yp.add_argument("--scan-range", type=int, default=2,
+            yp.add_argument("--scan-range", type=_nonnegative_int, default=2,
                             help="coefficient range for the nonzero-cd scan")
         yp.set_defaults(func=cmd_ybe)
 

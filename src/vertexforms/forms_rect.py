@@ -214,11 +214,22 @@ def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
     return forms
 
 
+def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:
+    """k uniformly random closed 1-forms: random coefficients on one kernel basis.
+
+    The rng draws are those of k calls of random_closed_form.
+    """
+    basis = _closed_basis(shape)
+    return [
+        _form_from_vector(shape, _combine([rng.randrange(3) for _ in basis], basis,
+                                          shape.edge_count))
+        for _ in range(k)
+    ]
+
+
 def random_closed_form(shape: GridShape, rng: random.Random) -> OneForm:
     """A uniformly random closed 1-form: random coefficients on the kernel basis."""
-    basis = _closed_basis(shape)
-    coeffs = [rng.randrange(3) for _ in basis]
-    return _form_from_vector(shape, _combine(coeffs, basis, shape.edge_count))
+    return random_closed_forms(shape, rng, 1)[0]
 
 
 def is_admissible_form(w: OneForm) -> bool:

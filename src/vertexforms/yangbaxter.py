@@ -4,12 +4,23 @@ A weight assignment gives every admissible vertex configuration a
 rational Boltzmann weight (a, b, c, d families, each with a +1 and a -1
 variant).  Packed into a 4x4 matrix acting on V (x) V it becomes an
 R-matrix, and a triple (R, S, T) satisfies the star-triangle relation
-exactly when the commutator R12 S13 T23 - T23 S13 R12 vanishes.  This
-module computes both sides of that equivalence exactly, evaluates the
-28 polynomial residuals the commutator condenses to, checks the
-necessary conditions on (S, T) for a solution R with nonzero c and d
-weights to exist, solves for R by linear algebra, and evaluates
+exactly when the commutator R12 S13 T23 - T23 S13 R12 vanishes
+(Baxter 1982, ch. 10).  This module checks that relation, evaluates its
+64 residuals and the 28 polynomial equations they condense to, checks
+the necessary conditions on (S, T) for a solution R with nonzero c and
+d weights to exist, solves for R by linear algebra, and evaluates
 partition functions.
+
+Where the residuals come from: STAR_TRIANGLE_TABLE, built once at
+import from transfer.PATTERNS, writes the residual of each of the 64
+external labelings as its signed r[i] s[j] t[k] monomials (indices into
+as_vector()); 32 rows vanish identically and the others keep 2 or 4
+monomials.  star_triangle_residuals and commutator_vanishes evaluate
+it, residuals28 reads each equation off one row up to sign
+(RESIDUALS28_ROWS), and solve_R reads its linear system in R from it.
+The paper's definitions stay as the oracles the tests check the table
+against: embed and yb_commutator (the 8x8 commutator) and the 64-term
+star_triangle_residual.
 
 Component convention: component(w, nu, beta, theta, gamma) is the
 matrix entry in row (theta gamma), column (nu beta).  On a lattice
@@ -28,7 +39,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import GF2, GF3, QQ, FieldMatrix, mat_sub, matmul, nullspace_basis
-from .grid import BoundarySpec, GridShape, check_boundary
+from .grid import BoundarySpec, GridShape, check_boundary, guard_cost
 from .transfer import EIGHT_VERTEX, PATTERNS, SIX_VERTEX, weighted_sum
 
 WEIGHT_KEYS = ("a1", "a-1", "b1", "b-1", "c1", "c-1", "d1", "d-1")
@@ -255,66 +266,68 @@ def star_triangle_residual(r: VertexWeights, s: VertexWeights, t: VertexWeights,
     return lhs - rhs
 
 
+# Weight of each vertex pattern as an index into VertexWeights.as_vector().
+_WEIGHT_INDEX = {p: WEIGHT_KEYS.index(f"{letter}{sign}") for p, (letter, sign) in PATTERNS.items()}
+
+
+def _star_triangle_table() -> tuple:
+    """star_triangle_residual as a polynomial, one row per external labeling.
+
+    Row e (labelings in lexicographic order) lists (coefficient, i, j, k)
+    for each monomial r[i] s[j] t[k] that survives once the two sides
+    cancel, with i, j, k indices into as_vector().  Each side chains one
+    vertex pattern per weight, matched on the internal edges; a chain
+    through a component off PATTERNS is zero and never appears.
+    """
+    rows = [{} for _ in range(64)]
+
+    def add(sign, ext, key):
+        e = 0
+        for bit in ext:
+            e = 2 * e + bit
+        rows[e][key] = rows[e].get(key, 0) + sign
+
+    weights = _WEIGHT_INDEX.items()
+    # crossing first: R(sigma, tau, nu, mu) S(nu, beta, theta, gamma) T(mu, gamma, rho, alpha)
+    for (sg, ta, nu, mu), i in weights:
+        for (nu_s, be, th, gamma), j in weights:
+            for (mu_t, gamma_t, rh, al), k in weights:
+                if (nu_s, mu_t, gamma_t) == (nu, mu, gamma):
+                    add(1, (sg, ta, be, th, rh, al), (i, j, k))
+    # crossing last: T(tau, beta, psi, delta) S(sigma, delta, phi, alpha) R(phi, psi, theta, rho)
+    for (ta, be, psi, delta), k in weights:
+        for (sg, delta_s, phi, al), j in weights:
+            for (phi_r, psi_r, th, rh), i in weights:
+                if (delta_s, phi_r, psi_r) == (delta, phi, psi):
+                    add(-1, (sg, ta, be, th, rh, al), (i, j, k))
+    return tuple(tuple((c, *key) for key, c in sorted(row.items()) if c) for row in rows)
+
+
+STAR_TRIANGLE_TABLE = _star_triangle_table()
+
+
+def _evaluate(row: tuple, rv: tuple, sv: tuple, tv: tuple) -> Fraction:
+    return sum((c * rv[i] * sv[j] * tv[k] for c, i, j, k in row), Fraction(0))
+
+
 def star_triangle_residuals(r: VertexWeights, s: VertexWeights,
                             t: VertexWeights) -> tuple:
     """All 64 residuals, external labels in lexicographic order.
 
-    The vector is zero exactly when yb_commutator(r, s, t) vanishes:
-    the residual at (sigma, tau, beta, theta, rho, alpha) is minus the
-    commutator entry in row (theta, rho, alpha), column (sigma, tau,
-    beta).
+    Evaluates STAR_TRIANGLE_TABLE; entry e equals star_triangle_residual
+    at the e-th labeling.  The vector is zero exactly when
+    yb_commutator(r, s, t) vanishes: the residual at (sigma, tau, beta,
+    theta, rho, alpha) is minus the commutator entry in row (theta, rho,
+    alpha), column (sigma, tau, beta).
     """
-    return tuple(
-        star_triangle_residual(r, s, t, BoundaryHex(*bits))
-        for bits in product((0, 1), repeat=6)
-    )
+    vectors = r.as_vector(), s.as_vector(), t.as_vector()
+    return tuple(_evaluate(row, *vectors) for row in STAR_TRIANGLE_TABLE)
 
 
-def _eq1to6(r, s, t, k, i, j):
-    W = lambda party, letter, sign: party.weight(letter, sign)
-    if k == 1:
-        return (W(t, "a", j) * W(s, "a", j) * W(r, "d", i)
-                + W(t, "d", i) * W(s, "c", i) * W(r, "a", -j)
-                - W(t, "c", i) * W(s, "d", i) * W(r, "a", j)
-                - W(t, "b", -j) * W(s, "b", -j) * W(r, "d", i))
-    if k == 2:
-        return (W(t, "d", i) * W(s, "b", j) * W(r, "c", i)
-                + W(t, "a", j) * W(s, "d", i) * W(r, "b", -j)
-                - W(t, "b", j) * W(s, "d", i) * W(r, "a", j)
-                - W(t, "c", -i) * W(s, "b", -j) * W(r, "d", i))
-    if k == 3:
-        return (W(t, "d", i) * W(s, "b", j) * W(r, "b", j)
-                + W(t, "a", j) * W(s, "d", i) * W(r, "c", -i)
-                - W(t, "d", i) * W(s, "a", j) * W(r, "a", j)
-                - W(t, "a", -j) * W(s, "c", -i) * W(r, "d", i))
-    if k == 4:
-        return (W(t, "c", i) * W(s, "a", j) * W(r, "c", i)
-                + W(t, "b", j) * W(s, "c", i) * W(r, "b", -j)
-                - W(t, "a", j) * W(s, "c", i) * W(r, "a", j)
-                - W(t, "d", -i) * W(s, "a", -j) * W(r, "d", i))
-    if k == 5:
-        return (W(t, "c", i) * W(s, "a", j) * W(r, "b", j)
-                + W(t, "b", j) * W(s, "c", i) * W(r, "c", -i)
-                - W(t, "c", i) * W(s, "b", j) * W(r, "a", j)
-                - W(t, "b", -j) * W(s, "d", -i) * W(r, "d", i))
-    if k == 6:
-        return (W(t, "b", -j) * W(s, "a", j) * W(r, "c", i)
-                + W(t, "c", -i) * W(s, "c", i) * W(r, "b", -j)
-                - W(t, "d", -i) * W(s, "d", i) * W(r, "b", j)
-                - W(t, "a", j) * W(s, "b", -j) * W(r, "c", i))
-    raise ValueError(k)
-
-
-def _eq7to10(r, s, t, k):
-    if k == 7:
-        return t.c1 * s.c_neg1 * r.c1 - t.c_neg1 * s.c1 * r.c_neg1
-    if k == 8:
-        return t.d1 * s.c1 * r.d_neg1 - t.d_neg1 * s.c_neg1 * r.d1
-    if k == 9:
-        return t.c1 * s.d1 * r.d_neg1 - t.c_neg1 * s.d_neg1 * r.d1
-    if k == 10:
-        return t.d1 * s.d_neg1 * r.c1 - t.d_neg1 * s.d1 * r.c_neg1
-    raise ValueError(k)
+def commutator_vanishes(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> bool:
+    """Whether (r, s, t) solves the Yang-Baxter equation: every residual is zero."""
+    vectors = r.as_vector(), s.as_vector(), t.as_vector()
+    return not any(_evaluate(row, *vectors) for row in STAR_TRIANGLE_TABLE)
 
 
 _EQ_TEXT = {
@@ -336,19 +349,31 @@ RESIDUALS28_LABELS = tuple(
 ) + tuple(f"eq{k}: {_EQ_TEXT[k]}" for k in range(7, 11))
 
 
+# (table row, sign) of each equation, in RESIDUALS28_LABELS order: every
+# equation's LHS - RHS is one star-triangle residual up to sign.
+RESIDUALS28_ROWS = (
+    (48, 1), (57, -1), (6, -1), (15, 1),     # eq1
+    (40, 1), (58, -1), (5, -1), (23, 1),     # eq2
+    (24, 1), (60, -1), (3, -1), (39, 1),     # eq3
+    (33, 1), (51, -1), (12, -1), (30, 1),    # eq4
+    (17, 1), (53, -1), (10, -1), (46, 1),    # eq5
+    (34, 1), (43, -1), (20, -1), (29, 1),    # eq6
+    (18, -1), (0, 1), (9, 1), (27, -1),      # eq7-eq10
+)
+
+
 def residuals28(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> tuple:
     """LHS - RHS of the 28-equation system, in RESIDUALS28_LABELS order.
 
     Equations 1-6 are instantiated at (i, j) in (1,1), (1,-1), (-1,1),
-    (-1,-1); equations 7-10 have no parameters.  The joint vanishing of
-    all 28 is equivalent to the vanishing of the commutator.
+    (-1,-1); equations 7-10 have no parameters.  Each is read off
+    STAR_TRIANGLE_TABLE through RESIDUALS28_ROWS; the 32 nonzero rows
+    are these 28 and the negatives of eq7-eq10, so the joint vanishing
+    of all 28 is equivalent to the vanishing of the commutator.
     """
-    out = [
-        _eq1to6(r, s, t, k, i, j)
-        for k in range(1, 7) for i in (1, -1) for j in (1, -1)
-    ]
-    out.extend(_eq7to10(r, s, t, k) for k in range(7, 11))
-    return tuple(out)
+    vectors = r.as_vector(), s.as_vector(), t.as_vector()
+    return tuple(sign * _evaluate(STAR_TRIANGLE_TABLE[e], *vectors)
+                 for e, sign in RESIDUALS28_ROWS)
 
 
 def f_invariant(w: VertexWeights) -> Fraction:
@@ -501,26 +526,46 @@ class SolveReport:
         return len(self.basis)
 
 
+def _linear_system_in_r(s: VertexWeights, t: VertexWeights) -> FieldMatrix:
+    """STAR_TRIANGLE_TABLE as linear equations in R's eight weights.
+
+    The coefficient of r[i] in a row is the signed sum of s[j] t[k] over
+    its monomials.  Zero rows and repeats up to sign are dropped: the
+    solution space, and the canonical rref it is read from, depend only
+    on the row space.
+    """
+    sv, tv = s.as_vector(), t.as_vector()
+    rows = {}
+    for row in STAR_TRIANGLE_TABLE:
+        coeffs = [Fraction(0)] * 8
+        for c, i, j, k in row:
+            coeffs[i] += c * sv[j] * tv[k]
+        lead = next((x for x in coeffs if x), 0)
+        if lead:
+            rows.setdefault(tuple(-x for x in coeffs) if lead < 0 else tuple(coeffs))
+    return FieldMatrix(QQ, len(rows), 8, tuple(x for row in rows for x in row))
+
+
 def solve_R(s: VertexWeights, t: VertexWeights, scan_range: int = 2) -> SolveReport:
     """Find all R with [[R, S, T]] = 0, and scan for a fully twisted one.
 
     The commutator is linear in R's eight weights, so its vanishing is
-    a 64-equation linear system; the basis of solutions is exact.  The
-    witness scan tries integer coefficient combinations of the basis in
-    [-scan_range, scan_range], stopping at the first combination whose
-    c and d weights are all nonzero.
+    a linear system, read off STAR_TRIANGLE_TABLE; the basis of
+    solutions is exact.  The witness scan tries integer coefficient
+    combinations of the basis in [-scan_range, scan_range], stopping at
+    the first combination whose c and d weights are all nonzero.  The
+    size guard charges it (2 scan_range + 1)^dimension combinations
+    times the 8 weights each one builds.
     """
-    columns = []
-    for k in range(8):
-        unit = weights_from_vector(tuple(1 if idx == k else 0 for idx in range(8)))
-        columns.append(yb_commutator(unit, s, t).entries)
-    rows = [[columns[k][r] for k in range(8)] for r in range(64)]
-    basis = tuple(nullspace_basis(FieldMatrix.from_rows(QQ, rows)))
+    if scan_range < 0:
+        raise ValueError(f"scan_range must be nonnegative, got {scan_range}")
+    basis = tuple(nullspace_basis(_linear_system_in_r(s, t)))
+    span = range(-scan_range, scan_range + 1)
+    guard_cost(len(span) ** len(basis) * 8)
 
     cd = [v[4:8] for v in basis]  # c1, c-1, d1, d-1 coordinates per basis vector
     witness = None
     scanned = 0
-    span = range(-scan_range, scan_range + 1)
     for coeffs in product(span, repeat=len(basis)):
         scanned += 1
         twisted = True

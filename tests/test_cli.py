@@ -390,6 +390,24 @@ def test_ybe_solve_scan_miss(capsys, tmp_path):
     assert doc["message"] == "none found in scan"
 
 
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_ybe_solve_bad_scan_range_exits_2(capsys, tmp_path, value):
+    f = write_weights(tmp_path, "id.json", VertexWeights.identity())
+    code, out, err = run(capsys, "ybe", "solve", "--s", f, "--t", f, "--scan-range", value)
+    assert code == 2 and out == ""
+    assert "--scan-range: must be a nonnegative integer" in err
+
+
+def test_ybe_solve_scan_is_size_guarded(capsys, tmp_path):
+    # dimension 4 with no twisted element: the scan would try all 61^4
+    s = write_weights(tmp_path, "id.json", VertexWeights.identity())
+    t = write_weights(tmp_path, "ab.json", VertexWeights(2, 3, 5, 7, 0, 0, 0, 0))
+    code, out, err = run(capsys, "ybe", "solve", "--s", s, "--t", t, "--scan-range", "30")
+    assert code == 2 and out == "" and "2^27 exceeds the 2^26 guard" in err
+    code, doc = run_json(capsys, "ybe", "solve", "--s", s, "--t", t)
+    assert code == 1 and doc["dimension"] == 4 and doc["scanned"] == 5 ** 4
+
+
 def test_partition_six(capsys, tmp_path):
     f = write_weights(tmp_path, "u6.json", VertexWeights(1, 1, 1, 1, 1, 1, 0, 0))
     code, doc = run_json(capsys, "partition", "--m", "2", "--n", "2",

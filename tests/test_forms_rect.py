@@ -4,12 +4,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexforms.algebra import GF2, GF3, rank
+from vertexforms.algebra import GF2, GF3, nullspace_basis, rank
 from vertexforms.forms_rect import (
     Coloring,
     OneForm,
     ScalarField,
     antiderivative,
+    _form_from_vector,
     closedness_matrix,
     coloring_from_form,
     count_colorings,
@@ -26,6 +27,7 @@ from vertexforms.forms_rect import (
     partial_x,
     partial_y,
     random_closed_form,
+    random_closed_forms,
     random_proper_coloring,
     state_to_form,
 )
@@ -153,6 +155,29 @@ def test_poincare_random_4x4():
         assert is_closed(w)
         dh = exterior_derivative(antiderivative(w))
         assert dh.fx == w.fx and dh.gy == w.gy
+
+
+def kernel_draws(shape, rng, k):
+    """k forms drawn as one kernel basis and k rows of coefficients on it."""
+    basis = nullspace_basis(closedness_matrix(shape))
+    forms = []
+    for _ in range(k):
+        coeffs = [rng.randrange(3) for _ in basis]
+        vec = [sum(c * b[e] for c, b in zip(coeffs, basis)) % 3
+               for e in range(shape.edge_count)]
+        forms.append(_form_from_vector(shape, vec))
+    return forms
+
+
+@pytest.mark.parametrize("m,n,k", [(2, 2, 1), (3, 4, 25), (6, 6, 10)])
+def test_random_closed_forms_repeat_the_single_draws(m, n, k):
+    shape = GridShape(m, n)
+    rngs = [random.Random(m * n + k) for _ in range(3)]
+    expected = kernel_draws(shape, rngs[0], k)
+    assert random_closed_forms(shape, rngs[1], k) == expected
+    assert [random_closed_form(shape, rngs[2]) for _ in range(k)] == expected
+    assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+    assert random_closed_forms(shape, rngs[1], 0) == []
 
 
 def test_admissible_form_examples(rect_state):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     baxter_weights,
@@ -12,16 +13,20 @@ from conftest import (
     solvable_triple,
     tanh_sub,
 )
-from vertexforms.algebra import QQ, FieldMatrix
-from vertexforms.grid import BoundarySpec, GridShape
+from vertexforms import grid
+from vertexforms.algebra import QQ, FieldMatrix, nullspace_basis
+from vertexforms.grid import BoundarySpec, GridShape, SizeGuardError
 from vertexforms.algebra import GF2
 from vertexforms.yangbaxter import (
     RESIDUALS28_LABELS,
+    RESIDUALS28_ROWS,
+    STAR_TRIANGLE_TABLE,
     WEIGHT_KEYS,
     BoundaryHex,
     VertexWeights,
     WeightFormatError,
     check_necessary_conditions,
+    commutator_vanishes,
     component,
     deserialize_weights,
     embed,
@@ -241,6 +246,190 @@ def test_three_formulations_agree():
         all64 = all(x == 0 for x in star_triangle_residuals(r, s, t))
         all28 = all(x == 0 for x in residuals28(r, s, t))
         assert flat == all64 == all28
+
+
+# -- oracles for the star-triangle table ------------------------------------
+
+
+def eq1to6(r, s, t, k, i, j):
+    """Equations 1-6 of the 28-equation system, LHS - RHS, as typed from the paper."""
+    W = lambda party, letter, sign: party.weight(letter, sign)
+    if k == 1:
+        return (W(t, "a", j) * W(s, "a", j) * W(r, "d", i)
+                + W(t, "d", i) * W(s, "c", i) * W(r, "a", -j)
+                - W(t, "c", i) * W(s, "d", i) * W(r, "a", j)
+                - W(t, "b", -j) * W(s, "b", -j) * W(r, "d", i))
+    if k == 2:
+        return (W(t, "d", i) * W(s, "b", j) * W(r, "c", i)
+                + W(t, "a", j) * W(s, "d", i) * W(r, "b", -j)
+                - W(t, "b", j) * W(s, "d", i) * W(r, "a", j)
+                - W(t, "c", -i) * W(s, "b", -j) * W(r, "d", i))
+    if k == 3:
+        return (W(t, "d", i) * W(s, "b", j) * W(r, "b", j)
+                + W(t, "a", j) * W(s, "d", i) * W(r, "c", -i)
+                - W(t, "d", i) * W(s, "a", j) * W(r, "a", j)
+                - W(t, "a", -j) * W(s, "c", -i) * W(r, "d", i))
+    if k == 4:
+        return (W(t, "c", i) * W(s, "a", j) * W(r, "c", i)
+                + W(t, "b", j) * W(s, "c", i) * W(r, "b", -j)
+                - W(t, "a", j) * W(s, "c", i) * W(r, "a", j)
+                - W(t, "d", -i) * W(s, "a", -j) * W(r, "d", i))
+    if k == 5:
+        return (W(t, "c", i) * W(s, "a", j) * W(r, "b", j)
+                + W(t, "b", j) * W(s, "c", i) * W(r, "c", -i)
+                - W(t, "c", i) * W(s, "b", j) * W(r, "a", j)
+                - W(t, "b", -j) * W(s, "d", -i) * W(r, "d", i))
+    if k == 6:
+        return (W(t, "b", -j) * W(s, "a", j) * W(r, "c", i)
+                + W(t, "c", -i) * W(s, "c", i) * W(r, "b", -j)
+                - W(t, "d", -i) * W(s, "d", i) * W(r, "b", j)
+                - W(t, "a", j) * W(s, "b", -j) * W(r, "c", i))
+    raise ValueError(k)
+
+
+def eq7to10(r, s, t, k):
+    """Equations 7-10, LHS - RHS."""
+    if k == 7:
+        return t.c1 * s.c_neg1 * r.c1 - t.c_neg1 * s.c1 * r.c_neg1
+    if k == 8:
+        return t.d1 * s.c1 * r.d_neg1 - t.d_neg1 * s.c_neg1 * r.d1
+    if k == 9:
+        return t.c1 * s.d1 * r.d_neg1 - t.c_neg1 * s.d_neg1 * r.d1
+    if k == 10:
+        return t.d1 * s.d_neg1 * r.c1 - t.d_neg1 * s.d1 * r.c_neg1
+    raise ValueError(k)
+
+
+def equations28(r, s, t):
+    """The hand-typed system in RESIDUALS28_LABELS order."""
+    out = [eq1to6(r, s, t, k, i, j) for k in range(1, 7) for i in (1, -1) for j in (1, -1)]
+    out.extend(eq7to10(r, s, t, k) for k in range(7, 11))
+    return tuple(out)
+
+
+def commutator_residuals(r, s, t):
+    """The 64 residuals read off the 8x8 commutator, in table row order."""
+    comm = yb_commutator(r, s, t)
+    return tuple(-comm.at(4 * th + 2 * rh + al, 4 * sg + 2 * ta + be)
+                 for sg, ta, be, th, rh, al in product((0, 1), repeat=6))
+
+
+UNITS = tuple(weights_from_vector(tuple(int(x == k) for x in range(8))) for k in range(8))
+
+
+def trilinear_coefficients(residuals):
+    """{(i, j, k): coefficients of r[i] s[j] t[k]} for a map that is linear in
+    each of r, s and t: its values on the unit weight vectors."""
+    return {(i, j, k): residuals(UNITS[i], UNITS[j], UNITS[k])
+            for i, j, k in product(range(8), repeat=3)}
+
+
+def table_coefficients(row):
+    out = dict.fromkeys(product(range(8), repeat=3), 0)
+    for c, i, j, k in row:
+        out[i, j, k] += c
+    return out
+
+
+def old_solution_basis(s, t):
+    """solve_R's basis from the full 64-equation commutator system."""
+    columns = [yb_commutator(unit, s, t).entries for unit in UNITS]
+    rows = [[columns[k][e] for k in range(8)] for e in range(64)]
+    return tuple(nullspace_basis(FieldMatrix.from_rows(QQ, rows)))
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+weights = st.tuples(*[rationals] * 8).map(weights_from_vector)
+solvable = st.integers(0, 2 ** 32).map(lambda k: random_solvable_triple(random.Random(k)))
+triples = st.one_of(st.tuples(weights, weights, weights), solvable)
+
+
+def test_table_shape():
+    assert len(STAR_TRIANGLE_TABLE) == 64
+    assert sorted(len(row) for row in STAR_TRIANGLE_TABLE) == [0] * 32 + [2] * 8 + [4] * 24
+    for row in STAR_TRIANGLE_TABLE:
+        assert all(c in (1, -1) for c, *_ in row)
+
+
+def test_table_is_the_commutator_polynomial():
+    # both sides are linear in each weight vector, so agreeing on all
+    # 512 unit triples is agreeing as polynomials
+    oracle = trilinear_coefficients(commutator_residuals)
+    for e, row in enumerate(STAR_TRIANGLE_TABLE):
+        coeffs = table_coefficients(row)
+        assert all(oracle[key][e] == c for key, c in coeffs.items()), e
+
+
+@settings(deadline=None, max_examples=60)
+@given(triples)
+def test_table_matches_both_oracles(triple):
+    r, s, t = triple
+    residuals = star_triangle_residuals(r, s, t)
+    assert all(type(x) is Fraction for x in residuals)
+    assert residuals == commutator_residuals(r, s, t)
+    assert residuals == tuple(star_triangle_residual(r, s, t, BoundaryHex(*bits))
+                              for bits in product((0, 1), repeat=6))
+    assert commutator_vanishes(r, s, t) == yb_commutator(r, s, t).is_zero()
+
+
+def test_each_equation_is_one_signed_table_row():
+    oracle = trilinear_coefficients(equations28)
+    assert len(RESIDUALS28_ROWS) == 28
+    for q, (e, sign) in enumerate(RESIDUALS28_ROWS):
+        coeffs = table_coefficients(STAR_TRIANGLE_TABLE[e])
+        assert all(oracle[key][q] == sign * c for key, c in coeffs.items()), q
+    # the other four nonzero rows are the negatives of eq7-eq10
+    used = {e for e, _ in RESIDUALS28_ROWS}
+    rest = {row for e, row in enumerate(STAR_TRIANGLE_TABLE) if row and e not in used}
+    assert rest == {tuple((-c, i, j, k) for c, i, j, k in STAR_TRIANGLE_TABLE[e])
+                    for e, _ in RESIDUALS28_ROWS[24:]}
+
+
+@settings(deadline=None, max_examples=60)
+@given(triples)
+def test_residuals28_match_the_typed_equations(triple):
+    assert residuals28(*triple) == equations28(*triple)
+
+
+@pytest.mark.parametrize("s,t", [
+    (VertexWeights.identity(), VertexWeights.identity()),
+    (weights_from_vector((0,) * 8), weights_from_vector((0,) * 8)),
+    (VertexWeights.identity(), VertexWeights(2, 3, 5, 7, 0, 0, 0, 0)),
+    (baxter_weights(Fraction(1, 5), Fraction(1, 7)),) * 2,
+    (VertexWeights(2, 3, 5, 7, 2, 3, 2, 5), VertexWeights(1, 2, 3, 4, 5, 6, 7, 8)),
+    (W_EQ7, S_EQ7),
+])
+def test_solve_basis_matches_the_commutator_system(s, t):
+    assert solve_R(s, t).basis == old_solution_basis(s, t)
+
+
+@settings(deadline=None, max_examples=25)
+@given(triples)
+def test_solve_basis_matches_the_commutator_system_random(triple):
+    _, s, t = triple
+    assert solve_R(s, t, scan_range=0).basis == old_solution_basis(s, t)
+
+
+def test_solve_rejects_negative_scan_range():
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_R(VertexWeights.identity(), VertexWeights.identity(), scan_range=-1)
+
+
+def test_solve_scan_is_size_guarded(monkeypatch):
+    # dimension 8: the default scan is charged 5^8 * 8 < 2^22 and runs
+    identity = VertexWeights.identity()
+    assert solve_R(identity, identity).witness is not None
+    monkeypatch.setattr(grid, "SIZE_GUARD_BITS", 21)
+    with pytest.raises(SizeGuardError, match="2\\^22 exceeds"):
+        solve_R(identity, identity)
+    # dimension 0 is charged its one empty combination
+    generic = VertexWeights(1, 2, 3, 4, 5, 6, 7, 8)
+    monkeypatch.setattr(grid, "SIZE_GUARD_BITS", 3)
+    assert solve_R(VertexWeights(2, 3, 5, 7, 2, 3, 2, 5), generic).scanned == 1
 
 
 def test_pure_c_triple_fails_only_eq7():
