@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -314,3 +314,40 @@ def nullspace_basis(m: FieldMatrix) -> list[tuple]:
             v[pj] = f.neg(r.at(i, c))
         basis.append(tuple(v))
     return basis
+
+
+def combine(field: PrimeField, start: Sequence[int], coeffs, vectors) -> list:
+    """start + sum of c * v over F_p, one coefficient and vector at a time."""
+    p = field.p
+    vec = list(start)
+    for c, v in zip(coeffs, vectors):
+        if c % p:
+            vec = [(x + c * y) % p for x, y in zip(vec, v)]
+    return vec
+
+
+def affine_span(field: PrimeField, base: Sequence[int], basis: list) -> Iterator[tuple]:
+    """Every vector of base + span(basis) over F_p once, in lexicographic order.
+
+    The basis is put in reduced echelon form, so each row leads at a
+    pivot column where every other row is zero, and base is reduced to
+    0 at the pivots.  A vector of the space then reads its coefficients
+    off the pivots, and two vectors first differ at the pivot of their
+    first differing coefficient: walking the coefficient tuples in lex
+    order, one row per level, lists the vectors in lex order unsorted.
+    """
+    rows = [r for r in rref(FieldMatrix.from_rows(field, basis)).to_rows() if any(r)]
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    vec = [x % field.p for x in base]
+    for r, c in zip(rows, pivots):
+        vec = combine(field, vec, (-vec[c],), (r,))
+
+    def walk(level: int, vec: list) -> Iterator[tuple]:
+        if level == len(rows):
+            yield tuple(vec)
+            return
+        row = rows[level]
+        for c in range(field.p):
+            yield from walk(level + 1, combine(field, vec, (c,), (row,)))
+
+    return walk(0, vec)

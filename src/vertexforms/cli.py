@@ -60,7 +60,7 @@ from .toroidal import (
     reconstruct,
     sparse_fibers,
 )
-from .transfer import EIGHT_VERTEX, SIX_VERTEX
+from .transfer import EIGHT_VERTEX, SIX_VERTEX, count_states
 from .yangbaxter import (
     RESIDUALS28_LABELS,
     WeightConditionError,
@@ -356,9 +356,10 @@ def _verify_defect_rank(args) -> tuple:
     }
     passed = rk == expected
     if shape.edge_count <= SIZE_GUARD_BITS or args.force:
-        brute = len(enumerate_eight(shape, method="brute", force=args.force))
-        payload["brute_total"] = brute
-        passed = passed and brute == total
+        # the sweep's count does not use the kernel formula behind count_total
+        swept = count_states(EIGHT_VERTEX, shape, force=args.force)
+        payload["brute_total"] = swept
+        passed = passed and swept == total
     payload["passed"] = passed
     return payload, passed
 
@@ -476,15 +477,21 @@ def cmd_partition(args) -> int:
 # -- parser -----------------------------------------------------------
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: a decimal integer >= 0, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type: a decimal integer >= low, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_nonnegative_int = _int_at_least(0, "nonnegative")
+_positive_int = _int_at_least(1, "positive")
 
 
 def _add_shape_args(p) -> None:
@@ -522,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         vp = vsub.add_parser(name)
         _add_shape_args(vp)
         vp.add_argument("--seed", type=int, default=0)
-        vp.add_argument("--samples", type=int, default=500,
+        vp.add_argument("--samples", type=_positive_int, default=500,
                         help="random checks when exhaustive search is too large")
         vp.add_argument("--force", action="store_true", help="override the size guard")
         if name == "sparse-fibers":

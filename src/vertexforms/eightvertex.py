@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GF2, FieldMatrix, nullspace_basis, rank
+from .algebra import GF2, FieldMatrix, affine_span, nullspace_basis, rank
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -22,8 +22,6 @@ from .grid import (
     f_edge_index,
     g_edge_index,
     guard_cost,
-    guard_size,
-    vertex_index,
 )
 
 
@@ -158,14 +156,15 @@ def count_valid_boundaries(shape: GridShape) -> int:
     return 2 ** (2 * shape.m + 2 * shape.n - 1)
 
 
-def _boundary_columns(b: BoundarySpec):
-    m, n = b.shape.m, b.shape.n
+def _boundary_columns(shape: GridShape):
+    """edge_tuple positions of the 2m + 2n boundary edges."""
+    m, n = shape.m, shape.n
     for i in range(1, m + 1):
-        yield f_edge_index(b.shape, i, 1), b.f_bottom[i - 1]
-        yield f_edge_index(b.shape, i, n + 1), b.f_top[i - 1]
+        yield f_edge_index(shape, i, 1)
+        yield f_edge_index(shape, i, n + 1)
     for j in range(1, n + 1):
-        yield g_edge_index(b.shape, 1, j), b.g_left[j - 1]
-        yield g_edge_index(b.shape, m + 1, j), b.g_right[j - 1]
+        yield g_edge_index(shape, 1, j)
+        yield g_edge_index(shape, m + 1, j)
 
 
 def _state_from_bits(shape: GridShape, bits) -> LatticeState:
@@ -176,80 +175,29 @@ def _state_from_bits(shape: GridShape, bits) -> LatticeState:
     return LatticeState(shape=shape, field=GF2, f=f, g=g)
 
 
-def _enumerate_brute(shape: GridShape, boundary, force: bool) -> list:
-    guard_size(shape.edge_count, force)
-    vertex_masks = []
-    for i in range(1, shape.m + 1):
-        for j in range(1, shape.n + 1):
-            vertex_masks.append(
-                (1 << f_edge_index(shape, i, j))
-                | (1 << f_edge_index(shape, i, j + 1))
-                | (1 << g_edge_index(shape, i, j))
-                | (1 << g_edge_index(shape, i + 1, j))
-            )
-    want_mask = want_bits = 0
-    if boundary is not None:
-        for col, val in _boundary_columns(boundary):
-            want_mask |= 1 << col
-            want_bits |= val << col
-    out = []
-    for assignment in range(1 << shape.edge_count):
-        if (assignment & want_mask) != want_bits:
-            continue
-        if any((assignment & vm).bit_count() & 1 for vm in vertex_masks):
-            continue
-        bits = [(assignment >> k) & 1 for k in range(shape.edge_count)]
-        out.append(_state_from_bits(shape, bits))
-    return out
+def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
+                    force: bool = False) -> list:
+    """All admissible states, optionally with a fixed boundary, by edge_tuple.
 
-
-def _enumerate_kernel(shape: GridShape, boundary, force: bool) -> list:
+    The states are the kernel of the parity map; with a boundary, the
+    coset through construct_state of the kernel with the boundary edges
+    pinned to 0.  affine_span lists the space in edge_tuple order, with
+    no search and no sort.  An odd-parity boundary yields the empty
+    list.  The guard charges states times edge_count.
+    """
+    check_boundary(boundary, shape, GF2)
     m, n = shape.m, shape.n
     states = 2 ** (m + n + m * n) if boundary is None else count_with_boundary(boundary)
     if not states:
         return []
     guard_cost(states * shape.edge_count, force)
     rows = defect_map(shape).matrix.to_rows()
-    base = 0
+    base = [0] * shape.edge_count
     if boundary is not None:
-        for col, _ in _boundary_columns(boundary):
+        for col in _boundary_columns(shape):
             pin = [0] * shape.edge_count  # pin boundary edges to 0 in the kernel
             pin[col] = 1
             rows.append(pin)
-        particular = construct_state(boundary).edge_tuple()
-        base = sum(bit << k for k, bit in enumerate(particular))
+        base = construct_state(boundary).edge_tuple()
     basis = nullspace_basis(FieldMatrix.from_rows(GF2, rows))
-    vecs = [sum(bit << k for k, bit in enumerate(v)) for v in basis]
-    out = []
-    for combo in range(1 << len(vecs)):
-        acc = base
-        rem = combo
-        idx = 0
-        while rem:
-            if rem & 1:
-                acc ^= vecs[idx]
-            rem >>= 1
-            idx += 1
-        bits = [(acc >> k) & 1 for k in range(shape.edge_count)]
-        out.append(_state_from_bits(shape, bits))
-    return out
-
-
-def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
-                    method: str = "kernel", force: bool = False) -> list:
-    """All admissible states, optionally restricted to one boundary.
-
-    "kernel" spans the solution space of the parity equations (plus a
-    particular solution when a boundary is fixed); "brute" sweeps every
-    edge assignment and filters.  Both produce the same states, sorted
-    by edge_tuple.  An odd-parity boundary yields the empty list.  The
-    guard charges "kernel" its states times edge_count, "brute" 2^edges.
-    """
-    check_boundary(boundary, shape, GF2)
-    if method == "brute":
-        states = _enumerate_brute(shape, boundary, force)
-    elif method == "kernel":
-        states = _enumerate_kernel(shape, boundary, force)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
-    return sorted(states, key=lambda s: s.edge_tuple())
+    return [_state_from_bits(shape, bits) for bits in affine_span(GF2, base, basis)]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .algebra import GF3, FieldMatrix, nullspace_basis
+from .algebra import GF3, FieldMatrix, affine_span, combine, nullspace_basis
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -187,31 +187,19 @@ def _closed_basis(shape: GridShape) -> list:
     return nullspace_basis(closedness_matrix(shape))
 
 
-def _combine(coeffs, basis: list, length: int) -> list:
-    """The F3 vector sum of c * b over the coefficients and basis vectors."""
-    vec = [0] * length
-    for c, b in zip(coeffs, basis):
-        if c:
-            for k, x in enumerate(b):
-                vec[k] = (vec[k] + c * x) % 3
-    return vec
-
-
 def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
-    """All closed 1-forms on the shape, spanned from a kernel basis.
+    """All closed 1-forms on the shape, sorted by (fx, gy).
 
     The closedness conditions are F3-linear in the edge values, so the
     closed forms are exactly the kernel of closedness_matrix; there are
-    3^(mn + m + n) of them.  The guard charges forms times edge_count.
+    3^(mn + m + n) of them, and affine_span lists them in edge_tuple
+    order, which is (fx, gy) order.  The guard charges forms times
+    edge_count.
     """
     basis = _closed_basis(shape)
     guard_cost(3 ** len(basis) * shape.edge_count, force)
-    forms = [
-        _form_from_vector(shape, _combine(coeffs, basis, shape.edge_count))
-        for coeffs in product((0, 1, 2), repeat=len(basis))
-    ]
-    forms.sort(key=lambda w: (w.fx, w.gy))
-    return forms
+    zero = [0] * shape.edge_count
+    return [_form_from_vector(shape, vec) for vec in affine_span(GF3, zero, basis)]
 
 
 def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:
@@ -220,9 +208,9 @@ def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[On
     The rng draws are those of k calls of random_closed_form.
     """
     basis = _closed_basis(shape)
+    zero = [0] * shape.edge_count
     return [
-        _form_from_vector(shape, _combine([rng.randrange(3) for _ in basis], basis,
-                                          shape.edge_count))
+        _form_from_vector(shape, combine(GF3, zero, [rng.randrange(3) for _ in basis], basis))
         for _ in range(k)
     ]
 

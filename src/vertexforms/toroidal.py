@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .forms_rect import _combine, _iter_six_states, is_admissible_six
+from .forms_rect import _iter_six_states, is_admissible_six
 from .grid import BoundarySpec, GridShape, LatticeState, _freeze_grid, guard_cost
-from .algebra import GF3, FieldMatrix, nullspace_basis
+from .algebra import GF3, FieldMatrix, affine_span, nullspace_basis
 from .transfer import SIX_VERTEX, count_states
 
 _INV3 = {1: 1, 2: 2}
@@ -128,10 +128,11 @@ def is_closed_toroidal(w: ToroidalOneForm) -> bool:
 
 
 def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[ToroidalOneForm]:
-    """All closed toroidal 1-forms, sorted, as enumerate_closed lists them.
+    """All closed toroidal 1-forms, sorted by (fx, gy) as enumerate_closed lists them.
 
     They are the kernel of the mn x 2mn closedness map with wraparound
-    (fx row-major, then gy); there are 3^(mn + 1) of them.
+    (fx row-major, then gy); there are 3^(mn + 1) of them, and
+    affine_span lists them in that column order, which is (fx, gy) order.
     """
     check_periods(shape)
     m, n = shape.m, shape.n
@@ -148,11 +149,9 @@ def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[Tor
     basis = nullspace_basis(FieldMatrix.from_rows(GF3, rows))
     guard_cost(3 ** len(basis) * shape.edge_count, force)
     forms = []
-    for coeffs in product((0, 1, 2), repeat=len(basis)):
-        vec = _combine(coeffs, basis, 2 * m * n)
+    for vec in affine_span(GF3, [0] * (2 * m * n), basis):
         table = [vec[k:k + n] for k in range(0, 2 * m * n, n)]
         forms.append(ToroidalOneForm(shape=shape, fx=table[:m], gy=table[m:]))
-    forms.sort(key=lambda w: (w.fx, w.gy))
     return forms
 
 

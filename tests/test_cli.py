@@ -298,6 +298,30 @@ def test_verify_defect_rank(capsys):
     assert doc["valid_boundaries"] == 128 and doc["passed"] is True
 
 
+def test_verify_defect_rank_3x3_checks_the_sweep_count(capsys):
+    code, doc = run_json(capsys, "verify", "defect-rank", "--m", "3", "--n", "3")
+    assert code == 0 and doc["passed"] is True
+    assert doc["brute_total"] == doc["total_states"] == 2 ** 15
+
+
+def test_verify_defect_rank_fails_on_a_wrong_sweep_count(capsys, monkeypatch):
+    import vertexforms.cli as cli
+
+    monkeypatch.setattr(cli, "count_states",
+                        lambda patterns, shape, force=False: 2 ** 15 - 1)
+    code, doc = run_json(capsys, "verify", "defect-rank", "--m", "3", "--n", "3")
+    assert code == 1 and doc["passed"] is False
+    assert doc["brute_total"] == 2 ** 15 - 1 and doc["total_states"] == 2 ** 15
+
+
+@pytest.mark.parametrize("suite,m,n", [("poincare", "6", "6"), ("cohomology", "8", "7")])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_samples_below_one_exit_2(capsys, suite, m, n, samples):
+    code, out, err = run(capsys, "verify", suite, "--m", m, "--n", n, "--samples", samples)
+    assert code == 2 and out == ""
+    assert "--samples: must be a positive integer" in err
+
+
 def solvable_files(tmp_path):
     R, S, T = solvable_triple(
         Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),

@@ -22,10 +22,50 @@ from vertexforms.grid import (
     LatticeState,
     SizeGuardError,
     boundary_of,
+    f_edge_index,
+    g_edge_index,
     vertex_index,
 )
 
 S22 = GridShape(2, 2)
+
+
+def enumerate_eight_brute(shape, boundary=None):
+    """Oracle: sweep all 2^(edge count) edge labelings, keep the even ones.
+
+    Filters on the boundary when one is given; sorted by edge_tuple.
+    """
+    m, n = shape.m, shape.n
+    vertex_masks = [
+        (1 << f_edge_index(shape, i, j)) | (1 << f_edge_index(shape, i, j + 1))
+        | (1 << g_edge_index(shape, i, j)) | (1 << g_edge_index(shape, i + 1, j))
+        for i in range(1, m + 1)
+        for j in range(1, n + 1)
+    ]
+    want_mask = want_bits = 0
+    if boundary is not None:
+        pinned = []
+        for i in range(1, m + 1):
+            pinned.append((f_edge_index(shape, i, 1), boundary.f_bottom[i - 1]))
+            pinned.append((f_edge_index(shape, i, n + 1), boundary.f_top[i - 1]))
+        for j in range(1, n + 1):
+            pinned.append((g_edge_index(shape, 1, j), boundary.g_left[j - 1]))
+            pinned.append((g_edge_index(shape, m + 1, j), boundary.g_right[j - 1]))
+        for col, val in pinned:
+            want_mask |= 1 << col
+            want_bits |= val << col
+    out = []
+    for assignment in range(1 << shape.edge_count):
+        if (assignment & want_mask) != want_bits:
+            continue
+        if any((assignment & vm).bit_count() & 1 for vm in vertex_masks):
+            continue
+        bits = [(assignment >> k) & 1 for k in range(shape.edge_count)]
+        f = [bits[i * (n + 1) : (i + 1) * (n + 1)] for i in range(m)]
+        g = [bits[shape.f_edge_count + i * n : shape.f_edge_count + (i + 1) * n]
+             for i in range(m + 1)]
+        out.append(LatticeState(shape=shape, field=GF2, f=f, g=g))
+    return sorted(out, key=lambda s: s.edge_tuple())
 
 
 def all_boundaries(shape):
@@ -135,13 +175,27 @@ def test_count_total_against_brute_force():
 
 def test_enumeration_methods_agree():
     for shape in (S22, GridShape(2, 3)):
-        brute = enumerate_eight(shape, method="brute")
-        kernel = enumerate_eight(shape, method="kernel")
-        assert [s.edge_tuple() for s in brute] == [s.edge_tuple() for s in kernel]
+        kernel = enumerate_eight(shape)
         assert len(kernel) == count_total(shape)
         assert all(is_admissible_eight(s) for s in kernel)
-    with pytest.raises(ValueError, match="unknown enumeration method"):
-        enumerate_eight(S22, method="magic")
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+def test_free_listing_equals_the_brute_oracle(shape):
+    shape = GridShape(*shape)
+    assert [s.edge_tuple() for s in enumerate_eight(shape)] == [
+        s.edge_tuple() for s in enumerate_eight_brute(shape)
+    ]
+
+
+def test_every_boundary_listing_equals_the_brute_oracle():
+    parities = set()
+    for b in all_boundaries(S22):
+        parities.add(boundary_parity(b))
+        assert [s.edge_tuple() for s in enumerate_eight(S22, boundary=b)] == [
+            s.edge_tuple() for s in enumerate_eight_brute(S22, boundary=b)
+        ]
+    assert parities == {0, 1}
 
 
 def test_enumeration_with_boundary_filters():
@@ -151,8 +205,6 @@ def test_enumeration_with_boundary_filters():
         (((0, 0, 0), (0, 0, 0)), ((0, 0), (0, 0), (0, 0))),
         (((0, 1, 0), (0, 1, 0)), ((0, 0), (1, 1), (0, 0))),
     ]
-    brute = enumerate_eight(S22, boundary=zb, method="brute")
-    assert [(s.f, s.g) for s in brute] == [(s.f, s.g) for s in coset]
 
 
 def test_boundary_shape_and_field_checked():
@@ -233,8 +285,6 @@ def test_counts_are_consistent():
 def test_enumeration_guard():
     with pytest.raises(SizeGuardError):
         enumerate_eight(GridShape(5, 5))
-    with pytest.raises(SizeGuardError):
-        enumerate_eight(GridShape(5, 5), method="brute")
 
 
 @settings(deadline=None, max_examples=50)
