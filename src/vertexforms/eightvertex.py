@@ -2,17 +2,18 @@
 
 Eight-vertex admissibility asks only that the four edge values at each
 vertex have even sum, so the admissible states are exactly the kernel
-of a per-vertex parity map on the F2 edge space.  Everything in this
-module leans on that linearity: total and fixed-boundary counts come
-from rank-nullity, a state extending a given boundary is written down
-in closed form, and enumeration spans the kernel instead of searching.
+of a per-vertex parity map on the F2 edge space.  The counts lean on
+that linearity: total and fixed-boundary counts come from rank-nullity,
+and a state extending a given boundary is written down in closed form.
+Enumeration walks the same parity rule, read as right = left + top +
+bottom mod 2, column by column (transfer.state_tables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GF2, FieldMatrix, affine_span, nullspace_basis, rank
+from .algebra import GF2, FieldMatrix, rank
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -23,6 +24,7 @@ from .grid import (
     g_edge_index,
     guard_cost,
 )
+from .transfer import EIGHT_VERTEX, state_tables
 
 
 @dataclass(frozen=True)
@@ -156,34 +158,17 @@ def count_valid_boundaries(shape: GridShape) -> int:
     return 2 ** (2 * shape.m + 2 * shape.n - 1)
 
 
-def _boundary_columns(shape: GridShape):
-    """edge_tuple positions of the 2m + 2n boundary edges."""
-    m, n = shape.m, shape.n
-    for i in range(1, m + 1):
-        yield f_edge_index(shape, i, 1)
-        yield f_edge_index(shape, i, n + 1)
-    for j in range(1, n + 1):
-        yield g_edge_index(shape, 1, j)
-        yield g_edge_index(shape, m + 1, j)
-
-
-def _state_from_bits(shape: GridShape, bits) -> LatticeState:
-    width = shape.n + 1
-    f = [bits[i * width : (i + 1) * width] for i in range(shape.m)]
-    off = shape.f_edge_count
-    g = [bits[off + i * shape.n : off + (i + 1) * shape.n] for i in range(shape.m + 1)]
-    return LatticeState(shape=shape, field=GF2, f=f, g=g)
-
-
 def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
                     force: bool = False) -> list:
     """All admissible states, optionally with a fixed boundary, by edge_tuple.
 
-    The states are the kernel of the parity map; with a boundary, the
-    coset through construct_state of the kernel with the boundary edges
-    pinned to 0.  affine_span lists the space in edge_tuple order, with
-    no search and no sort.  An odd-parity boundary yields the empty
-    list.  The guard charges states times edge_count.
+    transfer.state_tables walks the eight-vertex table, where each
+    vertex's right edge is the parity of its other three, so the states
+    come out in edge_tuple order with no sort.  An odd-parity boundary
+    yields the empty list.  The guard charges states times edge_count,
+    which bounds the walk: every top bit it tries before the last
+    column extends to a state, and in the last column the pinned right
+    edge leaves one top bit per vertex.
     """
     check_boundary(boundary, shape, GF2)
     m, n = shape.m, shape.n
@@ -191,13 +176,5 @@ def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
     if not states:
         return []
     guard_cost(states * shape.edge_count, force)
-    rows = defect_map(shape).matrix.to_rows()
-    base = [0] * shape.edge_count
-    if boundary is not None:
-        for col in _boundary_columns(shape):
-            pin = [0] * shape.edge_count  # pin boundary edges to 0 in the kernel
-            pin[col] = 1
-            rows.append(pin)
-        base = construct_state(boundary).edge_tuple()
-    basis = nullspace_basis(FieldMatrix.from_rows(GF2, rows))
-    return [_state_from_bits(shape, bits) for bits in affine_span(GF2, base, basis)]
+    return [LatticeState(shape=shape, field=GF2, f=f, g=g)
+            for f, g in state_tables(EIGHT_VERTEX, shape, boundary)]

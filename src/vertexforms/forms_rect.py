@@ -15,18 +15,17 @@ explicit antiderivative summed along a bottom-then-up path.
 Six-vertex states over {0, 1} correspond to closed 1-forms, and these in
 turn correspond to proper 3-colorings of the corner grid; both
 directions are implemented here.  Counts come from the transfer sweep
-(transfer); enumerate_six and count_colorings are its independent
-brute-force oracles.  enumerate_six lists the states, optionally with a
-fixed boundary that is pinned during generation, not filtered after it;
-the toroidal listing reuses that generator with periodic boundaries.
+and listings from the column walk on the same vertex table (transfer);
+count_colorings is the independent backtracking oracle.  enumerate_six
+lists the states in edge_tuple order, optionally with a fixed boundary
+that is pinned during the walk, not filtered after it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebra import GF3, FieldMatrix, affine_span, combine, nullspace_basis
 from .grid import (
@@ -41,7 +40,7 @@ from .grid import (
     guard_size,
     vertex_index,
 )
-from .transfer import SIX_VERTEX, count_states
+from .transfer import SIX_VERTEX, count_states, state_tables
 
 
 @dataclass(frozen=True)
@@ -171,15 +170,10 @@ def closedness_matrix(shape: GridShape) -> FieldMatrix:
 
 
 def _form_from_vector(shape: GridShape, vec: Sequence[int]) -> OneForm:
-    m, n = shape.m, shape.n
-    fx = tuple(
-        tuple(vec[f_edge_index(shape, i, j)] for j in range(1, n + 2))
-        for i in range(1, m + 1)
-    )
-    gy = tuple(
-        tuple(vec[g_edge_index(shape, i, j)] for j in range(1, n + 1))
-        for i in range(1, m + 2)
-    )
+    """Slice an edge_tuple-ordered vector into its fx and gy columns."""
+    n, cut = shape.n, shape.f_edge_count
+    fx = [vec[k:k + n + 1] for k in range(0, cut, n + 1)]
+    gy = [vec[k:k + n] for k in range(cut, shape.edge_count, n)]
     return OneForm(shape=shape, fx=fx, gy=gy)
 
 
@@ -315,74 +309,20 @@ def form_from_coloring(c: Coloring) -> tuple:
     return w, c.cells[0][0]
 
 
-def _iter_six_states(shape: GridShape,
-                     boundary: BoundarySpec | None = None) -> Iterator[tuple]:
-    """Yield (f, g) value tables of the admissible six-vertex states.
-
-    Bottom f edges and left g edges range freely over {0, 1}, or are
-    pinned by a fixed boundary; every other edge is forced or
-    binary-branched by the vertex rule, worked through the vertices row
-    by row.  At a vertex with bottom value fb and left value gl, the
-    (top, right) completions are (fb, gl) when fb != gl, and
-    {(0, 0), (1, 1)} when fb == gl.  A fixed boundary's top f and right
-    g values are checked at the vertex that sets them; a boundary value
-    of 2 yields no state.
-    """
-    m, n = shape.m, shape.n
-    if boundary is None:
-        starts = product(product((0, 1), repeat=m), product((0, 1), repeat=n))
-    elif 2 in boundary.edge_tuple():
-        return
-    else:
-        starts = ((boundary.f_bottom, boundary.g_left),)
-    f = [[0] * (n + 1) for _ in range(m)]
-    g = [[0] * n for _ in range(m + 1)]
-
-    def fill_vertex(k: int) -> Iterator[tuple]:
-        if k == m * n:
-            yield tuple(map(tuple, f)), tuple(map(tuple, g))
-            return
-        j, i = divmod(k, m)
-        fb, gl = f[i][j], g[i][j]
-        if fb != gl:
-            options = ((fb, gl),)
-        else:
-            options = ((0, 0), (1, 1))
-        for top, right in options:
-            if boundary is not None and (
-                (j == n - 1 and top != boundary.f_top[i])
-                or (i == m - 1 and right != boundary.g_right[j])
-            ):
-                continue
-            f[i][j + 1] = top
-            g[i + 1][j] = right
-            yield from fill_vertex(k + 1)
-
-    for bottom, left in starts:
-        for i in range(m):
-            f[i][0] = bottom[i]
-        for j in range(n):
-            g[0][j] = left[j]
-        yield from fill_vertex(0)
-
-
 def enumerate_six(shape: GridShape, boundary: BoundarySpec | None = None,
                   force: bool = False) -> list[LatticeState]:
     """Admissible six-vertex states, optionally with a fixed boundary.
 
-    Sorted by edge tuple (f block, g block).  The boundary is pinned
-    during generation, so only matching states are built; a boundary
-    value of 2 admits no state.  The guard charges the free state count
-    times edge_count, which bounds what a pinned listing builds.
+    Listed by edge tuple (f block, g block), as transfer.state_tables
+    walks them, with no sort.  The boundary is pinned during the walk,
+    so only matching states are built; a boundary value of 2 admits no
+    state.  The guard charges the free state count times edge_count,
+    which bounds what a pinned listing builds.
     """
     check_boundary(boundary, shape, GF3)
     guard_cost(count_states(SIX_VERTEX, shape, force=force) * shape.edge_count, force)
-    states = [
-        LatticeState(shape=shape, field=GF3, f=f, g=g)
-        for f, g in _iter_six_states(shape, boundary)
-    ]
-    states.sort(key=lambda s: s.edge_tuple())
-    return states
+    return [LatticeState(shape=shape, field=GF3, f=f, g=g)
+            for f, g in state_tables(SIX_VERTEX, shape, boundary)]
 
 
 def count_six(shape: GridShape, force: bool = False,
@@ -390,8 +330,8 @@ def count_six(shape: GridShape, force: bool = False,
     """Number of admissible six-vertex states, optionally with a fixed boundary.
 
     Computed by the transfer sweep, which charges the guard its own
-    work; enumerate_six is the independent oracle.  A boundary value of
-    2 admits no state.
+    work; enumerate_six lists the same states by the column walk on the
+    same table.  A boundary value of 2 admits no state.
     """
     check_boundary(boundary, shape, GF3)
     return count_states(SIX_VERTEX, shape, boundary, force=force)

@@ -20,12 +20,11 @@ its partial derivatives attains every F3 value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .forms_rect import _iter_six_states, is_admissible_six
-from .grid import BoundarySpec, GridShape, LatticeState, _freeze_grid, guard_cost
+from .forms_rect import is_admissible_six
+from .grid import GridShape, LatticeState, _freeze_grid, guard_cost
 from .algebra import GF3, FieldMatrix, affine_span, nullspace_basis
-from .transfer import SIX_VERTEX, count_states
+from .transfer import SIX_VERTEX, count_states, state_tables
 
 _INV3 = {1: 1, 2: 2}
 
@@ -250,32 +249,23 @@ def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[Lattic
     """All admissible six-vertex states with toroidal boundary conditions.
 
     These are the rectangle states whose top f row repeats the bottom
-    one and whose right g column repeats the left one, so each of the
-    2^(m+n) periodic boundaries is pinned in turn during generation.
-    Sorted by edge tuple.  The pinned generations split the free one,
-    so the guard charges its state count times edge_count.
+    one and whose right g column repeats the left one, listed by edge
+    tuple as transfer.state_tables walks them with each f column's ends
+    tied and the last g column closed on the first.  They are a subset
+    of the free states, so the guard charges the free state count times
+    edge_count.
     """
     check_periods(shape)
-    m, n = shape.m, shape.n
     guard_cost(count_states(SIX_VERTEX, shape, force=force) * shape.edge_count, force)
-    states = []
-    for bottom in product((0, 1), repeat=m):
-        for left in product((0, 1), repeat=n):
-            b = BoundarySpec(shape=shape, field=GF3, f_bottom=bottom, f_top=bottom,
-                             g_left=left, g_right=left)
-            states.extend(
-                LatticeState(shape=shape, field=GF3, f=f, g=g)
-                for f, g in _iter_six_states(shape, b)
-            )
-    states.sort(key=lambda s: s.edge_tuple())
-    return states
+    return [LatticeState(shape=shape, field=GF3, f=f, g=g)
+            for f, g in state_tables(SIX_VERTEX, shape, toroidal=True)]
 
 
 def count_six_toroidal(shape: GridShape, force: bool = False) -> int:
     """Number of admissible toroidal six-vertex states, by the transfer trace.
 
-    Same period check as enumerate_six_toroidal, which is its oracle and
-    does not use the sweep; the trace charges the guard its own work.
+    Same period check as enumerate_six_toroidal, which lists the same
+    states by the column walk; the trace charges the guard its own work.
     """
     check_periods(shape)
     return count_states(SIX_VERTEX, shape, toroidal=True, force=force)

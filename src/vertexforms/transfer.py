@@ -27,11 +27,24 @@ Boundaries:
 
 Rational weights are scaled by the lcm L of their denominators, the
 sweep runs in integers, and the total is divided by L^(mn) once.
+
+state_tables lists the labelings a count_states call counts, by a
+column walk instead of the row sweep.  In both tables a vertex's
+(left, top, bottom) bits fix its right bit (six-vertex: right = left
++ top - bottom; eight-vertex: their sum mod 2), so g column i + 1
+follows from g column i and f column i, and a state is its f columns
+plus its first g column g0.  edge_tuple lists f column by column, then
+g with g0 first, so a walk that climbs each f column one vertex at a
+time, trying top bits in order, and carries the live g0 values in
+order, each with its g columns so far, emits the states in edge_tuple
+order with no sort (Baxter 1982, ch. 8).  A pinned last g column is
+checked at each of its vertices, not after the last f column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .grid import BoundarySpec, GridShape, guard_cost
@@ -53,6 +66,62 @@ def count_states(patterns, shape: GridShape, boundary: BoundarySpec | None = Non
                  toroidal: bool = False, force: bool = False) -> int:
     """Number of labelings in which every vertex shows one of the patterns."""
     return _integer_sum(dict.fromkeys(patterns, 1), shape, boundary, toroidal, force)
+
+
+def state_tables(patterns, shape: GridShape, boundary: BoundarySpec | None = None,
+                 toroidal: bool = False):
+    """Yield the (f, g) tables of count_states' labelings, in edge_tuple order.
+
+    f is m columns of n + 1 bits and g is m + 1 columns of n bits, as
+    LatticeState holds them.  The walk climbs each f column one vertex
+    at a time, trying each top bit in order, and a g0 dies at the first
+    vertex no pattern admits.  A fixed boundary pins each f column's two
+    ends, g0 and the last g column; a toroidal one ties each f column's
+    ends together and asks the last g column to equal g0.  The last g
+    column is checked vertex by vertex, and (left, bottom, right) fixes
+    top too, so in the last f column each live g0 admits one top bit
+    per vertex and the walk does not try every column there.  A
+    boundary value outside {0, 1} matches no pattern, so it yields
+    nothing.  The caller charges the guard.
+    """
+    if toroidal and boundary is not None:
+        raise ValueError("a toroidal walk takes no boundary")
+    m, n = shape.m, shape.n
+    right = {(left, top, bottom): r for left, top, r, bottom in patterns}
+    bits = (0, 1)
+
+    def column(i, f, pairs):
+        # pairs holds, in g0 order, each live g0's g columns 0..i and the
+        # bits of g column i + 1 so far; vertex j has bottom f[j] and
+        # left gs[-1][j]
+        j = len(f) - 1
+        if j == n:
+            yield f, [gs + (g,) for gs, g in pairs]
+            return
+        tops = bits
+        if j == n - 1 and boundary is not None:
+            tops = (boundary.f_top[i],)
+        elif j == n - 1 and toroidal:
+            tops = (f[0],)
+        shut = i == m - 1 and (toroidal or boundary is not None)
+        for top in tops:
+            grown = [(gs, g + (r,)) for gs, g in pairs
+                     if (r := right.get((gs[-1][j], top, f[j]))) is not None
+                     and (not shut or r == (gs[0] if toroidal else boundary.g_right)[j])]
+            if grown:
+                yield from column(i, f + (top,), grown)
+
+    def walk(i, fs, live):
+        if i == m:
+            for gs in live:
+                yield fs, gs
+            return
+        for bottom in bits if boundary is None else (boundary.f_bottom[i],):
+            for f, grown in column(i, (bottom,), [(gs, ()) for gs in live]):
+                yield from walk(i + 1, fs + (f,), grown)
+
+    g0s = product(bits, repeat=n) if boundary is None else (boundary.g_left,)
+    yield from walk(0, (), [(g0,) for g0 in g0s])
 
 
 def weighted_sum(weights: dict, shape: GridShape, boundary: BoundarySpec | None = None,

@@ -143,12 +143,11 @@ def deserialize_weights(text: str) -> VertexWeights:
 
 
 # Matrix layout: row index is the output pair (theta gamma), column index
-# the input pair (nu beta), both read as two-bit numbers.
+# the input pair (nu beta), both read as two-bit numbers; component's
+# (nu, beta, theta, gamma) is the pattern's (left, top, right, bottom).
 _MATRIX_SLOTS = {
-    ("a", 1): (0, 0), ("a", -1): (3, 3),
-    ("b", 1): (1, 1), ("b", -1): (2, 2),
-    ("c", 1): (1, 2), ("c", -1): (2, 1),
-    ("d", 1): (0, 3), ("d", -1): (3, 0),
+    slot: (2 * right + bottom, 2 * left + top)
+    for (left, top, right, bottom), slot in PATTERNS.items()
 }
 
 

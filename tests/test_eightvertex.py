@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexforms.algebra import GF2, GF3, mat_vec, rank
+from vertexforms.algebra import GF2, GF3, FieldMatrix, affine_span, mat_vec, nullspace_basis, rank
 from vertexforms.eightvertex import (
     boundary_parity,
     construct_state,
@@ -66,6 +66,25 @@ def enumerate_eight_brute(shape, boundary=None):
              for i in range(m + 1)]
         out.append(LatticeState(shape=shape, field=GF2, f=f, g=g))
     return sorted(out, key=lambda s: s.edge_tuple())
+
+
+def enumerate_eight_coset(shape, boundary=None):
+    """Oracle: edge tuples of the F2 kernel listing, in order.
+
+    The kernel of the parity map, or with a boundary the coset through
+    construct_state of the kernel with the 2m + 2n boundary edges
+    pinned to 0, listed by affine_span.
+    """
+    m, n = shape.m, shape.n
+    rows = defect_map(shape).matrix.to_rows()
+    base = [0] * shape.edge_count
+    if boundary is not None:
+        pins = [f_edge_index(shape, i, j) for i in range(1, m + 1) for j in (1, n + 1)]
+        pins += [g_edge_index(shape, i, j) for i in (1, m + 1) for j in range(1, n + 1)]
+        rows += [[int(k == col) for k in range(shape.edge_count)] for col in pins]
+        base = construct_state(boundary).edge_tuple()
+    basis = nullspace_basis(FieldMatrix.from_rows(GF2, rows))
+    return list(affine_span(GF2, base, basis))
 
 
 def all_boundaries(shape):
@@ -196,6 +215,29 @@ def test_every_boundary_listing_equals_the_brute_oracle():
             s.edge_tuple() for s in enumerate_eight_brute(S22, boundary=b)
         ]
     assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_every_even_boundary_listing_equals_the_coset_oracle(shape):
+    shape = GridShape(*shape)
+    even = [b for b in all_boundaries(shape) if boundary_parity(b) == 0]
+    assert len(even) == count_valid_boundaries(shape)
+    for b in even:
+        assert [s.edge_tuple() for s in enumerate_eight(shape, boundary=b)] == (
+            enumerate_eight_coset(shape, b))
+
+
+def test_seeded_3x3_listings_equal_the_coset_oracle():
+    shape = GridShape(3, 3)
+    rng = random.Random(8)
+    for _ in range(20):
+        bits = [rng.randrange(2) for _ in range(11)]
+        bits.append(sum(bits) % 2)
+        b = BoundarySpec(shape=shape, field=GF2, f_bottom=bits[:3], f_top=bits[3:6],
+                         g_left=bits[6:9], g_right=bits[9:])
+        assert [s.edge_tuple() for s in enumerate_eight(shape, boundary=b)] == (
+            enumerate_eight_coset(shape, b))
+    assert [s.edge_tuple() for s in enumerate_eight(shape)] == enumerate_eight_coset(shape)
 
 
 def test_enumeration_with_boundary_filters():

@@ -368,6 +368,79 @@ def six_boundary(shape, values, field=GF3):
     )
 
 
+def iter_six_states(shape, boundary=None):
+    """Oracle: (f, g) tables of the admissible states by a vertex recursion.
+
+    Bottom f edges and left g edges range freely over {0, 1}, or are
+    pinned by a fixed boundary; every other edge is forced or
+    binary-branched by the vertex rule, worked through the vertices row
+    by row.  At a vertex with bottom value fb and left value gl, the
+    (top, right) completions are (fb, gl) when fb != gl, and
+    {(0, 0), (1, 1)} when fb == gl.  A fixed boundary's top f and right
+    g values are checked at the vertex that sets them; a boundary value
+    of 2 yields no state.  Unsorted.
+    """
+    m, n = shape.m, shape.n
+    if boundary is None:
+        starts = product(product((0, 1), repeat=m), product((0, 1), repeat=n))
+    elif 2 in boundary.edge_tuple():
+        return
+    else:
+        starts = ((boundary.f_bottom, boundary.g_left),)
+    f = [[0] * (n + 1) for _ in range(m)]
+    g = [[0] * n for _ in range(m + 1)]
+
+    def fill_vertex(k):
+        if k == m * n:
+            yield tuple(map(tuple, f)), tuple(map(tuple, g))
+            return
+        j, i = divmod(k, m)
+        fb, gl = f[i][j], g[i][j]
+        for top, right in ((fb, gl),) if fb != gl else ((0, 0), (1, 1)):
+            if boundary is not None and (
+                (j == n - 1 and top != boundary.f_top[i])
+                or (i == m - 1 and right != boundary.g_right[j])
+            ):
+                continue
+            f[i][j + 1] = top
+            g[i + 1][j] = right
+            yield from fill_vertex(k + 1)
+
+    for bottom, left in starts:
+        for i in range(m):
+            f[i][0] = bottom[i]
+        for j in range(n):
+            g[0][j] = left[j]
+        yield from fill_vertex(0)
+
+
+def sorted_six_tuples(shape, boundary=None):
+    states = (LatticeState(shape=shape, field=GF3, f=f, g=g)
+              for f, g in iter_six_states(shape, boundary))
+    return sorted(s.edge_tuple() for s in states)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 3), st.integers(2, 3), st.data())
+def test_enumerate_six_is_the_sorted_vertex_recursion(m, n, data):
+    shape = GridShape(m, n)
+    kind = data.draw(st.sampled_from(["free", "realised", "binary", "with a 2"]))
+    boundary = None
+    if kind == "realised":
+        f, g = data.draw(st.sampled_from(list(iter_six_states(shape))))
+        boundary = boundary_of(LatticeState(shape=shape, field=GF3, f=f, g=g))
+    elif kind != "free":
+        values = data.draw(st.lists(st.integers(0, 1), min_size=2 * (m + n),
+                                    max_size=2 * (m + n)))
+        if kind == "with a 2":
+            values[data.draw(st.integers(0, len(values) - 1))] = 2
+        boundary = six_boundary(shape, tuple(values))
+    got = [s.edge_tuple() for s in enumerate_six(shape, boundary=boundary)]
+    assert got == sorted_six_tuples(shape, boundary)
+    if kind == "realised":
+        assert got
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_enumerate_six_with_boundary_matches_filter(m, n):
     shape = GridShape(m, n)

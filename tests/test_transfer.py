@@ -1,15 +1,18 @@
-"""Differential tests: the transfer sweep against the brute-force oracles.
+"""Differential tests: the transfer sweep against the state listings.
 
-Counts are compared with the enumerators (enumerate_six,
-enumerate_six_toroidal, enumerate_eight) and partition functions with a
-per-state product of R-matrix components over those same lists, on
-shapes up to 3x3, free, fixed and toroidal boundaries, and rational
-weights that include zeros and negative values.  Also here: what the
+Counts are compared with the listings (enumerate_six,
+enumerate_six_toroidal, enumerate_eight), which walk the same vertex
+tables column by column and are checked against oracles of their own
+in the module tests, and partition functions with a per-state product
+of R-matrix components over those same lists, on shapes up to 3x3,
+free, fixed and toroidal boundaries, and rational weights that include
+zeros and negative values.  Also here: the column walk itself, what the
 size guard charges sums and listings, and the commuting row transfer
 matrices of weights that solve the Yang-Baxter equation.
 """
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_solvable_triple, random_weights
-from vertexforms import eightvertex, forms_rect, grid
+from vertexforms import eightvertex, forms_rect, grid, transfer
 from vertexforms.algebra import GF2, GF3, QQ, FieldMatrix, matmul, rank
 from vertexforms.eightvertex import boundary_parity, count_total, enumerate_eight
 from vertexforms.forms_rect import count_six, enumerate_six
@@ -36,6 +39,7 @@ from vertexforms.transfer import (
     PATTERNS,
     SIX_VERTEX,
     count_states,
+    state_tables,
     weighted_sum,
 )
 from vertexforms.yangbaxter import (
@@ -201,6 +205,82 @@ def test_eight_partition_function_refuses_f3_boundary():
         partition_function(VertexWeights(*(1,) * 8), shape, "eight", boundary=b)
 
 
+@pytest.mark.parametrize("patterns,rule", [
+    (SIX_VERTEX, lambda left, top, bottom: left + top - bottom),
+    (EIGHT_VERTEX, lambda left, top, bottom: (left + top + bottom) % 2),
+], ids=["six", "eight"])
+def test_left_top_bottom_fix_right(patterns, rule):
+    rights = {}
+    for left, top, right, bottom in patterns:
+        assert right == rule(left, top, bottom)
+        assert rights.setdefault((left, top, bottom), right) == right
+    assert len(rights) == len(patterns)
+    # (left, bottom, right) fixes top as well: the walk's last column
+    # follows one top bit per live g0
+    assert len({(left, bottom, right) for left, top, right, bottom in patterns}) == len(patterns)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+def test_state_tables_list_what_count_states_counts(m, n):
+    # in strictly increasing edge_tuple order, free, fixed and toroidal
+    shape = GridShape(m, n)
+    rng = random.Random(m * 10 + n)
+    for patterns in (SIX_VERTEX, EIGHT_VERTEX):
+        f, g = rng.choice(list(state_tables(patterns, shape)))
+        realised = boundary(shape, GF3, [c[0] for c in f] + [c[-1] for c in f] + [*g[0], *g[-1]])
+        assert (f, g) in state_tables(patterns, shape, realised)
+        cases = [{}, {"toroidal": True}, {"boundary": realised}]
+        for values in ((0, 1), (0, 1, 2)):
+            bits = [rng.choice(values) for _ in range(2 * (m + n))]
+            cases.append({"boundary": boundary(shape, GF3, bits)})
+        for kw in cases:
+            keys = [
+                tuple(x for col in f for x in col) + tuple(x for col in g for x in col)
+                for f, g in state_tables(patterns, shape, **kw)
+            ]
+            assert keys == sorted(set(keys))
+            assert len(keys) == count_states(patterns, shape, **kw)
+
+
+def walk_frames(*args, **kw):
+    """The tables state_tables yields and the frames it enters (calls and
+    generator resumptions of code in transfer) while yielding them."""
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename == transfer.__file__:
+            frames += 1
+
+    sys.setprofile(count)
+    try:
+        tables = list(state_tables(*args, **kw))
+    finally:
+        sys.setprofile(None)
+    return tables, frames
+
+
+@pytest.mark.parametrize("m,n", [(2, 10), (3, 6)])
+def test_pinned_walk_work_follows_its_states(m, n):
+    # enumerate_eight charges the guard states * edge_count; checking the
+    # last g column only after the last f column would try every f column
+    # there, 2^(n - 1) times that
+    shape = GridShape(m, n)
+    rng = random.Random(m * 100 + n)
+    for _ in range(3):
+        bits = [rng.randint(0, 1) for _ in range(2 * (m + n) - 1)]
+        b = boundary(shape, GF2, bits + [sum(bits) % 2])
+        tables, frames = walk_frames(EIGHT_VERTEX, shape, b)
+        assert len(tables) == 2 ** ((m - 1) * (n - 1))
+        assert frames <= 2 * len(tables) * shape.edge_count
+
+
+def test_state_tables_refuse_a_toroidal_boundary():
+    shape = GridShape(2, 2)
+    with pytest.raises(ValueError, match="toroidal"):
+        list(state_tables(SIX_VERTEX, shape, boundary(shape, GF3, (0,) * 8), toroidal=True))
+
+
 def test_weighted_sum_with_all_zero_weights_is_zero():
     table = dict.fromkeys(EIGHT_VERTEX, Fraction(0))
     assert weighted_sum(table, GridShape(3, 3)) == 0
@@ -223,8 +303,8 @@ def test_listing_refusals_build_nothing(monkeypatch):
     def build(*args):
         raise AssertionError("a refused listing started building")
 
-    monkeypatch.setattr(forms_rect, "_iter_six_states", build)
-    monkeypatch.setattr(eightvertex, "defect_map", build)
+    monkeypatch.setattr(forms_rect, "state_tables", build)
+    monkeypatch.setattr(eightvertex, "state_tables", build)
     with pytest.raises(SizeGuardError, match="2\\^27"):
         enumerate_six(GridShape(5, 4))
     with pytest.raises(SizeGuardError, match="2\\^30"):
