@@ -2,14 +2,15 @@
 
 Everything here is exact: prime-field elements are machine ints reduced
 mod p, rational elements are ``fractions.Fraction``.  No floating point
-is used anywhere in the package.
+is used anywhere in the package.  It lists no kernels: every state and
+closed-form listing is the column walk of transfer.state_tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -325,29 +326,3 @@ def combine(field: PrimeField, start: Sequence[int], coeffs, vectors) -> list:
             vec = [(x + c * y) % p for x, y in zip(vec, v)]
     return vec
 
-
-def affine_span(field: PrimeField, base: Sequence[int], basis: list) -> Iterator[tuple]:
-    """Every vector of base + span(basis) over F_p once, in lexicographic order.
-
-    The basis is put in reduced echelon form, so each row leads at a
-    pivot column where every other row is zero, and base is reduced to
-    0 at the pivots.  A vector of the space then reads its coefficients
-    off the pivots, and two vectors first differ at the pivot of their
-    first differing coefficient: walking the coefficient tuples in lex
-    order, one row per level, lists the vectors in lex order unsorted.
-    """
-    rows = [r for r in rref(FieldMatrix.from_rows(field, basis)).to_rows() if any(r)]
-    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
-    vec = [x % field.p for x in base]
-    for r, c in zip(rows, pivots):
-        vec = combine(field, vec, (-vec[c],), (r,))
-
-    def walk(level: int, vec: list) -> Iterator[tuple]:
-        if level == len(rows):
-            yield tuple(vec)
-            return
-        row = rows[level]
-        for c in range(field.p):
-            yield from walk(level + 1, combine(field, vec, (c,), (row,)))
-
-    return walk(0, vec)

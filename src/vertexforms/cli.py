@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -60,7 +61,7 @@ from .toroidal import (
     reconstruct,
     sparse_fibers,
 )
-from .transfer import EIGHT_VERTEX, SIX_VERTEX, count_states
+from .transfer import EIGHT_VERTEX, SIX_VERTEX, count_states, first_bad_vertex
 from .yangbaxter import (
     RESIDUALS28_LABELS,
     WeightConditionError,
@@ -376,13 +377,7 @@ def _verify_state(args) -> tuple:
     if admissible:
         return {"admissible": True}, True
     allowed = EIGHT_VERTEX if args.model == "eight" else SIX_VERTEX
-    m, n = state.shape.m, state.shape.n
-    bad = next(
-        (i, j)
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-        if edges_at_vertex(state, i, j) not in allowed
-    )
+    bad = first_bad_vertex(allowed, state.f, state.g)
     return {"admissible": False,
             "counterexample": {"vertex": list(bad),
                                "edges": list(edges_at_vertex(state, *bad))}}, False
@@ -499,7 +494,10 @@ def _add_shape_args(p) -> None:
     p.add_argument("--n", type=int, required=True, help="columns of vertices")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; it holds command names, and main looks up
+    each handler per call, so a handler wrapped later still runs."""
     parser = argparse.ArgumentParser(
         prog="vertexforms",
         description="Exact six- and eight-vertex model computations.",
@@ -513,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-colorings", action="store_true",
                    help="cross-check six-vertex count against 3-colorings")
     p.add_argument("--force", action="store_true", help="override the size guard")
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="list admissible states")
     _add_shape_args(p)
@@ -521,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", help="boundary JSON file to fix")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--force", action="store_true", help="override the size guard")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
     vsub = p.add_subparsers(dest="suite", required=True)
@@ -534,11 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
         vp.add_argument("--force", action="store_true", help="override the size guard")
         if name == "sparse-fibers":
             vp.add_argument("--format", choices=("json", "csv"), default="json")
-        vp.set_defaults(func=cmd_verify)
     vp = vsub.add_parser("state")
     vp.add_argument("--in", dest="infile", required=True, help="state JSON file")
     vp.add_argument("--model", choices=("six", "eight"), default="six")
-    vp.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ybe", help="Yang-Baxter checks and solving")
     ysub = p.add_subparsers(dest="action", required=True)
@@ -549,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         yp.add_argument("--t", required=True, help="T weights JSON file")
         if name == "residuals":
             yp.add_argument("--format", choices=("json", "csv"), default="json")
-        yp.set_defaults(func=cmd_ybe)
     for name in ("conditions", "solve"):
         yp = ysub.add_parser(name)
         yp.add_argument("--s", required=True, help="S weights JSON file")
@@ -557,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "solve":
             yp.add_argument("--scan-range", type=_nonnegative_int, default=2,
                             help="coefficient range for the nonzero-cd scan")
-        yp.set_defaults(func=cmd_ybe)
 
     p = sub.add_parser("partition", help="exact partition function")
     _add_shape_args(p)
@@ -565,19 +557,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("six", "eight"), default="six")
     p.add_argument("--boundary", help="boundary JSON file to fix")
     p.add_argument("--force", action="store_true", help="override the size guard")
-    p.set_defaults(func=cmd_partition)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    handler = {"count": cmd_count, "enumerate": cmd_enumerate, "verify": cmd_verify,
+               "ybe": cmd_ybe, "partition": cmd_partition}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (CLIError, SizeGuardError, StateFormatError, WeightFormatError,
             WeightConditionError) as e:
         print(f"error: {e}", file=sys.stderr)

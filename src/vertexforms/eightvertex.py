@@ -24,7 +24,7 @@ from .grid import (
     g_edge_index,
     guard_cost,
 )
-from .transfer import EIGHT_VERTEX, state_tables
+from .transfer import EIGHT_VERTEX, first_bad_vertex, state_tables
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,9 @@ def defect_vector(state: LatticeState) -> tuple:
 
 
 def is_admissible_eight(state: LatticeState) -> bool:
-    """True iff every interior vertex has an even edge sum."""
-    return not any(defect_vector(state))
+    """True iff every interior vertex has an even edge sum: an EIGHT_VERTEX pattern."""
+    _require_binary(state.edge_tuple())
+    return first_bad_vertex(EIGHT_VERTEX, state.f, state.g) is None
 
 
 def count_total(shape: GridShape) -> int:

@@ -14,8 +14,9 @@ explicit antiderivative summed along a bottom-then-up path.
 
 Six-vertex states over {0, 1} correspond to closed 1-forms, and these in
 turn correspond to proper 3-colorings of the corner grid; both
-directions are implemented here.  Counts come from the transfer sweep
-and listings from the column walk on the same vertex table (transfer);
+directions are implemented here.  Closedness and admissibility are
+the vertex tables of transfer (CLOSED_F3, SIX_VERTEX); counts come
+from its sweep and listings, closed forms too, from its column walk.
 count_colorings is the independent backtracking oracle.  enumerate_six
 lists the states in edge_tuple order, optionally with a fixed boundary
 that is pinned during the walk, not filtered after it.
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import GF3, FieldMatrix, affine_span, combine, nullspace_basis
+from .algebra import GF3, FieldMatrix, combine, nullspace_basis
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -40,7 +41,7 @@ from .grid import (
     guard_size,
     vertex_index,
 )
-from .transfer import SIX_VERTEX, count_states, state_tables
+from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,7 @@ def exterior_derivative(field: ScalarField) -> OneForm:
 
 def is_closed(w: OneForm) -> bool:
     """True when D_y fx = D_x gy at every interior vertex."""
-    m, n = w.shape.m, w.shape.n
-    fx, gy = w.fx, w.gy
-    for i in range(m):
-        for j in range(n):
-            if (fx[i][j + 1] - fx[i][j]) % 3 != (gy[i + 1][j] - gy[i][j]) % 3:
-                return False
-    return True
+    return first_bad_vertex(CLOSED_F3, w.fx, w.gy) is None
 
 
 def antiderivative(w: OneForm) -> ScalarField:
@@ -177,23 +172,16 @@ def _form_from_vector(shape: GridShape, vec: Sequence[int]) -> OneForm:
     return OneForm(shape=shape, fx=fx, gy=gy)
 
 
-def _closed_basis(shape: GridShape) -> list:
-    return nullspace_basis(closedness_matrix(shape))
-
-
 def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
     """All closed 1-forms on the shape, sorted by (fx, gy).
 
-    The closedness conditions are F3-linear in the edge values, so the
-    closed forms are exactly the kernel of closedness_matrix; there are
-    3^(mn + m + n) of them, and affine_span lists them in edge_tuple
-    order, which is (fx, gy) order.  The guard charges forms times
-    edge_count.
+    transfer.state_tables walks CLOSED_F3 and lists all 3^(mn + m + n)
+    in edge_tuple order, which is (fx, gy) order.  The guard charges
+    forms times edge_count.
     """
-    basis = _closed_basis(shape)
-    guard_cost(3 ** len(basis) * shape.edge_count, force)
-    zero = [0] * shape.edge_count
-    return [_form_from_vector(shape, vec) for vec in affine_span(GF3, zero, basis)]
+    m, n = shape.m, shape.n
+    guard_cost(3 ** (m * n + m + n) * shape.edge_count, force)
+    return [OneForm(shape=shape, fx=f, gy=g) for f, g in state_tables(CLOSED_F3, shape)]
 
 
 def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:
@@ -201,7 +189,7 @@ def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[On
 
     The rng draws are those of k calls of random_closed_form.
     """
-    basis = _closed_basis(shape)
+    basis = nullspace_basis(closedness_matrix(shape))
     zero = [0] * shape.edge_count
     return [
         _form_from_vector(shape, combine(GF3, zero, [rng.randrange(3) for _ in basis], basis))
@@ -215,20 +203,16 @@ def random_closed_form(shape: GridShape, rng: random.Random) -> OneForm:
 
 
 def is_admissible_form(w: OneForm) -> bool:
-    """Closed, and no edge value equals 2 (all values in {0, 1})."""
-    if any(x == 2 for row in w.fx for x in row):
-        return False
-    if any(x == 2 for row in w.gy for x in row):
-        return False
-    return is_closed(w)
+    """Closed, with all values in {0, 1}: as every edge meets a vertex, SIX_VERTEX."""
+    return first_bad_vertex(SIX_VERTEX, w.fx, w.gy) is None
 
 
 def is_admissible_six(state: LatticeState) -> bool:
     """Every vertex satisfies the six-vertex rule.
 
     The rule at vertex (i, j) is g[i+1][j] - g[i][j] = f[i][j+1] - f[i][j]
-    mod 3, with all edge values in {0, 1}.  A state containing the value
-    2 is rejected with an error rather than judged inadmissible.
+    mod 3, with all edge values in {0, 1}: SIX_VERTEX.  A state containing
+    the value 2 is rejected with an error rather than judged inadmissible.
     """
     if state.field is not GF3:
         raise ValueError("six-vertex states live over F3")
@@ -236,13 +220,7 @@ def is_admissible_six(state: LatticeState) -> bool:
         x == 2 for row in state.g for x in row
     ):
         raise ValueError("six-vertex states carry edge values in {0, 1} only")
-    m, n = state.shape.m, state.shape.n
-    f, g = state.f, state.g
-    for i in range(m):
-        for j in range(n):
-            if (g[i + 1][j] - g[i][j]) % 3 != (f[i][j + 1] - f[i][j]) % 3:
-                return False
-    return True
+    return first_bad_vertex(SIX_VERTEX, state.f, state.g) is None
 
 
 def state_to_form(state: LatticeState) -> OneForm:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .forms_rect import is_admissible_six
 from .grid import GridShape, LatticeState, _freeze_grid, guard_cost
-from .algebra import GF3, FieldMatrix, affine_span, nullspace_basis
-from .transfer import SIX_VERTEX, count_states, state_tables
+from .algebra import GF3
+from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
 
 _INV3 = {1: 1, 2: 2}
 
@@ -115,43 +115,24 @@ def toroidal_derivatives(h: PeriodicField) -> ToroidalOneForm:
 
 
 def is_closed_toroidal(w: ToroidalOneForm) -> bool:
-    """D_y fx = D_x gy at every vertex of the fundamental domain (with wrap)."""
-    m, n = w.shape.m, w.shape.n
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            lhs = (w.fx_at(i, j + 1) - w.fx_at(i, j)) % 3
-            rhs = (w.gy_at(i + 1, j) - w.gy_at(i, j)) % 3
-            if lhs != rhs:
-                return False
-    return True
+    """D_y fx = D_x gy at every vertex of the fundamental domain (with wrap):
+    the rectangle check on tables that repeat fx's and gy's first entries."""
+    return first_bad_vertex(CLOSED_F3, [r + r[:1] for r in w.fx], w.gy + w.gy[:1]) is None
 
 
 def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[ToroidalOneForm]:
     """All closed toroidal 1-forms, sorted by (fx, gy) as enumerate_closed lists them.
 
-    They are the kernel of the mn x 2mn closedness map with wraparound
-    (fx row-major, then gy); there are 3^(mn + 1) of them, and
-    affine_span lists them in that column order, which is (fx, gy) order.
+    The toroidal walk of transfer.state_tables on CLOSED_F3, with the
+    repeated last f entries and g column dropped: they repeat earlier
+    ones, so the 3^(mn + 1) forms stay in order.  The guard charges
+    forms times edge_count.
     """
     check_periods(shape)
     m, n = shape.m, shape.n
-    rows = []
-    for i in range(m):
-        for j in range(n):
-            # fx[i][j+1] - fx[i][j] - gy[i+1][j] + gy[i][j], indices wrapped
-            row = [0] * (2 * m * n)
-            row[i * n + (j + 1) % n] = 1
-            row[i * n + j] = 2
-            row[m * n + (i + 1) % m * n + j] = 2
-            row[m * n + i * n + j] = 1
-            rows.append(row)
-    basis = nullspace_basis(FieldMatrix.from_rows(GF3, rows))
-    guard_cost(3 ** len(basis) * shape.edge_count, force)
-    forms = []
-    for vec in affine_span(GF3, [0] * (2 * m * n), basis):
-        table = [vec[k:k + n] for k in range(0, 2 * m * n, n)]
-        forms.append(ToroidalOneForm(shape=shape, fx=table[:m], gy=table[m:]))
-    return forms
+    guard_cost(3 ** (m * n + 1) * shape.edge_count, force)
+    return [ToroidalOneForm(shape=shape, fx=[r[:n] for r in f], gy=g[:m])
+            for f, g in state_tables(CLOSED_F3, shape, toroidal=True)]
 
 
 def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:

@@ -28,17 +28,20 @@ Boundaries:
 Rational weights are scaled by the lcm L of their denominators, the
 sweep runs in integers, and the total is divided by L^(mn) once.
 
-state_tables lists the labelings a count_states call counts, by a
-column walk instead of the row sweep.  In both tables a vertex's
-(left, top, bottom) bits fix its right bit (six-vertex: right = left
-+ top - bottom; eight-vertex: their sum mod 2), so g column i + 1
-follows from g column i and f column i, and a state is its f columns
-plus its first g column g0.  edge_tuple lists f column by column, then
-g with g0 first, so a walk that climbs each f column one vertex at a
-time, trying top bits in order, and carries the live g0 values in
-order, each with its g columns so far, emits the states in edge_tuple
-order with no sort (Baxter 1982, ch. 8).  A pinned last g column is
-checked at each of its vertices, not after the last f column.
+CLOSED_F3 is the closedness D_y fx = D_x gy of an F3 1-form at one
+vertex, right = left + top - bottom; its {0, 1} patterns are
+SIX_VERTEX, and mod 2 it is EIGHT_VERTEX.  first_bad_vertex checks
+tables against any of them, and state_tables lists the labelings a
+count_states call counts, or with CLOSED_F3 the closed forms, by a
+column walk.  In every table a vertex's (left, top, bottom) fix its
+right, so g column i + 1 follows from g column i and f column i, and a
+state is its f columns plus its first g column g0.  edge_tuple lists
+f column by column, then g with g0 first, so a walk that climbs each
+f column one vertex at a time, trying top values in order, and carries
+the live g0 values in order, each with its g columns so far, emits the
+states in edge_tuple order with no sort (Baxter 1982, ch. 8).  A
+pinned last g column is checked at each of its vertices, not after the
+last f column.
 """
 
 from __future__ import annotations
@@ -61,6 +64,25 @@ PATTERNS = {
 SIX_VERTEX = tuple(p for p, (letter, _) in PATTERNS.items() if letter != "d")
 EIGHT_VERTEX = tuple(PATTERNS)
 
+CLOSED_F3 = frozenset((left, top, (left + top - bottom) % 3, bottom)
+                      for left, top, bottom in product(range(3), repeat=3))
+
+
+def first_bad_vertex(patterns, f, g):
+    """The first 1-based vertex (i, j), i outer, whose (left, top, right,
+    bottom) is not one of the patterns, or None when every vertex is.
+
+    f and g are LatticeState-shaped tables: m columns of n + 1 and m + 1
+    columns of n values; vertex (i, j) reads g[i][j], f[i][j+1],
+    g[i+1][j] and f[i][j] (0-based), as edges_at_vertex does.
+    """
+    allowed = frozenset(patterns)  # patterns itself when it is a frozenset
+    for i, (fi, left, right) in enumerate(zip(f, g, g[1:]), 1):
+        for j, pattern in enumerate(zip(left, fi[1:], right, fi), 1):
+            if pattern not in allowed:
+                return i, j
+    return None
+
 
 def count_states(patterns, shape: GridShape, boundary: BoundarySpec | None = None,
                  toroidal: bool = False, force: bool = False) -> int:
@@ -72,23 +94,24 @@ def state_tables(patterns, shape: GridShape, boundary: BoundarySpec | None = Non
                  toroidal: bool = False):
     """Yield the (f, g) tables of count_states' labelings, in edge_tuple order.
 
-    f is m columns of n + 1 bits and g is m + 1 columns of n bits, as
-    LatticeState holds them.  The walk climbs each f column one vertex
-    at a time, trying each top bit in order, and a g0 dies at the first
-    vertex no pattern admits.  A fixed boundary pins each f column's two
-    ends, g0 and the last g column; a toroidal one ties each f column's
-    ends together and asks the last g column to equal g0.  The last g
-    column is checked vertex by vertex, and (left, bottom, right) fixes
-    top too, so in the last f column each live g0 admits one top bit
-    per vertex and the walk does not try every column there.  A
-    boundary value outside {0, 1} matches no pattern, so it yields
-    nothing.  The caller charges the guard.
+    f is m columns of n + 1 values and g is m + 1 columns of n values,
+    as LatticeState holds them.  The walk climbs each f column one
+    vertex at a time, trying each top value in order, and a g0 dies at
+    the first vertex no pattern admits.  A fixed boundary pins each f
+    column's two ends, g0 and the last g column; a toroidal one ties
+    each f column's ends together and asks the last g column to equal
+    g0.  The last g column is checked vertex by vertex, and (left,
+    bottom, right) fixes top too, so in the last f column each live g0
+    admits one top value per vertex and the walk does not try every
+    column there.  Edge values range over the values the patterns use,
+    and a boundary value no pattern uses yields nothing.  The caller
+    charges the guard.
     """
     if toroidal and boundary is not None:
         raise ValueError("a toroidal walk takes no boundary")
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in patterns}
-    bits = (0, 1)
+    bits = tuple(sorted({x for p in patterns for x in p}))
 
     def column(i, f, pairs):
         # pairs holds, in g0 order, each live g0's g columns 0..i and the

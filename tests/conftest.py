@@ -6,13 +6,18 @@ function of two parameters (so all arithmetic stays in Fraction), plus
 a diagonal twist that breaks the c/d symmetries without breaking the
 equation.  Tests use these as positive instances; random weights from
 random_weights are the generic negative instances.
+
+Also here is affine_span, the kernel-walk oracle that the closed-form and
+eight-vertex listings are checked against (tests in test_affine_span.py).
 """
 
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
+from vertexforms.algebra import FieldMatrix, PrimeField, combine, rref
 from vertexforms.grid import deserialize_state
 from vertexforms.yangbaxter import VertexWeights
 
@@ -120,3 +125,30 @@ def random_weights(rng) -> VertexWeights:
     return VertexWeights(*(
         Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(8)
     ))
+
+
+def affine_span(field: PrimeField, base: Sequence[int], basis: list) -> Iterator[tuple]:
+    """Every vector of base + span(basis) over F_p once, in lexicographic order.
+
+    The basis is put in reduced echelon form, so each row leads at a
+    pivot column where every other row is zero, and base is reduced to
+    0 at the pivots.  A vector of the space then reads its coefficients
+    off the pivots, and two vectors first differ at the pivot of their
+    first differing coefficient: walking the coefficient tuples in lex
+    order, one row per level, lists the vectors in lex order unsorted.
+    """
+    rows = [r for r in rref(FieldMatrix.from_rows(field, basis)).to_rows() if any(r)]
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    vec = [x % field.p for x in base]
+    for r, c in zip(rows, pivots):
+        vec = combine(field, vec, (-vec[c],), (r,))
+
+    def walk(level: int, vec: list) -> Iterator[tuple]:
+        if level == len(rows):
+            yield tuple(vec)
+            return
+        row = rows[level]
+        for c in range(field.p):
+            yield from walk(level + 1, combine(field, vec, (c,), (row,)))
+
+    return walk(0, vec)

@@ -576,6 +576,25 @@ def test_internal_value_error_in_weight_commands_propagates(tmp_path, monkeypatc
         main(command.format(w=wfile).split())
 
 
+@pytest.mark.parametrize("command,handler", [
+    ("count --m 2 --n 2", "cmd_count"),
+    ("enumerate --m 2 --n 2 --format csv", "cmd_enumerate"),
+    ("verify defect-rank --m 2 --n 2", "cmd_verify"),
+])
+def test_parser_is_built_once_and_handlers_are_read_per_call(capsys, monkeypatch,
+                                                             command, handler):
+    # a tracer wraps the cmd_* functions after the parser is cached
+    import vertexforms.cli as cli
+
+    main(command.split())
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    real = getattr(cli, handler)
+    monkeypatch.setattr(cli, handler, lambda args: calls.append(args) or real(args))
+    assert main(command.split()) == 0
+    assert len(calls) == 1
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "vertexforms.cli", "count", "--m", "2", "--n", "2"],

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import affine_span
 from vertexforms.algebra import GF2, GF3, nullspace_basis, rank
 from vertexforms.forms_rect import (
     Coloring,
@@ -139,6 +140,20 @@ def test_enumerate_closed_spans_kernel():
     assert len(forms) == 3 ** 8
     assert all(is_closed(w) for w in forms)
     assert len({(w.fx, w.gy) for w in forms}) == len(forms)
+
+
+def kernel_listing(shape):
+    """Oracle: edge tuples of the kernel of closedness_matrix, in order."""
+    basis = nullspace_basis(closedness_matrix(shape))
+    return list(affine_span(GF3, [0] * shape.edge_count, basis))
+
+
+def test_enumerate_closed_is_the_kernel_listing():
+    assert enumerate_closed(S22) == [_form_from_vector(S22, v) for v in kernel_listing(S22)]
+    # 3^11 forms at 2x3: compare edge tuples, not OneForms
+    shape = GridShape(2, 3)
+    listed = [sum(w.fx, ()) + sum(w.gy, ()) for w in enumerate_closed(shape)]
+    assert listed == kernel_listing(shape)
 
 
 def test_poincare_exhaustive_2x2():

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexforms.algebra import GF3
+from conftest import affine_span
+from vertexforms.algebra import GF3, FieldMatrix, nullspace_basis
 from vertexforms.forms_rect import is_admissible_six
 from vertexforms.grid import GridShape, LatticeState, SizeGuardError
 from vertexforms.toroidal import (
@@ -321,6 +322,31 @@ def all_closed_toroidal_forms(shape):
 
 def test_closed_toroidal_forms_match_reference():
     assert enumerate_closed_toroidal(T22) == all_closed_toroidal_forms(T22)
+
+
+def wraparound_matrix(shape):
+    """The mn x 2mn closedness map on the torus, fx row-major then gy."""
+    m, n = shape.m, shape.n
+    rows = []
+    for i in range(m):
+        for j in range(n):
+            # fx[i][j+1] - fx[i][j] - gy[i+1][j] + gy[i][j], indices wrapped
+            row = [0] * (2 * m * n)
+            row[i * n + (j + 1) % n] = 1
+            row[i * n + j] = 2
+            row[m * n + (i + 1) % m * n + j] = 2
+            row[m * n + i * n + j] = 1
+            rows.append(row)
+    return FieldMatrix.from_rows(GF3, rows)
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (4, 2)])
+def test_closed_toroidal_forms_are_the_kernel_listing(m, n):
+    shape = GridShape(m, n)
+    basis = nullspace_basis(wraparound_matrix(shape))
+    kernel = affine_span(GF3, [0] * (2 * m * n), basis)
+    listed = (sum(w.fx, ()) + sum(w.gy, ()) for w in enumerate_closed_toroidal(shape))
+    assert list(listed) == list(kernel)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (4, 2)])

@@ -25,20 +25,31 @@ from conftest import random_solvable_triple, random_weights
 from vertexforms import eightvertex, forms_rect, grid, transfer
 from vertexforms.algebra import GF2, GF3, QQ, FieldMatrix, matmul, rank
 from vertexforms.eightvertex import boundary_parity, count_total, enumerate_eight
-from vertexforms.forms_rect import count_six, enumerate_six
+from vertexforms.forms_rect import OneForm, count_six, enumerate_six, is_admissible_form
 from vertexforms.grid import (
     BoundarySpec,
     GridShape,
+    LatticeState,
     SizeGuardError,
     boundary_of,
     edges_at_vertex,
 )
-from vertexforms.toroidal import count_six_toroidal, enumerate_six_toroidal
+from vertexforms.toroidal import (
+    CohomologyDecomposition,
+    PeriodicField,
+    ToroidalOneForm,
+    count_six_toroidal,
+    enumerate_six_toroidal,
+    is_closed_toroidal,
+    reconstruct,
+)
 from vertexforms.transfer import (
+    CLOSED_F3,
     EIGHT_VERTEX,
     PATTERNS,
     SIX_VERTEX,
     count_states,
+    first_bad_vertex,
     state_tables,
     weighted_sum,
 )
@@ -101,6 +112,71 @@ def test_six_vertex_table_is_the_closedness_rule():
 def test_eight_vertex_table_is_the_parity_rule():
     expected = {p for p in product((0, 1), repeat=4) if sum(p) % 2 == 0}
     assert set(EIGHT_VERTEX) == expected == set(PATTERNS)
+
+
+def closedness_rule(p: int) -> set:
+    """(left, top, right, bottom) over F_p with right - left = top - bottom."""
+    return {q for q in product(range(p), repeat=4) if (q[2] - q[0]) % p == (q[1] - q[3]) % p}
+
+
+def test_six_and_eight_vertex_tables_are_the_closed_f3_rule():
+    assert len(CLOSED_F3) == 27 and set(CLOSED_F3) == closedness_rule(3)
+    assert set(SIX_VERTEX) == {q for q in CLOSED_F3 if max(q) <= 1}
+    assert set(EIGHT_VERTEX) == closedness_rule(2)
+
+
+def first_bad_by_scan(patterns, state):
+    """The oracle scan: edges_at_vertex at each vertex, i outer."""
+    m, n = state.shape.m, state.shape.n
+    return next(((i, j) for i in range(1, m + 1) for j in range(1, n + 1)
+                 if edges_at_vertex(state, i, j) not in patterns), None)
+
+
+def closed_toroidal_by_wrap(w):
+    """D_y fx = D_x gy at each vertex, read through fx_at/gy_at index reduction."""
+    m, n = w.shape.m, w.shape.n
+    return all(
+        (w.fx_at(i, j + 1) - w.fx_at(i, j)) % 3 == (w.gy_at(i + 1, j) - w.gy_at(i, j)) % 3
+        for i in range(1, m + 1)
+        for j in range(1, n + 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_bad_vertex_matches_a_vertex_scan(data):
+    # F3 tables that mostly follow one of the rules, with up to two edges
+    # then set at random: closed over F3, closed mod 2 on {0, 1}, or
+    # closed on the torus, written on the rectangle with the wrap repeated
+    m, n = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    shape = GridShape(m, n)
+    f3 = st.integers(0, 2)
+    kind = data.draw(st.sampled_from(["F3", "F2", "torus"] if m % 3 and n % 3 else ["F3", "F2"]))
+    if kind == "torus":
+        h = PeriodicField(shape=shape, values=[[data.draw(f3) for _ in range(n)]
+                                               for _ in range(m)])
+        w = reconstruct(CohomologyDecomposition(r=data.draw(f3), s=data.draw(f3), h=h))
+        f = [list(r + r[:1]) for r in w.fx]
+        g = [list(c) for c in w.gy + w.gy[:1]]
+    else:
+        p = 3 if kind == "F3" else 2
+        f = [[data.draw(st.integers(0, p - 1)) for _ in range(n + 1)] for _ in range(m)]
+        g = [[data.draw(st.integers(0, p - 1)) for _ in range(n)]]
+        for i in range(m):
+            g.append([(g[i][j] + f[i][j + 1] - f[i][j]) % p for j in range(n)])
+    for _ in range(data.draw(st.integers(0, 2))):
+        table = data.draw(st.sampled_from([f, g]))
+        col = data.draw(st.sampled_from(table))
+        col[data.draw(st.integers(0, len(col) - 1))] = data.draw(f3)
+    state = LatticeState(shape=shape, field=GF3, f=f, g=g)
+    for patterns in (CLOSED_F3, SIX_VERTEX, EIGHT_VERTEX):
+        assert first_bad_vertex(patterns, state.f, state.g) == first_bad_by_scan(patterns, state)
+    no_two = all(x != 2 for col in f + g for x in col)
+    admissible = no_two and first_bad_by_scan(CLOSED_F3, state) is None
+    assert is_admissible_form(OneForm(shape=shape, fx=f, gy=g)) == admissible
+    if m % 3 and n % 3:
+        w = ToroidalOneForm(shape=shape, fx=[c[:n] for c in f], gy=g[:m])
+        assert is_closed_toroidal(w) == closed_toroidal_by_wrap(w)
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
@@ -206,9 +282,10 @@ def test_eight_partition_function_refuses_f3_boundary():
 
 
 @pytest.mark.parametrize("patterns,rule", [
+    (CLOSED_F3, lambda left, top, bottom: (left + top - bottom) % 3),
     (SIX_VERTEX, lambda left, top, bottom: left + top - bottom),
     (EIGHT_VERTEX, lambda left, top, bottom: (left + top + bottom) % 2),
-], ids=["six", "eight"])
+], ids=["closed", "six", "eight"])
 def test_left_top_bottom_fix_right(patterns, rule):
     rights = {}
     for left, top, right, bottom in patterns:
