@@ -2,7 +2,9 @@
 
 Eight-vertex admissibility asks only that the four edge values at each
 vertex have even sum, so the admissible states are exactly the kernel
-of a per-vertex parity map on the F2 edge space.  The counts lean on
+of a per-vertex parity map on the F2 edge space.  That map is the
+rectangle's closedness rule right - left = top - bottom mod 2: grid's
+vertex incidence matrix, which forms_rect reads over F3.  The counts lean on
 that linearity: total and fixed-boundary counts come from rank-nullity,
 and a state extending a given boundary is written down in closed form.
 Enumeration walks the same parity rule, read as right = left + top +
@@ -18,10 +20,9 @@ from .grid import (
     BoundarySpec,
     GridShape,
     LatticeState,
+    _vertex_incidence,
     check_boundary,
     edges_at_vertex,
-    f_edge_index,
-    g_edge_index,
     guard_cost,
 )
 from .transfer import EIGHT_VERTEX, first_bad_vertex, state_tables
@@ -41,16 +42,8 @@ class DefectMap:
 
 
 def defect_map(shape: GridShape) -> DefectMap:
-    rows = []
-    for i in range(1, shape.m + 1):
-        for j in range(1, shape.n + 1):
-            row = [0] * shape.edge_count
-            row[f_edge_index(shape, i, j)] = 1
-            row[f_edge_index(shape, i, j + 1)] = 1
-            row[g_edge_index(shape, i, j)] = 1
-            row[g_edge_index(shape, i + 1, j)] = 1
-            rows.append(row)
-    return DefectMap(shape, FieldMatrix.from_rows(GF2, rows))
+    """The parity map: grid's vertex incidence rows over F2, where -1 is 1."""
+    return DefectMap(shape, FieldMatrix.from_rows(GF2, _vertex_incidence(shape)))
 
 
 def _require_binary(values) -> None:

@@ -10,7 +10,11 @@ an x-part (same index ranges as the f edges of a state) and a y-part
 
 and a 1-form  w = fx dx + gy dy  is closed when D_y fx = D_x gy at every
 interior vertex.  On a rectangle every closed form is exact, with an
-explicit antiderivative summed along a bottom-then-up path.
+explicit antiderivative summed along a bottom-then-up path.  d and this
+inverse are written once, as the table functions _differences and
+_potential; the torus (toroidal) uses the same two, and
+closedness_matrix is grid's vertex incidence matrix over F3, the one
+eightvertex's defect map reads over F2.
 
 Six-vertex states over {0, 1} correspond to closed 1-forms, and these in
 turn correspond to proper 3-colorings of the corner grid; both
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .algebra import GF3, FieldMatrix, combine, nullspace_basis
@@ -34,12 +39,10 @@ from .grid import (
     GridShape,
     LatticeState,
     _freeze_grid,
+    _vertex_incidence,
     check_boundary,
-    f_edge_index,
-    g_edge_index,
     guard_cost,
     guard_size,
-    vertex_index,
 )
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
 
@@ -94,27 +97,37 @@ class Coloring:
         return self.cells[i - 1][j - 1]
 
 
+def _differences(h) -> tuple:
+    """(D_x h, D_y h) of a table of columns: h[i+1][j] - h[i][j] and
+    h[i][j+1] - h[i][j] mod 3, one column and one entry fewer."""
+    dx = tuple(tuple((b - a) % 3 for a, b in zip(col, nxt)) for col, nxt in zip(h, h[1:]))
+    dy = tuple(tuple((b - a) % 3 for a, b in zip(col, col[1:])) for col in h)
+    return dx, dy
+
+
+def _potential(fx, gy) -> tuple:
+    """h[i][j] = sum_{a<i} fx[a][0] + sum_{b<j} gy[i][b] mod 3, the sum
+    along the bottom-then-up path: a column per gy column, one entry
+    longer.  On a closed rectangle form, _differences(h) == (fx, gy)."""
+    bases = accumulate((col[0] for col in fx), initial=0)
+    return tuple(
+        tuple(x % 3 for x in accumulate(col, initial=base)) for base, col in zip(bases, gy)
+    )
+
+
 def partial_x(field: ScalarField) -> tuple:
     """(D_x h)[i][j] = h[i+1][j] - h[i][j], shape m x (n+1)."""
-    m, n = field.shape.m, field.shape.n
-    h = field.h
-    return tuple(
-        tuple((h[i + 1][j] - h[i][j]) % 3 for j in range(n + 1)) for i in range(m)
-    )
+    return _differences(field.h)[0]
 
 
 def partial_y(field: ScalarField) -> tuple:
     """(D_y h)[i][j] = h[i][j+1] - h[i][j], shape (m+1) x n."""
-    m, n = field.shape.m, field.shape.n
-    h = field.h
-    return tuple(
-        tuple((h[i][j + 1] - h[i][j]) % 3 for j in range(n)) for i in range(m + 1)
-    )
+    return _differences(field.h)[1]
 
 
 def exterior_derivative(field: ScalarField) -> OneForm:
     """d(h) = (D_x h) dx + (D_y h) dy."""
-    return OneForm(shape=field.shape, fx=partial_x(field), gy=partial_y(field))
+    return OneForm(field.shape, *_differences(field.h))
 
 
 def is_closed(w: OneForm) -> bool:
@@ -130,38 +143,17 @@ def antiderivative(w: OneForm) -> ScalarField:
     """
     if not is_closed(w):
         raise ValueError("antiderivative requires a closed form")
-    m, n = w.shape.m, w.shape.n
-    fx, gy = w.fx, w.gy
-    h = []
-    for i in range(m + 1):
-        col = []
-        base = 0
-        for a in range(i):
-            base = (base + fx[a][0]) % 3
-        acc = base
-        col.append(acc)
-        for b in range(n):
-            acc = (acc + gy[i][b]) % 3
-            col.append(acc)
-        h.append(tuple(col))
-    return ScalarField(shape=w.shape, h=tuple(h))
+    return ScalarField(shape=w.shape, h=_potential(w.fx, w.gy))
 
 
 def closedness_matrix(shape: GridShape) -> FieldMatrix:
     """mn x edge_count matrix over F3 whose kernel is the closed forms.
 
-    The row of vertex (i, j) encodes fx[i][j+1] - fx[i][j] - gy[i+1][j]
+    The vertex incidence rows of grid, right - left = top - bottom:
+    the row of vertex (i, j) encodes fx[i][j+1] - fx[i][j] - gy[i+1][j]
     + gy[i][j]; columns follow the edge_tuple layout.
     """
-    rows = [[0] * shape.edge_count for _ in range(shape.vertex_count)]
-    for i in range(1, shape.m + 1):
-        for j in range(1, shape.n + 1):
-            row = rows[vertex_index(shape, i, j)]
-            row[f_edge_index(shape, i, j + 1)] = 1
-            row[f_edge_index(shape, i, j)] = 2
-            row[g_edge_index(shape, i + 1, j)] = 2
-            row[g_edge_index(shape, i, j)] = 1
-    return FieldMatrix.from_rows(GF3, rows)
+    return FieldMatrix.from_rows(GF3, _vertex_incidence(shape))
 
 
 def _form_from_vector(shape: GridShape, vec: Sequence[int]) -> OneForm:
@@ -260,11 +252,9 @@ def coloring_from_form(w: OneForm, t: int) -> Coloring:
         raise ValueError("base label t must be in {0, 1, 2}")
     if not is_admissible_form(w):
         raise ValueError("coloring_from_form requires an admissible closed form")
-    h = antiderivative(w)
-    m, n = w.shape.m, w.shape.n
+    h = _potential(w.fx, w.gy)
     cells = tuple(
-        tuple((h.h[i][j] + t + (i + 1) + (j + 1) - 2) % 3 for j in range(n + 1))
-        for i in range(m + 1)
+        tuple((x + t + i + j) % 3 for j, x in enumerate(col)) for i, col in enumerate(h)
     )
     return Coloring(shape=w.shape, cells=cells)
 
@@ -277,10 +267,7 @@ def form_from_coloring(c: Coloring) -> tuple:
     """
     if not is_proper(c):
         raise ValueError("form_from_coloring requires a proper coloring")
-    m, n = c.shape.m, c.shape.n
-    as_field = ScalarField(shape=c.shape, h=c.cells)
-    dx = partial_x(as_field)
-    dy = partial_y(as_field)
+    dx, dy = _differences(c.cells)
     fx = tuple(tuple((x - 1) % 3 for x in row) for row in dx)
     gy = tuple(tuple((x - 1) % 3 for x in row) for row in dy)
     w = OneForm(shape=c.shape, fx=fx, gy=gy)

@@ -79,6 +79,14 @@ class GridShape:
         return self.m * self.n
 
 
+def _check_entries(values: Sequence[int], p: int, label: str) -> None:
+    """Refuse any value that is not an int in [0, p)."""
+    for x in values:
+        # type(), not isinstance(): a bool (JSON true) is no field value
+        if type(x) is not int or not (0 <= x < p):
+            raise ValueError(f"{label} entries must be ints in [0, {p})")
+
+
 def _freeze_grid(values: Sequence[Sequence[int]], rows: int, cols: int,
                  field: PrimeField, label: str) -> tuple:
     if len(values) != rows:
@@ -88,10 +96,7 @@ def _freeze_grid(values: Sequence[Sequence[int]], rows: int, cols: int,
     for r in values:
         if len(r) != cols:
             raise ValueError(f"{label} rows must have {cols} entries, got {len(r)}")
-        for x in r:
-            # type(), not isinstance(): a bool (JSON true) is no field value
-            if type(x) is not int or not (0 <= x < p):
-                raise ValueError(f"{label} entries must be ints in [0, {p})")
+        _check_entries(r, p, label)
         out.append(tuple(r))
     return tuple(out)
 
@@ -150,9 +155,7 @@ class BoundarySpec:
         ):
             if len(seq) != length:
                 raise ValueError(f"{name} must have {length} entries, got {len(seq)}")
-            for x in seq:
-                if type(x) is not int or not (0 <= x < self.field.p):
-                    raise ValueError(f"{name} entries must be ints in [0, {self.field.p})")
+            _check_entries(seq, self.field.p, name)
             object.__setattr__(self, name, tuple(seq))
 
     def edge_tuple(self) -> tuple:
@@ -185,6 +188,25 @@ def f_edge_index(shape: GridShape, i: int, j: int) -> int:
 def g_edge_index(shape: GridShape, i: int, j: int) -> int:
     """Position of g[i][j]; the g block follows the full f block."""
     return shape.f_edge_count + (i - 1) * shape.n + (j - 1)
+
+
+def _vertex_incidence(shape: GridShape) -> list:
+    """Integer rows of the vertex rule right - left = top - bottom.
+
+    Row vertex_index(i, j) holds +1 at the vertex's top and left edges
+    and -1 at its bottom and right edges, in edge_tuple columns.  Over
+    F3 its kernel is the closed 1-forms, over F2 the eight-vertex states.
+    """
+    rows = []
+    for i in range(1, shape.m + 1):
+        for j in range(1, shape.n + 1):
+            row = [0] * shape.edge_count
+            row[f_edge_index(shape, i, j + 1)] = 1
+            row[g_edge_index(shape, i, j)] = 1
+            row[f_edge_index(shape, i, j)] = -1
+            row[g_edge_index(shape, i + 1, j)] = -1
+            rows.append(row)
+    return rows
 
 
 def boundary_of(state: LatticeState) -> BoundarySpec:

@@ -15,13 +15,17 @@ with r the average of fx over a row of the fundamental domain and s the
 average of gy over a column.  Apply the construction to an admissible
 toroidal six-vertex state and the resulting h is "sparse": neither of
 its partial derivatives attains every F3 value.
+
+The calculus is the rectangle's (forms_rect): toroidal_derivatives
+takes its differences of h with the first column and row repeated, and
+decompose integrates with its bottom-then-up potential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forms_rect import is_admissible_six
+from .forms_rect import _differences, _potential, is_admissible_six
 from .grid import GridShape, LatticeState, _freeze_grid, guard_cost
 from .algebra import GF3
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
@@ -101,17 +105,12 @@ class CohomologyDecomposition:
 
 
 def toroidal_derivatives(h: PeriodicField) -> ToroidalOneForm:
-    """d(h) as a toroidal form: forward differences with wraparound."""
+    """d(h) as a toroidal form: the rectangle's differences of h with its
+    first column and first row repeated, so the differences wrap around."""
     m, n = h.shape.m, h.shape.n
-    fx = tuple(
-        tuple((h.at(i + 2, j + 1) - h.at(i + 1, j + 1)) % 3 for j in range(n))
-        for i in range(m)
-    )
-    gy = tuple(
-        tuple((h.at(i + 1, j + 2) - h.at(i + 1, j + 1)) % 3 for j in range(n))
-        for i in range(m)
-    )
-    return ToroidalOneForm(shape=h.shape, fx=fx, gy=gy)
+    cols = [col + col[:1] for col in h.values]
+    fx, gy = _differences(cols + cols[:1])
+    return ToroidalOneForm(shape=h.shape, fx=[col[:n] for col in fx], gy=gy[:m])
 
 
 def is_closed_toroidal(w: ToroidalOneForm) -> bool:
@@ -139,7 +138,9 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
     """Split a closed toroidal form as r dx + s dy + dh.
 
     r is (1/m) times a row sum of fx, s is (1/n) times a column sum of
-    gy, and h accumulates the residuals along a bottom-then-up path:
+    gy, and h is the rectangle's potential of the residuals fx - r and
+    gy - s, summed along a bottom-then-up path and cut to the
+    fundamental domain:
 
         h[i][j] = sum_{a<i} (fx[a][1] - r) + sum_{b<j} (gy[i][b] - s).
 
@@ -148,20 +149,11 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
     if not is_closed_toroidal(w):
         raise ValueError("decompose requires a closed toroidal form")
     m, n = w.shape.m, w.shape.n
-    r = (_INV3[m % 3] * sum(w.fx_at(a, 1) for a in range(1, m + 1))) % 3
-    s = (_INV3[n % 3] * sum(w.gy_at(1, b) for b in range(1, n + 1))) % 3
-    values = []
-    base = 0
-    for i in range(1, m + 1):
-        acc = base
-        col = [acc]
-        for b in range(1, n):
-            acc = (acc + w.gy_at(i, b) - s) % 3
-            col.append(acc)
-        values.append(tuple(col))
-        base = (base + w.fx_at(i, 1) - r) % 3
-    h = PeriodicField(shape=w.shape, values=tuple(values))
-    return CohomologyDecomposition(r=r, s=s, h=h)
+    r = (_INV3[m % 3] * sum(col[0] for col in w.fx)) % 3
+    s = (_INV3[n % 3] * sum(w.gy[0])) % 3
+    h = _potential([[x - r for x in col] for col in w.fx], [[y - s for y in col] for col in w.gy])
+    values = [col[:n] for col in h]
+    return CohomologyDecomposition(r=r, s=s, h=PeriodicField(shape=w.shape, values=values))
 
 
 def reconstruct(d: CohomologyDecomposition) -> ToroidalOneForm:
@@ -196,10 +188,7 @@ def is_sparse(h: PeriodicField) -> bool:
 
 def has_toroidal_boundary(state: LatticeState) -> bool:
     """Left/right g columns agree and bottom/top f rows agree."""
-    m, n = state.shape.m, state.shape.n
-    if any(state.g_at(1, j) != state.g_at(m + 1, j) for j in range(1, n + 1)):
-        return False
-    return all(state.f_at(i, 1) == state.f_at(i, n + 1) for i in range(1, m + 1))
+    return state.g[0] == state.g[-1] and all(col[0] == col[-1] for col in state.f)
 
 
 def state_to_toroidal_form(state: LatticeState) -> ToroidalOneForm:
@@ -208,10 +197,8 @@ def state_to_toroidal_form(state: LatticeState) -> ToroidalOneForm:
         raise ValueError("state does not satisfy toroidal boundary conditions")
     if not is_admissible_six(state):
         raise ValueError("state is not admissible")
-    m, n = state.shape.m, state.shape.n
-    fx = tuple(tuple(state.f_at(i, j) for j in range(1, n + 1)) for i in range(1, m + 1))
-    gy = tuple(tuple(state.g_at(i, j) for j in range(1, n + 1)) for i in range(1, m + 1))
-    return ToroidalOneForm(shape=state.shape, fx=fx, gy=gy)
+    n = state.shape.n
+    return ToroidalOneForm(shape=state.shape, fx=[col[:n] for col in state.f], gy=state.g[:-1])
 
 
 def state_to_sparse(state: LatticeState) -> PeriodicField:

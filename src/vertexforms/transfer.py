@@ -42,6 +42,11 @@ the live g0 values in order, each with its g columns so far, emits the
 states in edge_tuple order with no sort (Baxter 1982, ch. 8).  A
 pinned last g column is checked at each of its vertices, not after the
 last f column.
+
+The three tables are frozensets, so first_bad_vertex uses them as they
+are.  Nothing reads their order: the sweep sums exact integers, the
+walk sorts the edge values it takes from a table, and partition_function
+keys its weights by pattern.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ PATTERNS = {
     (1, 1, 0, 0): ("d", 1), (0, 0, 1, 1): ("d", -1),
 }
 
-SIX_VERTEX = tuple(p for p, (letter, _) in PATTERNS.items() if letter != "d")
-EIGHT_VERTEX = tuple(PATTERNS)
+SIX_VERTEX = frozenset(p for p, (letter, _) in PATTERNS.items() if letter != "d")
+EIGHT_VERTEX = frozenset(PATTERNS)
 
 CLOSED_F3 = frozenset((left, top, (left + top - bottom) % 3, bottom)
                       for left, top, bottom in product(range(3), repeat=3))
@@ -76,7 +81,7 @@ def first_bad_vertex(patterns, f, g):
     columns of n values; vertex (i, j) reads g[i][j], f[i][j+1],
     g[i+1][j] and f[i][j] (0-based), as edges_at_vertex does.
     """
-    allowed = frozenset(patterns)  # patterns itself when it is a frozenset
+    allowed = frozenset(patterns)  # patterns itself for the three tables
     for i, (fi, left, right) in enumerate(zip(f, g, g[1:]), 1):
         for j, pattern in enumerate(zip(left, fi[1:], right, fi), 1):
             if pattern not in allowed:

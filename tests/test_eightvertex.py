@@ -121,6 +121,26 @@ def test_defect_map_has_full_rank(shape):
     assert rank(dm.matrix) == m * n
 
 
+def defect_map_by_hand(shape):
+    """Oracle: a 1 at each of the four edges of every vertex, over F2."""
+    rows = []
+    for i in range(1, shape.m + 1):
+        for j in range(1, shape.n + 1):
+            row = [0] * shape.edge_count
+            row[f_edge_index(shape, i, j)] = 1
+            row[f_edge_index(shape, i, j + 1)] = 1
+            row[g_edge_index(shape, i, j)] = 1
+            row[g_edge_index(shape, i + 1, j)] = 1
+            rows.append(row)
+    return FieldMatrix.from_rows(GF2, rows)
+
+
+@pytest.mark.parametrize("m,n", list(product(range(2, 6), repeat=2)))
+def test_defect_map_is_the_hand_built_matrix(m, n):
+    shape = GridShape(m, n)
+    assert defect_map(shape).matrix == defect_map_by_hand(shape)
+
+
 def test_defect_vector_is_the_matrix_action():
     rng = random.Random(12)
     dm = defect_map(S22)

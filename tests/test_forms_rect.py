@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import affine_span
-from vertexforms.algebra import GF2, GF3, nullspace_basis, rank
+from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
+from vertexforms import forms_rect
 from vertexforms.forms_rect import (
     Coloring,
     OneForm,
     ScalarField,
-    antiderivative,
+    _differences,
     _form_from_vector,
+    _potential,
+    antiderivative,
     closedness_matrix,
     coloring_from_form,
     count_colorings,
@@ -32,8 +35,18 @@ from vertexforms.forms_rect import (
     random_proper_coloring,
     state_to_form,
 )
-from vertexforms.grid import BoundarySpec, GridShape, LatticeState, SizeGuardError, boundary_of
+from vertexforms.grid import (
+    BoundarySpec,
+    GridShape,
+    LatticeState,
+    SizeGuardError,
+    boundary_of,
+    f_edge_index,
+    g_edge_index,
+    vertex_index,
+)
 from vertexforms.toroidal import PeriodicField, ToroidalOneForm
+from vertexforms.transfer import first_bad_vertex
 
 
 def scalar(shape, fn):
@@ -128,6 +141,61 @@ def test_antiderivative_requires_closed():
     assert not is_closed(bad)
     with pytest.raises(ValueError, match="closed"):
         antiderivative(bad)
+
+
+def partials_by_loop(h, m, n):
+    """Oracle: (D_x h, D_y h) entry by entry."""
+    dx = tuple(tuple((h[i + 1][j] - h[i][j]) % 3 for j in range(n + 1)) for i in range(m))
+    dy = tuple(tuple((h[i][j + 1] - h[i][j]) % 3 for j in range(n)) for i in range(m + 1))
+    return dx, dy
+
+
+def antiderivative_by_loop(w):
+    """Oracle: the bottom row's fx summed up to column i, then gy up column i."""
+    m, n = w.shape.m, w.shape.n
+    h = []
+    for i in range(m + 1):
+        base = 0
+        for a in range(i):
+            base = (base + w.fx[a][0]) % 3
+        col = [base]
+        for b in range(n):
+            col.append((col[-1] + w.gy[i][b]) % 3)
+        h.append(tuple(col))
+    return tuple(h)
+
+
+def closedness_matrix_by_hand(shape):
+    """Oracle: fx[i][j+1] - fx[i][j] - gy[i+1][j] + gy[i][j] at each vertex, over F3."""
+    rows = [[0] * shape.edge_count for _ in range(shape.vertex_count)]
+    for i in range(1, shape.m + 1):
+        for j in range(1, shape.n + 1):
+            row = rows[vertex_index(shape, i, j)]
+            row[f_edge_index(shape, i, j + 1)] = 1
+            row[f_edge_index(shape, i, j)] = 2
+            row[g_edge_index(shape, i + 1, j)] = 2
+            row[g_edge_index(shape, i, j)] = 1
+    return FieldMatrix.from_rows(GF3, rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 5), st.integers(2, 5), st.randoms(use_true_random=False))
+def test_rectangle_calculus_matches_the_loops(m, n, rng):
+    shape = GridShape(m, n)
+    h = ScalarField(shape=shape, h=[[rng.randrange(3) for _ in range(n + 1)]
+                                    for _ in range(m + 1)])
+    dh = exterior_derivative(h)
+    assert (dh.fx, dh.gy) == partials_by_loop(h.h, m, n)
+    assert (partial_x(h), partial_y(h)) == (dh.fx, dh.gy)
+    w = random_closed_form(shape, rng)
+    assert _differences(_potential(w.fx, w.gy)) == (w.fx, w.gy)
+    assert antiderivative(w).h == antiderivative_by_loop(w)
+
+
+@pytest.mark.parametrize("m,n", list(product(range(2, 6), repeat=2)))
+def test_closedness_matrix_is_the_hand_built_matrix(m, n):
+    shape = GridShape(m, n)
+    assert closedness_matrix(shape) == closedness_matrix_by_hand(shape)
 
 
 def test_closedness_matrix_rank():
@@ -260,6 +328,30 @@ def test_base_label_validation():
     zero = OneForm(shape=S22, fx=[[0] * 3] * 2, gy=[[0] * 2] * 3)
     with pytest.raises(ValueError, match="t"):
         coloring_from_form(zero, 3)
+
+
+def test_coloring_from_form_refuses_with_its_message():
+    not_closed = OneForm(shape=S22, fx=[[1, 0, 0], [0, 0, 0]], gy=[[0, 0]] * 3)
+    closed_with_a_two = OneForm(shape=S22, fx=[[2] * 3] * 2, gy=[[0] * 2] * 3)
+    assert not is_closed(not_closed) and is_closed(closed_with_a_two)
+    for w in (not_closed, closed_with_a_two):
+        with pytest.raises(ValueError,
+                           match="^coloring_from_form requires an admissible closed form$"):
+            coloring_from_form(w, 0)
+
+
+def test_coloring_from_form_checks_its_form_once(monkeypatch):
+    calls = []
+
+    def counted(patterns, f, g):
+        calls.append(patterns)
+        return first_bad_vertex(patterns, f, g)
+
+    monkeypatch.setattr(forms_rect, "first_bad_vertex", counted)
+    w = state_to_form(zero_state(3, 2))
+    c = coloring_from_form(w, 1)
+    assert len(calls) == 1
+    assert form_from_coloring(c) == (w, 1) and len(calls) == 1
 
 
 def test_form_from_coloring_rejects_improper():

@@ -1,0 +1,48 @@
+"""Golden CLI output: verify suites print what the fixtures recorded.
+
+Each case runs cli.main in-process and compares stdout, stderr and the
+exit code byte for byte with tests/fixtures/golden/<name>.out (and
+<name>.err where the run writes to stderr).  The fixtures were recorded
+from these same argument lists and are not regenerated: a change that
+alters any of these outputs, even in whitespace, fails here.
+"""
+
+import pytest
+
+from conftest import FIXTURES
+from vertexforms.cli import main
+
+GOLDEN = FIXTURES / "golden"
+
+CASES = {
+    "sparse_fibers_2x4": (["verify", "sparse-fibers", "--m", "2", "--n", "4"], 0),
+    "sparse_fibers_2x4_csv": (
+        ["verify", "sparse-fibers", "--m", "2", "--n", "4", "--format", "csv"], 0),
+    "cohomology_2x2": (["verify", "cohomology", "--m", "2", "--n", "2"], 0),
+    "cohomology_8x7_seed3": (["verify", "cohomology", "--m", "8", "--n", "7", "--seed", "3"], 0),
+    "cohomology_3x2": (["verify", "cohomology", "--m", "3", "--n", "2"], 2),
+    "bijection_2x3": (["verify", "bijection", "--m", "2", "--n", "3"], 0),
+    "poincare_2x2": (["verify", "poincare", "--m", "2", "--n", "2"], 0),
+    "poincare_4x4_samples20": (
+        ["verify", "poincare", "--m", "4", "--n", "4", "--samples", "20"], 0),
+    "defect_rank_3x2": (["verify", "defect-rank", "--m", "3", "--n", "2"], 0),
+}
+
+
+def recorded(name, suffix):
+    path = GOLDEN / f"{name}{suffix}"
+    # bytes, not read_text: the CSV fixture keeps csv's \r\n line ends
+    return path.read_bytes().decode() if path.exists() else ""
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_cli_output_matches_the_golden_fixture(capsys, name):
+    argv, code = CASES[name]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == recorded(name, ".out")
+    assert err == recorded(name, ".err")
+
+
+def test_every_golden_fixture_has_a_case():
+    assert {p.name.split(".")[0] for p in GOLDEN.iterdir()} == set(CASES)

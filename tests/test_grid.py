@@ -166,6 +166,16 @@ def test_booleans_are_not_edge_values():
         deserialize_state('{"m": true, "n": 2, "field": "F3", "f": [], "g": []}')
 
 
+@pytest.mark.parametrize("bad", [True, 2, -1, "0", 1.0])
+def test_tables_and_boundaries_refuse_the_same_entries(bad):
+    shape = GridShape(2, 2)
+    with pytest.raises(ValueError, match=r"^f entries must be ints in \[0, 2\)$"):
+        LatticeState(shape=shape, field=GF2, f=[[0, bad, 0], [0, 0, 0]], g=[[0, 0]] * 3)
+    with pytest.raises(ValueError, match=r"^g_left entries must be ints in \[0, 2\)$"):
+        BoundarySpec(shape=shape, field=GF2, f_bottom=(0, 0), f_top=(0, 0),
+                     g_left=(bad, 0), g_right=(0, 0))
+
+
 def test_state_format_reports_bad_entry():
     doc = {
         "m": 2, "n": 2, "field": "F3",

@@ -142,8 +142,58 @@ def test_decompose_named_forms():
 def test_decompose_requires_closed():
     w = form(T22, [[1, 0], [0, 0]], [[0, 0], [0, 0]])
     assert not is_closed_toroidal(w)
-    with pytest.raises(ValueError, match="closed"):
+    with pytest.raises(ValueError, match="^decompose requires a closed toroidal form$"):
         decompose(w)
+
+
+def derivatives_by_lookup(h):
+    """Oracle: forward differences through PeriodicField.at's wraparound."""
+    m, n = h.shape.m, h.shape.n
+    fx = tuple(
+        tuple((h.at(i + 2, j + 1) - h.at(i + 1, j + 1)) % 3 for j in range(n))
+        for i in range(m)
+    )
+    gy = tuple(
+        tuple((h.at(i + 1, j + 2) - h.at(i + 1, j + 1)) % 3 for j in range(n))
+        for i in range(m)
+    )
+    return fx, gy
+
+
+def decompose_by_lookup(w):
+    """Oracle: r, s and the residuals accumulated through fx_at and gy_at."""
+    m, n = w.shape.m, w.shape.n
+    inverse = {1: 1, 2: 2}
+    r = (inverse[m % 3] * sum(w.fx_at(a, 1) for a in range(1, m + 1))) % 3
+    s = (inverse[n % 3] * sum(w.gy_at(1, b) for b in range(1, n + 1))) % 3
+    values = []
+    base = 0
+    for i in range(1, m + 1):
+        acc = base
+        col = [acc]
+        for b in range(1, n):
+            acc = (acc + w.gy_at(i, b) - s) % 3
+            col.append(acc)
+        values.append(tuple(col))
+        base = (base + w.fx_at(i, 1) - r) % 3
+    return r, s, tuple(values)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_toroidal_calculus_matches_the_lookup_formulas(data):
+    m = data.draw(st.sampled_from([2, 4, 5]))
+    n = data.draw(st.sampled_from([2, 4, 5]))
+    shape = GridShape(m, n)
+    h = field(shape, [[data.draw(st.integers(0, 2)) for _ in range(n)] for _ in range(m)])
+    dh = toroidal_derivatives(h)
+    assert (dh.fx, dh.gy) == derivatives_by_lookup(h)
+    # every closed toroidal form is r dx + s dy + dh
+    r, s = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    w = form(shape, [[(r + x) % 3 for x in col] for col in dh.fx],
+             [[(s + y) % 3 for y in col] for col in dh.gy])
+    d = decompose(w)
+    assert (d.r, d.s, d.h.values) == decompose_by_lookup(w)
 
 
 def test_decompose_exact_form_recovers_normalized_potential():
