@@ -16,6 +16,7 @@ import functools
 import json
 import random
 import sys
+from itertools import chain
 
 from .algebra import GF2, GF3, rank
 from .eightvertex import (
@@ -23,25 +24,26 @@ from .eightvertex import (
     count_valid_boundaries,
     count_with_boundary,
     defect_map,
-    enumerate_eight,
+    eight_state_tables,
     is_admissible_eight,
 )
 from .forms_rect import (
+    OneForm,
     antiderivative,
     count_colorings,
     count_six,
     coloring_from_form,
     enumerate_closed,
-    enumerate_six,
     exterior_derivative,
     form_from_coloring,
     is_admissible_six,
     random_closed_forms,
     random_proper_coloring,
-    state_to_form,
+    six_state_tables,
 )
 from .grid import (
     GridShape,
+    LatticeState,
     SIZE_GUARD_BITS,
     SizeGuardError,
     StateFormatError,
@@ -57,9 +59,9 @@ from .toroidal import (
     count_six_toroidal,
     decompose,
     enumerate_closed_toroidal,
-    enumerate_six_toroidal,
     reconstruct,
     sparse_fibers,
+    toroidal_state_tables,
 )
 from .transfer import EIGHT_VERTEX, SIX_VERTEX, count_states, first_bad_vertex
 from .yangbaxter import (
@@ -186,25 +188,61 @@ def cmd_count(args) -> int:
 # -- enumerate --------------------------------------------------------
 
 
+def _emit_listing(shape: GridShape, field, count: int, tables) -> None:
+    """Print {"count": count, "states": [...]} as _emit would, one state
+    at a time, as the walk yields its (f, g) tables.
+
+    The state template comes from json.dumps of a one-state listing
+    whose edge values are null, so its layout is json.dumps' own; its
+    %d slots are the f then the g values, as the sorted keys put them.
+    Raises RuntimeError when the walk yields other than count states.
+    """
+    m, n = shape.m, shape.n
+    doc = {"m": m, "n": n, "field": field.name,
+           "f": [[None] * (n + 1)] * m, "g": [[None] * n] * (m + 1)}
+    text = json.dumps({"count": count, "states": [doc]}, indent=2, sort_keys=True)
+    head, text = text.split("[", 1)  # "count" sorts first, so this [ opens "states"
+    state, tail = text.rsplit("]", 1)
+    state, indent = state.rsplit("\n", 1)  # indent: the line of the closing ]
+    template = state.replace("null", "%d")
+    write = sys.stdout.write
+    write(head + "[")
+    emitted, sep = 0, ""
+    for f, g in tables:
+        write(sep + template % tuple(chain.from_iterable(f + g)))
+        emitted, sep = emitted + 1, ","
+    if emitted != count:
+        raise RuntimeError(f"the walk listed {emitted} states, the sweep counted {count}")
+    write(("\n" + indent if emitted else "") + "]" + tail + "\n")
+
+
 def cmd_enumerate(args) -> int:
     shape = _shape(args)
+    # each walk charges the guard when called, before anything is printed;
+    # count is the sweep's, called for the JSON header only
     if args.model == "toroidal":
         if args.boundary is not None:
             raise CLIError("toroidal enumeration does not take a boundary file")
         _check_periods(shape)
-        states = enumerate_six_toroidal(shape, force=args.force)
+        field, tables = GF3, toroidal_state_tables(shape, force=args.force)
+        count = lambda: count_six_toroidal(shape, force=args.force)
     else:
-        eight = args.model == "eight"
+        field = GF2 if args.model == "eight" else GF3
         boundary = None
         if args.boundary is not None:
-            boundary = _load_boundary(args.boundary, GF2 if eight else GF3)
+            boundary = _load_boundary(args.boundary, field)
             _check_shape(boundary, shape, "boundary")
-        enumerate_states = enumerate_eight if eight else enumerate_six
-        states = enumerate_states(shape, boundary=boundary, force=args.force)
+        if field is GF2:
+            tables = eight_state_tables(shape, boundary, force=args.force)
+            count = lambda: (count_total(shape) if boundary is None
+                             else count_with_boundary(boundary))
+        else:
+            tables = six_state_tables(shape, boundary, force=args.force)
+            count = lambda: count_six(shape, force=args.force, boundary=boundary)
     if args.format == "csv":
-        _emit_csv(_edge_headers(shape), (st.edge_tuple() for st in states))
+        _emit_csv(_edge_headers(shape), (chain.from_iterable(f + g) for f, g in tables))
     else:
-        _emit({"count": len(states), "states": [state_doc(st) for st in states]})
+        _emit_listing(shape, field, count(), tables)
     return 0
 
 
@@ -242,11 +280,12 @@ def _verify_bijection(args) -> tuple:
     shape = _shape(args)
     rng = random.Random(args.seed)
     checked = 0
-    for st in enumerate_six(shape, force=args.force):
-        w = state_to_form(st)
+    for f, g in six_state_tables(shape, force=args.force):
+        w = OneForm.trusted(shape, f, g)
         for t in (0, 1, 2):
             w2, t2 = form_from_coloring(coloring_from_form(w, t))
-            if t2 != t or (w2.fx, w2.gy) != (w.fx, w.gy):
+            if t2 != t or (w2.fx, w2.gy) != (f, g):
+                st = LatticeState.trusted(shape, GF3, f, g)
                 return {"suite": "bijection", "passed": False,
                         "counterexample": state_doc(st) | {"t": t}}, False
             checked += 1

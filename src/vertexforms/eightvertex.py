@@ -152,23 +152,31 @@ def count_valid_boundaries(shape: GridShape) -> int:
     return 2 ** (2 * shape.m + 2 * shape.n - 1)
 
 
-def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
-                    force: bool = False) -> list:
-    """All admissible states, optionally with a fixed boundary, by edge_tuple.
+def eight_state_tables(shape: GridShape, boundary: BoundarySpec | None = None,
+                       force: bool = False):
+    """The (f, g) tables of all admissible states, optionally with a fixed
+    boundary, by edge_tuple.
 
-    transfer.state_tables walks the eight-vertex table, where each
-    vertex's right edge is the parity of its other three, so the states
-    come out in edge_tuple order with no sort.  An odd-parity boundary
-    yields the empty list.  The guard charges states times edge_count,
-    which bounds the walk: every top bit it tries before the last
-    column extends to a state, and in the last column the pinned right
-    edge leaves one top bit per vertex.
+    Checks the boundary and charges the guard when called, before any
+    table is built, then returns transfer.state_tables' iterator: it
+    walks the eight-vertex table, where each vertex's right edge is the
+    parity of its other three, so the states come out in edge_tuple
+    order with no sort.  An odd-parity boundary yields nothing, without
+    a walk.  The guard charges states times edge_count, which bounds
+    the walk: every top bit it tries before the last column extends to
+    a state, and in the last column the pinned right edge leaves one top
+    bit per vertex.
     """
     check_boundary(boundary, shape, GF2)
     m, n = shape.m, shape.n
     states = 2 ** (m + n + m * n) if boundary is None else count_with_boundary(boundary)
-    if not states:
-        return []
     guard_cost(states * shape.edge_count, force)
-    return [LatticeState(shape=shape, field=GF2, f=f, g=g)
-            for f, g in state_tables(EIGHT_VERTEX, shape, boundary)]
+    return state_tables(EIGHT_VERTEX, shape, boundary) if states else iter(())
+
+
+def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
+                    force: bool = False) -> list:
+    """All admissible states, optionally with a fixed boundary, in the
+    order and under the guard of eight_state_tables."""
+    return [LatticeState.trusted(shape, GF2, f, g)
+            for f, g in eight_state_tables(shape, boundary, force)]

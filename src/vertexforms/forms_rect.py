@@ -21,9 +21,12 @@ turn correspond to proper 3-colorings of the corner grid; both
 directions are implemented here.  Closedness and admissibility are
 the vertex tables of transfer (CLOSED_F3, SIX_VERTEX); counts come
 from its sweep and listings, closed forms too, from its column walk.
-count_colorings is the independent backtracking oracle.  enumerate_six
-lists the states in edge_tuple order, optionally with a fixed boundary
-that is pinned during the walk, not filtered after it.
+count_colorings is the independent backtracking oracle.  six_state_tables
+is the guarded walk over the states in edge_tuple order, optionally with
+a fixed boundary that is pinned during the walk, not filtered after it;
+enumerate_six lists it.  Values built here from tables the library made
+(by the walk, d and its inverse, the coloring bijection) use the trusted
+constructors, which check nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .grid import (
     GridShape,
     LatticeState,
     _freeze_grid,
+    _unchecked,
     _vertex_incidence,
     check_boundary,
     guard_cost,
@@ -58,6 +62,11 @@ class ScalarField:
         m, n = self.shape.m, self.shape.n
         object.__setattr__(self, "h", _freeze_grid(self.h, m + 1, n + 1, GF3, "h"))
 
+    @classmethod
+    def trusted(cls, shape: GridShape, h: tuple) -> ScalarField:
+        """A field from a tuple of tuples the library built, unchecked."""
+        return _unchecked(cls, {"shape": shape, "h": h})
+
     def at(self, i: int, j: int) -> int:
         return self.h[i - 1][j - 1]
 
@@ -74,6 +83,11 @@ class OneForm:
         m, n = self.shape.m, self.shape.n
         object.__setattr__(self, "fx", _freeze_grid(self.fx, m, n + 1, GF3, "fx"))
         object.__setattr__(self, "gy", _freeze_grid(self.gy, m + 1, n, GF3, "gy"))
+
+    @classmethod
+    def trusted(cls, shape: GridShape, fx: tuple, gy: tuple) -> OneForm:
+        """A form from tuples of tuples the library built, unchecked."""
+        return _unchecked(cls, {"shape": shape, "fx": fx, "gy": gy})
 
     def fx_at(self, i: int, j: int) -> int:
         return self.fx[i - 1][j - 1]
@@ -92,6 +106,11 @@ class Coloring:
     def __post_init__(self):
         m, n = self.shape.m, self.shape.n
         object.__setattr__(self, "cells", _freeze_grid(self.cells, m + 1, n + 1, GF3, "cells"))
+
+    @classmethod
+    def trusted(cls, shape: GridShape, cells: tuple) -> Coloring:
+        """A coloring from a tuple of tuples the library built, unchecked."""
+        return _unchecked(cls, {"shape": shape, "cells": cells})
 
     def at(self, i: int, j: int) -> int:
         return self.cells[i - 1][j - 1]
@@ -127,7 +146,7 @@ def partial_y(field: ScalarField) -> tuple:
 
 def exterior_derivative(field: ScalarField) -> OneForm:
     """d(h) = (D_x h) dx + (D_y h) dy."""
-    return OneForm(field.shape, *_differences(field.h))
+    return OneForm.trusted(field.shape, *_differences(field.h))
 
 
 def is_closed(w: OneForm) -> bool:
@@ -143,7 +162,7 @@ def antiderivative(w: OneForm) -> ScalarField:
     """
     if not is_closed(w):
         raise ValueError("antiderivative requires a closed form")
-    return ScalarField(shape=w.shape, h=_potential(w.fx, w.gy))
+    return ScalarField.trusted(w.shape, _potential(w.fx, w.gy))
 
 
 def closedness_matrix(shape: GridShape) -> FieldMatrix:
@@ -159,9 +178,9 @@ def closedness_matrix(shape: GridShape) -> FieldMatrix:
 def _form_from_vector(shape: GridShape, vec: Sequence[int]) -> OneForm:
     """Slice an edge_tuple-ordered vector into its fx and gy columns."""
     n, cut = shape.n, shape.f_edge_count
-    fx = [vec[k:k + n + 1] for k in range(0, cut, n + 1)]
-    gy = [vec[k:k + n] for k in range(cut, shape.edge_count, n)]
-    return OneForm(shape=shape, fx=fx, gy=gy)
+    fx = tuple(tuple(vec[k:k + n + 1]) for k in range(0, cut, n + 1))
+    gy = tuple(tuple(vec[k:k + n]) for k in range(cut, shape.edge_count, n))
+    return OneForm.trusted(shape, fx, gy)
 
 
 def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
@@ -173,7 +192,7 @@ def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
     """
     m, n = shape.m, shape.n
     guard_cost(3 ** (m * n + m + n) * shape.edge_count, force)
-    return [OneForm(shape=shape, fx=f, gy=g) for f, g in state_tables(CLOSED_F3, shape)]
+    return [OneForm.trusted(shape, f, g) for f, g in state_tables(CLOSED_F3, shape)]
 
 
 def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:
@@ -219,7 +238,7 @@ def state_to_form(state: LatticeState) -> OneForm:
     """Reinterpret a six-vertex state's edge labels as a 1-form over F3."""
     if state.field is not GF3:
         raise ValueError("expected an F3 state")
-    return OneForm(shape=state.shape, fx=state.f, gy=state.g)
+    return OneForm.trusted(state.shape, state.f, state.g)
 
 
 def form_to_state(w: OneForm) -> LatticeState:
@@ -256,7 +275,7 @@ def coloring_from_form(w: OneForm, t: int) -> Coloring:
     cells = tuple(
         tuple((x + t + i + j) % 3 for j, x in enumerate(col)) for i, col in enumerate(h)
     )
-    return Coloring(shape=w.shape, cells=cells)
+    return Coloring.trusted(w.shape, cells)
 
 
 def form_from_coloring(c: Coloring) -> tuple:
@@ -270,24 +289,32 @@ def form_from_coloring(c: Coloring) -> tuple:
     dx, dy = _differences(c.cells)
     fx = tuple(tuple((x - 1) % 3 for x in row) for row in dx)
     gy = tuple(tuple((x - 1) % 3 for x in row) for row in dy)
-    w = OneForm(shape=c.shape, fx=fx, gy=gy)
-    return w, c.cells[0][0]
+    return OneForm.trusted(c.shape, fx, gy), c.cells[0][0]
+
+
+def six_state_tables(shape: GridShape, boundary: BoundarySpec | None = None,
+                     force: bool = False):
+    """The (f, g) tables of the admissible six-vertex states, optionally
+    with a fixed boundary, by edge tuple (f block, g block).
+
+    Checks the boundary and charges the guard when called, before any
+    table is built, then returns transfer.state_tables' iterator.  The
+    boundary is pinned during the walk, so only matching states are
+    built; a boundary value of 2 admits no state.  The guard charges the
+    free state count times edge_count, which bounds what a pinned
+    listing builds.
+    """
+    check_boundary(boundary, shape, GF3)
+    guard_cost(count_states(SIX_VERTEX, shape, force=force) * shape.edge_count, force)
+    return state_tables(SIX_VERTEX, shape, boundary)
 
 
 def enumerate_six(shape: GridShape, boundary: BoundarySpec | None = None,
                   force: bool = False) -> list[LatticeState]:
-    """Admissible six-vertex states, optionally with a fixed boundary.
-
-    Listed by edge tuple (f block, g block), as transfer.state_tables
-    walks them, with no sort.  The boundary is pinned during the walk,
-    so only matching states are built; a boundary value of 2 admits no
-    state.  The guard charges the free state count times edge_count,
-    which bounds what a pinned listing builds.
-    """
-    check_boundary(boundary, shape, GF3)
-    guard_cost(count_states(SIX_VERTEX, shape, force=force) * shape.edge_count, force)
-    return [LatticeState(shape=shape, field=GF3, f=f, g=g)
-            for f, g in state_tables(SIX_VERTEX, shape, boundary)]
+    """Admissible six-vertex states, optionally with a fixed boundary, in
+    the order and under the guard of six_state_tables."""
+    return [LatticeState.trusted(shape, GF3, f, g)
+            for f, g in six_state_tables(shape, boundary, force)]
 
 
 def count_six(shape: GridShape, force: bool = False,

@@ -87,6 +87,19 @@ def _check_entries(values: Sequence[int], p: int, label: str) -> None:
             raise ValueError(f"{label} entries must be ints in [0, {p})")
 
 
+def _unchecked(cls, values: dict):
+    """An instance of the frozen dataclass cls holding values as they are.
+
+    For the trusted constructors: tables the library built itself, as
+    tuples of tuples of field elements on a shape already checked, so
+    no __post_init__ runs and nothing is checked or copied.  Values
+    from outside go through the validating constructors.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", values)
+    return obj
+
+
 def _freeze_grid(values: Sequence[Sequence[int]], rows: int, cols: int,
                  field: PrimeField, label: str) -> tuple:
     if len(values) != rows:
@@ -118,6 +131,11 @@ class LatticeState:
         m, n = self.shape.m, self.shape.n
         object.__setattr__(self, "f", _freeze_grid(self.f, m, n + 1, self.field, "f"))
         object.__setattr__(self, "g", _freeze_grid(self.g, m + 1, n, self.field, "g"))
+
+    @classmethod
+    def trusted(cls, shape: GridShape, field: PrimeField, f: tuple, g: tuple) -> LatticeState:
+        """A state from tuples of tuples the library built, unchecked."""
+        return _unchecked(cls, {"shape": shape, "field": field, "f": f, "g": g})
 
     def f_at(self, i: int, j: int) -> int:
         """f[i][j] with 1-based indices, i in [1, m], j in [1, n+1]."""

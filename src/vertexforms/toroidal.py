@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forms_rect import _differences, _potential, is_admissible_six
-from .grid import GridShape, LatticeState, _freeze_grid, guard_cost
+from .grid import GridShape, LatticeState, _freeze_grid, _unchecked, guard_cost
 from .algebra import GF3
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
 
@@ -63,6 +63,12 @@ class PeriodicField:
             _freeze_grid(self.values, self.shape.m, self.shape.n, GF3, "values"),
         )
 
+    @classmethod
+    def trusted(cls, shape: GridShape, values: tuple) -> PeriodicField:
+        """A field from a tuple of tuples the library built on a shape
+        whose periods were checked, unchecked."""
+        return _unchecked(cls, {"shape": shape, "values": values})
+
     def at(self, i: int, j: int) -> int:
         """Value at any integer pair, through index reduction."""
         return self.values[index_reduce(i, self.shape.m) - 1][
@@ -83,6 +89,12 @@ class ToroidalOneForm:
         m, n = self.shape.m, self.shape.n
         object.__setattr__(self, "fx", _freeze_grid(self.fx, m, n, GF3, "fx"))
         object.__setattr__(self, "gy", _freeze_grid(self.gy, m, n, GF3, "gy"))
+
+    @classmethod
+    def trusted(cls, shape: GridShape, fx: tuple, gy: tuple) -> ToroidalOneForm:
+        """A form from tuples of tuples the library built on a shape whose
+        periods were checked, unchecked."""
+        return _unchecked(cls, {"shape": shape, "fx": fx, "gy": gy})
 
     def fx_at(self, i: int, j: int) -> int:
         return self.fx[index_reduce(i, self.shape.m) - 1][
@@ -110,13 +122,19 @@ def toroidal_derivatives(h: PeriodicField) -> ToroidalOneForm:
     m, n = h.shape.m, h.shape.n
     cols = [col + col[:1] for col in h.values]
     fx, gy = _differences(cols + cols[:1])
-    return ToroidalOneForm(shape=h.shape, fx=[col[:n] for col in fx], gy=gy[:m])
+    return ToroidalOneForm.trusted(h.shape, tuple(col[:n] for col in fx), gy[:m])
 
 
 def is_closed_toroidal(w: ToroidalOneForm) -> bool:
     """D_y fx = D_x gy at every vertex of the fundamental domain (with wrap):
     the rectangle check on tables that repeat fx's and gy's first entries."""
     return first_bad_vertex(CLOSED_F3, [r + r[:1] for r in w.fx], w.gy + w.gy[:1]) is None
+
+
+def _domain_form(shape: GridShape, f: tuple, g: tuple) -> ToroidalOneForm:
+    """The fundamental-domain form of a toroidal walk's tables, whose last
+    f entries and last g column repeat the first ones: those dropped."""
+    return ToroidalOneForm.trusted(shape, tuple(col[:shape.n] for col in f), g[:-1])
 
 
 def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[ToroidalOneForm]:
@@ -128,10 +146,8 @@ def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[Tor
     forms times edge_count.
     """
     check_periods(shape)
-    m, n = shape.m, shape.n
-    guard_cost(3 ** (m * n + 1) * shape.edge_count, force)
-    return [ToroidalOneForm(shape=shape, fx=[r[:n] for r in f], gy=g[:m])
-            for f, g in state_tables(CLOSED_F3, shape, toroidal=True)]
+    guard_cost(3 ** (shape.m * shape.n + 1) * shape.edge_count, force)
+    return [_domain_form(shape, f, g) for f, g in state_tables(CLOSED_F3, shape, toroidal=True)]
 
 
 def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
@@ -152,8 +168,8 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
     r = (_INV3[m % 3] * sum(col[0] for col in w.fx)) % 3
     s = (_INV3[n % 3] * sum(w.gy[0])) % 3
     h = _potential([[x - r for x in col] for col in w.fx], [[y - s for y in col] for col in w.gy])
-    values = [col[:n] for col in h]
-    return CohomologyDecomposition(r=r, s=s, h=PeriodicField(shape=w.shape, values=values))
+    values = tuple(col[:n] for col in h)
+    return CohomologyDecomposition(r=r, s=s, h=PeriodicField.trusted(w.shape, values))
 
 
 def reconstruct(d: CohomologyDecomposition) -> ToroidalOneForm:
@@ -166,7 +182,7 @@ def reconstruct(d: CohomologyDecomposition) -> ToroidalOneForm:
     gy = tuple(
         tuple((d.s + dh.gy[i][j]) % 3 for j in range(n)) for i in range(m)
     )
-    return ToroidalOneForm(shape=d.h.shape, fx=fx, gy=gy)
+    return ToroidalOneForm.trusted(d.h.shape, fx, gy)
 
 
 def partial_images(h: PeriodicField) -> tuple:
@@ -213,20 +229,29 @@ def state_to_sparse(state: LatticeState) -> PeriodicField:
     return decompose(w).h
 
 
-def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[LatticeState]:
-    """All admissible six-vertex states with toroidal boundary conditions.
+def toroidal_state_tables(shape: GridShape, force: bool = False):
+    """The (f, g) tables of the admissible six-vertex states with toroidal
+    boundary conditions, by edge tuple.
 
     These are the rectangle states whose top f row repeats the bottom
-    one and whose right g column repeats the left one, listed by edge
-    tuple as transfer.state_tables walks them with each f column's ends
-    tied and the last g column closed on the first.  They are a subset
-    of the free states, so the guard charges the free state count times
-    edge_count.
+    one and whose right g column repeats the left one.  Checks the
+    periods and charges the guard when called, before any table is
+    built, then returns the iterator of transfer.state_tables, which
+    walks them with each f column's ends tied and the last g column
+    closed on the first.  The guard charges the toroidal state count,
+    from the transfer trace, times edge_count.
     """
     check_periods(shape)
-    guard_cost(count_states(SIX_VERTEX, shape, force=force) * shape.edge_count, force)
-    return [LatticeState(shape=shape, field=GF3, f=f, g=g)
-            for f, g in state_tables(SIX_VERTEX, shape, toroidal=True)]
+    guard_cost(count_states(SIX_VERTEX, shape, toroidal=True, force=force) * shape.edge_count,
+               force)
+    return state_tables(SIX_VERTEX, shape, toroidal=True)
+
+
+def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[LatticeState]:
+    """All admissible six-vertex states with toroidal boundary conditions,
+    in the order and under the guard of toroidal_state_tables."""
+    return [LatticeState.trusted(shape, GF3, f, g)
+            for f, g in toroidal_state_tables(shape, force)]
 
 
 def count_six_toroidal(shape: GridShape, force: bool = False) -> int:
@@ -271,15 +296,17 @@ def sparse_fibers(shape: GridShape, force: bool = False) -> list[FiberEntry]:
     Entries are sorted by the potential's value table.  Each entry also
     carries the admissible (r, s) shift choices for its potential; the
     fiber is exactly {r dx + s dy + dh} over those choices, so its size
-    is the product of the two choice counts.
+    is the product of the two choice counts.  The states come from
+    toroidal_state_tables, so each is admissible with toroidal boundary
+    and its form, the fundamental domain of its tables, needs no check.
     """
     groups: dict = {}
-    for state in enumerate_six_toroidal(shape, force=force):
-        h = state_to_sparse(state)
-        groups.setdefault(h.values, []).append(state)
+    for f, g in toroidal_state_tables(shape, force):
+        h = decompose(_domain_form(shape, f, g)).h
+        groups.setdefault(h.values, []).append(LatticeState.trusted(shape, GF3, f, g))
     entries = []
     for values in sorted(groups):
-        h = PeriodicField(shape=shape, values=values)
+        h = PeriodicField.trusted(shape, values)
         r_choices, s_choices = admissible_shifts(h)
         entries.append(
             FiberEntry(

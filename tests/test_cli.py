@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -141,6 +142,39 @@ def test_enumerate_six_with_boundary(capsys, tmp_path, values):
     assert rows == [st.edge_tuple() for st in want]
     code, doc = run_json(capsys, "count", "--m", "3", "--n", "3", "--boundary", str(bfile))
     assert code == 0 and doc == {"count": len(want)}
+
+
+@pytest.mark.parametrize("target,model", [
+    ("count_six", "six"), ("count_total", "eight"), ("count_six_toroidal", "toroidal"),
+])
+def test_enumerate_checks_the_count_header_against_the_walk(monkeypatch, target, model):
+    # the header is printed before the walk runs; a walk that lists
+    # another number of states is an internal error, never exit 2
+    import vertexforms.cli as cli
+
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: 1)
+    with pytest.raises(RuntimeError, match="listed .* states, the sweep counted 1"):
+        main(["enumerate", "--model", model, "--m", "2", "--n", "2"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_writes_states_as_the_walk_yields_them(monkeypatch, fmt):
+    import vertexforms.cli as cli
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written = []  # output length as each table is yielded
+    real = cli.six_state_tables
+
+    def watched(*args, **kwargs):
+        for tables in real(*args, **kwargs):
+            written.append(len(out.getvalue()))
+            yield tables
+
+    monkeypatch.setattr(cli, "six_state_tables", watched)
+    assert main(["enumerate", "--m", "2", "--n", "2", "--format", fmt]) == 0
+    assert len(written) == 82
+    assert written[0] < written[-1] < len(out.getvalue())
 
 
 def test_enumerate_toroidal_rejects_boundary(capsys, tmp_path):

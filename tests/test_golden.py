@@ -1,4 +1,4 @@
-"""Golden CLI output: verify suites print what the fixtures recorded.
+"""Golden CLI output: verify suites and listings print what the fixtures recorded.
 
 Each case runs cli.main in-process and compares stdout, stderr and the
 exit code byte for byte with tests/fixtures/golden/<name>.out (and
@@ -13,6 +13,9 @@ from conftest import FIXTURES
 from vertexforms.cli import main
 
 GOLDEN = FIXTURES / "golden"
+SIX_3X3 = str(FIXTURES / "boundary_six_3x3.json")
+EVEN_3X3 = str(FIXTURES / "boundary_eight_3x3_even.json")
+ODD_3X3 = str(FIXTURES / "boundary_eight_3x3_odd.json")
 
 CASES = {
     "sparse_fibers_2x4": (["verify", "sparse-fibers", "--m", "2", "--n", "4"], 0),
@@ -26,6 +29,15 @@ CASES = {
     "poincare_4x4_samples20": (
         ["verify", "poincare", "--m", "4", "--n", "4", "--samples", "20"], 0),
     "defect_rank_3x2": (["verify", "defect-rank", "--m", "3", "--n", "2"], 0),
+    "enumerate_six_2x2": (["enumerate", "--m", "2", "--n", "2"], 0),
+    "enumerate_six_3x3_pinned_csv": (
+        ["enumerate", "--m", "3", "--n", "3", "--boundary", SIX_3X3, "--format", "csv"], 0),
+    "enumerate_eight_3x3_even": (
+        ["enumerate", "--model", "eight", "--m", "3", "--n", "3", "--boundary", EVEN_3X3], 0),
+    "enumerate_eight_3x3_odd": (
+        ["enumerate", "--model", "eight", "--m", "3", "--n", "3", "--boundary", ODD_3X3], 0),
+    "enumerate_toroidal_2x4_csv": (
+        ["enumerate", "--model", "toroidal", "--m", "2", "--n", "4", "--format", "csv"], 0),
 }
 
 

@@ -21,6 +21,8 @@ from vertexforms.grid import (
     serialize_state,
     vertex_index,
 )
+from vertexforms.forms_rect import Coloring, OneForm, ScalarField
+from vertexforms.toroidal import PeriodicField, ToroidalOneForm
 from conftest import load_state
 
 
@@ -209,3 +211,35 @@ def test_random_state_round_trips(m, n, data):
     assert deserialize_state(serialize_state(state)) == state
     b = boundary_of(state)
     assert deserialize_boundary(serialize_boundary(b)) == b
+
+
+# each value type's tables, name -> (rows, cols), on shape (m, n)
+TABLES = {
+    LatticeState: lambda m, n: {"f": (m, n + 1), "g": (m + 1, n)},
+    OneForm: lambda m, n: {"fx": (m, n + 1), "gy": (m + 1, n)},
+    ScalarField: lambda m, n: {"h": (m + 1, n + 1)},
+    Coloring: lambda m, n: {"cells": (m + 1, n + 1)},
+    ToroidalOneForm: lambda m, n: {"fx": (m, n), "gy": (m, n)},
+    PeriodicField: lambda m, n: {"values": (m, n)},
+}
+
+
+@pytest.mark.parametrize("cls", list(TABLES), ids=lambda cls: cls.__name__)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_trusted_construction_equals_validated(cls, data):
+    # periods prime to 3, which the toroidal types require
+    m = data.draw(st.sampled_from((2, 4, 5)))
+    n = data.draw(st.sampled_from((2, 4, 5)))
+    field = data.draw(st.sampled_from((GF2, GF3))) if cls is LatticeState else GF3
+    tables = {
+        name: data.draw(st.lists(st.lists(st.integers(0, field.p - 1), min_size=cols,
+                                          max_size=cols), min_size=rows, max_size=rows))
+        for name, (rows, cols) in TABLES[cls](m, n).items()
+    }
+    given_field = {"field": field} if cls is LatticeState else {}
+    validated = cls(shape=GridShape(m, n), **given_field, **tables)
+    trusted = cls.trusted(GridShape(m, n), *given_field.values(),
+                          *(tuple(map(tuple, t)) for t in tables.values()))
+    assert trusted == validated and hash(trusted) == hash(validated)
+    assert vars(trusted) == vars(validated)

@@ -350,8 +350,9 @@ def test_toroidal_listing_matches_reference(m, n):
 
 
 def test_enumeration_guard():
+    # charged the toroidal count times edge_count: 2^30 at (5, 7), 2^24 at (5, 5)
     with pytest.raises(SizeGuardError):
-        enumerate_six_toroidal(GridShape(5, 5))
+        enumerate_six_toroidal(GridShape(5, 7))
     with pytest.raises(SizeGuardError):
         enumerate_closed_toroidal(GridShape(5, 5))
 

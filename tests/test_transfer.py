@@ -352,6 +352,16 @@ def test_pinned_walk_work_follows_its_states(m, n):
         assert frames <= 2 * len(tables) * shape.edge_count
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (4, 2), (4, 4)])
+def test_toroidal_walk_work_follows_its_states(m, n):
+    # enumerate_six_toroidal charges the toroidal count times edge_count,
+    # not the free count it charged before (193662 states at 4x4 for 2970)
+    shape = GridShape(m, n)
+    tables, frames = walk_frames(SIX_VERTEX, shape, toroidal=True)
+    assert len(tables) == count_six_toroidal(shape)
+    assert frames <= 2 * len(tables) * shape.edge_count
+
+
 def test_state_tables_refuse_a_toroidal_boundary():
     shape = GridShape(2, 2)
     with pytest.raises(ValueError, match="toroidal"):
