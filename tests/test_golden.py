@@ -1,4 +1,5 @@
-"""Golden CLI output: verify suites and listings print what the fixtures recorded.
+"""Golden CLI output: verify suites, listings and the ybe commands print
+what the fixtures recorded.
 
 Each case runs cli.main in-process and compares stdout, stderr and the
 exit code byte for byte with tests/fixtures/golden/<name>.out (and
@@ -16,6 +17,13 @@ GOLDEN = FIXTURES / "golden"
 SIX_3X3 = str(FIXTURES / "boundary_six_3x3.json")
 EVEN_3X3 = str(FIXTURES / "boundary_eight_3x3_even.json")
 ODD_3X3 = str(FIXTURES / "boundary_eight_3x3_odd.json")
+
+
+def weights(triple, parties):
+    """--r/--s/--t arguments naming tests/fixtures/weights_<triple>_<party>.json."""
+    return [arg for party in parties
+            for arg in (f"--{party}", str(FIXTURES / f"weights_{triple}_{party}.json"))]
+
 
 CASES = {
     "sparse_fibers_2x4": (["verify", "sparse-fibers", "--m", "2", "--n", "4"], 0),
@@ -38,6 +46,18 @@ CASES = {
         ["enumerate", "--model", "eight", "--m", "3", "--n", "3", "--boundary", ODD_3X3], 0),
     "enumerate_toroidal_2x4_csv": (
         ["enumerate", "--model", "toroidal", "--m", "2", "--n", "4", "--format", "csv"], 0),
+    "ybe_check_solvable": (["ybe", "check", *weights("solvable", "rst")], 0),
+    "ybe_residuals_solvable": (["ybe", "residuals", *weights("solvable", "rst")], 0),
+    "ybe_residuals_solvable_csv": (
+        ["ybe", "residuals", *weights("solvable", "rst"), "--format", "csv"], 0),
+    "ybe_conditions_solvable": (["ybe", "conditions", *weights("solvable", "st")], 0),
+    "ybe_solve_solvable": (["ybe", "solve", *weights("solvable", "st")], 0),
+    "ybe_check_generic": (["ybe", "check", *weights("generic", "rst")], 1),
+    "ybe_residuals_generic": (["ybe", "residuals", *weights("generic", "rst")], 0),
+    "ybe_residuals_generic_csv": (
+        ["ybe", "residuals", *weights("generic", "rst"), "--format", "csv"], 0),
+    "ybe_conditions_generic": (["ybe", "conditions", *weights("generic", "st")], 1),
+    "ybe_solve_generic": (["ybe", "solve", *weights("generic", "st")], 1),
 }
 
 
