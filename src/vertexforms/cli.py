@@ -164,7 +164,6 @@ def cmd_count(args) -> int:
     if args.model == "toroidal":
         if args.boundary is not None:
             raise CLIError("toroidal counting does not take a boundary file")
-        _check_periods(shape)
         _emit({"count": count_six_toroidal(shape, force=args.force)})
         return 0
     if args.check_colorings:
@@ -223,7 +222,6 @@ def cmd_enumerate(args) -> int:
     if args.model == "toroidal":
         if args.boundary is not None:
             raise CLIError("toroidal enumeration does not take a boundary file")
-        _check_periods(shape)
         field, tables = GF3, toroidal_state_tables(shape, force=args.force)
         count = lambda: count_six_toroidal(shape, force=args.force)
     else:

@@ -250,6 +250,21 @@ def check_boundary(boundary: BoundarySpec | None, shape: GridShape, field: Prime
         raise ValueError(f"boundary is over {boundary.field.name}, not {field.name}")
 
 
+def _parse_object(text: str, where: str, error: type) -> dict:
+    """The JSON object in text; error for anything else, for invalid
+    JSON and for an integer too long for int (json.loads raises a bare
+    ValueError past sys.get_int_max_str_digits() digits)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"{where}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except ValueError as e:
+        raise error(f"{where}: {e}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{where}: top level must be a JSON object")
+    return doc
+
+
 def _parse_field(doc: dict, where: str) -> PrimeField:
     name = doc.get("field")
     if name not in _FIELD_NAMES:
@@ -290,12 +305,7 @@ def serialize_state(state: LatticeState) -> str:
 
 def deserialize_state(text: str) -> LatticeState:
     """Parse a state document; raises StateFormatError with diagnostics."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise StateFormatError(f"state document: invalid JSON at line {e.lineno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise StateFormatError("state document: top level must be a JSON object")
+    doc = _parse_object(text, "state document", StateFormatError)
     shape = _parse_shape(doc, "state document")
     field = _parse_field(doc, "state document")
     for key in ("f", "g"):
@@ -325,14 +335,7 @@ def serialize_boundary(b: BoundarySpec) -> str:
 
 def deserialize_boundary(text: str) -> BoundarySpec:
     """Parse a boundary document; raises StateFormatError with diagnostics."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise StateFormatError(
-            f"boundary document: invalid JSON at line {e.lineno}: {e.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise StateFormatError("boundary document: top level must be a JSON object")
+    doc = _parse_object(text, "boundary document", StateFormatError)
     shape = _parse_shape(doc, "boundary document")
     field = _parse_field(doc, "boundary document")
     sides = {}

@@ -5,7 +5,9 @@ stored on the fundamental domain [1, m] x [1, n] and looked up anywhere
 through index reduction.  The decomposition machinery requires that
 neither period is divisible by 3; without that, dx or dy becomes exact
 and the decomposition below loses both existence and uniqueness, so the
-types reject such shapes outright.
+types, decompose and everything built on it reject such shapes
+outright.  Counting and listing the toroidal six-vertex states divide
+by nothing and take any periods.
 
 Every closed toroidal 1-form w then splits uniquely as
 
@@ -160,8 +162,10 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
 
         h[i][j] = sum_{a<i} (fx[a][1] - r) + sum_{b<j} (gy[i][b] - s).
 
-    The divisions are exact because the periods are prime to 3.
+    The divisions are exact because the periods are prime to 3, which
+    is checked again here: a trusted form skips the type's check.
     """
+    check_periods(w.shape)
     if not is_closed_toroidal(w):
         raise ValueError("decompose requires a closed toroidal form")
     m, n = w.shape.m, w.shape.n
@@ -239,9 +243,9 @@ def toroidal_state_tables(shape: GridShape, force: bool = False):
     built, then returns the iterator of transfer.state_tables, which
     walks them with each f column's ends tied and the last g column
     closed on the first.  The guard charges the toroidal state count,
-    from the transfer trace, times edge_count.
+    from the transfer trace, times edge_count.  Any periods are taken:
+    the walk divides by nothing.
     """
-    check_periods(shape)
     guard_cost(count_states(SIX_VERTEX, shape, toroidal=True, force=force) * shape.edge_count,
                force)
     return state_tables(SIX_VERTEX, shape, toroidal=True)
@@ -257,10 +261,9 @@ def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[Lattic
 def count_six_toroidal(shape: GridShape, force: bool = False) -> int:
     """Number of admissible toroidal six-vertex states, by the transfer trace.
 
-    Same period check as enumerate_six_toroidal, which lists the same
-    states by the column walk; the trace charges the guard its own work.
+    enumerate_six_toroidal lists the same states by the column walk.
+    Any periods are taken, and the trace charges the guard its own work.
     """
-    check_periods(shape)
     return count_states(SIX_VERTEX, shape, toroidal=True, force=force)
 
 
@@ -299,7 +302,9 @@ def sparse_fibers(shape: GridShape, force: bool = False) -> list[FiberEntry]:
     is the product of the two choice counts.  The states come from
     toroidal_state_tables, so each is admissible with toroidal boundary
     and its form, the fundamental domain of its tables, needs no check.
+    Periods divisible by 3 are refused before the walk starts.
     """
+    check_periods(shape)
     groups: dict = {}
     for f, g in toroidal_state_tables(shape, force):
         h = decompose(_domain_form(shape, f, g)).h

@@ -25,8 +25,9 @@ Boundaries:
 * toroidal - the trace: the sum over bottom rows s0 of the sweeps that
   start at s0 and end at s0, with each row closed on itself.
 
-Rational weights are scaled by the lcm L of their denominators, the
-sweep runs in integers, and the total is divided by L^(mn) once.
+Rational weights are scaled by the lcm L of their denominators
+(lcm_scaled, which yangbaxter's star-triangle sums use too), the sweep
+runs in integers, and the total is divided by L^(mn) once.
 
 CLOSED_F3 is the closedness D_y fx = D_x gy of an F3 1-form at one
 vertex, right = left + top - bottom; its {0, 1} patterns are
@@ -159,10 +160,17 @@ def weighted_sum(weights: dict, shape: GridShape, boundary: BoundarySpec | None 
     weights maps patterns to ints or Fractions; zero and negative
     weights are allowed.
     """
-    scale = lcm(*(Fraction(w).denominator for w in weights.values()))
-    table = {p: int(Fraction(w) * scale) for p, w in weights.items()}
-    total = _integer_sum(table, shape, boundary, toroidal, force)
+    integers, scale = lcm_scaled(weights.values())
+    total = _integer_sum(dict(zip(weights, integers)), shape, boundary, toroidal, force)
     return Fraction(total, scale ** shape.vertex_count)
+
+
+def lcm_scaled(values) -> tuple:
+    """(integers, L): the ints or Fractions in values times the lcm L of
+    their denominators, so that integers[k] / L == values[k]."""
+    values = tuple(values)
+    scale = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
 
 
 def _bits(values) -> int:

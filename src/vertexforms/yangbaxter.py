@@ -18,6 +18,10 @@ as_vector()); 32 rows vanish identically and the others keep 2 or 4
 monomials.  star_triangle_residuals and commutator_vanishes evaluate
 it, residuals28 reads each equation off one row up to sign
 (RESIDUALS28_ROWS), and solve_R reads its linear system in R from it.
+The table is evaluated in integers, the way the transfer sweep sums:
+each of r, s and t is scaled once by the lcm of its denominators
+(transfer.lcm_scaled), every row sums its monomials as ints, and a
+residual is one division by the product of the three lcms.
 The paper's definitions stay as the oracles the tests check the table
 against: embed and yb_commutator (the 8x8 commutator) and the 64-term
 star_triangle_residual.
@@ -34,13 +38,14 @@ All arithmetic is exact; weights are Fractions and floats are refused.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .algebra import GF2, GF3, QQ, FieldMatrix, mat_sub, matmul, nullspace_basis
-from .grid import BoundarySpec, GridShape, check_boundary, guard_cost
-from .transfer import EIGHT_VERTEX, PATTERNS, SIX_VERTEX, weighted_sum
+from .grid import BoundarySpec, GridShape, _parse_object, check_boundary, guard_cost
+from .transfer import EIGHT_VERTEX, PATTERNS, SIX_VERTEX, lcm_scaled, weighted_sum
 
 WEIGHT_KEYS = ("a1", "a-1", "b1", "b-1", "c1", "c-1", "d1", "d-1")
 
@@ -58,6 +63,10 @@ class WeightFormatError(ValueError):
 
 class WeightConditionError(ValueError):
     """Raised when weights break a precondition of the computation asked for."""
+
+
+# the one weight string deserialize_weights reads: an integer or p/q
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _exact(x) -> Fraction:
@@ -121,21 +130,19 @@ def serialize_weights(w: VertexWeights) -> str:
 
 
 def deserialize_weights(text: str) -> VertexWeights:
-    """Parse a weights document; accepts ints or "p/q" strings per entry."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise WeightFormatError(f"weights document: invalid JSON at line {e.lineno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise WeightFormatError("weights document: top level must be a JSON object")
+    """Parse a weights document; accepts JSON integers (not true/false) or
+    strings of an integer or "p/q", digits only, per entry."""
+    doc = _parse_object(text, "weights document", WeightFormatError)
     values = {}
     for key in WEIGHT_KEYS:
         if key not in doc:
             raise WeightFormatError(f"weights document: missing required key {key!r}")
         raw = doc[key]
         try:
-            values[_KEY_TO_ATTR[key]] = _exact(raw)
-        except (TypeError, ValueError, ZeroDivisionError):
+            if type(raw) is not int and not (isinstance(raw, str) and _RATIONAL.fullmatch(raw)):
+                raise ValueError(raw)
+            values[_KEY_TO_ATTR[key]] = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
             raise WeightFormatError(
                 f"weights document: {key!r} must be an integer or 'p/q' string, got {raw!r}"
             ) from None
@@ -305,8 +312,15 @@ def _star_triangle_table() -> tuple:
 STAR_TRIANGLE_TABLE = _star_triangle_table()
 
 
-def _evaluate(row: tuple, rv: tuple, sv: tuple, tv: tuple) -> Fraction:
-    return sum((c * rv[i] * sv[j] * tv[k] for c, i, j, k in row), Fraction(0))
+def _scaled(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> tuple:
+    """The integer vectors of r, s and t (lcm_scaled) and the product of
+    their three lcms, by which every integer row value is divided."""
+    (rv, lr), (sv, ls), (tv, lt) = (lcm_scaled(w.as_vector()) for w in (r, s, t))
+    return rv, sv, tv, lr * ls * lt
+
+
+def _row_value(row: tuple, rv: tuple, sv: tuple, tv: tuple) -> int:
+    return sum(c * rv[i] * sv[j] * tv[k] for c, i, j, k in row)
 
 
 def star_triangle_residuals(r: VertexWeights, s: VertexWeights,
@@ -319,14 +333,14 @@ def star_triangle_residuals(r: VertexWeights, s: VertexWeights,
     theta, rho, alpha) is minus the commutator entry in row (theta, rho,
     alpha), column (sigma, tau, beta).
     """
-    vectors = r.as_vector(), s.as_vector(), t.as_vector()
-    return tuple(_evaluate(row, *vectors) for row in STAR_TRIANGLE_TABLE)
+    rv, sv, tv, scale = _scaled(r, s, t)
+    return tuple(Fraction(_row_value(row, rv, sv, tv), scale) for row in STAR_TRIANGLE_TABLE)
 
 
 def commutator_vanishes(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> bool:
     """Whether (r, s, t) solves the Yang-Baxter equation: every residual is zero."""
-    vectors = r.as_vector(), s.as_vector(), t.as_vector()
-    return not any(_evaluate(row, *vectors) for row in STAR_TRIANGLE_TABLE)
+    rv, sv, tv, _ = _scaled(r, s, t)
+    return not any(_row_value(row, rv, sv, tv) for row in STAR_TRIANGLE_TABLE)
 
 
 _EQ_TEXT = {
@@ -370,8 +384,8 @@ def residuals28(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> tuple:
     are these 28 and the negatives of eq7-eq10, so the joint vanishing
     of all 28 is equivalent to the vanishing of the commutator.
     """
-    vectors = r.as_vector(), s.as_vector(), t.as_vector()
-    return tuple(sign * _evaluate(STAR_TRIANGLE_TABLE[e], *vectors)
+    rv, sv, tv, scale = _scaled(r, s, t)
+    return tuple(Fraction(sign * _row_value(STAR_TRIANGLE_TABLE[e], rv, sv, tv), scale)
                  for e, sign in RESIDUALS28_ROWS)
 
 
@@ -529,20 +543,22 @@ def _linear_system_in_r(s: VertexWeights, t: VertexWeights) -> FieldMatrix:
     """STAR_TRIANGLE_TABLE as linear equations in R's eight weights.
 
     The coefficient of r[i] in a row is the signed sum of s[j] t[k] over
-    its monomials.  Zero rows and repeats up to sign are dropped: the
-    solution space, and the canonical rref it is read from, depend only
-    on the row space.
+    its monomials, in integers: s and t are scaled by the lcms Ls and Lt
+    of their denominators, so every row is the true one times the same
+    positive Ls Lt.  That, and dropping zero rows and repeats up to
+    sign, leaves the row space alone, and with it the solution space
+    and the canonical rref it is read from.
     """
-    sv, tv = s.as_vector(), t.as_vector()
+    (sv, _), (tv, _) = lcm_scaled(s.as_vector()), lcm_scaled(t.as_vector())
     rows = {}
     for row in STAR_TRIANGLE_TABLE:
-        coeffs = [Fraction(0)] * 8
+        coeffs = [0] * 8
         for c, i, j, k in row:
             coeffs[i] += c * sv[j] * tv[k]
         lead = next((x for x in coeffs if x), 0)
         if lead:
             rows.setdefault(tuple(-x for x in coeffs) if lead < 0 else tuple(coeffs))
-    return FieldMatrix(QQ, len(rows), 8, tuple(x for row in rows for x in row))
+    return FieldMatrix(QQ, len(rows), 8, tuple(Fraction(x) for row in rows for x in row))
 
 
 def solve_R(s: VertexWeights, t: VertexWeights, scan_range: int = 2) -> SolveReport:

@@ -7,11 +7,14 @@ a diagonal twist that breaks the c/d symmetries without breaking the
 equation.  Tests use these as positive instances; random weights from
 random_weights are the generic negative instances.
 
-Also here is affine_span, the kernel-walk oracle that the closed-form and
-eight-vertex listings are checked against (tests in test_affine_span.py).
+Also here are affine_span, the kernel-walk oracle that the closed-form and
+eight-vertex listings are checked against (tests in test_affine_span.py),
+and toroidal_six_states, the row-by-row oracle for the toroidal count and
+listing.
 """
 
 from fractions import Fraction
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -152,3 +155,34 @@ def affine_span(field: PrimeField, base: Sequence[int], basis: list) -> Iterator
             yield from walk(level + 1, combine(field, vec, (c,), (row,)))
 
     return walk(0, vec)
+
+
+def toroidal_six_states(m: int, n: int) -> list:
+    """Edge tuples of every admissible six-vertex state on the (m, n) torus,
+    sorted: f columns, each repeating its bottom value on top, then g
+    columns, the last repeating the first.
+
+    Built a row of vertices at a time: over the f bits below a row it
+    tries all 2^m horizontal labelings of the row (closed on itself), and
+    a vertex keeps its top bit t = right + bottom - left only when t is 0
+    or 1, which is left + top = right + bottom on bits.  A state is kept
+    when its top f row comes back to its bottom one.
+    """
+    states = []
+
+    def climb(f_rows, g_rows):
+        if len(g_rows) == n:
+            if f_rows[-1] == f_rows[0]:
+                f = (tuple(row[i] for row in f_rows) for i in range(m))
+                g = (tuple(row[i % m] for row in g_rows) for i in range(m + 1))
+                states.append(tuple(chain(*f, *g)))
+            return
+        below = f_rows[-1]
+        for h in product((0, 1), repeat=m):
+            top = tuple(h[(i + 1) % m] + below[i] - h[i] for i in range(m))
+            if all(x in (0, 1) for x in top):
+                climb(f_rows + [top], g_rows + [h])
+
+    for bottom in product((0, 1), repeat=m):
+        climb([bottom], [])
+    return sorted(states)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURES, solvable_triple
+from conftest import FIXTURES, solvable_triple, toroidal_six_states
 from vertexforms.algebra import GF2, GF3
 from vertexforms.cli import main
 from vertexforms.forms_rect import enumerate_six
@@ -561,10 +561,52 @@ def test_boolean_weight_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and "'a1'" in err
 
 
+@pytest.mark.parametrize("raw", ["1e3", "0.5", " 2 ", "1_000"])
+def test_weight_outside_the_documented_forms_exits_2(capsys, tmp_path, raw):
+    doc = json.loads(serialize_weights(VertexWeights(1, 1, 1, 1, 1, 1, 0, 0)))
+    doc["a1"] = raw
+    f = write_json(tmp_path, "w.json", doc)
+    code, out, err = run(capsys, "partition", "--m", "2", "--n", "2", "--weights", f)
+    assert code == 2 and out == "" and f"'a1' must be an integer or 'p/q' string, got {raw!r}" in err
+
+
+def test_integer_too_long_for_int_exits_2(capsys, tmp_path):
+    huge = "1" * 5000
+    w = tmp_path / "w.json"
+    w.write_text(serialize_weights(VertexWeights(1, 1, 1, 1, 1, 1, 0, 0)).replace('"1"', huge, 1))
+    state = tmp_path / "s.json"
+    state.write_text(f'{{"m": {huge}, "n": 2, "field": "F3", "f": [], "g": []}}')
+    boundary = tmp_path / "b.json"
+    boundary.write_text(f'{{"m": 2, "n": 2, "field": "F3", "f_bottom": [{huge}]}}')
+    for argv, where in (
+        (["partition", "--m", "2", "--n", "2", "--weights", str(w)], "weights"),
+        (["verify", "state", "--in", str(state)], "state"),
+        (["count", "--m", "2", "--n", "2", "--boundary", str(boundary)], "boundary"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {where} document: ") and "4300" in err, argv
+
+
 @pytest.mark.parametrize("command", ["count", "enumerate"])
-def test_toroidal_period_refusal_exits_2(capsys, command):
-    code, out, err = run(capsys, command, "--model", "toroidal", "--m", "5", "--n", "3")
-    assert code == 2 and out == "" and "divisible by 3" in err
+def test_toroidal_5x3_takes_periods_divisible_by_3(capsys, command):
+    # only the cohomology decomposition divides by the periods; the
+    # trace and the walk run at (5, 3) and agree with the row oracle
+    states = toroidal_six_states(5, 3)
+    assert len(states) == 2116
+    argv = [command, "--model", "toroidal", "--m", "5", "--n", "3"]
+    if command == "count":
+        assert run_json(capsys, *argv) == (0, {"count": 2116})
+        return
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert [tuple(map(int, row.split(","))) for row in rows] == states
+
+
+def test_verify_sparse_fibers_refuses_5x3(capsys):
+    code, out, err = run(capsys, "verify", "sparse-fibers", "--m", "5", "--n", "3")
+    assert code == 2 and out == "" and "(5, 3)" in err and "divisible by 3" in err
 
 
 def test_verify_state_eight_with_value_two_exits_2(capsys, tmp_path):

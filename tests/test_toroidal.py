@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import affine_span
+from conftest import affine_span, toroidal_six_states
 from vertexforms.algebra import GF3, FieldMatrix, nullspace_basis
 from vertexforms.forms_rect import is_admissible_six
 from vertexforms.grid import GridShape, LatticeState, SizeGuardError
@@ -13,6 +13,7 @@ from vertexforms.toroidal import (
     PeriodicField,
     ToroidalOneForm,
     admissible_shifts,
+    count_six_toroidal,
     decompose,
     enumerate_closed_toroidal,
     enumerate_six_toroidal,
@@ -82,10 +83,23 @@ def test_periods_divisible_by_three_rejected(shape):
             fx=tuple((0,) * n for _ in range(m)),
             gy=tuple((0,) * n for _ in range(m)),
         )
-    with pytest.raises(ValueError):
-        enumerate_six_toroidal(s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="divisible"):
+        decompose(ToroidalOneForm.trusted(
+            s, tuple((0,) * n for _ in range(m)), tuple((0,) * n for _ in range(m))))
+    with pytest.raises(ValueError, match="divisible"):
+        enumerate_closed_toroidal(s)
+    with pytest.raises(ValueError, match="divisible"):
         sparse_fibers(s)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 3), (5, 3), (6, 2), (2, 6)])
+def test_toroidal_states_take_periods_divisible_by_three(shape):
+    # the trace and the walk divide by nothing, so only the decomposition
+    # refuses these periods
+    s = GridShape(*shape)
+    states = toroidal_six_states(*shape)
+    assert count_six_toroidal(s) == len(states)
+    assert [state.edge_tuple() for state in enumerate_six_toroidal(s)] == states
 
 
 def test_derivative_of_constant_vanishes():

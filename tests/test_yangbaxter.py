@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -98,6 +99,36 @@ def test_serialization_round_trip():
 def test_serialization_diagnostics(text, fragment):
     with pytest.raises(WeightFormatError, match=fragment):
         deserialize_weights(text)
+
+
+def weights_text(a1):
+    """A weights document whose a1 entry is a1, the others 1."""
+    doc = dict.fromkeys(WEIGHT_KEYS, 1)
+    doc["a1"] = a1
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("raw", [
+    "1e3", "0.5", " 2 ", "1_000", "1e1000000000", "2\n", "1/-2", "+-1", "1/", "/2", "",
+    "\u0663", "\u00bd", "1/0", True, False, 1.0, 1e300, None, [1], {"p": 1},
+])
+def test_weights_are_integers_or_p_over_q_strings(raw):
+    with pytest.raises(WeightFormatError,
+                       match="^weights document: 'a1' must be an integer or 'p/q' string"):
+        deserialize_weights(weights_text(raw))
+
+
+@pytest.mark.parametrize("raw,value", [
+    (5, 5), (-5, -5), (0, 0), ("7", 7), ("-3/4", Fraction(-3, 4)), ("+2/6", Fraction(1, 3)),
+    ("007/010", Fraction(7, 10)), ("-0", 0), (10 ** 40, 10 ** 40),
+])
+def test_weights_read_every_documented_form(raw, value):
+    assert deserialize_weights(weights_text(raw)).a1 == value
+
+
+def test_weights_with_an_integer_too_long_for_int_are_a_format_error():
+    with pytest.raises(WeightFormatError, match="^weights document: .*4300"):
+        deserialize_weights(weights_text(1).replace('"a1": 1', '"a1": ' + "1" * 5000))
 
 
 def test_matrix_layout():
@@ -331,6 +362,17 @@ def table_coefficients(row):
     return out
 
 
+def evaluate(row, rv, sv, tv):
+    """One STAR_TRIANGLE_TABLE row in Fraction arithmetic, monomial by monomial."""
+    return sum((c * rv[i] * sv[j] * tv[k] for c, i, j, k in row), Fraction(0))
+
+
+def fraction_residuals(r, s, t):
+    """The 64 residuals as the table gives them with no integer scaling."""
+    vectors = r.as_vector(), s.as_vector(), t.as_vector()
+    return tuple(evaluate(row, *vectors) for row in STAR_TRIANGLE_TABLE)
+
+
 def old_solution_basis(s, t):
     """solve_R's basis from the full 64-equation commutator system."""
     columns = [yb_commutator(unit, s, t).entries for unit in UNITS]
@@ -411,6 +453,54 @@ def test_solve_basis_matches_the_commutator_system(s, t):
 @given(triples)
 def test_solve_basis_matches_the_commutator_system_random(triple):
     _, s, t = triple
+    assert solve_R(s, t, scan_range=0).basis == old_solution_basis(s, t)
+
+
+# weights far from the small rationals above: denominators up to 10^12,
+# numerators up to 10^15, so the lcms and integer row sums run to
+# hundreds of bits
+big_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10 ** 15, 10 ** 15).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15), st.integers(1, 10 ** 12)),
+)
+big_nonzero = big_rationals.filter(bool)
+big_weights = st.tuples(*[big_rationals] * 8).map(weights_from_vector)
+
+
+def rescaled(w, factor, bump=Fraction(0)):
+    """w times factor, with bump added to its a1 weight."""
+    return weights_from_vector(tuple(factor * x + (bump if k == 0 else 0)
+                                     for k, x in enumerate(w.as_vector())))
+
+
+# a solvable triple, each party rescaled by a big rational (the commutator
+# is linear in each, so it still vanishes), R's a1 then moved by a tiny
+# bump or by nothing
+big_solvable = st.builds(
+    lambda triple, fr, fs, ft, bump: (rescaled(triple[0], fr, bump),
+                                      rescaled(triple[1], fs), rescaled(triple[2], ft)),
+    solvable, big_nonzero, big_nonzero, big_nonzero,
+    st.sampled_from((Fraction(0), Fraction(1, 10 ** 12), Fraction(-7, 10 ** 11))),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.tuples(big_weights, big_weights, big_weights), big_solvable))
+def test_integer_evaluation_is_exact_at_scale(triple):
+    r, s, t = triple
+    residuals = star_triangle_residuals(r, s, t)
+    assert all(type(x) is Fraction for x in residuals)
+    assert residuals == fraction_residuals(r, s, t)
+    assert residuals == commutator_residuals(r, s, t)
+    r28 = residuals28(r, s, t)
+    assert all(type(x) is Fraction for x in r28)
+    assert r28 == tuple(sign * evaluate(STAR_TRIANGLE_TABLE[e], r.as_vector(),
+                                        s.as_vector(), t.as_vector())
+                        for e, sign in RESIDUALS28_ROWS)
+    vanishes = commutator_vanishes(r, s, t)
+    assert vanishes == (not any(fraction_residuals(r, s, t)))
+    assert vanishes == yb_commutator(r, s, t).is_zero()
     assert solve_R(s, t, scan_range=0).basis == old_solution_basis(s, t)
 
 
