@@ -92,6 +92,12 @@ def test_periods_divisible_by_three_rejected(shape):
         sparse_fibers(s)
 
 
+def test_sparse_fibers_refuses_the_periods_before_the_walk():
+    # at (9, 6) the walk's guard would refuse first: the trace is charged 2^27
+    with pytest.raises(ValueError, match=r"\(9, 6\).*divisible"):
+        sparse_fibers(GridShape(9, 6))
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 3), (5, 3), (6, 2), (2, 6)])
 def test_toroidal_states_take_periods_divisible_by_three(shape):
     # the trace and the walk divide by nothing, so only the decomposition
