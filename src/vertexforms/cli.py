@@ -16,7 +16,6 @@ import functools
 import json
 import random
 import sys
-from itertools import chain
 
 from .algebra import GF2, GF3, rank
 from .eightvertex import (
@@ -30,10 +29,10 @@ from .eightvertex import (
 from .forms_rect import (
     OneForm,
     antiderivative,
+    closed_form_tables,
     count_colorings,
     count_six,
     coloring_from_form,
-    enumerate_closed,
     exterior_derivative,
     form_from_coloring,
     is_admissible_six,
@@ -55,10 +54,11 @@ from .grid import (
 from .toroidal import (
     CohomologyDecomposition,
     PeriodicField,
+    ToroidalOneForm,
     check_periods,
+    closed_toroidal_tables,
     count_six_toroidal,
     decompose,
-    enumerate_closed_toroidal,
     reconstruct,
     sparse_fibers,
     toroidal_state_tables,
@@ -187,32 +187,58 @@ def cmd_count(args) -> int:
 # -- enumerate --------------------------------------------------------
 
 
+class _ColumnTexts(dict):
+    """Column tuple -> its text, each built once by text_of on first use:
+    a walk's tables share few distinct columns."""
+
+    def __init__(self, text_of):
+        super().__init__()
+        self.text_of = text_of
+
+    def __missing__(self, column):
+        text = self[column] = self.text_of(column)
+        return text
+
+
 def _emit_listing(shape: GridShape, field, count: int, tables) -> None:
     """Print {"count": count, "states": [...]} as _emit would, one state
     at a time, as the walk yields its (f, g) tables.
 
     The state template comes from json.dumps of a one-state listing
-    whose edge values are null, so its layout is json.dumps' own; its
-    %d slots are the f then the g values, as the sorted keys put them.
+    whose columns are null, so its layout is json.dumps' own; its %s
+    slots are the f then the g columns, as the sorted keys put them,
+    and a column's text is json.dumps' at the slot's indent.
     Raises RuntimeError when the walk yields other than count states.
     """
-    m, n = shape.m, shape.n
-    doc = {"m": m, "n": n, "field": field.name,
-           "f": [[None] * (n + 1)] * m, "g": [[None] * n] * (m + 1)}
+    m = shape.m
+    doc = {"m": m, "n": shape.n, "field": field.name, "f": [None] * m, "g": [None] * (m + 1)}
     text = json.dumps({"count": count, "states": [doc]}, indent=2, sort_keys=True)
     head, text = text.split("[", 1)  # "count" sorts first, so this [ opens "states"
     state, tail = text.rsplit("]", 1)
     state, indent = state.rsplit("\n", 1)  # indent: the line of the closing ]
-    template = state.replace("null", "%d")
+    slot = "\n" + state.split("null", 1)[0].rsplit("\n", 1)[1]  # a column's line start
+    template = state.replace("null", "%s")
+    column = _ColumnTexts(lambda c: json.dumps(c, indent=2).replace("\n", slot)).__getitem__
     write = sys.stdout.write
     write(head + "[")
     emitted, sep = 0, ""
     for f, g in tables:
-        write(sep + template % tuple(chain.from_iterable(f + g)))
+        write(sep + template % tuple(map(column, f + g)))
         emitted, sep = emitted + 1, ","
     if emitted != count:
         raise RuntimeError(f"the walk listed {emitted} states, the sweep counted {count}")
     write(("\n" + indent if emitted else "") + "]" + tail + "\n")
+
+
+def _emit_csv_listing(shape: GridShape, tables) -> None:
+    """Print the edge header and one row per (f, g) table as _emit_csv
+    would: csv.writer quotes no integer and ends a line with \r\n, so
+    a row is its columns' comma-joined texts."""
+    _emit_csv(_edge_headers(shape), ())
+    column = _ColumnTexts(lambda c: ",".join(map(str, c))).__getitem__
+    write = sys.stdout.write
+    for f, g in tables:
+        write(",".join(map(column, f + g)) + "\r\n")
 
 
 def cmd_enumerate(args) -> int:
@@ -238,7 +264,7 @@ def cmd_enumerate(args) -> int:
             tables = six_state_tables(shape, boundary, force=args.force)
             count = lambda: count_six(shape, force=args.force, boundary=boundary)
     if args.format == "csv":
-        _emit_csv(_edge_headers(shape), (chain.from_iterable(f + g) for f, g in tables))
+        _emit_csv_listing(shape, tables)
     else:
         _emit_listing(shape, field, count(), tables)
     return 0
@@ -253,7 +279,8 @@ def _verify_poincare(args) -> tuple:
     basis_bits = 2 * (shape.m * shape.n + shape.m + shape.n)
     exhaustive = args.force or basis_bits <= SIZE_GUARD_BITS
     if exhaustive:
-        forms = enumerate_closed(shape, force=args.force)
+        forms = (OneForm.trusted(shape, f, g)
+                 for f, g in closed_form_tables(shape, force=args.force))
         mode = "exhaustive"
     else:
         forms = random_closed_forms(shape, rng, args.samples)
@@ -308,7 +335,8 @@ def _verify_cohomology(args) -> tuple:
     checked = 0
     if exhaustive:
         mode = "exhaustive"
-        for w in enumerate_closed_toroidal(shape, force=args.force):
+        for fx, gy in closed_toroidal_tables(shape, force=args.force):
+            w = ToroidalOneForm.trusted(shape, fx, gy)
             dec = decompose(w)
             w2 = reconstruct(dec)
             if (w2.fx, w2.gy) != (w.fx, w.gy) or dec.h.at(1, 1) != 0:

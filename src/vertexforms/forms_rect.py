@@ -183,16 +183,23 @@ def _form_from_vector(shape: GridShape, vec: Sequence[int]) -> OneForm:
     return OneForm.trusted(shape, fx, gy)
 
 
-def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
-    """All closed 1-forms on the shape, sorted by (fx, gy).
+def closed_form_tables(shape: GridShape, force: bool = False):
+    """The (fx, gy) tables of all closed 1-forms on the shape, in (fx, gy)
+    order.
 
-    transfer.state_tables walks CLOSED_F3 and lists all 3^(mn + m + n)
-    in edge_tuple order, which is (fx, gy) order.  The guard charges
-    forms times edge_count.
+    Charges the guard, forms times edge_count, when called, before any
+    table is built, then returns the iterator of transfer.state_tables,
+    which walks CLOSED_F3 and lists all 3^(mn + m + n) in edge_tuple
+    order, which is (fx, gy) order.
     """
-    m, n = shape.m, shape.n
-    guard_cost(3 ** (m * n + m + n) * shape.edge_count, force)
-    return [OneForm.trusted(shape, f, g) for f, g in state_tables(CLOSED_F3, shape)]
+    guard_cost(3 ** (shape.m * shape.n + shape.m + shape.n) * shape.edge_count, force)
+    return state_tables(CLOSED_F3, shape)
+
+
+def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
+    """All closed 1-forms on the shape, in the order and under the guard
+    of closed_form_tables."""
+    return [OneForm.trusted(shape, f, g) for f, g in closed_form_tables(shape, force)]
 
 
 def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:

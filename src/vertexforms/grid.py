@@ -19,6 +19,7 @@ internal tuples are stored 0-based.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -258,8 +259,9 @@ def _parse_object(text: str, where: str, error: type) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise error(f"{where}: invalid JSON at line {e.lineno}: {e.msg}") from None
-    except ValueError as e:
-        raise error(f"{where}: {e}") from None
+    except ValueError:
+        raise error(f"{where}: an integer in it has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):
         raise error(f"{where}: top level must be a JSON object")
     return doc

@@ -133,23 +133,33 @@ def is_closed_toroidal(w: ToroidalOneForm) -> bool:
     return first_bad_vertex(CLOSED_F3, [r + r[:1] for r in w.fx], w.gy + w.gy[:1]) is None
 
 
-def _domain_form(shape: GridShape, f: tuple, g: tuple) -> ToroidalOneForm:
-    """The fundamental-domain form of a toroidal walk's tables, whose last
-    f entries and last g column repeat the first ones: those dropped."""
-    return ToroidalOneForm.trusted(shape, tuple(col[:shape.n] for col in f), g[:-1])
+def _domain_tables(n: int, f: tuple, g: tuple) -> tuple:
+    """The fundamental-domain (fx, gy) of a toroidal walk's tables, whose
+    last f entries and last g column repeat the first ones: those dropped."""
+    return tuple(col[:n] for col in f), g[:-1]
 
 
-def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[ToroidalOneForm]:
-    """All closed toroidal 1-forms, sorted by (fx, gy) as enumerate_closed lists them.
+def closed_toroidal_tables(shape: GridShape, force: bool = False):
+    """The fundamental-domain (fx, gy) tables of all closed toroidal
+    1-forms, in (fx, gy) order as closed_form_tables lists the rectangle's.
 
-    The toroidal walk of transfer.state_tables on CLOSED_F3, with the
-    repeated last f entries and g column dropped: they repeat earlier
-    ones, so the 3^(mn + 1) forms stay in order.  The guard charges
-    forms times edge_count.
+    Checks the periods and charges the guard, forms times edge_count,
+    when called, before any table is built, then returns an iterator
+    over the toroidal walk of transfer.state_tables on CLOSED_F3, with
+    the repeated last f entries and g column dropped: they repeat
+    earlier ones, so the 3^(mn + 1) forms stay in order.
     """
     check_periods(shape)
     guard_cost(3 ** (shape.m * shape.n + 1) * shape.edge_count, force)
-    return [_domain_form(shape, f, g) for f, g in state_tables(CLOSED_F3, shape, toroidal=True)]
+    return (_domain_tables(shape.n, f, g)
+            for f, g in state_tables(CLOSED_F3, shape, toroidal=True))
+
+
+def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[ToroidalOneForm]:
+    """All closed toroidal 1-forms, in the order and under the guard of
+    closed_toroidal_tables."""
+    return [ToroidalOneForm.trusted(shape, fx, gy)
+            for fx, gy in closed_toroidal_tables(shape, force)]
 
 
 def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
@@ -307,7 +317,7 @@ def sparse_fibers(shape: GridShape, force: bool = False) -> list[FiberEntry]:
     check_periods(shape)
     groups: dict = {}
     for f, g in toroidal_state_tables(shape, force):
-        h = decompose(_domain_form(shape, f, g)).h
+        h = decompose(ToroidalOneForm.trusted(shape, *_domain_tables(shape.n, f, g))).h
         groups.setdefault(h.values, []).append(LatticeState.trusted(shape, GF3, f, g))
     entries = []
     for values in sorted(groups):

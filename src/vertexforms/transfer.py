@@ -37,12 +37,14 @@ count_states call counts, or with CLOSED_F3 the closed forms, by a
 column walk.  In every table a vertex's (left, top, bottom) fix its
 right, so g column i + 1 follows from g column i and f column i, and a
 state is its f columns plus its first g column g0.  edge_tuple lists
-f column by column, then g with g0 first, so a walk that climbs each
-f column one vertex at a time, trying top values in order, and carries
-the live g0 values in order, each with its g columns so far, emits the
-states in edge_tuple order with no sort (Baxter 1982, ch. 8).  A
-pinned last g column is checked at each of its vertices, not after the
-last f column.
+f column by column, then g with g0 first, so a walk that steps a
+column at a time, visiting f columns in order and carrying the live g0
+values in order, each with its g columns so far, emits the states in
+edge_tuple order with no sort (Baxter 1982, ch. 8).  The f columns
+that can follow a g column are found once per walk, by a climb up the
+column one vertex at a time, and kept in a dict that lives for that
+walk only.  A pinned or toroidal last g column is checked at each of
+its vertices, not after the last f column.
 
 The three tables are frozensets, so first_bad_vertex uses them as they
 are.  Nothing reads their order: the sweep sums exact integers, the
@@ -101,56 +103,76 @@ def state_tables(patterns, shape: GridShape, boundary: BoundarySpec | None = Non
     """Yield the (f, g) tables of count_states' labelings, in edge_tuple order.
 
     f is m columns of n + 1 values and g is m + 1 columns of n values,
-    as LatticeState holds them.  The walk climbs each f column one
-    vertex at a time, trying each top value in order, and a g0 dies at
-    the first vertex no pattern admits.  A fixed boundary pins each f
-    column's two ends, g0 and the last g column; a toroidal one ties
+    as LatticeState holds them.  The walk steps a column at a time,
+    depth first.  A dict that lives for this call maps a left g column,
+    the column's pinned ends and the g column it must reach to the
+    column's (f column, next g column) pairs in f order.  Each entry is
+    built once, by a climb up the column one vertex at a time that
+    tries each top value in order and drops a branch at the first
+    vertex no pattern admits.  The live g0 branches are grouped by f
+    column and the f columns visited sorted, so the states come out in
+    edge_tuple order with no sort of states.  A fixed boundary pins each
+    f column's two ends, g0 and the last g column; a toroidal one ties
     each f column's ends together and asks the last g column to equal
     g0.  The last g column is checked vertex by vertex, and (left,
-    bottom, right) fixes top too, so in the last f column each live g0
-    admits one top value per vertex and the walk does not try every
-    column there.  Edge values range over the values the patterns use,
-    and a boundary value no pattern uses yields nothing.  The caller
-    charges the guard.
+    bottom, right) fixes top too, so there a climb admits one top value
+    per vertex and does not try every column.  Edge values range over
+    the values the patterns use, and a boundary value no pattern uses
+    yields nothing.  The caller charges the guard.
     """
     if toroidal and boundary is not None:
         raise ValueError("a toroidal walk takes no boundary")
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in patterns}
     bits = tuple(sorted({x for p in patterns for x in p}))
+    memo = {}
 
-    def column(i, f, pairs):
-        # pairs holds, in g0 order, each live g0's g columns 0..i and the
-        # bits of g column i + 1 so far; vertex j has bottom f[j] and
-        # left gs[-1][j]
-        j = len(f) - 1
-        if j == n:
-            yield f, [gs + (g,) for gs, g in pairs]
-            return
-        tops = bits
-        if j == n - 1 and boundary is not None:
-            tops = (boundary.f_top[i],)
-        elif j == n - 1 and toroidal:
-            tops = (f[0],)
-        shut = i == m - 1 and (toroidal or boundary is not None)
-        for top in tops:
-            grown = [(gs, g + (r,)) for gs, g in pairs
-                     if (r := right.get((gs[-1][j], top, f[j]))) is not None
-                     and (not shut or r == (gs[0] if toroidal else boundary.g_right)[j])]
-            if grown:
-                yield from column(i, f + (top,), grown)
+    def climb(left, ends, target):
+        # the (f, g) column pairs right of g column left, in f order;
+        # ends is the pinned (bottom, top) or None, target the g column
+        # to reach or None; one right.get per vertex step
+        column = [((bottom,), ()) for bottom in (bits if ends is None else ends[:1])]
+        for j in range(n):
+            grown = []
+            for f, g in column:
+                if j < n - 1:
+                    tops = bits
+                else:
+                    tops = ends[1:] if ends is not None else f[:1] if toroidal else bits
+                for top in tops:
+                    r = right.get((left[j], top, f[j]))
+                    if r is not None and (target is None or r == target[j]):
+                        grown.append((f + (top,), g + (r,)))
+            column = grown
+        return column
 
-    def walk(i, fs, live):
-        if i == m:
-            for gs in live:
-                yield fs, gs
-            return
-        for bottom in bits if boundary is None else (boundary.f_bottom[i],):
-            for f, grown in column(i, (bottom,), [(gs, ()) for gs in live]):
-                yield from walk(i + 1, fs + (f,), grown)
-
+    # a stack of (column i, f columns 0..i-1, live), live holding each
+    # live g0's g columns 0..i in g0 order; a column's successors are
+    # pushed in reverse f order, so they pop in f order
     g0s = product(bits, repeat=n) if boundary is None else (boundary.g_left,)
-    yield from walk(0, (), [(g0,) for g0 in g0s])
+    stack = [(0, (), [(g0,) for g0 in g0s])]
+    while stack:
+        i, fs, live = stack.pop()
+        last = i == m - 1
+        ends = target = None
+        if boundary is not None:
+            ends = boundary.f_bottom[i], boundary.f_top[i]
+            target = boundary.g_right if last else None
+        by_f = {}
+        for gs in live:
+            key = (gs[-1], ends, gs[0] if last and toroidal else target)
+            steps = memo.get(key)
+            if steps is None:
+                steps = memo[key] = climb(*key)
+            for f, g in steps:
+                by_f.setdefault(f, []).append(gs + (g,))
+        if last:
+            for f in sorted(by_f):
+                done = fs + (f,)
+                for gs in by_f[f]:
+                    yield done, gs
+        else:
+            stack += [(i + 1, fs + (f,), by_f[f]) for f in sorted(by_f, reverse=True)]
 
 
 def weighted_sum(weights: dict, shape: GridShape, boundary: BoundarySpec | None = None,

@@ -65,7 +65,8 @@ class WeightConditionError(ValueError):
     """Raised when weights break a precondition of the computation asked for."""
 
 
-# the one weight string deserialize_weights reads: an integer or p/q
+# the one weight string VertexWeights and deserialize_weights read: an
+# integer or p/q
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -74,6 +75,8 @@ def _exact(x) -> Fraction:
         raise TypeError(
             f"weights must be exact (int, str, or Fraction), not {type(x).__name__}"
         )
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ValueError(f"weight strings must be an integer or 'p/q', got {x!r}")
     return Fraction(x)
 
 

@@ -9,8 +9,9 @@ random_weights are the generic negative instances.
 
 Also here are affine_span, the kernel-walk oracle that the closed-form and
 eight-vertex listings are checked against (tests in test_affine_span.py),
-and toroidal_six_states, the row-by-row oracle for the toroidal count and
-listing.
+toroidal_six_states, the row-by-row oracle for the toroidal count and
+listing, and recursive_state_tables, the vertex-by-vertex column walk
+that transfer.state_tables is checked against, order included.
 """
 
 from fractions import Fraction
@@ -186,3 +187,52 @@ def toroidal_six_states(m: int, n: int) -> list:
     for bottom in product((0, 1), repeat=m):
         climb([bottom], [])
     return sorted(states)
+
+
+def recursive_state_tables(patterns, shape, boundary=None, toroidal=False):
+    """The (f, g) tables transfer.state_tables yields, in its order, by a
+    recursive climb: each f column is grown one vertex at a time, one
+    generator frame per f entry, trying each top value in order and
+    carrying every live g0 with its g columns so far, in g0 order.  A
+    fixed boundary pins each f column's ends, g0 and the last g column;
+    a toroidal walk ties each f column's ends and asks the last g column
+    to equal g0, both checked vertex by vertex in the last column.
+    """
+    if toroidal and boundary is not None:
+        raise ValueError("a toroidal walk takes no boundary")
+    m, n = shape.m, shape.n
+    right = {(left, top, bottom): r for left, top, r, bottom in patterns}
+    bits = tuple(sorted({x for p in patterns for x in p}))
+
+    def column(i, f, pairs):
+        # pairs holds, in g0 order, each live g0's g columns 0..i and the
+        # bits of g column i + 1 so far; vertex j has bottom f[j] and
+        # left gs[-1][j]
+        j = len(f) - 1
+        if j == n:
+            yield f, [gs + (g,) for gs, g in pairs]
+            return
+        tops = bits
+        if j == n - 1 and boundary is not None:
+            tops = (boundary.f_top[i],)
+        elif j == n - 1 and toroidal:
+            tops = (f[0],)
+        shut = i == m - 1 and (toroidal or boundary is not None)
+        for top in tops:
+            grown = [(gs, g + (r,)) for gs, g in pairs
+                     if (r := right.get((gs[-1][j], top, f[j]))) is not None
+                     and (not shut or r == (gs[0] if toroidal else boundary.g_right)[j])]
+            if grown:
+                yield from column(i, f + (top,), grown)
+
+    def walk(i, fs, live):
+        if i == m:
+            for gs in live:
+                yield fs, gs
+            return
+        for bottom in bits if boundary is None else (boundary.f_bottom[i],):
+            for f, grown in column(i, (bottom,), [(gs, ()) for gs in live]):
+                yield from walk(i + 1, fs + (f,), grown)
+
+    g0s = product(bits, repeat=n) if boundary is None else (boundary.g_left,)
+    yield from walk(0, (), [(g0,) for g0 in g0s])

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -273,9 +274,9 @@ def test_verify_cohomology_counts_the_closed_forms(capsys, monkeypatch):
     # count against the 3^(mn+1) decompositions can catch it
     import vertexforms.cli as cli
 
-    real = cli.enumerate_closed_toroidal
-    monkeypatch.setattr(cli, "enumerate_closed_toroidal",
-                        lambda shape, force=False: real(shape, force)[1:])
+    real = cli.closed_toroidal_tables
+    monkeypatch.setattr(cli, "closed_toroidal_tables",
+                        lambda shape, force=False: islice(real(shape, force), 1, None))
     code, doc = run_json(capsys, "verify", "cohomology", "--m", "2", "--n", "2")
     assert code == 1 and doc["passed"] is False
     assert doc["counterexample"] == {"closed_forms": 242, "decompositions": 243}
@@ -585,7 +586,7 @@ def test_integer_too_long_for_int_exits_2(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert err.startswith(f"error: {where} document: ") and "4300" in err, argv
+        assert err == f"error: {where} document: an integer in it has more than 4300 digits\n", argv
 
 
 @pytest.mark.parametrize("command", ["count", "enumerate"])

@@ -5,8 +5,12 @@ Each case runs cli.main in-process and compares stdout, stderr and the
 exit code byte for byte with tests/fixtures/golden/<name>.out (and
 <name>.err where the run writes to stderr).  The fixtures were recorded
 from these same argument lists and are not regenerated: a change that
-alters any of these outputs, even in whitespace, fails here.
+alters any of these outputs, even in whitespace, fails here.  Listings
+too large for a fixture (0.2 to 18 MB) are pinned by the SHA-256 of
+their stdout instead.
 """
+
+import hashlib
 
 import pytest
 
@@ -61,6 +65,20 @@ CASES = {
 }
 
 
+# name -> (argv, SHA-256 of stdout); each exits 0 and writes no stderr
+DIGESTS = {
+    "enumerate_six_4x3_csv": (
+        ["enumerate", "--m", "4", "--n", "3", "--format", "csv"],
+        "3274d9979215e521e89cce7eba924b8d7ec2637269c4acc156574135b24b7b4a"),
+    "enumerate_eight_3x3_force": (
+        ["enumerate", "--model", "eight", "--m", "3", "--n", "3", "--force"],
+        "4a90e641644f703ba46f4879ee1464a8b57b9da526f6eba8a93aa439a9b765f0"),
+    "enumerate_toroidal_4x4_csv": (
+        ["enumerate", "--model", "toroidal", "--m", "4", "--n", "4", "--format", "csv"],
+        "487b3ce36587a0546398d8750dc5d1693a0f82fff820e99468ee6b1353f3894e"),
+}
+
+
 def recorded(name, suffix):
     path = GOLDEN / f"{name}{suffix}"
     # bytes, not read_text: the CSV fixture keeps csv's \r\n line ends
@@ -78,3 +96,12 @@ def test_cli_output_matches_the_golden_fixture(capsys, name):
 
 def test_every_golden_fixture_has_a_case():
     assert {p.name.split(".")[0] for p in GOLDEN.iterdir()} == set(CASES)
+
+
+@pytest.mark.parametrize("name", list(DIGESTS))
+def test_large_listing_matches_its_digest(capsys, name):
+    argv, digest = DIGESTS[name]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -21,11 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_solvable_triple, random_weights
+from conftest import random_solvable_triple, random_weights, recursive_state_tables
 from vertexforms import eightvertex, forms_rect, grid, transfer
 from vertexforms.algebra import GF2, GF3, QQ, FieldMatrix, matmul, rank
 from vertexforms.eightvertex import boundary_parity, count_total, enumerate_eight
-from vertexforms.forms_rect import OneForm, count_six, enumerate_six, is_admissible_form
+from vertexforms.forms_rect import (
+    OneForm,
+    count_six,
+    enumerate_six,
+    form_from_coloring,
+    is_admissible_form,
+    random_proper_coloring,
+)
 from vertexforms.grid import (
     BoundarySpec,
     GridShape,
@@ -319,47 +326,107 @@ def test_state_tables_list_what_count_states_counts(m, n):
             assert len(keys) == count_states(patterns, shape, **kw)
 
 
-def walk_frames(*args, **kw):
-    """The tables state_tables yields and the frames it enters (calls and
-    generator resumptions of code in transfer) while yielding them."""
-    frames = 0
+TABLES = {"six": SIX_VERTEX, "eight": EIGHT_VERTEX, "closed": CLOSED_F3}
+# the oracle enters a frame per f entry; keep each comparison small
+WALK_LIMIT = 7000
+
+
+def listing_size(name, kind, shape):
+    """At least the number of tables a walk lists.  Free and toroidal
+    counts come from the sweep, or for CLOSED_F3, which it does not
+    take, are the 3^(mn + m + n) and 3^(mn + 1) closed forms.  A pinned
+    walk lists at most a coset of dimension (m - 1)(n - 1) of the
+    closed forms over F2 (eight) or F3 (six and closed)."""
+    m, n = shape.m, shape.n
+    if kind == "pinned":
+        return (2 if name == "eight" else 3) ** ((m - 1) * (n - 1))
+    if name == "closed":
+        return 3 ** (m * n + 1) if kind == "toroidal" else 3 ** (m * n + m + n)
+    # the sweep's frontier spans m columns, and the diagonal reflection
+    # keeps both tables: count the orientation with the shorter frontier
+    short = GridShape(min(m, n), max(m, n))
+    return count_states(TABLES[name], short, toroidal=kind == "toroidal")
+
+
+WALK_CASES = [
+    (name, kind, m, n)
+    for name in TABLES
+    for kind in ("free", "toroidal", "pinned")
+    for m, n in product(range(2, 9), repeat=2)
+    if m * n <= 16 and listing_size(name, kind, GridShape(m, n)) <= WALK_LIMIT
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_state_tables_are_the_recursive_walk(data):
+    # all three tables on shapes of up to 16 vertices: free, toroidal,
+    # and pinned by random F2 or F3 boundaries (values of 2 and
+    # unrealised boundaries among them) or by the boundary of a random
+    # six-vertex state, which all three tables admit
+    name, kind, m, n = data.draw(st.sampled_from(WALK_CASES))
+    patterns, shape = TABLES[name], GridShape(m, n)
+    kw = {"toroidal": True} if kind == "toroidal" else {}
+    if kind == "pinned":
+        if data.draw(st.booleans()):
+            field = data.draw(st.sampled_from([GF2, GF3]))
+            values = data.draw(st.lists(st.integers(0, field.p - 1),
+                                        min_size=2 * (m + n), max_size=2 * (m + n)))
+        else:
+            field = GF3
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+            w, _ = form_from_coloring(random_proper_coloring(shape, rng))
+            values = [c[0] for c in w.fx] + [c[-1] for c in w.fx] + [*w.gy[0], *w.gy[-1]]
+        kw = {"boundary": boundary(shape, field, values)}
+    tables = list(state_tables(patterns, shape, **kw))
+    assert tables == list(recursive_state_tables(patterns, shape, **kw))
+
+
+def walk_work(*args, **kw):
+    """The tables state_tables yields and the work it does yielding them:
+    the calls into transfer's code (each generator resumption is one),
+    the C functions that code calls, among them the pattern lookup at
+    each vertex step of a climb, and one per table yielded."""
+    work = 0
 
     def count(frame, event, arg):
-        nonlocal frames
-        if event == "call" and frame.f_code.co_filename == transfer.__file__:
-            frames += 1
+        nonlocal work
+        if event in ("call", "c_call") and frame.f_code.co_filename == transfer.__file__:
+            work += 1
 
     sys.setprofile(count)
     try:
         tables = list(state_tables(*args, **kw))
     finally:
         sys.setprofile(None)
-    return tables, frames
+    return tables, work + len(tables)
 
 
 @pytest.mark.parametrize("m,n", [(2, 10), (3, 6)])
 def test_pinned_walk_work_follows_its_states(m, n):
     # enumerate_eight charges the guard states * edge_count; checking the
     # last g column only after the last f column would try every f column
-    # there, 2^(n - 1) times that
+    # there, 2^(n - 1) times that per left g column
     shape = GridShape(m, n)
     rng = random.Random(m * 100 + n)
     for _ in range(3):
         bits = [rng.randint(0, 1) for _ in range(2 * (m + n) - 1)]
         b = boundary(shape, GF2, bits + [sum(bits) % 2])
-        tables, frames = walk_frames(EIGHT_VERTEX, shape, b)
+        tables, work = walk_work(EIGHT_VERTEX, shape, b)
         assert len(tables) == 2 ** ((m - 1) * (n - 1))
-        assert frames <= 2 * len(tables) * shape.edge_count
+        assert work <= 2 * len(tables) * shape.edge_count
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (4, 2), (4, 4)])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (4, 2), (4, 4), (2, 6)])
 def test_toroidal_walk_work_follows_its_states(m, n):
     # enumerate_six_toroidal charges the toroidal count times edge_count,
-    # not the free count it charged before (193662 states at 4x4 for 2970)
+    # not the free count it charged before (193662 states at 4x4 for
+    # 2970); on the tall 2x6 torus, a last column that tried every top
+    # value before matching g0 would climb past that
     shape = GridShape(m, n)
-    tables, frames = walk_frames(SIX_VERTEX, shape, toroidal=True)
+    tables, work = walk_work(SIX_VERTEX, shape, toroidal=True)
     assert len(tables) == count_six_toroidal(shape)
-    assert frames <= 2 * len(tables) * shape.edge_count
+    assert work <= 2 * len(tables) * shape.edge_count
 
 
 def test_state_tables_refuse_a_toroidal_boundary():

@@ -14,7 +14,7 @@ from conftest import (
     solvable_triple,
     tanh_sub,
 )
-from vertexforms import grid
+from vertexforms import grid, yangbaxter
 from vertexforms.algebra import QQ, FieldMatrix, nullspace_basis
 from vertexforms.grid import BoundarySpec, GridShape, SizeGuardError
 from vertexforms.algebra import GF2
@@ -57,6 +57,23 @@ def test_weights_are_exact():
         VertexWeights(0.5, 1, 1, 1, 0, 0, 0, 0)
     with pytest.raises(TypeError, match="not bool"):
         VertexWeights(True, 1, 1, 1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("raw", ["0.5", "1e3", " 2 ", "1e1000000000"])
+def test_weight_strings_follow_the_documented_grammar(monkeypatch, raw):
+    # the constructor reads deserialize_weights' grammar; a string outside
+    # it never reaches Fraction, which would build 10**1000000000 for the
+    # last one, so the refusal comes at once
+    def fraction(x, *rest):
+        if isinstance(x, str):
+            raise AssertionError(f"Fraction was handed {x!r}")
+        return Fraction(x, *rest)
+
+    monkeypatch.setattr(yangbaxter, "Fraction", fraction)
+    message = f"weight strings must be an integer or 'p/q', got {raw!r}"
+    with pytest.raises(ValueError) as refused:
+        VertexWeights(raw, 1, 1, 1, 0, 0, 0, 0)
+    assert str(refused.value) == message
 
 
 def test_vector_round_trip():
@@ -127,7 +144,8 @@ def test_weights_read_every_documented_form(raw, value):
 
 
 def test_weights_with_an_integer_too_long_for_int_are_a_format_error():
-    with pytest.raises(WeightFormatError, match="^weights document: .*4300"):
+    with pytest.raises(WeightFormatError,
+                       match="^weights document: an integer in it has more than 4300 digits$"):
         deserialize_weights(weights_text(1).replace('"a1": 1', '"a1": ' + "1" * 5000))
 
 
