@@ -153,6 +153,19 @@ def _emit_csv(header, rows) -> None:
 
 def cmd_count(args) -> int:
     shape = _shape(args)
+    if args.check_colorings:
+        if args.model != "six":
+            raise CLIError(f"--check-colorings checks the six-vertex count, not {args.model}")
+        if args.boundary is not None:
+            raise CLIError("--check-colorings checks the free count and takes no boundary file")
+        states = count_six(shape, force=args.force)
+        colorings = count_colorings(shape.m + 1, shape.n + 1, force=args.force)
+        _emit({
+            "states": states,
+            "colorings": colorings,
+            "match": colorings == 3 * states,
+        })
+        return 0 if colorings == 3 * states else 1
     if args.model == "eight":
         if args.boundary is not None:
             b = _load_boundary(args.boundary, GF2)
@@ -166,15 +179,6 @@ def cmd_count(args) -> int:
             raise CLIError("toroidal counting does not take a boundary file")
         _emit({"count": count_six_toroidal(shape, force=args.force)})
         return 0
-    if args.check_colorings:
-        states = count_six(shape, force=args.force)
-        colorings = count_colorings(shape.m + 1, shape.n + 1, force=args.force)
-        _emit({
-            "states": states,
-            "colorings": colorings,
-            "match": colorings == 3 * states,
-        })
-        return 0 if colorings == 3 * states else 1
     if args.boundary is not None:
         b = _load_boundary(args.boundary, GF3)
         _check_shape(b, shape, "boundary")
@@ -574,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("six", "eight", "toroidal"), default="six")
     p.add_argument("--boundary", help="boundary JSON file to fix")
     p.add_argument("--check-colorings", action="store_true",
-                   help="cross-check six-vertex count against 3-colorings")
+                   help="cross-check the free six-vertex count against 3-colorings")
     p.add_argument("--force", action="store_true", help="override the size guard")
 
     p = sub.add_parser("enumerate", help="list admissible states")

@@ -21,9 +21,12 @@ turn correspond to proper 3-colorings of the corner grid; both
 directions are implemented here.  Closedness and admissibility are
 the vertex tables of transfer (CLOSED_F3, SIX_VERTEX); counts come
 from its sweep and listings, closed forms too, from its column walk.
-count_colorings is the independent backtracking oracle.  six_state_tables
-is the guarded walk over the states in edge_tuple order, optionally with
-a fixed boundary that is pinned during the walk, not filtered after it;
+count_colorings counts the colorings by a sweep of its own, a cell at a
+time, that reads no vertex table, so count --check-colorings compares
+two independent engines; its test oracle is a backtracking count
+(backtrack_colorings in tests/conftest.py).  six_state_tables is the
+guarded walk over the states in edge_tuple order, optionally with a
+fixed boundary that is pinned during the walk, not filtered after it;
 enumerate_six lists it.  Values built here from tables the library made
 (by the walk, d and its inverse, the coloring bijection) use the trusted
 constructors, which check nothing.
@@ -46,7 +49,6 @@ from .grid import (
     _vertex_incidence,
     check_boundary,
     guard_cost,
-    guard_size,
 )
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
 
@@ -337,33 +339,39 @@ def count_six(shape: GridShape, force: bool = False,
 
 
 def count_colorings(width: int, height: int, force: bool = False) -> int:
-    """Proper 3-colorings of the width x height grid graph, by backtracking.
+    """Proper 3-colorings of the width x height grid graph, by a transfer
+    sweep one cell at a time.
 
-    Cells are scanned row-major; each cell tries the labels differing
-    from its already-colored left and lower neighbors.  The backtracking
-    tree has at most 3 * 2^(cells - 1) nodes, so the guard is on the
-    cell count.
+    The grid graph is the same turned a quarter, so the sweep steps
+    along the longer side, a column of rows = min(width, height) cells
+    at a time.  The frontier maps a key, one color per row, to the
+    number of partial colorings behind it: rows below the current cell
+    hold the current column's colors, the rest the previous column's,
+    and 3, no color, stands for the column left of the first.  Cell j
+    takes each color differing from its left neighbour key[j] and the
+    cell below it, the new key[j - 1].  A key is two proper paths, so
+    there are at most 3 * 2^rows keys, each trying at most 2 colors
+    (3 only at the first cell's one key); the guard is charged that
+    bound of dict updates for every cell.
     """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
-    guard_size(width * height, force)
-    grid = [[0] * height for _ in range(width)]
-
-    def fill(k: int) -> int:
-        if k == width * height:
-            return 1
-        j, i = divmod(k, width)
-        total = 0
-        for color in (0, 1, 2):
-            if i > 0 and grid[i - 1][j] == color:
-                continue
-            if j > 0 and grid[i][j - 1] == color:
-                continue
-            grid[i][j] = color
-            total += fill(k + 1)
-        return total
-
-    return fill(0)
+    rows, columns = sorted((width, height))
+    guard_cost(3 * 2 ** (rows + 1) * width * height, force)
+    # allowed[left][below]: the colors differing from both, as 1-tuples
+    allowed = [[[(c,) for c in range(3) if c not in (left, below)] for below in range(4)]
+               for left in range(4)]
+    frontier = {(3,) * rows: 1}
+    for _ in range(columns):
+        for j in range(rows):
+            nxt: dict = {}
+            for key, v in frontier.items():
+                head, tail = key[:j], key[j + 1:]
+                for c in allowed[key[j]][key[j - 1] if j else 3]:
+                    k = head + c + tail
+                    nxt[k] = nxt.get(k, 0) + v
+            frontier = nxt
+    return sum(frontier.values())
 
 
 def random_proper_coloring(shape: GridShape, rng: random.Random) -> Coloring:

@@ -10,8 +10,10 @@ random_weights are the generic negative instances.
 Also here are affine_span, the kernel-walk oracle that the closed-form and
 eight-vertex listings are checked against (tests in test_affine_span.py),
 toroidal_six_states, the row-by-row oracle for the toroidal count and
-listing, and recursive_state_tables, the vertex-by-vertex column walk
-that transfer.state_tables is checked against, order included.
+listing, recursive_state_tables, the vertex-by-vertex column walk
+that transfer.state_tables is checked against, order included, and
+backtrack_colorings, the backtracking oracle for
+forms_rect.count_colorings.
 """
 
 from fractions import Fraction
@@ -236,3 +238,31 @@ def recursive_state_tables(patterns, shape, boundary=None, toroidal=False):
 
     g0s = product(bits, repeat=n) if boundary is None else (boundary.g_left,)
     yield from walk(0, (), [(g0,) for g0 in g0s])
+
+
+def backtrack_colorings(width: int, height: int) -> int:
+    """Proper 3-colorings of the width x height grid graph, by backtracking.
+
+    Cells are scanned row-major; each cell tries the labels differing
+    from its already-colored left and lower neighbors.  The backtracking
+    tree has at most 3 * 2^(cells - 1) nodes.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("grid dimensions must be positive")
+    grid = [[0] * height for _ in range(width)]
+
+    def fill(k: int) -> int:
+        if k == width * height:
+            return 1
+        j, i = divmod(k, width)
+        total = 0
+        for color in (0, 1, 2):
+            if i > 0 and grid[i - 1][j] == color:
+                continue
+            if j > 0 and grid[i][j - 1] == color:
+                continue
+            grid[i][j] = color
+            total += fill(k + 1)
+        return total
+
+    return fill(0)

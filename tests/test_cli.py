@@ -70,6 +70,30 @@ def test_count_check_colorings(capsys):
     assert doc == {"states": 82, "colorings": 246, "match": True}
 
 
+@pytest.mark.parametrize("m,n,states", [
+    (2, 2, 82), (2, 3, 374), (3, 2, 374), (2, 4, 1706), (4, 2, 1706),
+    (3, 3, 2604), (3, 4, 18150), (4, 3, 18150), (4, 4, 193662),
+    (5, 4, 2068146),  # a 6x5 coloring grid, 30 cells, with no --force
+])
+def test_count_check_colorings_output(capsys, m, n, states):
+    code, out, err = run(capsys, "count", "--m", str(m), "--n", str(n), "--check-colorings")
+    assert code == 0 and err == ""
+    assert out == (f'{{\n  "colorings": {3 * states},\n  "match": true,\n'
+                   f'  "states": {states}\n}}\n')
+
+
+@pytest.mark.parametrize("model,boundary,message", [
+    ("eight", False, "six-vertex count, not eight"),
+    ("toroidal", False, "six-vertex count, not toroidal"),
+    ("six", True, "takes no boundary file"),
+])
+def test_count_check_colorings_rejects_other_counts(capsys, tmp_path, model, boundary, message):
+    extra = ("--boundary", zero_boundary_file(tmp_path, GridShape(2, 2), GF3)) if boundary else ()
+    code, out, err = run(capsys, "count", "--model", model, "--m", "2", "--n", "2",
+                         "--check-colorings", *extra)
+    assert code == 2 and out == "" and message in err
+
+
 def test_count_eight(capsys):
     code, doc = run_json(capsys, "count", "--model", "eight", "--m", "2", "--n", "2")
     assert code == 0 and doc == {"total": 256}

@@ -2,9 +2,9 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import affine_span
+from conftest import affine_span, backtrack_colorings
 from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
 from vertexforms import forms_rect
 from vertexforms.forms_rect import (
@@ -418,8 +418,20 @@ def test_frozen_counts():
 
 
 def test_coloring_count_identity():
-    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+    # 6x6 and 8x5 colorings are past the backtracking oracle's reach
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 5), (7, 4), (4, 7)]:
         assert 3 * count_six(GridShape(m, n)) == count_colorings(m + 1, n + 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda s: s[0] * s[1] <= 20))
+@example((1, 1))
+@example((1, 12))
+@example((12, 1))
+@example((5, 4))
+def test_count_colorings_matches_backtracking(shape):
+    width, height = shape
+    assert count_colorings(width, height) == backtrack_colorings(width, height)
 
 
 def test_enumeration_sorted_and_admissible():
@@ -434,7 +446,7 @@ def test_size_guard_trips():
     with pytest.raises(SizeGuardError):
         count_six(GridShape(30, 2))
     with pytest.raises(SizeGuardError):
-        count_colorings(8, 8)
+        count_colorings(40, 40)
     with pytest.raises(SizeGuardError):
         enumerate_closed(GridShape(6, 6))
 
