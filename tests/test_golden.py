@@ -37,9 +37,12 @@ CASES = {
     "cohomology_8x7_seed3": (["verify", "cohomology", "--m", "8", "--n", "7", "--seed", "3"], 0),
     "cohomology_3x2": (["verify", "cohomology", "--m", "3", "--n", "2"], 2),
     "bijection_2x3": (["verify", "bijection", "--m", "2", "--n", "3"], 0),
+    "bijection_3x3_seed1": (["verify", "bijection", "--m", "3", "--n", "3", "--seed", "1"], 0),
     "poincare_2x2": (["verify", "poincare", "--m", "2", "--n", "2"], 0),
     "poincare_4x4_samples20": (
         ["verify", "poincare", "--m", "4", "--n", "4", "--samples", "20"], 0),
+    "poincare_3x3_samples5_seed0": (
+        ["verify", "poincare", "--m", "3", "--n", "3", "--samples", "5", "--seed", "0"], 0),
     "defect_rank_3x2": (["verify", "defect-rank", "--m", "3", "--n", "2"], 0),
     "enumerate_six_2x2": (["enumerate", "--m", "2", "--n", "2"], 0),
     "enumerate_six_3x3_pinned_csv": (
