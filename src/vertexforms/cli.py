@@ -280,15 +280,15 @@ def cmd_enumerate(args) -> int:
 def _verify_poincare(args) -> tuple:
     shape = _shape(args)
     rng = random.Random(args.seed)
-    basis_bits = 2 * (shape.m * shape.n + shape.m + shape.n)
-    exhaustive = args.force or basis_bits <= SIZE_GUARD_BITS
-    if exhaustive:
-        forms = (OneForm.trusted(shape, f, g)
-                 for f, g in closed_form_tables(shape, force=args.force))
-        mode = "exhaustive"
-    else:
+    # exhaustive when the listing's guard takes the shape, random otherwise
+    try:
+        tables = closed_form_tables(shape, force=args.force)
+    except SizeGuardError:
         forms = random_closed_forms(shape, rng, args.samples)
         mode = "random"
+    else:
+        forms = (OneForm.trusted(shape, f, g) for f, g in tables)
+        mode = "exhaustive"
     checked = 0
     for w in forms:
         dw = exterior_derivative(antiderivative(w))

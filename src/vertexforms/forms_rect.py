@@ -12,7 +12,16 @@ and a 1-form  w = fx dx + gy dy  is closed when D_y fx = D_x gy at every
 interior vertex.  On a rectangle every closed form is exact, with an
 explicit antiderivative summed along a bottom-then-up path.  d and this
 inverse are written once, as the table functions _differences and
-_potential; the torus (toroidal) uses the same two, and
+_potential, and they run a column at a time through three column
+kernels: the difference of two neighbouring columns (_step), the
+difference up one column (_rise) and the running sums up one column
+from a base (_climb).  Each is a bounded memo, an lru_cache of
+transfer._MEMO_SIZE entries keyed by its column tuples and an F3
+offset added to every entry, so a column seen before costs one lookup.
+The offsets are the callers' shifts: the coloring bijection's
++ t + i + j and - 1, and the torus's r and s (toroidal's reconstruct
+and decompose call the same kernels).  is_proper reads the differences
+too: a coloring is proper when no difference along an edge is 0.
 closedness_matrix is grid's vertex incidence matrix over F3, the one
 eightvertex's defect map reads over F2.
 
@@ -36,7 +45,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import add, contains, itemgetter
 from typing import Sequence
 
 from .algebra import GF3, FieldMatrix, combine, nullspace_basis
@@ -50,7 +61,14 @@ from .grid import (
     check_boundary,
     guard_cost,
 )
-from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
+from .transfer import (
+    _MEMO_SIZE,
+    CLOSED_F3,
+    SIX_VERTEX,
+    count_states,
+    first_bad_vertex,
+    state_tables,
+)
 
 
 @dataclass(frozen=True)
@@ -118,22 +136,40 @@ class Coloring:
         return self.cells[i - 1][j - 1]
 
 
-def _differences(h) -> tuple:
-    """(D_x h, D_y h) of a table of columns: h[i+1][j] - h[i][j] and
-    h[i][j+1] - h[i][j] mod 3, one column and one entry fewer."""
-    dx = tuple(tuple((b - a) % 3 for a, b in zip(col, nxt)) for col, nxt in zip(h, h[1:]))
-    dy = tuple(tuple((b - a) % 3 for a, b in zip(col, col[1:])) for col in h)
-    return dx, dy
+@lru_cache(maxsize=_MEMO_SIZE)
+def _step(col: tuple, nxt: tuple, c: int) -> tuple:
+    """nxt[j] - col[j] + c mod 3: D_x between two columns, shifted by c."""
+    return tuple([(b - a + c) % 3 for a, b in zip(col, nxt)])
 
 
-def _potential(fx, gy) -> tuple:
-    """h[i][j] = sum_{a<i} fx[a][0] + sum_{b<j} gy[i][b] mod 3, the sum
-    along the bottom-then-up path: a column per gy column, one entry
-    longer.  On a closed rectangle form, _differences(h) == (fx, gy)."""
-    bases = accumulate((col[0] for col in fx), initial=0)
-    return tuple(
-        tuple(x % 3 for x in accumulate(col, initial=base)) for base, col in zip(bases, gy)
-    )
+@lru_cache(maxsize=_MEMO_SIZE)
+def _rise(col: tuple, c: int) -> tuple:
+    """col[j+1] - col[j] + c mod 3: D_y up one column, shifted by c."""
+    return tuple([(b - a + c) % 3 for a, b in zip(col, col[1:])])
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _climb(base: int, col: tuple, c: int) -> tuple:
+    """base + sum_{b<j} (col[b] + c) mod 3 for j = 0..len(col): the running
+    sums up one column, one entry longer; base is in F3."""
+    return tuple([x % 3 for x in accumulate(map(add, col, repeat(c)), initial=base)])
+
+
+def _differences(h, cx: int = 0, cy: int = 0) -> tuple:
+    """(D_x h + cx, D_y h + cy) of a table of columns: h[i+1][j] - h[i][j]
+    and h[i][j+1] - h[i][j] mod 3, one column and one entry fewer.  A
+    kernel call per column, so a column seen before costs one lookup."""
+    return tuple(map(_step, h, h[1:], repeat(cx))), tuple(map(_rise, h, repeat(cy)))
+
+
+def _potential(fx, gy, cx: int = 0, cy: int = 0, t: int = 0) -> tuple:
+    """h[i][j] = t + sum_{a<i} (fx[a][0] + cx) + sum_{b<j} (gy[i][b] + cy)
+    mod 3, t in F3, the sum along the bottom-then-up path: a column per
+    gy column, one entry longer.  On a closed rectangle form h is the
+    potential of fx + cx and gy + cy, so _differences(h, -cx, -cy) ==
+    (fx, gy)."""
+    bases = _climb(t, tuple(map(itemgetter(0), fx)), cx)
+    return tuple(map(_climb, bases, gy, repeat(cy)))
 
 
 def partial_x(field: ScalarField) -> tuple:
@@ -258,16 +294,10 @@ def form_to_state(w: OneForm) -> LatticeState:
 
 
 def is_proper(c: Coloring) -> bool:
-    """No two horizontally or vertically adjacent grid vertices share a label."""
-    m, n = c.shape.m, c.shape.n
-    cells = c.cells
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if i < m and cells[i][j] == cells[i + 1][j]:
-                return False
-            if j < n and cells[i][j] == cells[i][j + 1]:
-                return False
-    return True
+    """No two horizontally or vertically adjacent grid vertices share a
+    label: no difference of c along an edge is 0."""
+    dx, dy = _differences(c.cells)
+    return not any(map(contains, dx + dy, repeat(0)))
 
 
 def coloring_from_form(w: OneForm, t: int) -> Coloring:
@@ -280,11 +310,8 @@ def coloring_from_form(w: OneForm, t: int) -> Coloring:
         raise ValueError("base label t must be in {0, 1, 2}")
     if not is_admissible_form(w):
         raise ValueError("coloring_from_form requires an admissible closed form")
-    h = _potential(w.fx, w.gy)
-    cells = tuple(
-        tuple((x + t + i + j) % 3 for j, x in enumerate(col)) for i, col in enumerate(h)
-    )
-    return Coloring.trusted(w.shape, cells)
+    # h + t + i + j sums fx + 1 and gy + 1 along the path from t
+    return Coloring.trusted(w.shape, _potential(w.fx, w.gy, 1, 1, t))
 
 
 def form_from_coloring(c: Coloring) -> tuple:
@@ -295,10 +322,7 @@ def form_from_coloring(c: Coloring) -> tuple:
     """
     if not is_proper(c):
         raise ValueError("form_from_coloring requires a proper coloring")
-    dx, dy = _differences(c.cells)
-    fx = tuple(tuple((x - 1) % 3 for x in row) for row in dx)
-    gy = tuple(tuple((x - 1) % 3 for x in row) for row in dy)
-    return OneForm.trusted(c.shape, fx, gy), c.cells[0][0]
+    return OneForm.trusted(c.shape, *_differences(c.cells, -1, -1)), c.cells[0][0]
 
 
 def six_state_tables(shape: GridShape, boundary: BoundarySpec | None = None,
@@ -386,4 +410,4 @@ def random_proper_coloring(shape: GridShape, rng: random.Random) -> Coloring:
             if j > 0:
                 banned.add(cells[i][j - 1])
             cells[i][j] = rng.choice([c for c in (0, 1, 2) if c not in banned])
-    return Coloring(shape=shape, cells=tuple(map(tuple, cells)))
+    return Coloring.trusted(shape, tuple(map(tuple, cells)))

@@ -18,16 +18,19 @@ average of gy over a column.  Apply the construction to an admissible
 toroidal six-vertex state and the resulting h is "sparse": neither of
 its partial derivatives attains every F3 value.
 
-The calculus is the rectangle's (forms_rect): toroidal_derivatives
-takes its differences of h with the first column and row repeated, and
-decompose integrates with its bottom-then-up potential.
+The calculus is the rectangle's (forms_rect), a column at a time
+through its bounded column memos: toroidal_derivatives and reconstruct
+take its column differences with the first column and row repeated,
+r and s added as the kernels' offsets, and decompose integrates fx - r
+and gy - s with its bottom-then-up potential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from .forms_rect import _differences, _potential, is_admissible_six
+from .forms_rect import _potential, _rise, _step, is_admissible_six
 from .grid import GridShape, LatticeState, _freeze_grid, _unchecked, guard_cost
 from .algebra import GF3
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
@@ -118,13 +121,18 @@ class CohomologyDecomposition:
     h: PeriodicField
 
 
+def _wrapped_differences(values: tuple, r: int = 0, s: int = 0) -> tuple:
+    """(D_x h + r, D_y h + s) of a periodic table of columns: the
+    rectangle's column kernels on each column and the next, the first
+    following the last, and up each column with its first entry
+    repeated on top, so the differences wrap around."""
+    return (tuple(map(_step, values, values[1:] + values[:1], repeat(r))),
+            tuple(map(_rise, [col + col[:1] for col in values], repeat(s))))
+
+
 def toroidal_derivatives(h: PeriodicField) -> ToroidalOneForm:
-    """d(h) as a toroidal form: the rectangle's differences of h with its
-    first column and first row repeated, so the differences wrap around."""
-    m, n = h.shape.m, h.shape.n
-    cols = [col + col[:1] for col in h.values]
-    fx, gy = _differences(cols + cols[:1])
-    return ToroidalOneForm.trusted(h.shape, tuple(col[:n] for col in fx), gy[:m])
+    """d(h) as a toroidal form."""
+    return ToroidalOneForm.trusted(h.shape, *_wrapped_differences(h.values))
 
 
 def is_closed_toroidal(w: ToroidalOneForm) -> bool:
@@ -181,22 +189,14 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
     m, n = w.shape.m, w.shape.n
     r = (_INV3[m % 3] * sum(col[0] for col in w.fx)) % 3
     s = (_INV3[n % 3] * sum(w.gy[0])) % 3
-    h = _potential([[x - r for x in col] for col in w.fx], [[y - s for y in col] for col in w.gy])
-    values = tuple(col[:n] for col in h)
+    # gy's last entry only closes each column: n values of h per column
+    values = _potential(w.fx, [col[:-1] for col in w.gy], -r, -s)
     return CohomologyDecomposition(r=r, s=s, h=PeriodicField.trusted(w.shape, values))
 
 
 def reconstruct(d: CohomologyDecomposition) -> ToroidalOneForm:
     """The form r dx + s dy + dh determined by a decomposition."""
-    dh = toroidal_derivatives(d.h)
-    m, n = d.h.shape.m, d.h.shape.n
-    fx = tuple(
-        tuple((d.r + dh.fx[i][j]) % 3 for j in range(n)) for i in range(m)
-    )
-    gy = tuple(
-        tuple((d.s + dh.gy[i][j]) % 3 for j in range(n)) for i in range(m)
-    )
-    return ToroidalOneForm.trusted(d.h.shape, fx, gy)
+    return ToroidalOneForm.trusted(d.h.shape, *_wrapped_differences(d.h.values, d.r, d.s))
 
 
 def partial_images(h: PeriodicField) -> tuple:

@@ -32,11 +32,12 @@ runs in integers, and the total is divided by L^(mn) once.
 CLOSED_F3 is the closedness D_y fx = D_x gy of an F3 1-form at one
 vertex, right = left + top - bottom; its {0, 1} patterns are
 SIX_VERTEX, and mod 2 it is EIGHT_VERTEX.  first_bad_vertex checks
-tables against any of them, and state_tables lists the labelings a
-count_states call counts, or with CLOSED_F3 the closed forms, by a
-column walk.  In every table a vertex's (left, top, bottom) fix its
-right, so g column i + 1 follows from g column i and f column i, and a
-state is its f columns plus its first g column g0.  edge_tuple lists
+tables against any of them, a column of vertices at a time through a
+bounded memo, and state_tables lists the labelings a count_states call
+counts, or with CLOSED_F3 the closed forms, by a column walk.  In every
+table a vertex's (left, top, bottom) fix its right, so g column i + 1
+follows from g column i and f column i, and a state is its f columns
+plus its first g column g0.  edge_tuple lists
 f column by column, then g with g0 first, so a walk that steps a
 column at a time, visiting f columns in order and carrying the live g0
 values in order, each with its g columns so far, emits the states in
@@ -55,7 +56,8 @@ keys its weights by pattern.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import product, repeat
 from math import lcm
 
 from .grid import BoundarySpec, GridShape, guard_cost
@@ -76,19 +78,40 @@ CLOSED_F3 = frozenset((left, top, (left + top - bottom) % 3, bottom)
                       for left, top, bottom in product(range(3), repeat=3))
 
 
+# Entries each column memo keeps: first_bad_vertex's and the calculus
+# kernels of forms_rect.  A 3x3 verify bijection run differences 324
+# column pairs, which 256 entries would keep missing; random tables on
+# larger shapes mostly miss, and the cap bounds what they leave behind.
+_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _first_bad_row(patterns, fi: tuple, left: tuple, right: tuple) -> int:
+    """The first 1-based row j whose vertex in the column between g
+    columns left and right, on f column fi, is not one of the patterns,
+    or 0 when every one is."""
+    for j, pattern in enumerate(zip(left, fi[1:], right, fi), 1):
+        if pattern not in patterns:
+            return j
+    return 0
+
+
 def first_bad_vertex(patterns, f, g):
     """The first 1-based vertex (i, j), i outer, whose (left, top, right,
     bottom) is not one of the patterns, or None when every vertex is.
 
-    f and g are LatticeState-shaped tables: m columns of n + 1 and m + 1
-    columns of n values; vertex (i, j) reads g[i][j], f[i][j+1],
-    g[i+1][j] and f[i][j] (0-based), as edges_at_vertex does.
+    f and g are LatticeState-shaped tables whose columns are tuples: m
+    columns of n + 1 and m + 1 columns of n values; vertex (i, j) reads
+    g[i][j], f[i][j+1], g[i+1][j] and f[i][j] (0-based), as
+    edges_at_vertex does.  Each column of vertices is checked by
+    _first_bad_row, a bounded memo keyed by the patterns and the
+    column's three edge columns, so a column seen before costs one
+    lookup.
     """
     allowed = frozenset(patterns)  # patterns itself for the three tables
-    for i, (fi, left, right) in enumerate(zip(f, g, g[1:]), 1):
-        for j, pattern in enumerate(zip(left, fi[1:], right, fi), 1):
-            if pattern not in allowed:
-                return i, j
+    for i, j in enumerate(map(_first_bad_row, repeat(allowed), f, g, g[1:]), 1):
+        if j:
+            return i, j
     return None
 
 

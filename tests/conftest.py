@@ -11,13 +11,17 @@ Also here are affine_span, the kernel-walk oracle that the closed-form and
 eight-vertex listings are checked against (tests in test_affine_span.py),
 toroidal_six_states, the row-by-row oracle for the toroidal count and
 listing, recursive_state_tables, the vertex-by-vertex column walk
-that transfer.state_tables is checked against, order included, and
+that transfer.state_tables is checked against, order included,
 backtrack_colorings, the backtracking oracle for
-forms_rect.count_colorings.
+forms_rect.count_colorings, and the naive_* calculus: d, its inverse,
+the properness scan, both directions of the coloring bijection and the
+toroidal decompose and reconstruct, written a generator or an index
+loop per column with no memo, which the column kernels of forms_rect
+are checked against (test_column_kernels.py).
 """
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -266,3 +270,79 @@ def backtrack_colorings(width: int, height: int) -> int:
         return total
 
     return fill(0)
+
+
+def naive_differences(h) -> tuple:
+    """(D_x h, D_y h) of a table of columns: h[i+1][j] - h[i][j] and
+    h[i][j+1] - h[i][j] mod 3, one column and one entry fewer."""
+    dx = tuple(tuple((b - a) % 3 for a, b in zip(col, nxt)) for col, nxt in zip(h, h[1:]))
+    dy = tuple(tuple((b - a) % 3 for a, b in zip(col, col[1:])) for col in h)
+    return dx, dy
+
+
+def naive_potential(fx, gy) -> tuple:
+    """h[i][j] = sum_{a<i} fx[a][0] + sum_{b<j} gy[i][b] mod 3, a column
+    per gy column (at most one per fx column plus one), one entry longer."""
+    bases = accumulate((col[0] for col in fx), initial=0)
+    return tuple(
+        tuple(x % 3 for x in accumulate(col, initial=base)) for base, col in zip(bases, gy)
+    )
+
+
+def naive_is_proper(cells) -> bool:
+    """No two horizontally or vertically adjacent cells share a label."""
+    m, n = len(cells) - 1, len(cells[0]) - 1
+    for i in range(m + 1):
+        for j in range(n + 1):
+            if i < m and cells[i][j] == cells[i + 1][j]:
+                return False
+            if j < n and cells[i][j] == cells[i][j + 1]:
+                return False
+    return True
+
+
+def naive_coloring_cells(fx, gy, t: int) -> tuple:
+    """The coloring h[i][j] + t + i + j mod 3 of a form's potential h."""
+    h = naive_potential(fx, gy)
+    return tuple(
+        tuple((x + t + i + j) % 3 for j, x in enumerate(col)) for i, col in enumerate(h)
+    )
+
+
+def naive_form_from_cells(cells) -> tuple:
+    """(fx, gy) = d(cells) - dx - dy."""
+    dx, dy = naive_differences(cells)
+    fx = tuple(tuple((x - 1) % 3 for x in row) for row in dx)
+    gy = tuple(tuple((x - 1) % 3 for x in row) for row in dy)
+    return fx, gy
+
+
+def naive_toroidal_derivatives(values) -> tuple:
+    """(D_x h, D_y h) of an m x n periodic table, as m x n tables: the
+    rectangle differences of the table with its first column and row
+    repeated, cut back to the fundamental domain."""
+    m, n = len(values), len(values[0])
+    cols = [col + col[:1] for col in values]
+    fx, gy = naive_differences(cols + cols[:1])
+    return tuple(col[:n] for col in fx), gy[:m]
+
+
+def naive_decompose(fx, gy) -> tuple:
+    """(r, s, h values) of a closed toroidal form on periods prime to 3:
+    r and s the averages of fx over a row and gy over a column, h the
+    potential of fx - r and gy - s cut to the fundamental domain."""
+    m, n = len(fx), len(fx[0])
+    inverse = {1: 1, 2: 2}
+    r = (inverse[m % 3] * sum(col[0] for col in fx)) % 3
+    s = (inverse[n % 3] * sum(gy[0])) % 3
+    h = naive_potential([[x - r for x in col] for col in fx], [[y - s for y in col] for col in gy])
+    return r, s, tuple(col[:n] for col in h)
+
+
+def naive_reconstruct(r: int, s: int, values) -> tuple:
+    """(fx, gy) of r dx + s dy + dh, entry by entry."""
+    dfx, dgy = naive_toroidal_derivatives(values)
+    m, n = len(values), len(values[0])
+    fx = tuple(tuple((r + dfx[i][j]) % 3 for j in range(n)) for i in range(m))
+    gy = tuple(tuple((s + dgy[i][j]) % 3 for j in range(n)) for i in range(m))
+    return fx, gy

@@ -279,6 +279,29 @@ def test_verify_poincare_random(capsys):
     assert doc["mode"] == "random" and doc["checked"] == 20
 
 
+# shapes whose closed-form listing the size guard takes: 3^(mn+m+n)
+# forms times edge_count at most 2^26
+POINCARE_EXHAUSTIVE = {(2, 2), (2, 3), (3, 2)}
+
+
+# every shape from 2x2 to 6x6, and --force where the walk to the first
+# form is short
+@pytest.mark.parametrize("m,n,force", [(m, n, False) for m in range(2, 7) for n in range(2, 7)]
+                         + [(m, n, True) for m in range(2, 7) for n in range(2, 5)])
+def test_verify_poincare_mode_is_the_listing_guard(capsys, monkeypatch, m, n, force):
+    # the listing is charged as the CLI asks for it, then cut to one form
+    import vertexforms.cli as cli
+
+    listing = cli.closed_form_tables
+    monkeypatch.setattr(cli, "closed_form_tables",
+                        lambda shape, force=False: islice(listing(shape, force), 1))
+    argv = ["verify", "poincare", "--m", str(m), "--n", str(n), "--samples", "1"]
+    code, doc = run_json(capsys, *argv, *(["--force"] if force else []))
+    exhaustive = force or (m, n) in POINCARE_EXHAUSTIVE
+    assert code == 0 and doc["checked"] == 1
+    assert doc["mode"] == ("exhaustive" if exhaustive else "random")
+
+
 def test_verify_bijection(capsys):
     code, doc = run_json(
         capsys, "verify", "bijection", "--m", "2", "--n", "2", "--samples", "50"

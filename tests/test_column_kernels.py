@@ -1,0 +1,166 @@
+"""The column-kernel calculus against the naive oracles of conftest.
+
+forms_rect computes d, its inverse and the coloring maps a column at a
+time through bounded memos keyed by column tuples, with the F3 offset
+of each caller (the coloring shift, the - 1 of d(c) - dx - dy, the
+toroidal r and s) passed to the kernels.  Every example here runs each
+table through every offset in one process, so a memo that returned an
+entry built for another offset, base or neighbour column would show.
+Tables are random F3 tables up to 7 columns of 7 entries: rectangles
+and tori, closed and non-closed forms, proper and improper colorings.
+"""
+
+import random
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    naive_coloring_cells,
+    naive_decompose,
+    naive_differences,
+    naive_form_from_cells,
+    naive_is_proper,
+    naive_potential,
+    naive_reconstruct,
+    naive_toroidal_derivatives,
+)
+from vertexforms.forms_rect import (
+    Coloring,
+    OneForm,
+    ScalarField,
+    _differences,
+    _potential,
+    antiderivative,
+    coloring_from_form,
+    exterior_derivative,
+    form_from_coloring,
+    is_closed,
+    is_proper,
+    random_proper_coloring,
+)
+from vertexforms.grid import GridShape
+from vertexforms.toroidal import (
+    CohomologyDecomposition,
+    PeriodicField,
+    ToroidalOneForm,
+    _wrapped_differences,
+    decompose,
+    reconstruct,
+    toroidal_derivatives,
+)
+
+# the offsets the library passes (- 1, - r) and every F3 value
+OFFSETS = (-2, -1, 0, 1, 2)
+# periods prime to 3, which decompose requires
+PERIODS = (2, 4, 5)
+
+
+def table(data, cols: int, rows: int) -> tuple:
+    return tuple(tuple(data.draw(st.lists(st.integers(0, 2), min_size=rows, max_size=rows)))
+                 for _ in range(cols))
+
+
+def shifted(t, c: int) -> tuple:
+    return tuple(tuple((x + c) % 3 for x in col) for col in t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_differences_are_the_naive_differences_shifted(cols, rows, data):
+    h = table(data, cols, rows)
+    dx, dy = naive_differences(h)
+    for cx, cy in product(OFFSETS, repeat=2):
+        assert _differences(h, cx, cy) == (shifted(dx, cx), shifted(dy, cy))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_potential_is_the_naive_potential_shifted(m, n, torus, data):
+    # a rectangle form has m + 1 gy columns, a torus form m; neither is
+    # asked to be closed
+    fx = table(data, m, n if torus else n + 1)
+    gy = table(data, m if torus else m + 1, n)
+    for cx, cy in product(OFFSETS, repeat=2):
+        naive = naive_potential(shifted(fx, cx), shifted(gy, cy))
+        for t in (0, 1, 2):
+            assert _potential(fx, gy, cx, cy, t) == shifted(naive, t)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(2, 6), st.data())
+def test_rectangle_calculus_matches_the_oracles(m, n, data):
+    shape = GridShape(m, n)
+    h = table(data, m + 1, n + 1)
+    w = exterior_derivative(ScalarField(shape=shape, h=h))
+    assert (w.fx, w.gy) == naive_differences(h)
+    assert antiderivative(w).h == naive_potential(w.fx, w.gy)
+    # a random form, closed exactly when its potential's d gives it back
+    fx, gy = table(data, m, n + 1), table(data, m + 1, n)
+    v = OneForm(shape=shape, fx=fx, gy=gy)
+    closed = naive_differences(naive_potential(fx, gy)) == (fx, gy)
+    assert is_closed(v) == closed
+    if closed:
+        assert antiderivative(v).h == naive_potential(fx, gy)
+    else:
+        with pytest.raises(ValueError):
+            antiderivative(v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2 ** 32), st.data())
+def test_coloring_bijection_matches_the_oracles(m, n, seed, data):
+    shape = GridShape(m, n)
+    cells = random_proper_coloring(shape, random.Random(seed)).cells
+    # the same coloring with one cell set to its neighbour's label
+    i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n))
+    spoiled = tuple(col[:j] + (cells[i + 1][j],) + col[j + 1:] if k == i else col
+                    for k, col in enumerate(cells))
+    noise = table(data, m + 1, n + 1)
+    for c in (cells, spoiled, noise):
+        assert is_proper(Coloring(shape=shape, cells=c)) == naive_is_proper(c)
+    assert naive_is_proper(cells) and not naive_is_proper(spoiled)
+    with pytest.raises(ValueError):
+        form_from_coloring(Coloring(shape=shape, cells=spoiled))
+    w, t0 = form_from_coloring(Coloring(shape=shape, cells=cells))
+    assert ((w.fx, w.gy), t0) == (naive_form_from_cells(cells), cells[0][0])
+    for t in (0, 1, 2):
+        assert coloring_from_form(w, t).cells == naive_coloring_cells(w.fx, w.gy, t)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(PERIODS), st.sampled_from(PERIODS), st.data())
+def test_toroidal_calculus_matches_the_oracles(m, n, data):
+    shape = GridShape(m, n)
+    values = table(data, m, n)
+    h = PeriodicField(shape=shape, values=values)
+    dh = toroidal_derivatives(h)
+    assert (dh.fx, dh.gy) == naive_toroidal_derivatives(values)
+    for r, s in product(OFFSETS, repeat=2):
+        w = reconstruct(CohomologyDecomposition(r=r, s=s, h=h))
+        assert (w.fx, w.gy) == naive_reconstruct(r, s, values)
+        d = decompose(w)
+        assert (d.r, d.s, d.h.values) == naive_decompose(w.fx, w.gy)
+        assert d.h.values == shifted(values, -values[0][0])
+    # a random toroidal form, decomposed exactly when it is closed
+    fx, gy = table(data, m, n), table(data, m, n)
+    v = ToroidalOneForm(shape=shape, fx=fx, gy=gy)
+    r, s, values = naive_decompose(fx, gy)
+    if naive_reconstruct(r, s, values) == (fx, gy):
+        d = decompose(v)
+        assert (d.r, d.s, d.h.values) == (r, s, values)
+    else:
+        with pytest.raises(ValueError):
+            decompose(v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_wrapped_differences_take_any_periods(m, n, data):
+    # periods divisible by 3 too: only decompose divides by them
+    values = table(data, m, n)
+    dfx, dgy = naive_toroidal_derivatives(values)
+    for r, s in product(OFFSETS, repeat=2):
+        assert _wrapped_differences(values, r, s) == (shifted(dfx, r), shifted(dgy, s))

@@ -458,6 +458,29 @@ def test_random_proper_coloring_seeded():
 
 
 @settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2 ** 32))
+def test_random_proper_coloring_is_the_validated_coloring(m, n, seed):
+    shape = GridShape(m, n)
+    c = random_proper_coloring(shape, random.Random(seed))
+    validated = Coloring(shape=shape, cells=c.cells)
+    assert c == validated and vars(c) == vars(validated)
+
+
+# two seeded draws of random_proper_coloring on 2x3, recorded from its
+# cell-by-cell sampler; a change to the rng calls changes them
+PINNED_COLORINGS = [
+    ((1, 0, 2, 0), (0, 1, 0, 1), (2, 0, 1, 2)),
+    ((1, 0, 1, 2), (0, 2, 0, 1), (1, 0, 1, 0)),
+]
+
+
+def test_random_proper_coloring_draws_are_pinned():
+    rng = random.Random(7)
+    cells = [random_proper_coloring(GridShape(2, 3), rng).cells for _ in range(2)]
+    assert cells == PINNED_COLORINGS
+
+
+@settings(deadline=None, max_examples=40)
 @given(st.integers(2, 3), st.integers(2, 3), st.data())
 def test_antiderivative_normalizes_random_potentials(m, n, data):
     shape = GridShape(m, n)
