@@ -315,14 +315,3 @@ def nullspace_basis(m: FieldMatrix) -> list[tuple]:
             v[pj] = f.neg(r.at(i, c))
         basis.append(tuple(v))
     return basis
-
-
-def combine(field: PrimeField, start: Sequence[int], coeffs, vectors) -> list:
-    """start + sum of c * v over F_p, one coefficient and vector at a time."""
-    p = field.p
-    vec = list(start)
-    for c, v in zip(coeffs, vectors):
-        if c % p:
-            vec = [(x + c * y) % p for x, y in zip(vec, v)]
-    return vec
-

@@ -335,11 +335,14 @@ def _verify_cohomology(args) -> tuple:
     _check_periods(shape)
     rng = random.Random(args.seed)
     m, n = shape.m, shape.n
-    exhaustive = args.force or 4 * m * n <= SIZE_GUARD_BITS
     checked = 0
-    if exhaustive:
-        mode = "exhaustive"
-        for fx, gy in closed_toroidal_tables(shape, force=args.force):
+    # exhaustive when the listing's guard takes the shape, random otherwise
+    try:
+        tables, mode = closed_toroidal_tables(shape, force=args.force), "exhaustive"
+    except SizeGuardError:
+        tables, mode = None, "random"
+    if tables is not None:
+        for fx, gy in tables:
             w = ToroidalOneForm.trusted(shape, fx, gy)
             dec = decompose(w)
             w2 = reconstruct(dec)
@@ -356,11 +359,10 @@ def _verify_cohomology(args) -> tuple:
                     "counterexample": {"closed_forms": checked,
                                        "decompositions": triples}}, False
     else:
-        mode = "random"
         for _ in range(args.samples):
             vals = [[rng.randrange(3) for _ in range(n)] for _ in range(m)]
             vals[0][0] = 0
-            h = PeriodicField(shape=shape, values=tuple(tuple(rw) for rw in vals))
+            h = PeriodicField.trusted(shape, tuple(map(tuple, vals)))
             r, s = rng.randrange(3), rng.randrange(3)
             w = reconstruct(CohomologyDecomposition(r=r, s=s, h=h))
             dec = decompose(w)

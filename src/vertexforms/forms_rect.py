@@ -33,9 +33,10 @@ from its sweep and listings, closed forms too, from its column walk.
 count_colorings counts the colorings by a sweep of its own, a cell at a
 time, that reads no vertex table, so count --check-colorings compares
 two independent engines; its test oracle is a backtracking count
-(backtrack_colorings in tests/conftest.py).  six_state_tables is the
-guarded walk over the states in edge_tuple order, optionally with a
-fixed boundary that is pinned during the walk, not filtered after it;
+(backtrack_colorings in tests/conftest.py).  random_closed_forms reads
+CLOSED_F3 too, not a kernel.  six_state_tables is the guarded walk over
+the states in edge_tuple order, optionally with a fixed boundary that
+is pinned during the walk, not filtered after it;
 enumerate_six lists it.  Values built here from tables the library made
 (by the walk, d and its inverse, the coloring bijection) use the trusted
 constructors, which check nothing.
@@ -48,9 +49,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, contains, itemgetter
-from typing import Sequence
 
-from .algebra import GF3, FieldMatrix, combine, nullspace_basis
+from .algebra import GF3, FieldMatrix
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -213,14 +213,6 @@ def closedness_matrix(shape: GridShape) -> FieldMatrix:
     return FieldMatrix.from_rows(GF3, _vertex_incidence(shape))
 
 
-def _form_from_vector(shape: GridShape, vec: Sequence[int]) -> OneForm:
-    """Slice an edge_tuple-ordered vector into its fx and gy columns."""
-    n, cut = shape.n, shape.f_edge_count
-    fx = tuple(tuple(vec[k:k + n + 1]) for k in range(0, cut, n + 1))
-    gy = tuple(tuple(vec[k:k + n]) for k in range(cut, shape.edge_count, n))
-    return OneForm.trusted(shape, fx, gy)
-
-
 def closed_form_tables(shape: GridShape, force: bool = False):
     """The (fx, gy) tables of all closed 1-forms on the shape, in (fx, gy)
     order.
@@ -241,20 +233,28 @@ def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
 
 
 def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:
-    """k uniformly random closed 1-forms: random coefficients on one kernel basis.
+    """k uniformly random closed 1-forms, drawn by the vertex rule.
 
-    The rng draws are those of k calls of random_closed_form.
+    Each draws gy's first column, then fx's m columns, uniformly from F3
+    and reads each next gy column off CLOSED_F3, as state_tables does:
+    the mn + m + n draws map one to one onto the 3^(mn + m + n) closed
+    forms.  The rng draws are those of k calls of random_closed_form.
     """
-    basis = nullspace_basis(closedness_matrix(shape))
-    zero = [0] * shape.edge_count
-    return [
-        _form_from_vector(shape, combine(GF3, zero, [rng.randrange(3) for _ in basis], basis))
-        for _ in range(k)
-    ]
+    m, n = shape.m, shape.n
+    right = {(left, top, bottom): r for left, top, r, bottom in CLOSED_F3}
+    forms = []
+    for _ in range(k):
+        gy = [tuple([rng.randrange(3) for _ in range(n)])]
+        fx = tuple([tuple([rng.randrange(3) for _ in range(n + 1)]) for _ in range(m)])
+        for f in fx:
+            # vertex (i, j): g[i][j], f[i][j+1], f[i][j] fix g[i+1][j]
+            gy.append(tuple(map(right.__getitem__, zip(gy[-1], f[1:], f))))
+        forms.append(OneForm.trusted(shape, fx, tuple(gy)))
+    return forms
 
 
 def random_closed_form(shape: GridShape, rng: random.Random) -> OneForm:
-    """A uniformly random closed 1-form: random coefficients on the kernel basis."""
+    """A uniformly random closed 1-form, as random_closed_forms draws it."""
     return random_closed_forms(shape, rng, 1)[0]
 
 

@@ -8,7 +8,8 @@ equation.  Tests use these as positive instances; random weights from
 random_weights are the generic negative instances.
 
 Also here are affine_span, the kernel-walk oracle that the closed-form and
-eight-vertex listings are checked against (tests in test_affine_span.py),
+eight-vertex listings are checked against, with its vector helper combine
+(tests of both in test_affine_span.py),
 toroidal_six_states, the row-by-row oracle for the toroidal count and
 listing, recursive_state_tables, the vertex-by-vertex column walk
 that transfer.state_tables is checked against, order included,
@@ -27,7 +28,7 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from vertexforms.algebra import FieldMatrix, PrimeField, combine, rref
+from vertexforms.algebra import FieldMatrix, PrimeField, rref
 from vertexforms.grid import deserialize_state
 from vertexforms.yangbaxter import VertexWeights
 
@@ -135,6 +136,16 @@ def random_weights(rng) -> VertexWeights:
     return VertexWeights(*(
         Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(8)
     ))
+
+
+def combine(field: PrimeField, start: Sequence[int], coeffs, vectors) -> list:
+    """start + sum of c * v over F_p, one coefficient and vector at a time."""
+    p = field.p
+    vec = list(start)
+    for c, v in zip(coeffs, vectors):
+        if c % p:
+            vec = [(x + c * y) % p for x, y in zip(vec, v)]
+    return vec
 
 
 def affine_span(field: PrimeField, base: Sequence[int], basis: list) -> Iterator[tuple]:

@@ -1,11 +1,17 @@
-"""affine_span, the kernel-walk oracle kept in conftest, against brute force."""
+"""affine_span, the kernel-walk oracle kept in conftest, and its helper
+combine, against brute force."""
 
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import affine_span
-from vertexforms.algebra import GF2, GF3, FieldMatrix, combine, mat_vec, nullspace_basis
+from conftest import affine_span, combine
+from vertexforms.algebra import GF2, GF3, FieldMatrix, mat_vec, nullspace_basis
+
+
+def test_combine_adds_multiples_mod_p():
+    assert combine(GF3, [1, 2, 0], (2, 1), ((1, 1, 0), (0, 1, 1))) == [0, 2, 1]
+    assert combine(GF2, [1, 0], (), ()) == [1, 0]
 
 
 def test_affine_span_known_gf3():

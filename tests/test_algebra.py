@@ -8,7 +8,6 @@ from vertexforms.algebra import (
     GF3,
     QQ,
     FieldMatrix,
-    combine,
     mat_sub,
     mat_vec,
     matmul,
@@ -161,8 +160,3 @@ def test_mixed_fields_rejected():
     b = FieldMatrix.identity(GF2, 2)
     with pytest.raises(ValueError):
         matmul(a, b)
-
-
-def test_combine_adds_multiples_mod_p():
-    assert combine(GF3, [1, 2, 0], (2, 1), ((1, 1, 0), (0, 1, 1))) == [0, 2, 1]
-    assert combine(GF2, [1, 0], (), ()) == [1, 0]

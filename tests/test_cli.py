@@ -329,12 +329,66 @@ def test_verify_cohomology_counts_the_closed_forms(capsys, monkeypatch):
     assert doc["counterexample"] == {"closed_forms": 242, "decompositions": 243}
 
 
+def test_verify_cohomology_exhaustive_4x2(capsys):
+    code, doc = run_json(capsys, "verify", "cohomology", "--m", "4", "--n", "2")
+    assert code == 0 and doc["passed"] is True
+    assert doc["mode"] == "exhaustive" and doc["checked"] == 3 ** 9
+
+
 def test_verify_cohomology_random(capsys):
     code, doc = run_json(
-        capsys, "verify", "cohomology", "--m", "4", "--n", "2", "--samples", "30"
+        capsys, "verify", "cohomology", "--m", "4", "--n", "4", "--samples", "30"
     )
     assert code == 0
     assert doc["mode"] == "random" and doc["checked"] == 30
+
+
+# periods prime to 3 whose toroidal closed-form listing the size guard
+# takes: 3^(mn+1) forms times edge_count at most 2^26
+COHOMOLOGY_EXHAUSTIVE = {(2, 2), (2, 4), (4, 2), (2, 5), (5, 2)}
+
+
+# every shape from 2x2 to 8x8 with periods prime to 3, and --force where
+# the walk to the first form is short
+@pytest.mark.parametrize("m,n,force", [(m, n, False) for m in (2, 4, 5, 7, 8)
+                                       for n in (2, 4, 5, 7, 8)]
+                         + [(m, n, True) for m in (2, 4, 5) for n in (2, 4)])
+def test_verify_cohomology_mode_is_the_listing_guard(capsys, monkeypatch, m, n, force):
+    # the listing is charged as the CLI asks for it, then cut to one form,
+    # so an exhaustive run fails its count of the decompositions
+    import vertexforms.cli as cli
+
+    listing = cli.closed_toroidal_tables
+    monkeypatch.setattr(cli, "closed_toroidal_tables",
+                        lambda shape, force=False: islice(listing(shape, force), 1))
+    argv = ["verify", "cohomology", "--m", str(m), "--n", str(n), "--samples", "1"]
+    code, doc = run_json(capsys, *argv, *(["--force"] if force else []))
+    if force or (m, n) in COHOMOLOGY_EXHAUSTIVE:
+        assert code == 1
+        assert doc["counterexample"] == {"closed_forms": 1,
+                                         "decompositions": 3 ** (m * n + 1)}
+    else:
+        assert code == 0 and doc["mode"] == "random" and doc["checked"] == 1
+
+
+@pytest.mark.parametrize("argv", [["poincare", "--m", "6", "--n", "6"],
+                                  ["cohomology", "--m", "8", "--n", "7"]],
+                         ids=["poincare", "cohomology"])
+def test_random_verify_modes_build_no_f3_kernel(capsys, monkeypatch, argv):
+    import vertexforms.algebra as algebra
+
+    rref = algebra.rref
+
+    def rref_but_not_over_f3(matrix):
+        if matrix.field is GF3:
+            raise AssertionError("an F3 matrix was reduced")
+        return rref(matrix)
+
+    monkeypatch.setattr(algebra, "rref", rref_but_not_over_f3)
+    with pytest.raises(AssertionError):
+        algebra.nullspace_basis(algebra.FieldMatrix.identity(GF3, 2))
+    code, doc = run_json(capsys, "verify", *argv)
+    assert code == 0 and doc["mode"] == "random" and doc["passed"] is True
 
 
 def test_verify_cohomology_bad_period(capsys):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import affine_span, backtrack_colorings
-from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
+from vertexforms.algebra import GF2, GF3, FieldMatrix, mat_vec, nullspace_basis, rank
 from vertexforms import forms_rect
 from vertexforms.forms_rect import (
     Coloring,
     OneForm,
     ScalarField,
     _differences,
-    _form_from_vector,
     _potential,
     antiderivative,
     closedness_matrix,
@@ -216,8 +215,16 @@ def kernel_listing(shape):
     return list(affine_span(GF3, [0] * shape.edge_count, basis))
 
 
+def form_from_vector(shape, vec):
+    """Oracle: slice an edge_tuple-ordered vector into its fx and gy columns."""
+    n, cut = shape.n, shape.f_edge_count
+    fx = [vec[k:k + n + 1] for k in range(0, cut, n + 1)]
+    gy = [vec[k:k + n] for k in range(cut, shape.edge_count, n)]
+    return OneForm(shape=shape, fx=fx, gy=gy)
+
+
 def test_enumerate_closed_is_the_kernel_listing():
-    assert enumerate_closed(S22) == [_form_from_vector(S22, v) for v in kernel_listing(S22)]
+    assert enumerate_closed(S22) == [form_from_vector(S22, v) for v in kernel_listing(S22)]
     # 3^11 forms at 2x3: compare edge tuples, not OneForms
     shape = GridShape(2, 3)
     listed = [sum(w.fx, ()) + sum(w.gy, ()) for w in enumerate_closed(shape)]
@@ -240,27 +247,49 @@ def test_poincare_random_4x4():
         assert dh.fx == w.fx and dh.gy == w.gy
 
 
-def kernel_draws(shape, rng, k):
-    """k forms drawn as one kernel basis and k rows of coefficients on it."""
-    basis = nullspace_basis(closedness_matrix(shape))
-    forms = []
-    for _ in range(k):
-        coeffs = [rng.randrange(3) for _ in basis]
-        vec = [sum(c * b[e] for c, b in zip(coeffs, basis)) % 3
-               for e in range(shape.edge_count)]
-        forms.append(_form_from_vector(shape, vec))
-    return forms
-
-
 @pytest.mark.parametrize("m,n,k", [(2, 2, 1), (3, 4, 25), (6, 6, 10)])
 def test_random_closed_forms_repeat_the_single_draws(m, n, k):
     shape = GridShape(m, n)
-    rngs = [random.Random(m * n + k) for _ in range(3)]
-    expected = kernel_draws(shape, rngs[0], k)
-    assert random_closed_forms(shape, rngs[1], k) == expected
-    assert [random_closed_form(shape, rngs[2]) for _ in range(k)] == expected
-    assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
-    assert random_closed_forms(shape, rngs[1], 0) == []
+    rngs = [random.Random(m * n + k) for _ in range(2)]
+    batch = random_closed_forms(shape, rngs[0], k)
+    assert len(batch) == k
+    assert [random_closed_form(shape, rngs[1]) for _ in range(k)] == batch
+    assert rngs[0].getstate() == rngs[1].getstate()
+    assert random_closed_forms(shape, rngs[0], 0) == []
+    assert rngs[0].getstate() == rngs[1].getstate()
+
+
+class ReplayRandom:
+    """Stands in for random.Random: randrange(3) returns the given draws in turn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randrange(self, stop):
+        assert stop == 3
+        return next(self.draws)
+
+
+def test_random_closed_forms_map_the_draws_onto_the_closed_forms():
+    # mn + m + n = 8 draws a form at 2x2: all 3^8 draw vectors in turn
+    # must give 3^8 distinct forms, which are then every closed form
+    vectors = list(product(range(3), repeat=8))
+    rng = ReplayRandom(x for v in vectors for x in v)
+    forms = random_closed_forms(S22, rng, len(vectors))
+    assert next(rng.draws, None) is None
+    assert len(set(forms)) == len(forms) == 3 ** 8
+    assert set(forms) == set(enumerate_closed(S22))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 8), st.integers(2, 8), st.randoms(use_true_random=False))
+def test_random_closed_forms_are_closed(m, n, rng):
+    shape = GridShape(m, n)
+    matrix = closedness_matrix(shape)
+    for w in random_closed_forms(shape, rng, 3):
+        assert is_closed(w)
+        # the incidence rows, which read no vertex table, vanish on it too
+        assert not any(mat_vec(matrix, sum(w.fx, ()) + sum(w.gy, ())))
 
 
 def test_admissible_form_examples(rect_state):

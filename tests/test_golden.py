@@ -34,6 +34,7 @@ CASES = {
     "sparse_fibers_2x4_csv": (
         ["verify", "sparse-fibers", "--m", "2", "--n", "4", "--format", "csv"], 0),
     "cohomology_2x2": (["verify", "cohomology", "--m", "2", "--n", "2"], 0),
+    "cohomology_4x2": (["verify", "cohomology", "--m", "4", "--n", "2"], 0),
     "cohomology_8x7_seed3": (["verify", "cohomology", "--m", "8", "--n", "7", "--seed", "3"], 0),
     "cohomology_3x2": (["verify", "cohomology", "--m", "3", "--n", "2"], 2),
     "bijection_2x3": (["verify", "bijection", "--m", "2", "--n", "3"], 0),
@@ -43,6 +44,8 @@ CASES = {
         ["verify", "poincare", "--m", "4", "--n", "4", "--samples", "20"], 0),
     "poincare_3x3_samples5_seed0": (
         ["verify", "poincare", "--m", "3", "--n", "3", "--samples", "5", "--seed", "0"], 0),
+    "poincare_6x6_samples100_seed3": (
+        ["verify", "poincare", "--m", "6", "--n", "6", "--samples", "100", "--seed", "3"], 0),
     "defect_rank_3x2": (["verify", "defect-rank", "--m", "3", "--n", "2"], 0),
     "enumerate_six_2x2": (["enumerate", "--m", "2", "--n", "2"], 0),
     "enumerate_six_3x3_pinned_csv": (
