@@ -1,7 +1,11 @@
 """Exact linear algebra over the prime fields F2, F3 and the rationals.
 
-Everything here is exact: prime-field elements are machine ints reduced
-mod p, rational elements are ``fractions.Fraction``.  No floating point
+A field is data: its characteristic p and its name, with p = 0 for Q.
+Prime-field entries are ints reduced mod p, rational entries are
+``fractions.Fraction``.  One Gauss-Jordan elimination, in integers,
+serves all three: over F_p every update is reduced mod p, and over Q
+each row is scaled to integers once and kept primitive, fraction-free
+(Bareiss 1968), until a last division by its pivot.  No floating point
 is used anywhere in the package.  It lists no kernels: every state and
 closed-form listing is the column walk of transfer.state_tables.
 """
@@ -10,100 +14,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    """The field of integers mod p, for p prime."""
+class Field:
+    """F_p for a prime p, or the rationals Q when p is 0."""
 
     p: int
     name: str
 
-    @property
-    def zero(self) -> int:
-        return 0
 
-    @property
-    def one(self) -> int:
-        return 1
-
-    def element(self, x: int) -> int:
-        if not isinstance(x, int):
-            raise TypeError(f"{self.name} elements are ints, not {type(x).__name__}")
-        return x % self.p
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self.name}")
-        return pow(x, self.p - 2, self.p)
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
+GF2 = Field(2, "F2")
+GF3 = Field(3, "F3")
+QQ = Field(0, "Q")
 
 
-class RationalField:
-    """The rationals, with Fraction elements (always in lowest terms)."""
+def _entry(field: Field, x) -> Scalar:
+    """x as an element of field: ints mod p, or a Fraction over Q.
 
-    name = "Q"
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def element(self, x) -> Fraction:
-        # floats smuggle in binary rounding; insist on exact inputs
-        if isinstance(x, float):
-            raise TypeError("Q elements must be exact (int, str, or Fraction), not float")
-        return Fraction(x)
-
-    def add(self, x: Fraction, y: Fraction) -> Fraction:
-        return x + y
-
-    def sub(self, x: Fraction, y: Fraction) -> Fraction:
-        return x - y
-
-    def mul(self, x: Fraction, y: Fraction) -> Fraction:
-        return x * y
-
-    def neg(self, x: Fraction) -> Fraction:
-        return -x
-
-    def inv(self, x: Fraction) -> Fraction:
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse in Q")
-        return 1 / Fraction(x)
-
-    def div(self, x: Fraction, y: Fraction) -> Fraction:
-        return Fraction(x) / Fraction(y)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "QQ"
-
-
-GF2 = PrimeField(2, "F2")
-GF3 = PrimeField(3, "F3")
-QQ = RationalField()
-
-Field = Union[PrimeField, RationalField]
+    Only ints, and over Q Fractions, are entries: bools, strings and
+    floats are refused, so a JSON true or a rounded decimal never
+    becomes a field element.
+    """
+    if type(x) is int:
+        return x % field.p if field.p else Fraction(x)
+    if type(x) is Fraction and not field.p:
+        return x
+    allowed = "ints" if field.p else "ints or Fractions"
+    raise TypeError(f"{field.name} entries are {allowed}, not {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -136,20 +78,16 @@ class FieldMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(field.element(x) for x in r)
+            flat.extend(_entry(field, x) for x in r)
         return cls(field, nrows, ncols, tuple(flat))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "FieldMatrix":
-        one, zero = field.one, field.zero
+        one, zero = _entry(field, 1), _entry(field, 0)
         return cls(
             field, n, n,
             tuple(one if i == j else zero for i in range(n) for j in range(n)),
         )
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, rows, cols, (field.zero,) * (rows * cols))
 
     def at(self, r: int, c: int) -> Scalar:
         return self.entries[r * self.cols + c]
@@ -161,8 +99,7 @@ class FieldMatrix:
         return [list(self.row(r)) for r in range(self.rows)]
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.entries)
+        return not any(self.entries)
 
 
 def _check_same_field(a: FieldMatrix, b: FieldMatrix) -> None:
@@ -175,22 +112,19 @@ def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    f = a.field
-    zero = f.zero
+    p = a.field.p
+    zero = _entry(a.field, 0)
     out = []
     brows = [b.row(i) for i in range(b.rows)]
     for i in range(a.rows):
-        arow = a.row(i)
         acc = [zero] * b.cols
-        for k, aik in enumerate(arow):
-            if aik == zero:
-                continue
-            brow = brows[k]
-            for j in range(b.cols):
-                if brow[j] != zero:
-                    acc[j] = f.add(acc[j], f.mul(aik, brow[j]))
-        out.extend(acc)
-    return FieldMatrix(f, a.rows, b.cols, tuple(out))
+        for aik, brow in zip(a.row(i), brows):
+            if aik:
+                for j, bkj in enumerate(brow):
+                    if bkj:
+                        acc[j] += aik * bkj
+        out.extend([x % p for x in acc] if p else acc)
+    return FieldMatrix(a.field, a.rows, b.cols, tuple(out))
 
 
 def mat_sub(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -198,28 +132,18 @@ def mat_sub(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     _check_same_field(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch in subtraction")
-    f = a.field
-    return FieldMatrix(
-        f, a.rows, a.cols,
-        tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)),
-    )
+    p = a.field.p
+    pairs = zip(a.entries, b.entries)
+    diff = tuple((x - y) % p for x, y in pairs) if p else tuple(x - y for x, y in pairs)
+    return FieldMatrix(a.field, a.rows, a.cols, diff)
 
 
-def mat_vec(a: FieldMatrix, v: Sequence[Scalar]) -> tuple:
-    """Matrix-vector product as a tuple of field elements."""
-    if a.cols != len(v):
-        raise ValueError("vector length does not match matrix columns")
-    f = a.field
-    zero = f.zero
-    out = []
-    for i in range(a.rows):
-        acc = zero
-        row = a.row(i)
-        for x, y in zip(row, v):
-            if x != zero and y != zero:
-                acc = f.add(acc, f.mul(x, y))
-        out.append(acc)
-    return tuple(out)
+def _integer_row(row) -> list:
+    """A rational row times the lcm of its denominators, made primitive."""
+    scale = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def rref(m: FieldMatrix) -> FieldMatrix:
@@ -227,57 +151,74 @@ def rref(m: FieldMatrix) -> FieldMatrix:
 
     Pivot columns are scanned left to right; every pivot is scaled to 1
     and cleared above and below, so the result is canonical for the row
-    space.
+    space.  Over F_p the rows are ints mod p and a pivot row is scaled
+    by its pivot's inverse.  Over Q the rows are integer multiples of
+    the true ones: clearing a row multiplies it by the pivot and
+    subtracts a multiple of the pivot row, which keeps every entry an
+    integer, and dividing out the row's gcd keeps them small.  Each row
+    is divided by its pivot once, at the end.
     """
-    f = m.field
-    zero = f.zero
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    p = m.field.p
+    nrows, ncols = m.rows, m.cols
+    if p:
+        rows = [list(m.row(i)) for i in range(nrows)]
+    else:
+        rows = [_integer_row(m.row(i)) for i in range(nrows)]
     pivot_row = 0
-    for col in range(m.cols):
-        if pivot_row >= m.rows:
+    for col in range(ncols):
+        if pivot_row == nrows:
             break
-        sel = None
-        for r in range(pivot_row, m.rows):
-            if rows[r][col] != zero:
-                sel = r
-                break
+        sel = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
         if sel is None:
             continue
         rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = f.inv(rows[pivot_row][col])
-        if inv != f.one:
-            rows[pivot_row] = [f.mul(inv, x) for x in rows[pivot_row]]
         prow = rows[pivot_row]
+        piv = prow[col]
+        if p and piv != 1:
+            inv = pow(piv, -1, p)
+            prow = rows[pivot_row] = [x * inv % p for x in prow]
         # only the pivot row's nonzero columns change the rows it clears
-        support = [c for c in range(col, m.cols) if prow[c] != zero]
-        for r in range(m.rows):
-            if r == pivot_row:
-                continue
-            factor = rows[r][col]
-            if factor == zero:
-                continue
+        support = [c for c in range(col, ncols) if prow[c]]
+        for r in range(nrows):
             row = rows[r]
+            factor = row[col]
+            if not factor or r == pivot_row:
+                continue
+            if p:
+                for c in support:
+                    row[c] = (row[c] - factor * prow[c]) % p
+                continue
+            g = gcd(piv, factor)
+            a, b = piv // g, factor // g
+            if a != 1:
+                row = [a * x for x in row]
             for c in support:
-                row[c] = f.sub(row[c], f.mul(factor, prow[c]))
+                row[c] -= b * prow[c]
+            g = gcd(*row)
+            rows[r] = [x // g for x in row] if g > 1 else row
         pivot_row += 1
-    flat = tuple(x for row in rows for x in row)
-    return FieldMatrix(f, m.rows, m.cols, flat)
+    if not p:
+        zero = Fraction(0)
+        for i, row in enumerate(rows):
+            piv = next((x for x in row if x), 1)
+            rows[i] = [Fraction(x, piv) if x else zero for x in row]
+    return FieldMatrix(m.field, nrows, ncols, tuple(x for row in rows for x in row))
+
+
+def _pivots(r: FieldMatrix) -> list[int]:
+    """Pivot columns of a matrix in rref: the first nonzero of each nonzero row."""
+    pivots = []
+    for i in range(r.rows):
+        j = next((j for j, x in enumerate(r.row(i)) if x), None)
+        if j is None:
+            break
+        pivots.append(j)
+    return pivots
 
 
 def pivot_columns(m: FieldMatrix) -> list[int]:
     """Pivot column indices of rref(m), ascending."""
-    r = rref(m)
-    zero = r.field.zero
-    one = r.field.one
-    pivots = []
-    for i in range(r.rows):
-        row = r.row(i)
-        for j, x in enumerate(row):
-            if x != zero:
-                if x == one and j not in pivots:
-                    pivots.append(j)
-                break
-    return pivots
+    return _pivots(rref(m))
 
 
 def rank(m: FieldMatrix) -> int:
@@ -293,25 +234,15 @@ def nullspace_basis(m: FieldMatrix) -> list[tuple]:
     deterministic, which downstream enumeration relies on.
     """
     r = rref(m)
-    f = m.field
-    zero, one = f.zero, f.one
-    pivots = []
-    pivot_of_row = {}
-    for i in range(r.rows):
-        row = r.row(i)
-        for j, x in enumerate(row):
-            if x != zero:
-                pivots.append(j)
-                pivot_of_row[i] = j
-                break
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
+    p = m.field.p
+    zero, one = _entry(m.field, 0), _entry(m.field, 1)
+    pivots = _pivots(r)
     basis = []
-    for c in free:
+    for c in sorted(set(range(m.cols)) - set(pivots)):
         v = [zero] * m.cols
         v[c] = one
-        for i, pj in pivot_of_row.items():
-            # pivot entry is 1, so x_pj = -R[i][c]
-            v[pj] = f.neg(r.at(i, c))
+        for i, j in enumerate(pivots):
+            # pivot entry is 1, so x_j = -R[i][c]
+            v[j] = -r.at(i, c) % p if p else -r.at(i, c)
         basis.append(tuple(v))
     return basis

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import GF2, GF3, PrimeField
+from .algebra import GF2, GF3, Field
 
 _FIELD_NAMES = {"F2": GF2, "F3": GF3}
 
@@ -102,7 +102,7 @@ def _unchecked(cls, values: dict):
 
 
 def _freeze_grid(values: Sequence[Sequence[int]], rows: int, cols: int,
-                 field: PrimeField, label: str) -> tuple:
+                 field: Field, label: str) -> tuple:
     if len(values) != rows:
         raise ValueError(f"{label} must have {rows} rows, got {len(values)}")
     p = field.p
@@ -124,7 +124,7 @@ class LatticeState:
     """
 
     shape: GridShape
-    field: PrimeField
+    field: Field
     f: tuple
     g: tuple
 
@@ -134,7 +134,7 @@ class LatticeState:
         object.__setattr__(self, "g", _freeze_grid(self.g, m + 1, n, self.field, "g"))
 
     @classmethod
-    def trusted(cls, shape: GridShape, field: PrimeField, f: tuple, g: tuple) -> LatticeState:
+    def trusted(cls, shape: GridShape, field: Field, f: tuple, g: tuple) -> LatticeState:
         """A state from tuples of tuples the library built, unchecked."""
         return _unchecked(cls, {"shape": shape, "field": field, "f": f, "g": g})
 
@@ -158,7 +158,7 @@ class BoundarySpec:
     """The 2m + 2n boundary edge values of a lattice of the given shape."""
 
     shape: GridShape
-    field: PrimeField
+    field: Field
     f_bottom: tuple
     f_top: tuple
     g_left: tuple
@@ -241,7 +241,7 @@ def boundary_of(state: LatticeState) -> BoundarySpec:
     )
 
 
-def check_boundary(boundary: BoundarySpec | None, shape: GridShape, field: PrimeField) -> None:
+def check_boundary(boundary: BoundarySpec | None, shape: GridShape, field: Field) -> None:
     """Refuse a boundary of another shape or over another field; None is free."""
     if boundary is None:
         return
@@ -267,7 +267,7 @@ def _parse_object(text: str, where: str, error: type) -> dict:
     return doc
 
 
-def _parse_field(doc: dict, where: str) -> PrimeField:
+def _parse_field(doc: dict, where: str) -> Field:
     name = doc.get("field")
     if name not in _FIELD_NAMES:
         raise StateFormatError(

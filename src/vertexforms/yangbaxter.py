@@ -212,7 +212,7 @@ def embed(m: FieldMatrix, slot: int) -> FieldMatrix:
         raise ValueError("embed expects a 4x4 matrix")
     if slot not in (12, 13, 23):
         raise ValueError("slot must be one of 12, 13, 23")
-    zero = m.field.zero
+    zero = 0 if m.field.p else Fraction(0)
     entries = []
     for ap, bp, cp in product((0, 1), repeat=3):
         for a, b, c in product((0, 1), repeat=3):

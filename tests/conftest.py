@@ -7,7 +7,11 @@ a diagonal twist that breaks the c/d symmetries without breaking the
 equation.  Tests use these as positive instances; random weights from
 random_weights are the generic negative instances.
 
-Also here are affine_span, the kernel-walk oracle that the closed-form and
+Also here are oracle_rref and oracle_nullspace, Gauss-Jordan elimination
+one field operation per entry (Fractions over Q), which algebra's integer
+rref and nullspace_basis are checked against, with mat_vec, the
+matrix-vector product the kernel tests use,
+affine_span, the kernel-walk oracle that the closed-form and
 eight-vertex listings are checked against, with its vector helper combine
 (tests of both in test_affine_span.py),
 toroidal_six_states, the row-by-row oracle for the toroidal count and
@@ -28,7 +32,7 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from vertexforms.algebra import FieldMatrix, PrimeField, rref
+from vertexforms.algebra import Field, FieldMatrix, rref
 from vertexforms.grid import deserialize_state
 from vertexforms.yangbaxter import VertexWeights
 
@@ -138,7 +142,7 @@ def random_weights(rng) -> VertexWeights:
     ))
 
 
-def combine(field: PrimeField, start: Sequence[int], coeffs, vectors) -> list:
+def combine(field: Field, start: Sequence[int], coeffs, vectors) -> list:
     """start + sum of c * v over F_p, one coefficient and vector at a time."""
     p = field.p
     vec = list(start)
@@ -148,7 +152,7 @@ def combine(field: PrimeField, start: Sequence[int], coeffs, vectors) -> list:
     return vec
 
 
-def affine_span(field: PrimeField, base: Sequence[int], basis: list) -> Iterator[tuple]:
+def affine_span(field: Field, base: Sequence[int], basis: list) -> Iterator[tuple]:
     """Every vector of base + span(basis) over F_p once, in lexicographic order.
 
     The basis is put in reduced echelon form, so each row leads at a
@@ -173,6 +177,66 @@ def affine_span(field: PrimeField, base: Sequence[int], basis: list) -> Iterator
             yield from walk(level + 1, combine(field, vec, (c,), (row,)))
 
     return walk(0, vec)
+
+
+def field_ops(field: Field) -> tuple:
+    """(sub, mul, inv) of field, one entry at a time: mod p over F_p,
+    Fraction arithmetic over Q."""
+    p = field.p
+    if p:
+        return (lambda x, y: (x - y) % p, lambda x, y: x * y % p,
+                lambda x: pow(x, p - 2, p))
+    return (lambda x, y: x - y, lambda x, y: x * y, lambda x: 1 / Fraction(x))
+
+
+def oracle_rref(m: FieldMatrix) -> FieldMatrix:
+    """Reduced row echelon form, each pivot row scaled by the pivot's
+    inverse and subtracted from the rows it clears one entry at a time."""
+    sub, mul, inv = field_ops(m.field)
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivot_row = 0
+    for col in range(m.cols):
+        if pivot_row >= m.rows:
+            break
+        sel = next((r for r in range(pivot_row, m.rows) if rows[r][col] != 0), None)
+        if sel is None:
+            continue
+        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+        scale = inv(rows[pivot_row][col])
+        prow = rows[pivot_row] = [mul(scale, x) for x in rows[pivot_row]]
+        for r in range(m.rows):
+            factor = rows[r][col]
+            if r != pivot_row and factor != 0:
+                rows[r] = [sub(x, mul(factor, y)) for x, y in zip(rows[r], prow)]
+        pivot_row += 1
+    return FieldMatrix(m.field, m.rows, m.cols, tuple(x for row in rows for x in row))
+
+
+def oracle_nullspace(m: FieldMatrix) -> list:
+    """Nullspace basis read off oracle_rref: for each free column c in
+    order, the vector with 1 at c and -R[i][c] at row i's pivot."""
+    r = oracle_rref(m)
+    sub, _, _ = field_ops(m.field)
+    zero, one = (0, 1) if m.field.p else (Fraction(0), Fraction(1))
+    pivots = [next(j for j, x in enumerate(row) if x != 0)
+              for row in r.to_rows() if any(x != 0 for x in row)]
+    basis = []
+    for c in (c for c in range(m.cols) if c not in pivots):
+        v = [zero] * m.cols
+        v[c] = one
+        for i, j in enumerate(pivots):
+            v[j] = sub(zero, r.at(i, c))
+        basis.append(tuple(v))
+    return basis
+
+
+def mat_vec(a: FieldMatrix, v: Sequence) -> tuple:
+    """The product a v as a tuple of field elements."""
+    if a.cols != len(v):
+        raise ValueError("vector length does not match matrix columns")
+    p = a.field.p
+    out = (sum(x * y for x, y in zip(a.row(i), v)) for i in range(a.rows))
+    return tuple(x % p for x in out) if p else tuple(out)
 
 
 def toroidal_six_states(m: int, n: int) -> list:

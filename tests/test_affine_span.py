@@ -5,8 +5,8 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import affine_span, combine
-from vertexforms.algebra import GF2, GF3, FieldMatrix, mat_vec, nullspace_basis
+from conftest import affine_span, combine, mat_vec
+from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis
 
 
 def test_combine_adds_multiples_mod_p():

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import mat_vec, oracle_nullspace, oracle_rref
 from vertexforms.algebra import (
     GF2,
     GF3,
     QQ,
     FieldMatrix,
     mat_sub,
-    mat_vec,
     matmul,
     nullspace_basis,
     pivot_columns,
@@ -40,33 +40,68 @@ def matrices(field, max_dim=5):
     )
 
 
-def test_field_ops_mod_p():
-    assert GF3.add(2, 2) == 1
-    assert GF3.sub(0, 1) == 2
-    assert GF3.mul(2, 2) == 1
-    assert GF3.neg(1) == 2
-    assert GF3.inv(2) == 2
-    assert GF3.div(1, 2) == 2
-    assert GF2.add(1, 1) == 0
-    assert GF2.inv(1) == 1
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert QQ.element(2) == Fraction(2)
+@st.composite
+def degenerate_matrices(draw, max_dim=7):
+    """Wide, tall and square matrices over F2, F3 or Q whose rows are drawn
+    fresh, zero, repeats of an earlier row, or an earlier row plus a
+    multiple of another; Q entries mix ints and Fractions, F_p entries
+    are ints outside 0..p-1 too."""
+    field = draw(st.sampled_from(FIELDS))
+    cols = draw(st.integers(1, max_dim))
+    if field is QQ:
+        entry = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6))
+    else:
+        entry = st.integers(-3, 5)
+    rows = []
+    for _ in range(draw(st.integers(1, max_dim))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combine")))
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combine" and rows:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-2, 2))
+            rows.append([a + k * b for a, b in zip(x, y)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    return FieldMatrix.from_rows(field, rows)
 
 
 def test_field_element_validation():
-    assert GF3.element(3) == 0
-    assert GF2.element(-1) == 1
-    with pytest.raises(TypeError):
-        GF3.element(1.5)
-    with pytest.raises(TypeError):
-        QQ.element(0.5)
-    assert QQ.element("2/3") == Fraction(2, 3)
+    # ints are reduced mod p, and over Q become Fractions
+    assert FieldMatrix.from_rows(GF3, [[3, -1]]).entries == (0, 2)
+    assert FieldMatrix.from_rows(GF2, [[-1]]).entries == (1,)
+    q = FieldMatrix.from_rows(QQ, [[2, Fraction(2, 3)]]).entries
+    assert q == (2, Fraction(2, 3)) and all(type(x) is Fraction for x in q)
+    # floats, bools and strings are no entries in any field
+    for field in FIELDS:
+        for bad in (1.5, 0.5, True, False, "1", "2/3"):
+            with pytest.raises(TypeError, match=field.name):
+                FieldMatrix.from_rows(field, [[1, bad]])
+    for bad in ("1e3", " 2/3 ", "0.5"):
+        with pytest.raises(TypeError, match="str"):
+            FieldMatrix.from_rows(QQ, [[bad]])
+    with pytest.raises(TypeError, match="bool"):
+        FieldMatrix.from_rows(GF2, [[True, False]])
 
 
-def test_inverse_of_zero_rejected():
-    for f in FIELDS:
-        with pytest.raises(ZeroDivisionError):
-            f.inv(f.zero)
+@settings(deadline=None, max_examples=300)
+@given(degenerate_matrices())
+def test_rref_matches_oracle(m):
+    r = rref(m)
+    assert r.entries == oracle_rref(m).entries
+    if m.field is QQ:
+        assert all(type(x) is Fraction for x in r.entries)
+
+
+@settings(deadline=None, max_examples=200)
+@given(degenerate_matrices())
+def test_nullspace_matches_oracle(m):
+    basis = nullspace_basis(m)
+    assert basis == oracle_nullspace(m)
+    if m.field is QQ:
+        assert all(type(x) is Fraction for v in basis for x in v)
 
 
 def test_identity_and_shapes():
@@ -124,9 +159,8 @@ def test_rank_nullity(m):
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(FIELDS).flatmap(matrices))
 def test_nullspace_vectors_annihilated(m):
-    zero = (m.field.zero,) * m.rows
     for v in nullspace_basis(m):
-        assert mat_vec(m, v) == zero
+        assert not any(mat_vec(m, v))
 
 
 @settings(deadline=None, max_examples=40)

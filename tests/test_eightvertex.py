@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import affine_span
-from vertexforms.algebra import GF2, GF3, FieldMatrix, mat_vec, nullspace_basis, rank
+from conftest import affine_span, mat_vec
+from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
 from vertexforms.eightvertex import (
     boundary_parity,
     construct_state,

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import affine_span, backtrack_colorings
-from vertexforms.algebra import GF2, GF3, FieldMatrix, mat_vec, nullspace_basis, rank
+from conftest import affine_span, backtrack_colorings, mat_vec
+from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
 from vertexforms import forms_rect
 from vertexforms.forms_rect import (
     Coloring,

@@ -1,15 +1,18 @@
 """The benchmark tracer's view of the package, read without editing it.
 
-perfbench/tracing.py patches package functions by name and reads the
-length of what the state listings return.  A rename or a listing that
-stops returning a list would leave a traced run measuring nothing, so
-the suite checks both.
+perfbench/tracing.py patches package functions by name, reads the
+length of what the state listings return, and reads the field name and
+size of each matrix rref is given.  A rename, a listing that stops
+returning a list, or a matrix whose field stops naming itself as the
+tracer's FIELDS do would leave a traced run measuring nothing, so the
+suite checks all three.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from vertexforms.algebra import GF2, GF3, QQ, FieldMatrix
 from vertexforms.grid import GridShape
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -40,3 +43,11 @@ def test_state_listings_return_lists():
         assert type(out) is list and out, qualified
         info = tracing._INFO[qualified]((shape,), {}, out)
         assert tracing._out(info) == len(out)
+
+
+def test_rref_spans_name_their_field():
+    tracing = load_tracing()
+    for field in (GF2, GF3, QQ):
+        m = FieldMatrix.from_rows(field, [[1, 0, 1], [0, 1, 1]])
+        assert tracing._INFO["algebra.rref"]((m,), {}, None) == (field.name, 6)
+    assert (GF2.name, GF3.name, QQ.name) == tracing.FIELDS

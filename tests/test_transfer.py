@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,43 @@ def test_f3_boundary_value_two_admits_no_state():
     assert count_six(shape, boundary=b) == 0
     w = VertexWeights(1, 1, 1, 1, 1, 1, 0, 0)
     assert partition_function(w, shape, "six", boundary=b) == 0
+
+
+def constant_sides(n, left, bottom, right, top):
+    """The n x n F3 boundary whose four sides each carry one value."""
+    return BoundarySpec(shape=GridShape(n, n), field=GF3,
+                        f_bottom=(bottom,) * n, f_top=(top,) * n,
+                        g_left=(left,) * n, g_right=(right,) * n)
+
+
+DOMAIN_WALL = (1, 1, 0, 0)  # left, bottom, right, top
+ANTI_DOMAIN_WALL = (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_domain_wall_counts_are_alternating_sign_matrices(n):
+    # A(n) = prod_{k<n} (3k+1)! / (n+k)! alternating sign matrices (Zeilberger 1996)
+    asm = prod(factorial(3 * k + 1) for k in range(n)) // prod(factorial(n + k) for k in range(n))
+    shape = GridShape(n, n)
+    assert count_states(SIX_VERTEX, shape, constant_sides(n, *DOMAIN_WALL)) == asm
+    assert count_states(SIX_VERTEX, shape, constant_sides(n, *ANTI_DOMAIN_WALL)) == asm
+    # the other two boundaries with adjacent sides 1 break left + top = right + bottom
+    assert count_states(SIX_VERTEX, shape, constant_sides(n, 1, 0, 0, 1)) == 0
+    assert count_states(SIX_VERTEX, shape, constant_sides(n, 0, 1, 1, 0)) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_domain_wall_sums_are_two_enumerations(n):
+    # with a and b weights 1 the sum is the 2-enumeration of alternating sign
+    # matrices, 2^(n(n-1)/2), or 2^n times it: the c vertices of one sign are
+    # the matrix's -1 entries, those of the other its n more +1 entries
+    low, high = 2 ** (n * (n - 1) // 2), 2 ** (n * (n + 1) // 2)
+    shape = GridShape(n, n)
+    for c_plus, c_minus, wall, anti in ((1, 2, low, high), (2, 1, high, low)):
+        weights = {pattern: {("c", 1): c_plus, ("c", -1): c_minus}.get(PATTERNS[pattern], 1)
+                   for pattern in SIX_VERTEX}
+        assert weighted_sum(weights, shape, constant_sides(n, *DOMAIN_WALL)) == wall
+        assert weighted_sum(weights, shape, constant_sides(n, *ANTI_DOMAIN_WALL)) == anti
 
 
 def test_six_partition_function_refuses_f2_boundary():
