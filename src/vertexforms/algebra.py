@@ -40,11 +40,12 @@ def _entry(field: Field, x) -> Scalar:
     floats are refused, so a JSON true or a rounded decimal never
     becomes a field element.
     """
+    p = field.p
     if type(x) is int:
-        return x % field.p if field.p else Fraction(x)
-    if type(x) is Fraction and not field.p:
+        return x % p if p else Fraction(x)
+    if type(x) is Fraction and not p:
         return x
-    allowed = "ints" if field.p else "ints or Fractions"
+    allowed = "ints" if p else "ints or Fractions"
     raise TypeError(f"{field.name} entries are {allowed}, not {type(x).__name__}")
 
 
@@ -78,7 +79,7 @@ class FieldMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(_entry(field, x) for x in r)
+            flat.extend([_entry(field, x) for x in r])
         return cls(field, nrows, ncols, tuple(flat))
 
     @classmethod
