@@ -11,72 +11,27 @@ JSON with sorted keys; the tabular commands also accept --format csv.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
-import random
 import sys
 
 from .algebra import GF2, GF3, rank
-from .eightvertex import (
-    count_total,
-    count_valid_boundaries,
-    count_with_boundary,
-    defect_map,
-    eight_state_tables,
-    is_admissible_eight,
-)
-from .forms_rect import (
-    OneForm,
-    antiderivative,
-    closed_form_tables,
-    count_colorings,
-    count_six,
-    coloring_from_form,
-    exterior_derivative,
-    form_from_coloring,
-    is_admissible_six,
-    random_closed_forms,
-    random_proper_coloring,
-    six_state_tables,
-)
 from .grid import (
     GridShape,
     LatticeState,
     SIZE_GUARD_BITS,
     SizeGuardError,
     StateFormatError,
+    WeightConditionError,
+    WeightFormatError,
     deserialize_boundary,
     deserialize_state,
     edges_at_vertex,
     state_doc,
 )
-from .toroidal import (
-    CohomologyDecomposition,
-    PeriodicField,
-    ToroidalOneForm,
-    check_periods,
-    closed_toroidal_tables,
-    count_six_toroidal,
-    decompose,
-    reconstruct,
-    sparse_fibers,
-    toroidal_state_tables,
-)
-from .transfer import EIGHT_VERTEX, SIX_VERTEX, count_states, first_bad_vertex
-from .yangbaxter import (
-    RESIDUALS28_LABELS,
-    WeightConditionError,
-    WeightFormatError,
-    check_necessary_conditions,
-    commutator_vanishes,
-    deserialize_weights,
-    partition_function,
-    residuals28,
-    serialize_weights,
-    solve_R,
-    star_triangle_residuals,
-)
+
+# Each command imports the modules it runs when it runs, so a fresh
+# process loads only grid and algebra before it parses its arguments.
 
 
 class CLIError(Exception):
@@ -107,6 +62,8 @@ def _load_boundary(path: str, field):
 
 
 def _load_weights(path: str):
+    from .yangbaxter import deserialize_weights
+
     return deserialize_weights(_read_text(path))
 
 
@@ -118,6 +75,8 @@ def _shape(args) -> GridShape:
 
 
 def _check_periods(shape: GridShape) -> None:
+    from .toroidal import check_periods
+
     try:
         check_periods(shape)
     except ValueError as e:
@@ -143,6 +102,8 @@ def _edge_headers(shape: GridShape) -> list:
 
 
 def _emit_csv(header, rows) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout)
     writer.writerow(header)
     writer.writerows(rows)
@@ -154,6 +115,8 @@ def _emit_csv(header, rows) -> None:
 def cmd_count(args) -> int:
     shape = _shape(args)
     if args.check_colorings:
+        from .forms_rect import count_colorings, count_six
+
         if args.model != "six":
             raise CLIError(f"--check-colorings checks the six-vertex count, not {args.model}")
         if args.boundary is not None:
@@ -167,6 +130,8 @@ def cmd_count(args) -> int:
         })
         return 0 if colorings == 3 * states else 1
     if args.model == "eight":
+        from .eightvertex import count_total, count_with_boundary
+
         if args.boundary is not None:
             b = _load_boundary(args.boundary, GF2)
             _check_shape(b, shape, "boundary")
@@ -175,10 +140,14 @@ def cmd_count(args) -> int:
             _emit({"total": count_total(shape)})
         return 0
     if args.model == "toroidal":
+        from .toroidal import count_six_toroidal
+
         if args.boundary is not None:
             raise CLIError("toroidal counting does not take a boundary file")
         _emit({"count": count_six_toroidal(shape, force=args.force)})
         return 0
+    from .forms_rect import count_six
+
     if args.boundary is not None:
         b = _load_boundary(args.boundary, GF3)
         _check_shape(b, shape, "boundary")
@@ -250,6 +219,8 @@ def cmd_enumerate(args) -> int:
     # each walk charges the guard when called, before anything is printed;
     # count is the sweep's, called for the JSON header only
     if args.model == "toroidal":
+        from .toroidal import count_six_toroidal, toroidal_state_tables
+
         if args.boundary is not None:
             raise CLIError("toroidal enumeration does not take a boundary file")
         field, tables = GF3, toroidal_state_tables(shape, force=args.force)
@@ -261,10 +232,14 @@ def cmd_enumerate(args) -> int:
             boundary = _load_boundary(args.boundary, field)
             _check_shape(boundary, shape, "boundary")
         if field is GF2:
+            from .eightvertex import count_total, count_with_boundary, eight_state_tables
+
             tables = eight_state_tables(shape, boundary, force=args.force)
             count = lambda: (count_total(shape) if boundary is None
                              else count_with_boundary(boundary))
         else:
+            from .forms_rect import count_six, six_state_tables
+
             tables = six_state_tables(shape, boundary, force=args.force)
             count = lambda: count_six(shape, force=args.force, boundary=boundary)
     if args.format == "csv":
@@ -278,6 +253,16 @@ def cmd_enumerate(args) -> int:
 
 
 def _verify_poincare(args) -> tuple:
+    import random
+
+    from .forms_rect import (
+        OneForm,
+        antiderivative,
+        closed_form_tables,
+        exterior_derivative,
+        random_closed_forms,
+    )
+
     shape = _shape(args)
     rng = random.Random(args.seed)
     # exhaustive when the listing's guard takes the shape, random otherwise
@@ -306,6 +291,16 @@ def _verify_poincare(args) -> tuple:
 
 
 def _verify_bijection(args) -> tuple:
+    import random
+
+    from .forms_rect import (
+        OneForm,
+        coloring_from_form,
+        form_from_coloring,
+        random_proper_coloring,
+        six_state_tables,
+    )
+
     shape = _shape(args)
     rng = random.Random(args.seed)
     checked = 0
@@ -331,6 +326,17 @@ def _verify_bijection(args) -> tuple:
 
 
 def _verify_cohomology(args) -> tuple:
+    import random
+
+    from .toroidal import (
+        CohomologyDecomposition,
+        PeriodicField,
+        ToroidalOneForm,
+        closed_toroidal_tables,
+        decompose,
+        reconstruct,
+    )
+
     shape = _shape(args)
     _check_periods(shape)
     rng = random.Random(args.seed)
@@ -376,6 +382,8 @@ def _verify_cohomology(args) -> tuple:
 
 
 def _verify_sparse_fibers(args) -> tuple:
+    from .toroidal import count_six_toroidal, sparse_fibers
+
     shape = _shape(args)
     _check_periods(shape)
     entries = sparse_fibers(shape, force=args.force)
@@ -414,6 +422,9 @@ def _verify_sparse_fibers(args) -> tuple:
 
 
 def _verify_defect_rank(args) -> tuple:
+    from .eightvertex import count_total, count_valid_boundaries, defect_map
+    from .transfer import EIGHT_VERTEX, count_states
+
     shape = _shape(args)
     rk = rank(defect_map(shape).matrix)
     expected = shape.m * shape.n
@@ -437,10 +448,15 @@ def _verify_defect_rank(args) -> tuple:
 
 
 def _verify_state(args) -> tuple:
+    from .transfer import EIGHT_VERTEX, SIX_VERTEX, first_bad_vertex
+
     if args.infile is None:
         raise CLIError("verify state requires --in FILE")
     state = _load_state(args.infile)
-    check = is_admissible_eight if args.model == "eight" else is_admissible_six
+    if args.model == "eight":
+        from .eightvertex import is_admissible_eight as check
+    else:
+        from .forms_rect import is_admissible_six as check
     try:
         admissible = check(state)
     except ValueError as e:
@@ -473,6 +489,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ybe(args) -> int:
+    from .yangbaxter import (
+        RESIDUALS28_LABELS,
+        check_necessary_conditions,
+        commutator_vanishes,
+        residuals28,
+        serialize_weights,
+        solve_R,
+        star_triangle_residuals,
+    )
+
     if args.action in ("check", "residuals"):
         r = _load_weights(args.r)
         s = _load_weights(args.s)
@@ -528,6 +554,8 @@ def cmd_ybe(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from .yangbaxter import partition_function
+
     shape = _shape(args)
     w = _load_weights(args.weights)
     boundary = None

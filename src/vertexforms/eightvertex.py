@@ -42,8 +42,8 @@ class DefectMap:
 
 
 def defect_map(shape: GridShape) -> DefectMap:
-    """The parity map: grid's vertex incidence rows over F2, where -1 is 1."""
-    return DefectMap(shape, FieldMatrix.from_rows(GF2, _vertex_incidence(shape)))
+    """The parity map: grid's vertex incidence matrix over F2, where -1 is 1."""
+    return DefectMap(shape, _vertex_incidence(shape, GF2))
 
 
 def _require_binary(values) -> None:

@@ -210,7 +210,7 @@ def closedness_matrix(shape: GridShape) -> FieldMatrix:
     the row of vertex (i, j) encodes fx[i][j+1] - fx[i][j] - gy[i+1][j]
     + gy[i][j]; columns follow the edge_tuple layout.
     """
-    return FieldMatrix.from_rows(GF3, _vertex_incidence(shape))
+    return _vertex_incidence(shape, GF3)
 
 
 def closed_form_tables(shape: GridShape, force: bool = False):
@@ -320,9 +320,11 @@ def form_from_coloring(c: Coloring) -> tuple:
     The form is d(c) - dx - dy and the base label is the color at the
     bottom-left vertex.  Requires a proper coloring.
     """
-    if not is_proper(c):
+    fx, gy = _differences(c.cells, -1, -1)
+    # a difference is 0, an improper edge, exactly where d - 1 is 2
+    if any(map(contains, fx + gy, repeat(2))):
         raise ValueError("form_from_coloring requires a proper coloring")
-    return OneForm.trusted(c.shape, *_differences(c.cells, -1, -1)), c.cells[0][0]
+    return OneForm.trusted(c.shape, fx, gy), c.cells[0][0]
 
 
 def six_state_tables(shape: GridShape, boundary: BoundarySpec | None = None,

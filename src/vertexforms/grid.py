@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import GF2, GF3, Field
+from .algebra import GF2, GF3, Field, FieldMatrix
 
 _FIELD_NAMES = {"F2": GF2, "F3": GF3}
 
@@ -36,6 +36,16 @@ class StateFormatError(ValueError):
 
 class SizeGuardError(RuntimeError):
     """Raised when an operation's charge exceeds the desk-scale guard."""
+
+
+# The weight errors live beside the state errors so that the CLI maps
+# every input error to exit 2 without importing yangbaxter.
+class WeightFormatError(ValueError):
+    """Raised when serialized weights fail to parse."""
+
+
+class WeightConditionError(ValueError):
+    """Raised when weights break a precondition of the computation asked for."""
 
 
 def guard_size(log2_count: int, force: bool = False) -> None:
@@ -209,23 +219,26 @@ def g_edge_index(shape: GridShape, i: int, j: int) -> int:
     return shape.f_edge_count + (i - 1) * shape.n + (j - 1)
 
 
-def _vertex_incidence(shape: GridShape) -> list:
-    """Integer rows of the vertex rule right - left = top - bottom.
+def _vertex_incidence(shape: GridShape, field: Field) -> FieldMatrix:
+    """The matrix of the vertex rule right - left = top - bottom over F2
+    or F3.
 
-    Row vertex_index(i, j) holds +1 at the vertex's top and left edges
-    and -1 at its bottom and right edges, in edge_tuple columns.  Over
-    F3 its kernel is the closed 1-forms, over F2 the eight-vertex states.
+    Row vertex_index(i, j) holds 1 at the vertex's top and left edges
+    and -1 mod p at its bottom and right edges, in edge_tuple columns.
+    Over F3 its kernel is the closed 1-forms, over F2 the eight-vertex
+    states.  The entries are reduced here, so from_rows' check is skipped.
     """
-    rows = []
+    minus = field.p - 1
+    entries = []
     for i in range(1, shape.m + 1):
         for j in range(1, shape.n + 1):
             row = [0] * shape.edge_count
             row[f_edge_index(shape, i, j + 1)] = 1
             row[g_edge_index(shape, i, j)] = 1
-            row[f_edge_index(shape, i, j)] = -1
-            row[g_edge_index(shape, i + 1, j)] = -1
-            rows.append(row)
-    return rows
+            row[f_edge_index(shape, i, j)] = minus
+            row[g_edge_index(shape, i + 1, j)] = minus
+            entries += row
+    return FieldMatrix(field, shape.vertex_count, shape.edge_count, tuple(entries))
 
 
 def boundary_of(state: LatticeState) -> BoundarySpec:

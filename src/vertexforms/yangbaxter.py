@@ -44,7 +44,15 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import GF2, GF3, QQ, FieldMatrix, mat_sub, matmul, nullspace_basis
-from .grid import BoundarySpec, GridShape, _parse_object, check_boundary, guard_cost
+from .grid import (
+    BoundarySpec,
+    GridShape,
+    WeightConditionError,
+    WeightFormatError,
+    _parse_object,
+    check_boundary,
+    guard_cost,
+)
 from .transfer import EIGHT_VERTEX, PATTERNS, SIX_VERTEX, lcm_scaled, weighted_sum
 
 WEIGHT_KEYS = ("a1", "a-1", "b1", "b-1", "c1", "c-1", "d1", "d-1")
@@ -55,14 +63,6 @@ _KEY_TO_ATTR = {
     "c1": "c1", "c-1": "c_neg1",
     "d1": "d1", "d-1": "d_neg1",
 }
-
-
-class WeightFormatError(ValueError):
-    """Raised when serialized weights fail to parse."""
-
-
-class WeightConditionError(ValueError):
-    """Raised when weights break a precondition of the computation asked for."""
 
 
 # the one weight string VertexWeights and deserialize_weights read: an

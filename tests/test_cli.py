@@ -175,28 +175,27 @@ def test_enumerate_six_with_boundary(capsys, tmp_path, values):
 def test_enumerate_checks_the_count_header_against_the_walk(monkeypatch, target, model):
     # the header is printed before the walk runs; a walk that lists
     # another number of states is an internal error, never exit 2
-    import vertexforms.cli as cli
-
-    monkeypatch.setattr(cli, target, lambda *args, **kwargs: 1)
+    home = {"six": "forms_rect", "eight": "eightvertex", "toroidal": "toroidal"}[model]
+    monkeypatch.setattr(f"vertexforms.{home}.{target}", lambda *args, **kwargs: 1)
     with pytest.raises(RuntimeError, match="listed .* states, the sweep counted 1"):
         main(["enumerate", "--model", model, "--m", "2", "--n", "2"])
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_enumerate_writes_states_as_the_walk_yields_them(monkeypatch, fmt):
-    import vertexforms.cli as cli
+    import vertexforms.forms_rect as forms_rect
 
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     written = []  # output length as each table is yielded
-    real = cli.six_state_tables
+    real = forms_rect.six_state_tables
 
     def watched(*args, **kwargs):
         for tables in real(*args, **kwargs):
             written.append(len(out.getvalue()))
             yield tables
 
-    monkeypatch.setattr(cli, "six_state_tables", watched)
+    monkeypatch.setattr(forms_rect, "six_state_tables", watched)
     assert main(["enumerate", "--m", "2", "--n", "2", "--format", fmt]) == 0
     assert len(written) == 82
     assert written[0] < written[-1] < len(out.getvalue())
@@ -290,10 +289,10 @@ POINCARE_EXHAUSTIVE = {(2, 2), (2, 3), (3, 2)}
                          + [(m, n, True) for m in range(2, 7) for n in range(2, 5)])
 def test_verify_poincare_mode_is_the_listing_guard(capsys, monkeypatch, m, n, force):
     # the listing is charged as the CLI asks for it, then cut to one form
-    import vertexforms.cli as cli
+    import vertexforms.forms_rect as forms_rect
 
-    listing = cli.closed_form_tables
-    monkeypatch.setattr(cli, "closed_form_tables",
+    listing = forms_rect.closed_form_tables
+    monkeypatch.setattr(forms_rect, "closed_form_tables",
                         lambda shape, force=False: islice(listing(shape, force), 1))
     argv = ["verify", "poincare", "--m", str(m), "--n", str(n), "--samples", "1"]
     code, doc = run_json(capsys, *argv, *(["--force"] if force else []))
@@ -319,10 +318,10 @@ def test_verify_cohomology_exhaustive(capsys):
 def test_verify_cohomology_counts_the_closed_forms(capsys, monkeypatch):
     # a span missing one form round-trips every form it has, so only the
     # count against the 3^(mn+1) decompositions can catch it
-    import vertexforms.cli as cli
+    import vertexforms.toroidal as toroidal
 
-    real = cli.closed_toroidal_tables
-    monkeypatch.setattr(cli, "closed_toroidal_tables",
+    real = toroidal.closed_toroidal_tables
+    monkeypatch.setattr(toroidal, "closed_toroidal_tables",
                         lambda shape, force=False: islice(real(shape, force), 1, None))
     code, doc = run_json(capsys, "verify", "cohomology", "--m", "2", "--n", "2")
     assert code == 1 and doc["passed"] is False
@@ -356,10 +355,10 @@ COHOMOLOGY_EXHAUSTIVE = {(2, 2), (2, 4), (4, 2), (2, 5), (5, 2)}
 def test_verify_cohomology_mode_is_the_listing_guard(capsys, monkeypatch, m, n, force):
     # the listing is charged as the CLI asks for it, then cut to one form,
     # so an exhaustive run fails its count of the decompositions
-    import vertexforms.cli as cli
+    import vertexforms.toroidal as toroidal
 
-    listing = cli.closed_toroidal_tables
-    monkeypatch.setattr(cli, "closed_toroidal_tables",
+    listing = toroidal.closed_toroidal_tables
+    monkeypatch.setattr(toroidal, "closed_toroidal_tables",
                         lambda shape, force=False: islice(listing(shape, force), 1))
     argv = ["verify", "cohomology", "--m", str(m), "--n", str(n), "--samples", "1"]
     code, doc = run_json(capsys, *argv, *(["--force"] if force else []))
@@ -408,9 +407,8 @@ def test_verify_sparse_fibers(capsys):
 
 
 def test_verify_sparse_fibers_checks_an_independent_total(capsys, monkeypatch):
-    import vertexforms.cli as cli
-
-    monkeypatch.setattr(cli, "count_six_toroidal", lambda shape, force=False: 17)
+    monkeypatch.setattr("vertexforms.toroidal.count_six_toroidal",
+                        lambda shape, force=False: 17)
     code, doc = run_json(capsys, "verify", "sparse-fibers", "--m", "2", "--n", "2")
     assert code == 1 and doc["passed"] is False and doc["states"] == 17
 
@@ -441,9 +439,7 @@ def test_verify_defect_rank_3x3_checks_the_sweep_count(capsys):
 
 
 def test_verify_defect_rank_fails_on_a_wrong_sweep_count(capsys, monkeypatch):
-    import vertexforms.cli as cli
-
-    monkeypatch.setattr(cli, "count_states",
+    monkeypatch.setattr("vertexforms.transfer.count_states",
                         lambda patterns, shape, force=False: 2 ** 15 - 1)
     code, doc = run_json(capsys, "verify", "defect-rank", "--m", "3", "--n", "3")
     assert code == 1 and doc["passed"] is False
@@ -727,12 +723,10 @@ def test_undecodable_file_exits_2(capsys, tmp_path):
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
-    import vertexforms.cli as cli
-
     def broken(shape, force=False):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "count_six_toroidal", broken)
+    monkeypatch.setattr("vertexforms.toroidal.count_six_toroidal", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["count", "--model", "toroidal", "--m", "2", "--n", "2"])
 
@@ -743,13 +737,13 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
 ])
 def test_internal_value_error_in_weight_commands_propagates(tmp_path, monkeypatch,
                                                             target, command):
-    import vertexforms.cli as cli
+    import vertexforms.yangbaxter as yangbaxter
 
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
     wfile = write_weights(tmp_path, "w.json", VertexWeights(1, 1, 1, 1, 1, 1, 1, 1))
-    monkeypatch.setattr(cli, target, broken)
+    monkeypatch.setattr(yangbaxter, target, broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(command.format(w=wfile).split())
 

@@ -385,9 +385,12 @@ def test_coloring_from_form_checks_its_form_once(monkeypatch):
 
 def test_form_from_coloring_rejects_improper():
     flat = Coloring(shape=S22, cells=[[0] * 3] * 3)
-    assert not is_proper(flat)
-    with pytest.raises(ValueError, match="proper"):
-        form_from_coloring(flat)
+    # proper along every row, one repeated label up the first column
+    column_only = Coloring(shape=S22, cells=[[0, 0, 1], [1, 2, 0], [2, 1, 2]])
+    for c in (flat, column_only):
+        assert not is_proper(c)
+        with pytest.raises(ValueError, match="proper"):
+            form_from_coloring(c)
 
 
 def all_proper_colorings(width, height):

@@ -1,17 +1,27 @@
-"""Every name a package module imports from a sibling module is used there.
+"""The package's imports: what each module imports, and what a fresh
+process loads.
 
 No linter runs on the package, so a listing or check that moves between
 modules could leave a stale ``from .x import`` behind; this reads each
-module's syntax tree instead.  __init__.py only re-exports, so it is
-skipped.
+module's syntax tree instead.  __init__.py imports no sibling: it
+resolves its public names from their modules on first use, and the
+footprint tests check in fresh interpreters that importing the package
+or the CLI loads no module a command does not run.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vertexforms"
+import vertexforms
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "vertexforms"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +47,40 @@ def test_an_unused_sibling_import_is_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_sibling_imports(path):
     assert unused_sibling_imports(path.read_text()) == set()
+
+
+def loaded_after(code: str) -> set:
+    """The vertexforms modules a fresh interpreter holds after running code."""
+    script = code + ("\nimport sys\nprint(*sorted(m for m in sys.modules"
+                     " if m.split('.')[0] == 'vertexforms'))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import vertexforms") == {"vertexforms"}
+
+
+def test_importing_the_cli_loads_only_grid_and_algebra():
+    assert loaded_after("import vertexforms.cli") == {
+        "vertexforms", "vertexforms.cli", "vertexforms.grid", "vertexforms.algebra"}
+
+
+def test_count_loads_neither_yangbaxter_nor_toroidal():
+    loaded = loaded_after('from vertexforms.cli import main\n'
+                          'main(["count", "--m", "2", "--n", "2"])')
+    assert "vertexforms.forms_rect" in loaded
+    assert not loaded & {"vertexforms.yangbaxter", "vertexforms.toroidal"}
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    for module, names in vertexforms._EXPORTS.items():
+        home = importlib.import_module(f"vertexforms.{module}")
+        for name in names:
+            assert getattr(vertexforms, name) is getattr(home, name), name
+    assert sorted(vertexforms.__all__) == sorted(vertexforms._HOME)
+    assert set(vertexforms.__all__) <= set(dir(vertexforms))
+    with pytest.raises(AttributeError):
+        vertexforms.no_such_name
