@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "grid": (
         "SIZE_GUARD_BITS", "BoundarySpec", "GridShape", "LatticeState",
-        "SizeGuardError", "StateFormatError", "WeightConditionError", "WeightFormatError",
+        "InputError", "SizeGuardError", "StateFormatError", "WeightConditionError", "WeightFormatError",
         "boundary_of", "deserialize_boundary", "deserialize_state", "edges_at_vertex",
         "guard_size", "serialize_boundary", "serialize_state", "state_doc",
     ),

@@ -3,7 +3,8 @@ Yang-Baxter analysis.
 
 Exit codes: 0 when the requested command succeeds (and any check it ran
 passed), 1 when a verification fails (the report carries a
-counterexample), 2 on usage, input, or size-guard errors.  Randomized
+counterexample), 2 on usage errors, on grid.InputError (input the
+library refuses) and on SizeGuardError.  Randomized
 suites take --seed (default 0), so runs are reproducible.  Output is
 JSON with sorted keys; the tabular commands also accept --format csv.
 """
@@ -13,17 +14,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .algebra import GF2, GF3, rank
 from .grid import (
     GridShape,
+    InputError,
     LatticeState,
     SIZE_GUARD_BITS,
     SizeGuardError,
-    StateFormatError,
-    WeightConditionError,
-    WeightFormatError,
+    check_boundary,
     deserialize_boundary,
     deserialize_state,
     edges_at_vertex,
@@ -33,9 +34,7 @@ from .grid import (
 # Each command imports the modules it runs when it runs, so a fresh
 # process loads only grid and algebra before it parses its arguments.
 
-
-class CLIError(Exception):
-    """Input or precondition problem that maps to exit code 2."""
+_FIELDS = {"six": GF3, "eight": GF2}
 
 
 def _read_text(path: str) -> str:
@@ -43,21 +42,20 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise CLIError(f"cannot read {path}: {e.strerror or e}") from None
+        raise InputError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
-        raise CLIError(f"cannot read {path}: {e}") from None
+        raise InputError(f"cannot read {path}: {e}") from None
 
 
-def _load_state(path: str):
-    return deserialize_state(_read_text(path))
-
-
-def _load_boundary(path: str, field):
-    b = deserialize_boundary(_read_text(path))
-    if b.field is not field:
-        raise CLIError(
-            f"boundary file {path} is over {b.field.name}, expected {field.name}"
-        )
+def _load_boundary(args, shape: GridShape):
+    """The --boundary file's boundary, checked against shape and the
+    model's field; None when no file is given.  A toroidal model takes none."""
+    if args.boundary is None:
+        return None
+    if args.model == "toroidal":
+        raise InputError("--model toroidal takes no boundary file")
+    b = deserialize_boundary(_read_text(args.boundary))
+    check_boundary(b, shape, _FIELDS[args.model])
     return b
 
 
@@ -65,30 +63,6 @@ def _load_weights(path: str):
     from .yangbaxter import deserialize_weights
 
     return deserialize_weights(_read_text(path))
-
-
-def _shape(args) -> GridShape:
-    try:
-        return GridShape(args.m, args.n)
-    except ValueError as e:
-        raise CLIError(str(e)) from None
-
-
-def _check_periods(shape: GridShape) -> None:
-    from .toroidal import check_periods
-
-    try:
-        check_periods(shape)
-    except ValueError as e:
-        raise CLIError(str(e)) from None
-
-
-def _check_shape(b, shape: GridShape, what: str) -> None:
-    if b.shape != shape:
-        raise CLIError(
-            f"{what} is for shape ({b.shape.m}, {b.shape.n}), "
-            f"requested ({shape.m}, {shape.n})"
-        )
 
 
 def _emit(payload) -> None:
@@ -113,14 +87,14 @@ def _emit_csv(header, rows) -> None:
 
 
 def cmd_count(args) -> int:
-    shape = _shape(args)
+    shape = GridShape(args.m, args.n)
     if args.check_colorings:
         from .forms_rect import count_colorings, count_six
 
         if args.model != "six":
-            raise CLIError(f"--check-colorings checks the six-vertex count, not {args.model}")
+            raise InputError(f"--check-colorings checks the six-vertex count, not {args.model}")
         if args.boundary is not None:
-            raise CLIError("--check-colorings checks the free count and takes no boundary file")
+            raise InputError("--check-colorings checks the free count and takes no boundary file")
         states = count_six(shape, force=args.force)
         colorings = count_colorings(shape.m + 1, shape.n + 1, force=args.force)
         _emit({
@@ -129,31 +103,21 @@ def cmd_count(args) -> int:
             "match": colorings == 3 * states,
         })
         return 0 if colorings == 3 * states else 1
+    boundary = _load_boundary(args, shape)
     if args.model == "eight":
         from .eightvertex import count_total, count_with_boundary
 
-        if args.boundary is not None:
-            b = _load_boundary(args.boundary, GF2)
-            _check_shape(b, shape, "boundary")
-            _emit({"count": count_with_boundary(b)})
-        else:
-            _emit({"total": count_total(shape)})
+        _emit({"total": count_total(shape)} if boundary is None
+              else {"count": count_with_boundary(boundary)})
         return 0
     if args.model == "toroidal":
         from .toroidal import count_six_toroidal
 
-        if args.boundary is not None:
-            raise CLIError("toroidal counting does not take a boundary file")
         _emit({"count": count_six_toroidal(shape, force=args.force)})
         return 0
     from .forms_rect import count_six
 
-    if args.boundary is not None:
-        b = _load_boundary(args.boundary, GF3)
-        _check_shape(b, shape, "boundary")
-        _emit({"count": count_six(shape, force=args.force, boundary=b)})
-        return 0
-    _emit({"count": count_six(shape, force=args.force)})
+    _emit({"count": count_six(shape, force=args.force, boundary=boundary)})
     return 0
 
 
@@ -215,33 +179,26 @@ def _emit_csv_listing(shape: GridShape, tables) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    shape = _shape(args)
+    shape = GridShape(args.m, args.n)
+    boundary = _load_boundary(args, shape)
     # each walk charges the guard when called, before anything is printed;
     # count is the sweep's, called for the JSON header only
     if args.model == "toroidal":
         from .toroidal import count_six_toroidal, toroidal_state_tables
 
-        if args.boundary is not None:
-            raise CLIError("toroidal enumeration does not take a boundary file")
         field, tables = GF3, toroidal_state_tables(shape, force=args.force)
         count = lambda: count_six_toroidal(shape, force=args.force)
+    elif args.model == "eight":
+        from .eightvertex import count_total, count_with_boundary, eight_state_tables
+
+        field, tables = GF2, eight_state_tables(shape, boundary, force=args.force)
+        count = lambda: (count_total(shape) if boundary is None
+                         else count_with_boundary(boundary))
     else:
-        field = GF2 if args.model == "eight" else GF3
-        boundary = None
-        if args.boundary is not None:
-            boundary = _load_boundary(args.boundary, field)
-            _check_shape(boundary, shape, "boundary")
-        if field is GF2:
-            from .eightvertex import count_total, count_with_boundary, eight_state_tables
+        from .forms_rect import count_six, six_state_tables
 
-            tables = eight_state_tables(shape, boundary, force=args.force)
-            count = lambda: (count_total(shape) if boundary is None
-                             else count_with_boundary(boundary))
-        else:
-            from .forms_rect import count_six, six_state_tables
-
-            tables = six_state_tables(shape, boundary, force=args.force)
-            count = lambda: count_six(shape, force=args.force, boundary=boundary)
+        field, tables = GF3, six_state_tables(shape, boundary, force=args.force)
+        count = lambda: count_six(shape, force=args.force, boundary=boundary)
     if args.format == "csv":
         _emit_csv_listing(shape, tables)
     else:
@@ -263,7 +220,7 @@ def _verify_poincare(args) -> tuple:
         random_closed_forms,
     )
 
-    shape = _shape(args)
+    shape = GridShape(args.m, args.n)
     rng = random.Random(args.seed)
     # exhaustive when the listing's guard takes the shape, random otherwise
     try:
@@ -301,7 +258,7 @@ def _verify_bijection(args) -> tuple:
         six_state_tables,
     )
 
-    shape = _shape(args)
+    shape = GridShape(args.m, args.n)
     rng = random.Random(args.seed)
     checked = 0
     for f, g in six_state_tables(shape, force=args.force):
@@ -337,12 +294,12 @@ def _verify_cohomology(args) -> tuple:
         reconstruct,
     )
 
-    shape = _shape(args)
-    _check_periods(shape)
+    shape = GridShape(args.m, args.n)
     rng = random.Random(args.seed)
     m, n = shape.m, shape.n
     checked = 0
-    # exhaustive when the listing's guard takes the shape, random otherwise
+    # exhaustive when the listing's guard takes the shape, random
+    # otherwise; the listing checks the periods before its guard
     try:
         tables, mode = closed_toroidal_tables(shape, force=args.force), "exhaustive"
     except SizeGuardError:
@@ -384,9 +341,8 @@ def _verify_cohomology(args) -> tuple:
 def _verify_sparse_fibers(args) -> tuple:
     from .toroidal import count_six_toroidal, sparse_fibers
 
-    shape = _shape(args)
-    _check_periods(shape)
-    entries = sparse_fibers(shape, force=args.force)
+    shape = GridShape(args.m, args.n)
+    entries = sparse_fibers(shape, force=args.force)  # checks the periods first
     # fiber sizes come from the enumeration, the total from the transfer trace
     total = count_six_toroidal(shape, force=args.force)
     report = []
@@ -425,7 +381,7 @@ def _verify_defect_rank(args) -> tuple:
     from .eightvertex import count_total, count_valid_boundaries, defect_map
     from .transfer import EIGHT_VERTEX, count_states
 
-    shape = _shape(args)
+    shape = GridShape(args.m, args.n)
     rk = rank(defect_map(shape).matrix)
     expected = shape.m * shape.n
     total = count_total(shape)
@@ -450,18 +406,15 @@ def _verify_defect_rank(args) -> tuple:
 def _verify_state(args) -> tuple:
     from .transfer import EIGHT_VERTEX, SIX_VERTEX, first_bad_vertex
 
-    if args.infile is None:
-        raise CLIError("verify state requires --in FILE")
-    state = _load_state(args.infile)
+    state = deserialize_state(_read_text(args.infile))
+    field = _FIELDS[args.model]
+    if state.field is not field:
+        raise InputError(f"state document is over {state.field.name}, expected {field.name}")
     if args.model == "eight":
         from .eightvertex import is_admissible_eight as check
     else:
         from .forms_rect import is_admissible_six as check
-    try:
-        admissible = check(state)
-    except ValueError as e:
-        raise CLIError(str(e)) from None
-    if admissible:
+    if check(state):
         return {"admissible": True}, True
     allowed = EIGHT_VERTEX if args.model == "eight" else SIX_VERTEX
     bad = first_bad_vertex(allowed, state.f, state.g)
@@ -556,13 +509,9 @@ def cmd_ybe(args) -> int:
 def cmd_partition(args) -> int:
     from .yangbaxter import partition_function
 
-    shape = _shape(args)
+    shape = GridShape(args.m, args.n)
     w = _load_weights(args.weights)
-    boundary = None
-    if args.boundary is not None:
-        field = GF2 if args.model == "eight" else GF3
-        boundary = _load_boundary(args.boundary, field)
-        _check_shape(boundary, shape, "boundary")
+    boundary = _load_boundary(args, shape)
     z = partition_function(w, shape, args.model, boundary=boundary, force=args.force)
     _emit({"value": str(z)})
     return 0
@@ -571,13 +520,15 @@ def cmd_partition(args) -> int:
 # -- parser -----------------------------------------------------------
 
 
+# the base-10 text int() reads: digits, an optional sign, single
+# underscores between digits, whitespace around
+_DECIMAL = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")
+
+
 def _int_at_least(low: int, what: str):
     """argparse type: a decimal integer >= low, else a usage error."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
+        value = int(text) if _DECIMAL.fullmatch(text) else low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
         return value
@@ -623,9 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("poincare", "bijection", "cohomology", "sparse-fibers", "defect-rank"):
         vp = vsub.add_parser(name)
         _add_shape_args(vp)
-        vp.add_argument("--seed", type=int, default=0)
-        vp.add_argument("--samples", type=_positive_int, default=500,
-                        help="random checks when exhaustive search is too large")
+        if name in ("poincare", "bijection", "cohomology"):
+            vp.add_argument("--seed", type=int, default=0)
+            vp.add_argument("--samples", type=_positive_int, default=500,
+                            help="random checks when exhaustive search is too large")
         vp.add_argument("--force", action="store_true", help="override the size guard")
         if name == "sparse-fibers":
             vp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -669,8 +621,7 @@ def main(argv=None) -> int:
                "ybe": cmd_ybe, "partition": cmd_partition}[args.command]
     try:
         return handler(args)
-    except (CLIError, SizeGuardError, StateFormatError, WeightFormatError,
-            WeightConditionError) as e:
+    except (InputError, SizeGuardError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

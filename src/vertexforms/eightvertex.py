@@ -19,6 +19,7 @@ from .algebra import GF2, FieldMatrix, rank
 from .grid import (
     BoundarySpec,
     GridShape,
+    InputError,
     LatticeState,
     _vertex_incidence,
     check_boundary,
@@ -48,7 +49,7 @@ def defect_map(shape: GridShape) -> DefectMap:
 
 def _require_binary(values) -> None:
     if any(x not in (0, 1) for x in values):
-        raise ValueError("eight-vertex parity is defined for edge values in {0, 1} only")
+        raise InputError("eight-vertex parity is defined for edge values in {0, 1} only")
 
 
 def defect_vector(state: LatticeState) -> tuple:

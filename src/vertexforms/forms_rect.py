@@ -54,6 +54,7 @@ from .algebra import GF3, FieldMatrix
 from .grid import (
     BoundarySpec,
     GridShape,
+    InputError,
     LatticeState,
     _freeze_grid,
     _unchecked,
@@ -271,11 +272,11 @@ def is_admissible_six(state: LatticeState) -> bool:
     the value 2 is rejected with an error rather than judged inadmissible.
     """
     if state.field is not GF3:
-        raise ValueError("six-vertex states live over F3")
+        raise InputError("six-vertex states live over F3")
     if any(x == 2 for row in state.f for x in row) or any(
         x == 2 for row in state.g for x in row
     ):
-        raise ValueError("six-vertex states carry edge values in {0, 1} only")
+        raise InputError("six-vertex states carry edge values in {0, 1} only")
     return first_bad_vertex(SIX_VERTEX, state.f, state.g) is None
 
 

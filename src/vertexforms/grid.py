@@ -30,7 +30,15 @@ _FIELD_NAMES = {"F2": GF2, "F3": GF3}
 SIZE_GUARD_BITS = 26
 
 
-class StateFormatError(ValueError):
+# The CLI reports InputError and SizeGuardError as exit 2, and nothing
+# else: a bare ValueError is a fault in the program.  The subclasses
+# live here so that the CLI maps them without importing yangbaxter.
+class InputError(ValueError):
+    """Raised when input from outside the program is refused: a shape,
+    a boundary, periods, a document or a value the library does not take."""
+
+
+class StateFormatError(InputError):
     """Raised when a serialized state or boundary fails to parse."""
 
 
@@ -38,13 +46,11 @@ class SizeGuardError(RuntimeError):
     """Raised when an operation's charge exceeds the desk-scale guard."""
 
 
-# The weight errors live beside the state errors so that the CLI maps
-# every input error to exit 2 without importing yangbaxter.
-class WeightFormatError(ValueError):
+class WeightFormatError(InputError):
     """Raised when serialized weights fail to parse."""
 
 
-class WeightConditionError(ValueError):
+class WeightConditionError(InputError):
     """Raised when weights break a precondition of the computation asked for."""
 
 
@@ -71,7 +77,7 @@ class GridShape:
 
     def __post_init__(self):
         if self.m < 2 or self.n < 2:
-            raise ValueError(f"grid shape requires m, n >= 2, got ({self.m}, {self.n})")
+            raise InputError(f"grid shape requires m, n >= 2, got ({self.m}, {self.n})")
 
     @property
     def f_edge_count(self) -> int:
@@ -259,9 +265,12 @@ def check_boundary(boundary: BoundarySpec | None, shape: GridShape, field: Field
     if boundary is None:
         return
     if boundary.shape != shape:
-        raise ValueError("boundary shape does not match the requested shape")
+        raise InputError(
+            f"boundary is for shape ({boundary.shape.m}, {boundary.shape.n}), which "
+            f"does not match the shape requested ({shape.m}, {shape.n})"
+        )
     if boundary.field is not field:
-        raise ValueError(f"boundary is over {boundary.field.name}, not {field.name}")
+        raise InputError(f"boundary is over {boundary.field.name}, expected {field.name}")
 
 
 def _parse_object(text: str, where: str, error: type) -> dict:
@@ -298,7 +307,7 @@ def _parse_shape(doc: dict, where: str) -> GridShape:
         raise StateFormatError(f"{where}: 'm' and 'n' must be integers")
     try:
         return GridShape(m, n)
-    except ValueError as e:
+    except InputError as e:
         raise StateFormatError(f"{where}: {e}") from None
 
 

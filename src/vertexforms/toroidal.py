@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .forms_rect import _potential, _rise, _step, is_admissible_six
-from .grid import GridShape, LatticeState, _freeze_grid, _unchecked, guard_cost
+from .grid import GridShape, InputError, LatticeState, _freeze_grid, _unchecked, guard_cost
 from .algebra import GF3
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
 
@@ -48,7 +48,7 @@ def index_reduce(i: int, period: int) -> int:
 def check_periods(shape: GridShape) -> None:
     """Refuse a toroidal shape with a period divisible by 3."""
     if shape.m % 3 == 0 or shape.n % 3 == 0:
-        raise ValueError(
+        raise InputError(
             f"toroidal shape ({shape.m}, {shape.n}) rejected: periods divisible "
             "by 3 break the cohomology decomposition (dx or dy becomes exact)"
         )

@@ -142,10 +142,8 @@ def deserialize_weights(text: str) -> VertexWeights:
             raise WeightFormatError(f"weights document: missing required key {key!r}")
         raw = doc[key]
         try:
-            if type(raw) is not int and not (isinstance(raw, str) and _RATIONAL.fullmatch(raw)):
-                raise ValueError(raw)
-            values[_KEY_TO_ATTR[key]] = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
+            values[_KEY_TO_ATTR[key]] = _exact(raw)
+        except (TypeError, ValueError, ZeroDivisionError):
             raise WeightFormatError(
                 f"weights document: {key!r} must be an integer or 'p/q' string, got {raw!r}"
             ) from None

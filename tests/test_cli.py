@@ -424,6 +424,13 @@ def test_verify_sparse_fibers_csv(capsys):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("suite", ["sparse-fibers", "defect-rank"])
+@pytest.mark.parametrize("option", ["--seed", "--samples"])
+def test_suites_without_random_checks_take_no_seed_or_samples(capsys, suite, option):
+    code, out, err = run(capsys, "verify", suite, "--m", "2", "--n", "2", option, "1")
+    assert code == 2 and out == "" and f"unrecognized arguments: {option} 1" in err
+
+
 def test_verify_defect_rank(capsys):
     code, doc = run_json(capsys, "verify", "defect-rank", "--m", "2", "--n", "2")
     assert code == 0
@@ -659,7 +666,8 @@ def test_boolean_weight_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and "'a1'" in err
 
 
-@pytest.mark.parametrize("raw", ["1e3", "0.5", " 2 ", "1_000"])
+@pytest.mark.parametrize("raw", ["1e3", "0.5", " 2 ", "1_000",
+                                 True, None, 1.5, [1], " 2/3 ", "1/0"])
 def test_weight_outside_the_documented_forms_exits_2(capsys, tmp_path, raw):
     doc = json.loads(serialize_weights(VertexWeights(1, 1, 1, 1, 1, 1, 0, 0)))
     doc["a1"] = raw
@@ -712,7 +720,28 @@ def test_verify_state_eight_with_value_two_exits_2(capsys, tmp_path):
         "m": 2, "n": 2, "field": "F3",
         "f": [[0, 2, 0], [0, 0, 0]], "g": [[0, 0], [0, 0], [0, 0]]})
     code, out, err = run(capsys, "verify", "state", "--in", f, "--model", "eight")
+    assert code == 2 and out == "" and "state document is over F3, expected F2" in err
+
+
+def test_verify_state_six_with_value_two_exits_2(capsys, tmp_path):
+    f = write_json(tmp_path, "s.json", {
+        "m": 2, "n": 2, "field": "F3",
+        "f": [[0, 2, 0], [0, 0, 0]], "g": [[0, 0], [0, 0], [0, 0]]})
+    code, out, err = run(capsys, "verify", "state", "--in", f)
     assert code == 2 and out == "" and "{0, 1}" in err
+
+
+def test_verify_state_refuses_a_document_over_the_other_field(capsys, tmp_path):
+    # an admissible F3 document is no eight-vertex state, and an F2 one
+    # no six-vertex state, whatever its values
+    code, out, err = run(capsys, "verify", "state", "--in", FIXTURE, "--model", "eight")
+    assert (code, out, err) == (2, "", "error: state document is over F3, expected F2\n")
+    zero = LatticeState(shape=GridShape(2, 2), field=GF2,
+                        f=[[0, 0, 0]] * 2, g=[[0, 0]] * 3)
+    p = tmp_path / "f2.json"
+    p.write_text(serialize_state(zero))
+    code, out, err = run(capsys, "verify", "state", "--in", str(p), "--model", "six")
+    assert (code, out, err) == (2, "", "error: state document is over F2, expected F3\n")
 
 
 def test_undecodable_file_exits_2(capsys, tmp_path):

@@ -479,6 +479,42 @@ def test_weighted_sum_with_all_zero_weights_is_zero():
     assert weighted_sum({}, GridShape(2, 2), toroidal=True) == 0
 
 
+# -- lattice symmetries: a sum is the sum of its weights re-keyed
+# through the map a symmetry of the lattice makes of one vertex
+
+
+def half_turn(pattern):
+    """A vertex turned through 180 degrees on the same shape: left and
+    right swap, top and bottom swap, and every edge value flips."""
+    left, top, right, bottom = pattern
+    return (1 - right, 1 - bottom, 1 - left, 1 - top)
+
+
+def transpose(pattern):
+    """A vertex reflected in the diagonal, on the n x m shape: left and
+    bottom swap, top and right swap."""
+    left, top, right, bottom = pattern
+    return (bottom, right, top, left)
+
+
+@pytest.mark.parametrize("symmetry", [half_turn, transpose])
+@pytest.mark.parametrize("table", [SIX_VERTEX, EIGHT_VERTEX], ids=["six", "eight"])
+def test_symmetries_map_each_vertex_table_onto_itself(symmetry, table):
+    assert set(map(symmetry, table)) == table
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([SIX_VERTEX, EIGHT_VERTEX]), st.integers(2, 4), st.integers(2, 4),
+       st.booleans(), st.data())
+def test_weighted_sum_is_invariant_under_the_lattice_symmetries(table, m, n, toroidal, data):
+    w = {p: data.draw(ratios) for p in sorted(table)}
+    z = weighted_sum(w, GridShape(m, n), toroidal=toroidal)
+    turned = {half_turn(p): x for p, x in w.items()}
+    assert weighted_sum(turned, GridShape(m, n), toroidal=toroidal) == z
+    flipped = {transpose(p): x for p, x in w.items()}
+    assert weighted_sum(flipped, GridShape(n, m), toroidal=toroidal) == z
+
+
 # -- the size guard: a sum is charged its sweep, a listing its states
 
 

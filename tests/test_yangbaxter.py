@@ -127,7 +127,7 @@ def weights_text(a1):
 
 @pytest.mark.parametrize("raw", [
     "1e3", "0.5", " 2 ", "1_000", "1e100", "-2.5e-3", "2\n", "1/-2", "+-1", "1/", "/2", "",
-    "\u0663", "\u00bd", "1/0", True, False, 1.0, 1e300, None, [1], {"p": 1},
+    "\u0663", "\u00bd", "1/0", True, False, 1.0, 1e300, None, [1], {"p": 1}, " 2/3 ", 1.5,
 ])
 def test_weights_are_integers_or_p_over_q_strings(raw):
     with pytest.raises(WeightFormatError,
