@@ -58,9 +58,9 @@ _EXPORTS = {
         "ConditionReport", "SolveReport", "VertexWeights", "check_necessary_conditions",
         "commutator_vanishes", "component", "deserialize_weights", "embed",
         "f_invariant", "g_invariant", "matrix_to_weights", "partition_function",
-        "residuals28", "serialize_weights", "solve_R", "star_triangle_residual",
-        "star_triangle_residuals", "weights_from_vector", "weights_to_matrix",
-        "yb_commutator",
+        "residuals28", "residuals28_of", "serialize_weights", "solve_R",
+        "star_triangle_residual", "star_triangle_residuals", "weights_from_vector",
+        "weights_to_matrix", "yb_commutator",
     ),
 }
 

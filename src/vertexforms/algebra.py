@@ -2,18 +2,21 @@
 
 A field is data: its characteristic p and its name, with p = 0 for Q.
 Prime-field entries are ints reduced mod p, rational entries are
-``fractions.Fraction``.  One Gauss-Jordan elimination, in integers,
-serves all three: over F_p every update is reduced mod p, and over Q
-each row is scaled to integers once and kept primitive, fraction-free
-(Bareiss 1968), until a last division by its pivot.  No floating point
-is used anywhere in the package.  It lists no kernels: every state and
-closed-form listing is the column walk of transfer.state_tables.
+``fractions.Fraction``; rref and nullspace_basis also read a Q matrix
+built directly from ints, which needs no Fraction per entry.  One
+Gauss-Jordan elimination, in integers, serves all three: over F_p every
+update is reduced mod p, and over Q each row is scaled to integers once
+and kept primitive, fraction-free (Bareiss 1968), until a last division
+by its pivot.  No floating point is used anywhere in the package.  It
+lists no kernels: every state and closed-form listing is the column
+walk of transfer.state_tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence, Union
 
@@ -147,63 +150,89 @@ def _integer_row(row) -> list:
     return [x // g for x in ints] if g > 1 else ints
 
 
+def _clear(row: list, prow: list, col: int, support: list, p: int,
+           primitive: bool = True) -> list:
+    """row with its entry at col cleared by prow, whose pivot is at col and
+    whose nonzero columns are support.  Over F_p the pivot is 1 and row is
+    updated in place.  Over Q the result is a multiple of row minus one of
+    prow, in integers, divided by its gcd when primitive is set."""
+    factor = row[col]
+    if p:
+        for c in support:
+            row[c] = (row[c] - factor * prow[c]) % p
+        return row
+    g = gcd(prow[col], factor)
+    a, b = prow[col] // g, factor // g
+    if a != 1:
+        row = [a * x for x in row]
+    for c in support:
+        row[c] -= b * prow[c]
+    if not primitive:
+        return row
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(m: FieldMatrix) -> FieldMatrix:
     """Reduced row echelon form by Gauss-Jordan elimination.
 
-    Pivot columns are scanned left to right; every pivot is scaled to 1
-    and cleared above and below, so the result is canonical for the row
-    space.  Over F_p the rows are ints mod p and a pivot row is scaled
-    by its pivot's inverse.  Over Q the rows are integer multiples of
-    the true ones: clearing a row multiplies it by the pivot and
-    subtracts a multiple of the pivot row, which keeps every entry an
-    integer, and dividing out the row's gcd keeps them small.  Each row
-    is divided by its pivot once, at the end.
+    The rows are read one at a time into an echelon basis keyed by pivot
+    column: a row is cleared at each pivot the basis holds, left to
+    right, and joins it at its first nonzero column if anything is left.
+    Reading stops once every column has a pivot, since the remaining
+    rows then lie in the span.  Back substitution, last pivot first,
+    clears each pivot column above its pivot with a row that is already
+    reduced, so the result is canonical for the row space.  Over F_p the
+    rows are ints mod p and a row joins the basis scaled by its pivot's
+    inverse.  Over Q the rows are integer multiples of the true ones: a
+    clearing multiplies the row by the pivot and subtracts a multiple of
+    the pivot row, which keeps every entry an integer.  A row is divided
+    by its gcd when it joins the basis and after each clearing above,
+    which keeps the entries small, and by its pivot once, at the end.
     """
     p = m.field.p
     nrows, ncols = m.rows, m.cols
-    if p:
-        rows = [list(m.row(i)) for i in range(nrows)]
-    else:
-        rows = [_integer_row(m.row(i)) for i in range(nrows)]
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == nrows:
+    cols = range(ncols)
+    basis = {}  # pivot column -> its row
+    support = {}  # pivot column -> the nonzero columns of its row
+    for i in range(nrows):
+        if len(basis) == ncols:
             break
-        sel = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
-        if sel is None:
+        row = list(m.row(i)) if p else _integer_row(m.row(i))
+        lead = next(compress(cols, row), None)
+        while lead in basis:
+            # made primitive once, when it joins the basis
+            row = _clear(row, basis[lead], lead, support[lead], p, primitive=False)
+            lead = next(compress(cols[lead + 1:], row[lead + 1:]), None)
+        if lead is None:
             continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        prow = rows[pivot_row]
-        piv = prow[col]
-        if p and piv != 1:
-            inv = pow(piv, -1, p)
-            prow = rows[pivot_row] = [x * inv % p for x in prow]
-        # only the pivot row's nonzero columns change the rows it clears
-        support = [c for c in range(col, ncols) if prow[c]]
-        for r in range(nrows):
-            row = rows[r]
-            factor = row[col]
-            if not factor or r == pivot_row:
-                continue
-            if p:
-                for c in support:
-                    row[c] = (row[c] - factor * prow[c]) % p
-                continue
-            g = gcd(piv, factor)
-            a, b = piv // g, factor // g
-            if a != 1:
-                row = [a * x for x in row]
-            for c in support:
-                row[c] -= b * prow[c]
+        if p and row[lead] != 1:
+            inv = pow(row[lead], -1, p)
+            row = [x * inv % p for x in row]
+        elif not p:
             g = gcd(*row)
-            rows[r] = [x // g for x in row] if g > 1 else row
-        pivot_row += 1
-    if not p:
+            row = [x // g for x in row] if g > 1 else row
+        basis[lead] = row
+        support[lead] = list(compress(cols, row))
+    pivots = sorted(basis)
+    # a row reduced at the later pivots is zero at every pivot but its own,
+    # so clearing with it adds nonzeros only in free columns
+    for col in reversed(pivots):
+        row = basis[col]
+        for c in support[col]:
+            if c > col and c in basis:
+                row = _clear(row, basis[c], c, support[c], p)
+        basis[col] = row
+        support[col] = list(compress(cols, row))
+    rows = [basis[c] for c in pivots]
+    if p:
+        zero = 0
+    else:
         zero = Fraction(0)
-        for i, row in enumerate(rows):
-            piv = next((x for x in row if x), 1)
-            rows[i] = [Fraction(x, piv) if x else zero for x in row]
-    return FieldMatrix(m.field, nrows, ncols, tuple(x for row in rows for x in row))
+        rows = [[Fraction(x, row[c]) if x else zero for x in row] for c, row in zip(pivots, rows)]
+    entries = [x for row in rows for x in row]
+    entries += [zero] * (ncols * (nrows - len(rows)))
+    return FieldMatrix(m.field, nrows, ncols, tuple(entries))
 
 
 def _pivots(r: FieldMatrix) -> list[int]:

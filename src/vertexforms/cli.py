@@ -444,10 +444,10 @@ def cmd_verify(args) -> int:
 def cmd_ybe(args) -> int:
     from .yangbaxter import (
         RESIDUALS28_LABELS,
+        WEIGHT_KEYS,
         check_necessary_conditions,
         commutator_vanishes,
-        residuals28,
-        serialize_weights,
+        residuals28_of,
         solve_R,
         star_triangle_residuals,
     )
@@ -465,7 +465,7 @@ def cmd_ybe(args) -> int:
         return 0 if zero else 1
     if args.action == "residuals":
         r64 = star_triangle_residuals(r, s, t)
-        r28 = residuals28(r, s, t)
+        r28 = residuals28_of(r64)
         if args.format == "csv":
             rows = [["star", i, "", str(v)] for i, v in enumerate(r64)]
             rows += [
@@ -494,7 +494,8 @@ def cmd_ybe(args) -> int:
         "scanned": report.scanned,
     }
     if report.witness is not None:
-        payload["witness"] = json.loads(serialize_weights(report.witness))
+        payload["witness"] = {
+            key: str(x) for key, x in zip(WEIGHT_KEYS, report.witness.as_vector())}
         payload["witness_commutator_zero"] = commutator_vanishes(report.witness, s, t)
     else:
         payload["witness"] = None

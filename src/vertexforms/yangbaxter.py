@@ -26,6 +26,9 @@ The paper's definitions stay as the oracles the tests check the table
 against: embed and yb_commutator (the 8x8 commutator) and the 64-term
 star_triangle_residual.
 
+The necessary conditions and solve_R's linear system and witness scan
+run in integers the same way, with one Fraction per value reported.
+
 Component convention: component(w, nu, beta, theta, gamma) is the
 matrix entry in row (theta gamma), column (nu beta).  On a lattice
 vertex the four arguments are read (left, top, right, bottom), which
@@ -66,8 +69,8 @@ _KEY_TO_ATTR = {
 
 
 # the one weight string VertexWeights and deserialize_weights read: an
-# integer or p/q
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# integer or p/q, its numerator and denominator as the two groups
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _exact(x) -> Fraction:
@@ -75,8 +78,12 @@ def _exact(x) -> Fraction:
         raise TypeError(
             f"weights must be exact (int, str, or Fraction), not {type(x).__name__}"
         )
-    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
-        raise ValueError(f"weight strings must be an integer or 'p/q', got {x!r}")
+    if isinstance(x, str):
+        match = _RATIONAL.fullmatch(x)
+        if not match:
+            raise ValueError(f"weight strings must be an integer or 'p/q', got {x!r}")
+        num, den = match.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     return Fraction(x)
 
 
@@ -94,9 +101,11 @@ class VertexWeights:
     d_neg1: Fraction
 
     def __post_init__(self):
-        for key in WEIGHT_KEYS:
-            attr = _KEY_TO_ATTR[key]
-            object.__setattr__(self, attr, _exact(getattr(self, attr)))
+        # a Fraction is immutable and kept as it is; anything else is read once
+        for attr in _KEY_TO_ATTR.values():
+            value = getattr(self, attr)
+            if type(value) is not Fraction:
+                object.__setattr__(self, attr, _exact(value))
 
     @classmethod
     def from_pairs(cls, a, b, c, d) -> "VertexWeights":
@@ -335,7 +344,9 @@ def star_triangle_residuals(r: VertexWeights, s: VertexWeights,
     alpha), column (sigma, tau, beta).
     """
     rv, sv, tv, scale = _scaled(r, s, t)
-    return tuple(Fraction(_row_value(row, rv, sv, tv), scale) for row in STAR_TRIANGLE_TABLE)
+    zero = Fraction(0)
+    values = (_row_value(row, rv, sv, tv) for row in STAR_TRIANGLE_TABLE)
+    return tuple(Fraction(v, scale) if v else zero for v in values)
 
 
 def commutator_vanishes(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> bool:
@@ -385,14 +396,35 @@ def residuals28(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> tuple:
     are these 28 and the negatives of eq7-eq10, so the joint vanishing
     of all 28 is equivalent to the vanishing of the commutator.
     """
-    rv, sv, tv, scale = _scaled(r, s, t)
-    return tuple(Fraction(sign * _row_value(STAR_TRIANGLE_TABLE[e], rv, sv, tv), scale)
-                 for e, sign in RESIDUALS28_ROWS)
+    return residuals28_of(star_triangle_residuals(r, s, t))
+
+
+def residuals28_of(residuals: tuple) -> tuple:
+    """residuals28 read off the 64 star_triangle_residuals, one signed
+    entry per equation, so a caller that needs both evaluates once."""
+    return tuple(residuals[e] if sign > 0 else -residuals[e] for e, sign in RESIDUALS28_ROWS)
+
+
+# Positions in as_vector(), for the invariants evaluated on integer vectors.
+A1, A_NEG1, B1, B_NEG1, C1, C_NEG1, D1, D_NEG1 = range(8)
+
+
+def _f(v) -> int:
+    return v[A1] * v[A_NEG1] + v[B1] * v[B_NEG1] - v[C1] * v[C_NEG1] - v[D1] * v[D_NEG1]
+
+
+def _g(i: int, sv, tv) -> int:
+    c, d = (C_NEG1, D1) if i == 1 else (C1, D_NEG1)  # c_-i and d_i
+
+    def half(x, y):
+        return x[c] * x[d] * (y[B_NEG1] * y[A1] + y[A_NEG1] * y[B1])
+    return half(tv, sv) - half(sv, tv)
 
 
 def f_invariant(w: VertexWeights) -> Fraction:
     """a1 a-1 + b1 b-1 - c1 c-1 - d1 d-1."""
-    return w.a1 * w.a_neg1 + w.b1 * w.b_neg1 - w.c1 * w.c_neg1 - w.d1 * w.d_neg1
+    v, scale = lcm_scaled(w.as_vector())
+    return Fraction(_f(v), scale * scale)
 
 
 def g_invariant(i: int, s: VertexWeights, t: VertexWeights) -> Fraction:
@@ -400,10 +432,8 @@ def g_invariant(i: int, s: VertexWeights, t: VertexWeights) -> Fraction:
 
     Antisymmetric under swapping s and t; vanishes when they coincide.
     """
-    def half(x, y):
-        return x.weight("c", -i) * x.weight("d", i) * (
-            y.b_neg1 * y.a1 + y.a_neg1 * y.b1)
-    return half(t, s) - half(s, t)
+    (sv, ls), (tv, lt) = lcm_scaled(s.as_vector()), lcm_scaled(t.as_vector())
+    return Fraction(_g(i, sv, tv), (ls * lt) ** 2)
 
 
 @dataclass(frozen=True)
@@ -411,11 +441,13 @@ class ConditionReport:
     """Necessary conditions on (S, T) for a YBE solution R with all c, d nonzero.
 
     The five booleans are, in order: the two ab-balance identities
-    (products a1 b1 and a-1 b-1 against the other party's F), the
-    squared-G identity at i = +1 and at i = -1, and the c/d ratio
-    match.  minors_plus and minors_minus list all six 2x2 minors of the
-    4x2 coefficient matrix in (c_i(R), d_i(R)) at i = +1 and i = -1;
-    only three of them feed the booleans, the rest are informational.
+    (a1 b1 F(S) = a-1 b-1 F(S) in T's weights, and a1 b1 F(T) = a-1 b-1
+    F(T) in S's), the squared-G identity c_i d_-i G(i)^2 = c_-i d_i
+    beta[0]^2 in T's weights at i = +1 and at i = -1, and the c/d ratio
+    match.  alpha[k] and beta[k] are the a b F cross terms at j = +1, -1.
+    minors_plus and minors_minus list all six 2x2 minors of the 4x2
+    coefficient matrix in (c_i(R), d_i(R)) at i = +1 and i = -1; they
+    are reported for inspection and feed none of the booleans.
     """
 
     ab_balance_t: bool
@@ -461,15 +493,19 @@ class ConditionReport:
         }
 
 
-def _coefficient_minors(i, s, t, alpha, beta):
-    # rows of the 4x2 matrix annihilating (c_i(R), d_i(R))
-    cg = t.weight("c", i) / t.weight("c", -i) * g_invariant(i, s, t)
-    dg = t.weight("d", -i) / t.weight("d", i) * g_invariant(i, s, t)
-    rows = [(cg, -alpha[0]), (cg, -alpha[1]), (beta[0], -dg), (beta[1], -dg)]
+def _coefficient_minors(i, tv, g, alpha, beta, scale) -> tuple:
+    # rows of the 4x2 matrix annihilating (c_i(R), d_i(R)):
+    # (c_i/c_-i G, -alpha[k]) and (beta[k], -d_-i/d_i G) in T's weights,
+    # each row here times its own integer factor (c_-i or d_i) and
+    # every entry over the same scale
+    c, c_neg, d, d_neg = (C1, C_NEG1, D1, D_NEG1) if i == 1 else (C_NEG1, C1, D_NEG1, D1)
+    rows = [(tv[c] * g, -tv[c_neg] * a, tv[c_neg]) for a in alpha]
+    rows += [(tv[d] * b, -tv[d_neg] * g, tv[d]) for b in beta]
     out = []
     for r1 in range(4):
-        for r2 in range(r1 + 1, 4):
-            out.append(rows[r1][0] * rows[r2][1] - rows[r2][0] * rows[r1][1])
+        x1, y1, f1 = rows[r1]
+        for x2, y2, f2 in rows[r1 + 1:]:
+            out.append(Fraction(x1 * y2 - x2 * y1, f1 * f2 * scale * scale))
     return tuple(out)
 
 
@@ -480,44 +516,43 @@ def check_necessary_conditions(s: VertexWeights, t: VertexWeights) -> ConditionR
     derived under that hypothesis and divide by several of them.  The
     booleans hold whenever some R with c_1, c_-1, d_1, d_-1 all nonzero
     satisfies the YBE against (s, t); nothing is claimed conversely.
+
+    Evaluated in integers: s and t are scaled by the lcms Ls and Lt of
+    their denominators (transfer.lcm_scaled).  F(S) and F(T) are then
+    Ls^2 and Lt^2 times the true ones, and G, alpha and beta (Ls Lt)^2
+    times, so each boolean is an integer identity between terms of the
+    same scale, cross-multiplied where the rational one divides, and
+    each reported value is one Fraction.
     """
-    for party, name in ((s, "S"), (t, "T")):
-        if any(x == 0 for x in party.as_vector()):
+    (sv, ls), (tv, lt) = lcm_scaled(s.as_vector()), lcm_scaled(t.as_vector())
+    for v, name in ((sv, "S"), (tv, "T")):
+        if not all(v):
             raise WeightConditionError(
                 f"necessary conditions need all weights of {name} nonzero")
-    f_s, f_t = f_invariant(s), f_invariant(t)
-    g_plus, g_minus = g_invariant(1, s, t), g_invariant(-1, s, t)
-    alpha = tuple(
-        t.weight("a", j) * t.weight("b", j) * f_s
-        - s.weight("a", -j) * s.weight("b", -j) * f_t
-        for j in (1, -1)
-    )
-    beta = tuple(
-        t.weight("a", j) * t.weight("b", j) * f_s
-        - s.weight("a", j) * s.weight("b", j) * f_t
-        for j in (1, -1)
-    )
-    rhs = (t.a1 * t.b1 * f_s - s.a1 * s.b1 * f_t) ** 2
-    g_sq = {}
-    for i in (1, -1):
-        ratio = (t.weight("c", i) * t.weight("d", -i)) / (
-            t.weight("c", -i) * t.weight("d", i))
-        g_sq[i] = ratio * g_invariant(i, s, t) ** 2 == rhs
+    f_s, f_t = _f(sv), _f(tv)
+    g = {i: _g(i, sv, tv) for i in (1, -1)}
+    ab_t = (tv[A1] * tv[B1] * f_s, tv[A_NEG1] * tv[B_NEG1] * f_s)  # j = +1, -1
+    ab_s = (sv[A1] * sv[B1] * f_t, sv[A_NEG1] * sv[B_NEG1] * f_t)
+    alpha = (ab_t[0] - ab_s[1], ab_t[1] - ab_s[0])
+    beta = (ab_t[0] - ab_s[0], ab_t[1] - ab_s[1])
+    scale = (ls * lt) ** 2
     return ConditionReport(
-        ab_balance_t=(t.a1 * t.b1 * f_s == t.a_neg1 * t.b_neg1 * f_s),
-        ab_balance_s=(s.a1 * s.b1 * f_t == s.a_neg1 * s.b_neg1 * f_t),
-        g_squared_plus=g_sq[1],
-        g_squared_minus=g_sq[-1],
-        cd_ratio=(t.c1 * s.c_neg1 / (t.c_neg1 * s.c1)
-                  == t.d1 * s.d_neg1 / (t.d_neg1 * s.d1)),
-        f_s=f_s,
-        f_t=f_t,
-        g_plus=g_plus,
-        g_minus=g_minus,
-        alpha=alpha,
-        beta=beta,
-        minors_plus=_coefficient_minors(1, s, t, alpha, beta),
-        minors_minus=_coefficient_minors(-1, s, t, alpha, beta),
+        ab_balance_t=ab_t[0] == ab_t[1],
+        ab_balance_s=ab_s[0] == ab_s[1],
+        g_squared_plus=(tv[C1] * tv[D_NEG1] * g[1] ** 2
+                        == tv[C_NEG1] * tv[D1] * beta[0] ** 2),
+        g_squared_minus=(tv[C_NEG1] * tv[D1] * g[-1] ** 2
+                         == tv[C1] * tv[D_NEG1] * beta[0] ** 2),
+        cd_ratio=(tv[C1] * sv[C_NEG1] * tv[D_NEG1] * sv[D1]
+                  == tv[D1] * sv[D_NEG1] * tv[C_NEG1] * sv[C1]),
+        f_s=Fraction(f_s, ls * ls),
+        f_t=Fraction(f_t, lt * lt),
+        g_plus=Fraction(g[1], scale),
+        g_minus=Fraction(g[-1], scale),
+        alpha=tuple(Fraction(x, scale) for x in alpha),
+        beta=tuple(Fraction(x, scale) for x in beta),
+        minors_plus=_coefficient_minors(1, tv, g[1], alpha, beta, scale),
+        minors_minus=_coefficient_minors(-1, tv, g[-1], alpha, beta, scale),
     )
 
 
@@ -548,7 +583,8 @@ def _linear_system_in_r(s: VertexWeights, t: VertexWeights) -> FieldMatrix:
     of their denominators, so every row is the true one times the same
     positive Ls Lt.  That, and dropping zero rows and repeats up to
     sign, leaves the row space alone, and with it the solution space
-    and the canonical rref it is read from.
+    and the canonical rref it is read from.  The entries stay ints,
+    which rref reads as rationals without a Fraction per entry.
     """
     (sv, _), (tv, _) = lcm_scaled(s.as_vector()), lcm_scaled(t.as_vector())
     rows = {}
@@ -559,7 +595,7 @@ def _linear_system_in_r(s: VertexWeights, t: VertexWeights) -> FieldMatrix:
         lead = next((x for x in coeffs if x), 0)
         if lead:
             rows.setdefault(tuple(-x for x in coeffs) if lead < 0 else tuple(coeffs))
-    return FieldMatrix(QQ, len(rows), 8, tuple(Fraction(x) for row in rows for x in row))
+    return FieldMatrix(QQ, len(rows), 8, tuple(x for row in rows for x in row))
 
 
 def solve_R(s: VertexWeights, t: VertexWeights, scan_range: int = 2) -> SolveReport:
@@ -579,19 +615,18 @@ def solve_R(s: VertexWeights, t: VertexWeights, scan_range: int = 2) -> SolveRep
     span = range(-scan_range, scan_range + 1)
     guard_cost(len(span) ** len(basis) * 8)
 
-    cd = [v[4:8] for v in basis]  # c1, c-1, d1, d-1 coordinates per basis vector
+    # the basis as int vectors over one common denominator, so the scan adds ints
+    flat, scale = lcm_scaled(x for v in basis for x in v)
+    vectors = [flat[k:k + 8] for k in range(0, len(flat), 8)]
+    cd = [v[4:8] for v in vectors]  # c1, c-1, d1, d-1 coordinates per basis vector
     witness = None
     scanned = 0
     for coeffs in product(span, repeat=len(basis)):
         scanned += 1
-        twisted = True
-        for pos in range(4):
-            if sum(c * v[pos] for c, v in zip(coeffs, cd)) == 0:
-                twisted = False
-                break
-        if twisted:
-            vec = [sum(c * v[k] for c, v in zip(coeffs, basis)) for k in range(8)]
-            witness = weights_from_vector(vec)
+        if all(sum(c * v[pos] for c, v in zip(coeffs, cd)) for pos in range(4)):
+            witness = weights_from_vector([
+                Fraction(sum(c * v[k] for c, v in zip(coeffs, vectors)), scale)
+                for k in range(8)])
             break
     return SolveReport(basis=basis, witness=witness, scanned=scanned)
 

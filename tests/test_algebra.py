@@ -68,6 +68,44 @@ def degenerate_matrices(draw, max_dim=7):
     return FieldMatrix.from_rows(field, rows)
 
 
+@st.composite
+def tall_matrices(draw, max_rows=30, max_cols=8):
+    """Tall matrices up to 30x8 over F2, F3 or Q, shaped like the Yang-Baxter
+    system in R: a few fresh rows, then a triangular block (columns
+    permuted, rows shuffled) whose diagonal is nonzero in half the cases,
+    so that the rows reach full column rank before the last one, then
+    zero rows, repeats and fresh rows.  A
+    Q matrix holds Fractions, or plain ints put in without from_rows, as
+    the Yang-Baxter system's rows are."""
+    field = draw(st.sampled_from(FIELDS))
+    cols = draw(st.integers(1, max_cols))
+    raw_ints = field is QQ and draw(st.booleans())
+    if field is QQ and not raw_ints:
+        entry = st.fractions(-4, 4, max_denominator=6)
+    else:
+        entry = st.integers(-6, 6)
+    nonzero = entry.filter(lambda x: x % field.p if field.p else x)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=4))
+    diagonal = nonzero if draw(st.booleans()) else entry
+    order = draw(st.permutations(range(cols)))
+    block = []
+    for k in range(cols):
+        triangular = [0] * k + [draw(diagonal)] + [draw(entry) for _ in range(k + 1, cols)]
+        block.append([triangular[order[j]] for j in range(cols)])
+    rows += draw(st.permutations(block))
+    for _ in range(draw(st.integers(1, max_rows - len(rows)))):
+        kind = draw(st.sampled_from(("zero", "repeat", "fresh")))
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    if raw_ints:
+        return FieldMatrix(QQ, len(rows), cols, tuple(x for row in rows for x in row))
+    return FieldMatrix.from_rows(field, rows)
+
+
 def test_field_element_validation():
     # ints are reduced mod p, and over Q become Fractions
     assert FieldMatrix.from_rows(GF3, [[3, -1]]).entries == (0, 2)
@@ -87,7 +125,7 @@ def test_field_element_validation():
 
 
 @settings(deadline=None, max_examples=300)
-@given(degenerate_matrices())
+@given(st.one_of(degenerate_matrices(), tall_matrices()))
 def test_rref_matches_oracle(m):
     r = rref(m)
     assert r.entries == oracle_rref(m).entries
@@ -96,7 +134,7 @@ def test_rref_matches_oracle(m):
 
 
 @settings(deadline=None, max_examples=200)
-@given(degenerate_matrices())
+@given(st.one_of(degenerate_matrices(), tall_matrices()))
 def test_nullspace_matches_oracle(m):
     basis = nullspace_basis(m)
     assert basis == oracle_nullspace(m)

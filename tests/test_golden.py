@@ -68,6 +68,10 @@ CASES = {
         ["ybe", "residuals", *weights("generic", "rst"), "--format", "csv"], 0),
     "ybe_conditions_generic": (["ybe", "conditions", *weights("generic", "st")], 1),
     "ybe_solve_generic": (["ybe", "solve", *weights("generic", "st")], 1),
+    # S = T = identity: every R solves, dimension 8, the first combination scanned is a witness
+    "ybe_solve_identity": (["ybe", "solve", *weights("identity", "st")], 0),
+    # S = T, untwisted (c1 = c-1, d1 = d-1): dimension 1, its line has c = d = 0
+    "ybe_solve_untwisted": (["ybe", "solve", *weights("untwisted", "st")], 1),
 }
 
 

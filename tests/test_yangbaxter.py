@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     baxter_weights,
@@ -19,12 +19,22 @@ from vertexforms.algebra import QQ, FieldMatrix, nullspace_basis
 from vertexforms.grid import BoundarySpec, GridShape, SizeGuardError
 from vertexforms.algebra import GF2
 from vertexforms.yangbaxter import (
+    A1,
+    A_NEG1,
+    B1,
+    B_NEG1,
+    C1,
+    C_NEG1,
+    D1,
+    D_NEG1,
     RESIDUALS28_LABELS,
     RESIDUALS28_ROWS,
     STAR_TRIANGLE_TABLE,
     WEIGHT_KEYS,
     BoundaryHex,
+    ConditionReport,
     VertexWeights,
+    WeightConditionError,
     WeightFormatError,
     check_necessary_conditions,
     commutator_vanishes,
@@ -601,6 +611,187 @@ def test_conditions_require_nonzero_weights():
         check_necessary_conditions(VertexWeights.identity(), full)
     with pytest.raises(ValueError, match="weights of T nonzero"):
         check_necessary_conditions(full, VertexWeights.identity())
+
+
+# -- the necessary conditions in Fraction arithmetic, as first written ----------
+
+
+def oracle_f(w):
+    return w.a1 * w.a_neg1 + w.b1 * w.b_neg1 - w.c1 * w.c_neg1 - w.d1 * w.d_neg1
+
+
+def oracle_g(i, s, t):
+    def half(x, y):
+        return x.weight("c", -i) * x.weight("d", i) * (y.b_neg1 * y.a1 + y.a_neg1 * y.b1)
+    return half(t, s) - half(s, t)
+
+
+def oracle_minors(i, s, t, alpha, beta):
+    # rows of the 4x2 matrix annihilating (c_i(R), d_i(R))
+    cg = t.weight("c", i) / t.weight("c", -i) * oracle_g(i, s, t)
+    dg = t.weight("d", -i) / t.weight("d", i) * oracle_g(i, s, t)
+    rows = [(cg, -alpha[0]), (cg, -alpha[1]), (beta[0], -dg), (beta[1], -dg)]
+    return tuple(rows[r1][0] * rows[r2][1] - rows[r2][0] * rows[r1][1]
+                 for r1 in range(4) for r2 in range(r1 + 1, 4))
+
+
+def oracle_conditions(s, t) -> ConditionReport:
+    """check_necessary_conditions weight by weight in Fractions, each
+    boolean an equality of rationals."""
+    for party, name in ((s, "S"), (t, "T")):
+        if any(x == 0 for x in party.as_vector()):
+            raise WeightConditionError(f"necessary conditions need all weights of {name} nonzero")
+    f_s, f_t = oracle_f(s), oracle_f(t)
+    alpha = tuple(t.weight("a", j) * t.weight("b", j) * f_s
+                  - s.weight("a", -j) * s.weight("b", -j) * f_t for j in (1, -1))
+    beta = tuple(t.weight("a", j) * t.weight("b", j) * f_s
+                 - s.weight("a", j) * s.weight("b", j) * f_t for j in (1, -1))
+    rhs = (t.a1 * t.b1 * f_s - s.a1 * s.b1 * f_t) ** 2
+    g_sq = {i: (t.weight("c", i) * t.weight("d", -i)) / (t.weight("c", -i) * t.weight("d", i))
+            * oracle_g(i, s, t) ** 2 == rhs for i in (1, -1)}
+    return ConditionReport(
+        ab_balance_t=(t.a1 * t.b1 * f_s == t.a_neg1 * t.b_neg1 * f_s),
+        ab_balance_s=(s.a1 * s.b1 * f_t == s.a_neg1 * s.b_neg1 * f_t),
+        g_squared_plus=g_sq[1],
+        g_squared_minus=g_sq[-1],
+        cd_ratio=(t.c1 * s.c_neg1 / (t.c_neg1 * s.c1) == t.d1 * s.d_neg1 / (t.d_neg1 * s.d1)),
+        f_s=f_s, f_t=f_t, g_plus=oracle_g(1, s, t), g_minus=oracle_g(-1, s, t),
+        alpha=alpha, beta=beta,
+        minors_plus=oracle_minors(1, s, t, alpha, beta),
+        minors_minus=oracle_minors(-1, s, t, alpha, beta),
+    )
+
+
+# nonzero by construction, with no filter to reject draws
+big_units = st.builds(lambda n, d, sign: Fraction(sign * n, d), st.integers(1, 10 ** 15),
+                      st.integers(1, 10 ** 12), st.sampled_from((1, -1)))
+big_nonzero_weights = st.tuples(*[big_units] * 8).map(weights_from_vector)
+
+
+@st.composite
+def pairs_meeting_one_condition(draw):
+    """Nonzero (S, T) moved to meet one condition without the trivial zeros
+    of the solvable family, where G and beta vanish and a1 = a-1: both
+    ab-balances (through a-1), the c/d ratio (through T's d1), or the
+    squared-G identity at i with G(i) nonzero (T's c/d ratio made q^2,
+    then S's c_i, which beta[0] reads linearly and G(i) not at all)."""
+    s, t = (list(draw(big_nonzero_weights).as_vector()) for _ in range(2))
+    kind = draw(st.sampled_from(("ab", "cd", "g")))
+    if kind == "ab":
+        for v in (s, t):
+            v[A_NEG1] = v[A1] * v[B1] / v[B_NEG1]
+    elif kind == "cd":
+        t[D1] = t[C1] * s[C_NEG1] * t[D_NEG1] * s[D1] / (t[C_NEG1] * s[C1] * s[D_NEG1])
+    else:
+        q, i, sign = draw(big_units), draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+        t[D1] = q * q * t[C1] * t[D_NEG1] / t[C_NEG1]
+        free = C1 if i == 1 else C_NEG1
+
+        def beta0(x):
+            s[free] = x
+            sw, tw = weights_from_vector(s), weights_from_vector(t)
+            return tw.a1 * tw.b1 * oracle_f(sw) - sw.a1 * sw.b1 * oracle_f(tw)
+
+        g = oracle_g(i, weights_from_vector(s), weights_from_vector(t))
+        target = sign * g / q if i == 1 else sign * g * q
+        b0, b1 = beta0(0), beta0(1)
+        s[free] = (target - b0) / (b1 - b0)
+        assume(g != 0 and s[free] != 0)
+    return weights_from_vector(s), weights_from_vector(t)
+
+
+# pairs with a zero weight in S, in T, or in both: S is refused first
+zero_refusals = st.tuples(big_weights, big_weights).filter(
+    lambda pair: not all(pair[0].as_vector()) or not all(pair[1].as_vector()))
+condition_pairs = st.one_of(
+    st.tuples(big_nonzero_weights, big_nonzero_weights),
+    big_nonzero_weights.map(lambda w: (w, w)),
+    pairs_meeting_one_condition(),
+    big_solvable.map(lambda triple: triple[1:]),
+    solvable.map(lambda triple: triple[1:]),
+    zero_refusals,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(condition_pairs)
+def test_conditions_match_the_fraction_oracle(pair):
+    s, t = pair
+    try:
+        expected = oracle_conditions(s, t)
+    except WeightConditionError as refused:
+        with pytest.raises(WeightConditionError) as also_refused:
+            check_necessary_conditions(s, t)
+        assert str(also_refused.value) == str(refused)
+        return
+    report = check_necessary_conditions(s, t)
+    assert report.as_dict() == expected.as_dict()
+    assert report == expected
+    assert f_invariant(s) == oracle_f(s) and g_invariant(-1, s, t) == oracle_g(-1, s, t)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.one_of(solvable, big_solvable))
+def test_conditions_hold_on_every_solvable_pair(triple):
+    _, s, t = triple
+    assert check_necessary_conditions(s, t).all_hold
+
+
+@settings(deadline=None, max_examples=40)
+@given(pairs_meeting_one_condition())
+def test_each_condition_can_hold_alone(pair):
+    report = check_necessary_conditions(*pair)
+    assert any(report.conditions) and report.conditions == oracle_conditions(*pair).conditions
+
+
+def test_conditions_refuse_a_zero_weight_in_either_party():
+    full = VertexWeights(1, 2, 3, 4, 5, 6, 7, 8)
+    for k in range(8):
+        zero = weights_from_vector(tuple(0 if j == k else x for j, x in enumerate(full.as_vector())))
+        for s, t, name in ((zero, full, "S"), (full, zero, "T"), (zero, zero, "S")):
+            with pytest.raises(WeightConditionError,
+                               match=f"^necessary conditions need all weights of {name} nonzero$"):
+                check_necessary_conditions(s, t)
+
+
+def test_a_weights_document_reads_each_value_once(monkeypatch):
+    exact = yangbaxter._exact
+    returned = []
+
+    def counted(x):
+        returned.append(exact(x))
+        return returned[-1]
+
+    monkeypatch.setattr(yangbaxter, "_exact", counted)
+    w = deserialize_weights(json.dumps(
+        {"a1": 1, "a-1": "-2/6", "b1": "7", "b-1": 10 ** 20, "c1": "3/4", "c-1": -5,
+         "d1": "+0", "d-1": "9/1"}))
+    assert len(returned) == 8
+    assert all(x is y for x, y in zip(w.as_vector(), returned))
+    # built from Fractions, VertexWeights keeps them and reads nothing
+    assert VertexWeights(*returned) == w and len(returned) == 8
+
+
+def test_conditions_and_system_rows_do_no_fraction_arithmetic(monkeypatch):
+    _, s, t = solvable_triple(
+        Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
+        Fraction(2), Fraction(3, 2), Fraction(5, 3),
+    )
+    generic = VertexWeights(2, 3, 5, 7, 2, 3, 2, 5), VertexWeights(1, 2, 3, 4, 5, 6, 7, 8)
+    expected = [check_necessary_conditions(s, t), check_necessary_conditions(*generic),
+                yangbaxter._linear_system_in_r(s, t)]
+
+    def refused(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for op in ("add", "sub", "mul", "truediv", "pow", "neg"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            if hasattr(Fraction, name):
+                monkeypatch.setattr(Fraction, name, refused)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) * 2
+    assert [check_necessary_conditions(s, t), check_necessary_conditions(*generic),
+            yangbaxter._linear_system_in_r(s, t)] == expected
 
 
 def test_solve_identity_pair_is_unconstrained():
