@@ -10,21 +10,111 @@ and kept primitive, fraction-free (Bareiss 1968), until a last division
 by its pivot.  No floating point is used anywhere in the package.  It
 lists no kernels: every state and closed-form listing is the column
 walk of transfer.state_tables.
+
+Record, the base of the package's immutable records, lives here because
+this is the module every other one imports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Sequence, Union
+from operator import attrgetter
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
-@dataclass(frozen=True)
-class Field:
+def _bind(cls, args: tuple, kwargs: dict) -> dict:
+    """The field values of a call to record class cls that does not give
+    each field once, all by position or all by keyword; TypeError on a
+    missing, extra or repeated argument."""
+    fields = cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given")
+    values = dict(zip(fields, args))
+    for name, value in kwargs.items():
+        if name not in fields:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        if name in values:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        values[name] = value
+    missing = [name for name in fields if name not in values]
+    if missing:
+        raise TypeError(f"{cls.__name__}() missing argument(s): {', '.join(missing)}")
+    return values
+
+
+def _record_init(cls):
+    """The __init__ of record class cls: its fields from positional or
+    keyword arguments, then its __post_init__ if it has one."""
+    fields = cls._fields
+    count = len(fields)
+    names = frozenset(fields)
+    positions = tuple(enumerate(fields))
+    post_init = getattr(cls, "__post_init__", None)  # a plain function, called unbound
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            if args or kwargs.keys() != names:
+                kwargs = _bind(cls, args, kwargs)
+            values = kwargs
+        else:
+            values = {}
+            for i, name in positions:
+                values[name] = args[i]
+        # one update from a whole dict gives the instance a plain dict of
+        # its own; keys stored one at a time into self.__dict__ would keep
+        # the class's key-sharing table, whose attributes CPython 3.11
+        # reads about four times slower
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    return __init__
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields as annotations, in order; they are read
+    once, when the class is made.  An instance is built from positional
+    or keyword arguments, one per field, and then runs the class's
+    __post_init__, which may normalize a field with object.__setattr__.
+    Fields live in the instance __dict__, so a trusted constructor can
+    hand over a dict it built (grid._unchecked).  Assignment and deletion
+    raise AttributeError; == holds only between instances of one class
+    with equal fields, and the hash is that of the tuple of field values
+    in field order.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+        cls.__init__ = _record_init(cls)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Field(Record):
     """F_p for a prime p, or the rationals Q when p is 0."""
 
     p: int
@@ -52,8 +142,7 @@ def _entry(field: Field, x) -> Scalar:
     raise TypeError(f"{field.name} entries are {allowed}, not {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class FieldMatrix:
+class FieldMatrix(Record):
     """Immutable dense matrix over one of the supported fields.
 
     Entries are stored row-major in a flat tuple.  Row and column

@@ -13,9 +13,7 @@ bottom mod 2, column by column (transfer.state_tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import GF2, FieldMatrix, rank
+from .algebra import GF2, FieldMatrix, Record, rank
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -29,8 +27,7 @@ from .grid import (
 from .transfer import EIGHT_VERTEX, first_bad_vertex, state_tables
 
 
-@dataclass(frozen=True)
-class DefectMap:
+class DefectMap(Record):
     """Per-vertex parity map as an mn x (edge count) matrix over F2.
 
     Row vertex_index(i, j) has 1-entries at exactly the four incident

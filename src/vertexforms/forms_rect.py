@@ -45,12 +45,11 @@ constructors, which check nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, contains, itemgetter
 
-from .algebra import GF3, FieldMatrix
+from .algebra import GF3, FieldMatrix, Record
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -72,8 +71,7 @@ from .transfer import (
 )
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Record):
     """F3 values on the (m+1) x (n+1) vertex grid, indexed [i][j], 1-based access."""
 
     shape: GridShape
@@ -92,8 +90,7 @@ class ScalarField:
         return self.h[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(Record):
     """F3 1-form: fx on the m x (n+1) vertical-edge grid, gy on (m+1) x n."""
 
     shape: GridShape
@@ -117,8 +114,7 @@ class OneForm:
         return self.gy[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Z/3 labels on the (m+1) x (n+1) vertex grid, indexed like ScalarField."""
 
     shape: GridShape

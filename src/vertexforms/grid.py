@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .algebra import GF2, GF3, Field, FieldMatrix
+from .algebra import GF2, GF3, Field, FieldMatrix, Record
 
 _FIELD_NAMES = {"F2": GF2, "F3": GF3}
 
@@ -68,8 +67,7 @@ def guard_cost(units: int, force: bool = False) -> None:
     guard_size(max(units - 1, 0).bit_length(), force)
 
 
-@dataclass(frozen=True)
-class GridShape:
+class GridShape(Record):
     """Number of interior columns (m) and rows (n); both at least 2."""
 
     m: int
@@ -105,7 +103,7 @@ def _check_entries(values: Sequence[int], p: int, label: str) -> None:
 
 
 def _unchecked(cls, values: dict):
-    """An instance of the frozen dataclass cls holding values as they are.
+    """An instance of the record class cls holding values as they are.
 
     For the trusted constructors: tables the library built itself, as
     tuples of tuples of field elements on a shape already checked, so
@@ -131,8 +129,7 @@ def _freeze_grid(values: Sequence[Sequence[int]], rows: int, cols: int,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LatticeState:
+class LatticeState(Record):
     """Edge labeling of the full lattice over F2 or F3.
 
     ``f`` is indexed [i][j] with shape m x (n+1), ``g`` is
@@ -169,8 +166,7 @@ class LatticeState:
         )
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
+class BoundarySpec(Record):
     """The 2m + 2n boundary edge values of a lattice of the given shape."""
 
     shape: GridShape

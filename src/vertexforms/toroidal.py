@@ -27,12 +27,11 @@ and gy - s with its bottom-then-up potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .forms_rect import _potential, _rise, _step, is_admissible_six
 from .grid import GridShape, InputError, LatticeState, _freeze_grid, _unchecked, guard_cost
-from .algebra import GF3
+from .algebra import GF3, Record
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
 
 _INV3 = {1: 1, 2: 2}
@@ -54,8 +53,7 @@ def check_periods(shape: GridShape) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PeriodicField:
+class PeriodicField(Record):
     """Doubly periodic F3 function given by its fundamental-domain values."""
 
     shape: GridShape
@@ -81,8 +79,7 @@ class PeriodicField:
         ]
 
 
-@dataclass(frozen=True)
-class ToroidalOneForm:
+class ToroidalOneForm(Record):
     """Doubly periodic 1-form, fx and gy both on the m x n fundamental domain."""
 
     shape: GridShape
@@ -112,8 +109,7 @@ class ToroidalOneForm:
         ]
 
 
-@dataclass(frozen=True)
-class CohomologyDecomposition:
+class CohomologyDecomposition(Record):
     """w = r dx + s dy + dh with h normalized to vanish at (1, 1)."""
 
     r: int
@@ -277,8 +273,7 @@ def count_six_toroidal(shape: GridShape, force: bool = False) -> int:
     return count_states(SIX_VERTEX, shape, toroidal=True, force=force)
 
 
-@dataclass(frozen=True)
-class FiberEntry:
+class FiberEntry(Record):
     """One sparse potential with the admissible states mapping onto it."""
 
     h: PeriodicField

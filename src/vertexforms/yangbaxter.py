@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import GF2, GF3, QQ, FieldMatrix, mat_sub, matmul, nullspace_basis
+from .algebra import GF2, GF3, QQ, FieldMatrix, Record, mat_sub, matmul, nullspace_basis
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -87,8 +86,7 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class VertexWeights:
+class VertexWeights(Record):
     """The eight Boltzmann weights of one vertex type, as exact rationals."""
 
     a1: Fraction
@@ -119,7 +117,9 @@ class VertexWeights:
 
     def weight(self, letter: str, sign: int) -> Fraction:
         """Signed lookup: weight("c", -1) is c_neg1."""
-        if letter not in "abcd" or sign not in (1, -1):
+        # a tuple, not "abcd", whose substrings "ab" and "" would pass;
+        # type(), not isinstance(), so that True is no sign
+        if letter not in ("a", "b", "c", "d") or type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"no weight {letter}_{sign}")
         return getattr(self, letter + ("1" if sign == 1 else "_neg1"))
 
@@ -241,8 +241,7 @@ def yb_commutator(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> Field
     return mat_sub(matmul(matmul(r12, s13), t23), matmul(matmul(t23, s13), r12))
 
 
-@dataclass(frozen=True)
-class BoundaryHex:
+class BoundaryHex(Record):
     """The six external labels of the star-triangle hexagon.
 
     sigma and tau enter the crossing vertex, beta enters from above;
@@ -436,8 +435,7 @@ def g_invariant(i: int, s: VertexWeights, t: VertexWeights) -> Fraction:
     return Fraction(_g(i, sv, tv), (ls * lt) ** 2)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Necessary conditions on (S, T) for a YBE solution R with all c, d nonzero.
 
     The five booleans are, in order: the two ab-balance identities
@@ -556,8 +554,7 @@ def check_necessary_conditions(s: VertexWeights, t: VertexWeights) -> ConditionR
     )
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Solution space of [[R, S, T]] = 0 viewed as linear in R's weights.
 
     basis spans the space, vectors in WEIGHT_KEYS order.  witness is a

@@ -6,7 +6,9 @@ modules could leave a stale ``from .x import`` behind; this reads each
 module's syntax tree instead.  __init__.py imports no sibling: it
 resolves its public names from their modules on first use, and the
 footprint tests check in fresh interpreters that importing the package
-or the CLI loads no module a command does not run.
+or the CLI loads no module a command does not run.  No module imports
+dataclasses (which loads inspect) or typing, since either would add to
+every command's start-up time; the records derive from algebra.Record.
 """
 
 import ast
@@ -49,10 +51,32 @@ def test_no_unused_sibling_imports(path):
     assert unused_sibling_imports(path.read_text()) == set()
 
 
-def loaded_after(code: str) -> set:
-    """The vertexforms modules a fresh interpreter holds after running code."""
+def imported_modules(source: str) -> set:
+    """The absolute modules a source file imports, by their full names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return names
+
+
+def test_an_import_of_dataclasses_or_typing_is_caught():
+    source = "from dataclasses import dataclass\nimport typing as t\nfrom .grid import GridShape\n"
+    assert imported_modules(source) == {"dataclasses", "typing"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_typing(path):
+    assert not imported_modules(path.read_text()) & {"dataclasses", "typing"}
+
+
+def loaded_after(code: str, packages=("vertexforms",)) -> set:
+    """The modules of the given top-level packages that a fresh
+    interpreter holds after running code."""
     script = code + ("\nimport sys\nprint(*sorted(m for m in sys.modules"
-                     " if m.split('.')[0] == 'vertexforms'))")
+                     f" if m.split('.')[0] in {tuple(packages)!r}))")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
@@ -73,6 +97,14 @@ def test_count_loads_neither_yangbaxter_nor_toroidal():
                           'main(["count", "--m", "2", "--n", "2"])')
     assert "vertexforms.forms_rect" in loaded
     assert not loaded & {"vertexforms.yangbaxter", "vertexforms.toroidal"}
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    watched = ("dataclasses", "inspect")
+    every_module = "".join(f"import vertexforms.{path.stem}\n" for path in MODULES)
+    # a bare interpreter's site may preload some of them; the package adds none
+    assert loaded_after("import vertexforms.cli\n" + every_module, watched) <= loaded_after(
+        "", watched)
 
 
 def test_every_exported_name_resolves_to_its_module_object():

@@ -100,10 +100,10 @@ def test_from_pairs_and_named_lookups():
     assert (w.d1, w.d_neg1) == (7, 8)
     assert w.weight("c", -1) == 6
     assert w.weight("b", 1) == 3
-    with pytest.raises(ValueError, match="no weight"):
-        w.weight("e", 1)
-    with pytest.raises(ValueError, match="no weight"):
-        w.weight("a", 0)
+    # "ab", "" and "bc" are substrings of "abcd", not letters; True is no sign
+    for letter, sign in (("e", 1), ("a", 0), ("ab", 1), ("", 1), ("bc", -1), ("a", True)):
+        with pytest.raises(ValueError, match="no weight"):
+            w.weight(letter, sign)
 
 
 def test_serialization_round_trip():
