@@ -7,8 +7,9 @@ built directly from ints, which needs no Fraction per entry.  One
 Gauss-Jordan elimination, in integers, serves all three: over F_p every
 update is reduced mod p, and over Q each row is scaled to integers once
 and kept primitive, fraction-free (Bareiss 1968), until a last division
-by its pivot.  No floating point is used anywhere in the package.  It
-lists no kernels: every state and closed-form listing is the column
+by its pivot.  rank and pivot_columns read the echelon basis before
+back substitution.  No floating point is used anywhere in the package.
+It lists no kernels: every state and closed-form listing is the column
 walk of transfer.state_tables.
 
 Record, the base of the package's immutable records, lives here because
@@ -262,22 +263,19 @@ def _clear(row: list, prow: list, col: int, support: list, p: int,
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(m: FieldMatrix) -> FieldMatrix:
-    """Reduced row echelon form by Gauss-Jordan elimination.
+def _echelon(m: FieldMatrix) -> tuple:
+    """(basis, support): an echelon basis of m's row space, keyed by pivot
+    column, and the nonzero columns of each of its rows.
 
-    The rows are read one at a time into an echelon basis keyed by pivot
-    column: a row is cleared at each pivot the basis holds, left to
-    right, and joins it at its first nonzero column if anything is left.
-    Reading stops once every column has a pivot, since the remaining
-    rows then lie in the span.  Back substitution, last pivot first,
-    clears each pivot column above its pivot with a row that is already
-    reduced, so the result is canonical for the row space.  Over F_p the
-    rows are ints mod p and a row joins the basis scaled by its pivot's
+    The rows are read one at a time: a row is cleared at each pivot the
+    basis holds, left to right, and joins it at its first nonzero column
+    if anything is left.  Reading stops once every column has a pivot,
+    since the remaining rows then lie in the span.  Over F_p the rows
+    are ints mod p and a row joins the basis scaled by its pivot's
     inverse.  Over Q the rows are integer multiples of the true ones: a
     clearing multiplies the row by the pivot and subtracts a multiple of
-    the pivot row, which keeps every entry an integer.  A row is divided
-    by its gcd when it joins the basis and after each clearing above,
-    which keeps the entries small, and by its pivot once, at the end.
+    the pivot row, which keeps every entry an integer, and a row is
+    divided by its gcd when it joins the basis.
     """
     p = m.field.p
     nrows, ncols = m.rows, m.cols
@@ -303,6 +301,22 @@ def rref(m: FieldMatrix) -> FieldMatrix:
             row = [x // g for x in row] if g > 1 else row
         basis[lead] = row
         support[lead] = list(compress(cols, row))
+    return basis, support
+
+
+def rref(m: FieldMatrix) -> FieldMatrix:
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    The echelon basis of _echelon is back-substituted, last pivot first:
+    each pivot column is cleared above its pivot with a row that is
+    already reduced, so the result is canonical for the row space.  Over
+    Q a row is divided by its gcd after each clearing above, which keeps
+    the entries small, and by its pivot once, at the end.
+    """
+    p = m.field.p
+    nrows, ncols = m.rows, m.cols
+    cols = range(ncols)
+    basis, support = _echelon(m)
     pivots = sorted(basis)
     # a row reduced at the later pivots is zero at every pivot but its own,
     # so clearing with it adds nonzeros only in free columns
@@ -336,13 +350,14 @@ def _pivots(r: FieldMatrix) -> list[int]:
 
 
 def pivot_columns(m: FieldMatrix) -> list[int]:
-    """Pivot column indices of rref(m), ascending."""
-    return _pivots(rref(m))
+    """Pivot column indices of rref(m), ascending: the keys of the echelon
+    basis, which back substitution does not move."""
+    return sorted(_echelon(m)[0])
 
 
 def rank(m: FieldMatrix) -> int:
-    """Rank of the matrix (number of pivots in its rref)."""
-    return len(pivot_columns(m))
+    """Rank of the matrix: the size of its echelon basis."""
+    return len(_echelon(m)[0])
 
 
 def nullspace_basis(m: FieldMatrix) -> list[tuple]:

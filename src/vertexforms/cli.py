@@ -286,16 +286,14 @@ def _verify_cohomology(args) -> tuple:
     import random
 
     from .toroidal import (
-        CohomologyDecomposition,
-        PeriodicField,
         ToroidalOneForm,
+        _random_decompositions,
         closed_toroidal_tables,
         decompose,
         reconstruct,
     )
 
     shape = GridShape(args.m, args.n)
-    rng = random.Random(args.seed)
     m, n = shape.m, shape.n
     checked = 0
     # exhaustive when the listing's guard takes the shape, random
@@ -322,17 +320,11 @@ def _verify_cohomology(args) -> tuple:
                     "counterexample": {"closed_forms": checked,
                                        "decompositions": triples}}, False
     else:
-        for _ in range(args.samples):
-            vals = [[rng.randrange(3) for _ in range(n)] for _ in range(m)]
-            vals[0][0] = 0
-            h = PeriodicField.trusted(shape, tuple(map(tuple, vals)))
-            r, s = rng.randrange(3), rng.randrange(3)
-            w = reconstruct(CohomologyDecomposition(r=r, s=s, h=h))
-            dec = decompose(w)
-            if (dec.r, dec.s, dec.h.values) != (r, s, h.values):
+        for dec in _random_decompositions(shape, random.Random(args.seed), args.samples):
+            if decompose(reconstruct(dec)) != dec:
                 return {"suite": "cohomology", "passed": False,
-                        "counterexample": {"r": r, "s": s,
-                                           "h": [list(rw) for rw in h.values]}}, False
+                        "counterexample": {"r": dec.r, "s": dec.s,
+                                           "h": [list(rw) for rw in dec.h.values]}}, False
             checked += 1
     return {"suite": "cohomology", "shape": [m, n], "mode": mode,
             "checked": checked, "passed": True}, True

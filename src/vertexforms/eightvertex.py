@@ -4,16 +4,17 @@ Eight-vertex admissibility asks only that the four edge values at each
 vertex have even sum, so the admissible states are exactly the kernel
 of a per-vertex parity map on the F2 edge space.  That map is the
 rectangle's closedness rule right - left = top - bottom mod 2: grid's
-vertex incidence matrix, which forms_rect reads over F3.  The counts lean on
-that linearity: total and fixed-boundary counts come from rank-nullity,
-and a state extending a given boundary is written down in closed form.
+vertex incidence matrix, which forms_rect reads over F3.  The counts lean
+on that linearity: total and fixed-boundary counts are rank-nullity's
+closed forms, and a state extending a given boundary is written down in
+closed form.
 Enumeration walks the same parity rule, read as right = left + top +
 bottom mod 2, column by column (transfer.state_tables).
 """
 
 from __future__ import annotations
 
-from .algebra import GF2, FieldMatrix, Record, rank
+from .algebra import GF2, FieldMatrix, Record
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -67,19 +68,10 @@ def is_admissible_eight(state: LatticeState) -> bool:
 
 
 def count_total(shape: GridShape) -> int:
-    """Number of admissible states, 2^(m + n + mn).
-
-    Computed from the closed form and from rank-nullity of the defect
-    map; the two must agree or something is deeply wrong.
-    """
-    closed_form = 2 ** (shape.m + shape.n + shape.m * shape.n)
-    nullity = shape.edge_count - rank(defect_map(shape).matrix)
-    if closed_form != 2 ** nullity:
-        raise RuntimeError(
-            f"count mismatch at ({shape.m}, {shape.n}): "
-            f"closed form {closed_form}, kernel dimension {nullity}"
-        )
-    return closed_form
+    """Number of admissible states, 2^(m + n + mn), in closed form: the
+    defect map has rank mn, which verify defect-rank checks, so its
+    kernel has dimension edge_count - mn = m + n + mn."""
+    return 2 ** (shape.m + shape.n + shape.m * shape.n)
 
 
 def boundary_parity(b: BoundarySpec) -> int:
@@ -166,8 +158,7 @@ def eight_state_tables(shape: GridShape, boundary: BoundarySpec | None = None,
     bit per vertex.
     """
     check_boundary(boundary, shape, GF2)
-    m, n = shape.m, shape.n
-    states = 2 ** (m + n + m * n) if boundary is None else count_with_boundary(boundary)
+    states = count_total(shape) if boundary is None else count_with_boundary(boundary)
     guard_cost(states * shape.edge_count, force)
     return state_tables(EIGHT_VERTEX, shape, boundary) if states else iter(())
 

@@ -34,7 +34,10 @@ count_colorings counts the colorings by a sweep of its own, a cell at a
 time, that reads no vertex table, so count --check-colorings compares
 two independent engines; its test oracle is a backtracking count
 (backtrack_colorings in tests/conftest.py).  random_closed_forms reads
-CLOSED_F3 too, not a kernel.  six_state_tables is the guarded walk over
+CLOSED_F3 too, not a kernel.  The random samplers, random_closed_forms
+here, random_proper_coloring and toroidal's for verify cohomology, make
+one integer rng.randrange per column and read it as digits, base 3
+through _f3_digits or base 6.  six_state_tables is the guarded walk over
 the states in edge_tuple order, optionally with a fixed boundary that
 is pinned during the walk, not filtered after it;
 enumerate_six lists it.  Values built here from tables the library made
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 from operator import add, contains, itemgetter
 
 from .algebra import GF3, FieldMatrix, Record
@@ -229,20 +232,39 @@ def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
     return [OneForm.trusted(shape, f, g) for f, g in closed_form_tables(shape, force)]
 
 
+# _FIVE_DIGITS[x]: the five base-3 digits of x < 243, high digit first
+_FIVE_DIGITS = tuple(product(range(3), repeat=5))
+
+
+def _f3_digits(x: int, k: int) -> tuple:
+    """The k base-3 digits of an integer 0 <= x < 3^k, five at a time
+    from the low end through _FIVE_DIGITS: one to one from [0, 3^k) onto
+    F3^k, with no table or integer larger than the column's."""
+    digits = ()
+    while k > 5:
+        x, low = divmod(x, 243)
+        digits += _FIVE_DIGITS[low]
+        k -= 5
+    return digits + _FIVE_DIGITS[x][5 - k:]
+
+
 def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:
     """k uniformly random closed 1-forms, drawn by the vertex rule.
 
-    Each draws gy's first column, then fx's m columns, uniformly from F3
-    and reads each next gy column off CLOSED_F3, as state_tables does:
-    the mn + m + n draws map one to one onto the 3^(mn + m + n) closed
-    forms.  The rng draws are those of k calls of random_closed_form.
+    Each form takes one rng.randrange per column: gy's first column is
+    the n base-3 digits of a draw below 3^n, each of fx's m columns the
+    n + 1 digits of one below 3^(n + 1), and each next gy column is read
+    off CLOSED_F3, as state_tables does.  So the m + 1 draws map one to
+    one onto the 3^(mn + m + n) closed forms.  The rng draws are those
+    of k calls of random_closed_form.
     """
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in CLOSED_F3}
+    first, column = 3 ** n, 3 ** (n + 1)
     forms = []
     for _ in range(k):
-        gy = [tuple([rng.randrange(3) for _ in range(n)])]
-        fx = tuple([tuple([rng.randrange(3) for _ in range(n + 1)]) for _ in range(m)])
+        gy = [_f3_digits(rng.randrange(first), n)]
+        fx = tuple([_f3_digits(rng.randrange(column), n + 1) for _ in range(m)])
         for f in fx:
             # vertex (i, j): g[i][j], f[i][j+1], f[i][j] fix g[i+1][j]
             gy.append(tuple(map(right.__getitem__, zip(gy[-1], f[1:], f))))
@@ -397,16 +419,38 @@ def count_colorings(width: int, height: int, force: bool = False) -> int:
     return sum(frontier.values())
 
 
+# _PICK[below][left][d]: the (d mod k)-th of the k labels other than
+# below and left, where 3 stands for no neighbour
+_PICK = tuple(
+    tuple(
+        tuple(options[d % len(options)] for d in range(6))
+        for options in [[c for c in range(3) if c not in (below, left)] for left in range(4)]
+    )
+    for below in range(4)
+)
+
+
 def random_proper_coloring(shape: GridShape, rng: random.Random) -> Coloring:
-    """A proper coloring sampled cell by cell with random admissible labels."""
+    """A random proper coloring, drawn a row of m + 1 cells at a time.
+
+    Each row j is one rng.randrange(6^(m + 1)), read as base-6 digits
+    from the low end, one per cell from i = 0 up.  A cell takes the
+    (d mod k)-th of the k labels other than its left and lower
+    neighbours' from its digit d; 1, 2 and 3 all divide 6, so each is
+    equally likely, as a uniform choice cell by cell would make it.
+    """
     m, n = shape.m, shape.n
-    cells = [[0] * (n + 1) for _ in range(m + 1)]
-    for j in range(n + 1):
-        for i in range(m + 1):
-            banned = set()
-            if i > 0:
-                banned.add(cells[i - 1][j])
-            if j > 0:
-                banned.add(cells[i][j - 1])
-            cells[i][j] = rng.choice([c for c in (0, 1, 2) if c not in banned])
-    return Coloring.trusted(shape, tuple(map(tuple, cells)))
+    stop = 6 ** (m + 1)
+    rows = []
+    below_row = (3,) * (m + 1)  # 3, no neighbour: the row below the first
+    for _ in range(n + 1):
+        x = rng.randrange(stop)
+        left = 3
+        row = []
+        for below in below_row:
+            x, d = divmod(x, 6)
+            left = _PICK[below][left][d]
+            row.append(left)
+        below_row = tuple(row)
+        rows.append(below_row)
+    return Coloring.trusted(shape, tuple(zip(*rows)))

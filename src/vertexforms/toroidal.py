@@ -22,14 +22,16 @@ The calculus is the rectangle's (forms_rect), a column at a time
 through its bounded column memos: toroidal_derivatives and reconstruct
 take its column differences with the first column and row repeated,
 r and s added as the kernels' offsets, and decompose integrates fx - r
-and gy - s with its bottom-then-up potential.
+and gy - s with its bottom-then-up potential.  The random mode of
+verify cohomology draws its triples (r, s, h) here, one rng.randrange
+per column read as base-3 digits (_random_decompositions).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .forms_rect import _potential, _rise, _step, is_admissible_six
+from .forms_rect import _f3_digits, _potential, _rise, _step, is_admissible_six
 from .grid import GridShape, InputError, LatticeState, _freeze_grid, _unchecked, guard_cost
 from .algebra import GF3, Record
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
@@ -193,6 +195,26 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
 def reconstruct(d: CohomologyDecomposition) -> ToroidalOneForm:
     """The form r dx + s dy + dh determined by a decomposition."""
     return ToroidalOneForm.trusted(d.h.shape, *_wrapped_differences(d.h.values, d.r, d.s))
+
+
+def _random_decompositions(shape: GridShape, rng, k: int):
+    """k uniformly random decompositions (r, s, h), h(1, 1) = 0, for the
+    random mode of verify cohomology, one at a time.
+
+    Each takes one rng.randrange per column: (r, s) are the two base-3
+    digits of a draw below 9, h's first column is 0 and then the n - 1
+    digits of a draw below 3^(n - 1), and each of its other m - 1
+    columns the n digits of one below 3^n.  So the m + 1 draws map one
+    to one onto the 3^(mn + 1) triples.  Checks the periods first.
+    """
+    check_periods(shape)
+    m, n = shape.m, shape.n
+    first, column = 3 ** (n - 1), 3 ** n
+    for _ in range(k):
+        r, s = _f3_digits(rng.randrange(9), 2)
+        values = [(0,) + _f3_digits(rng.randrange(first), n - 1)]
+        values += [_f3_digits(rng.randrange(column), n) for _ in range(m - 1)]
+        yield CohomologyDecomposition(r, s, PeriodicField.trusted(shape, tuple(values)))
 
 
 def partial_images(h: PeriodicField) -> tuple:

@@ -22,11 +22,12 @@ forms_rect.count_colorings, and the naive_* calculus: d, its inverse,
 the properness scan, both directions of the coloring bijection and the
 toroidal decompose and reconstruct, written a generator or an index
 loop per column with no memo, which the column kernels of forms_rect
-are checked against (test_column_kernels.py).
+are checked against (test_column_kernels.py).  ReplayRandom stands in
+for random.Random where a test replays chosen draws into a sampler.
 """
 
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, cycle, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -177,6 +178,19 @@ def affine_span(field: Field, base: Sequence[int], basis: list) -> Iterator[tupl
             yield from walk(level + 1, combine(field, vec, (c,), (row,)))
 
     return walk(0, vec)
+
+
+class ReplayRandom:
+    """Stands in for random.Random: randrange returns the given draws in
+    turn, and asserts that its stops come in the given cycle."""
+
+    def __init__(self, draws, stops):
+        self.draws = iter(draws)
+        self.stops = cycle(stops)
+
+    def randrange(self, stop):
+        assert stop == next(self.stops)
+        return next(self.draws)
 
 
 def field_ops(field: Field) -> tuple:

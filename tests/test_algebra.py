@@ -135,6 +135,16 @@ def test_rref_matches_oracle(m):
 
 @settings(deadline=None, max_examples=200)
 @given(st.one_of(degenerate_matrices(), tall_matrices()))
+def test_rank_and_pivot_columns_match_oracle(m):
+    # both read the echelon basis, without back substitution
+    pivots = [next(j for j, x in enumerate(row) if x)
+              for row in oracle_rref(m).to_rows() if any(row)]
+    assert pivot_columns(m) == pivots
+    assert rank(m) == len(pivots)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(degenerate_matrices(), tall_matrices()))
 def test_nullspace_matches_oracle(m):
     basis = nullspace_basis(m)
     assert basis == oracle_nullspace(m)

@@ -203,6 +203,16 @@ def test_count_total_formula():
     assert count_total(GridShape(3, 3)) == 2 ** 15
 
 
+@pytest.mark.parametrize("m,n", [*product(range(2, 9), repeat=2), (10, 6)])
+def test_defect_map_kernel_dimension_is_the_count_exponent(m, n):
+    # count_total returns its closed form; rank-nullity of the defect map
+    # is the fact behind it
+    shape = GridShape(m, n)
+    nullity = shape.edge_count - rank(defect_map(shape).matrix)
+    assert nullity == m + n + m * n
+    assert count_total(shape) == 2 ** nullity
+
+
 def test_count_total_against_brute_force():
     hits = 0
     for bits in product((0, 1), repeat=12):

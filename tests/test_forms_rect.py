@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import affine_span, backtrack_colorings, mat_vec
+from conftest import ReplayRandom, affine_span, backtrack_colorings, mat_vec
 from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
 from vertexforms import forms_rect
 from vertexforms.forms_rect import (
@@ -259,23 +259,13 @@ def test_random_closed_forms_repeat_the_single_draws(m, n, k):
     assert rngs[0].getstate() == rngs[1].getstate()
 
 
-class ReplayRandom:
-    """Stands in for random.Random: randrange(3) returns the given draws in turn."""
-
-    def __init__(self, draws):
-        self.draws = iter(draws)
-
-    def randrange(self, stop):
-        assert stop == 3
-        return next(self.draws)
-
-
 def test_random_closed_forms_map_the_draws_onto_the_closed_forms():
-    # mn + m + n = 8 draws a form at 2x2: all 3^8 draw vectors in turn
-    # must give 3^8 distinct forms, which are then every closed form
-    vectors = list(product(range(3), repeat=8))
-    rng = ReplayRandom(x for v in vectors for x in v)
-    forms = random_closed_forms(S22, rng, len(vectors))
+    # a 2x2 form is three draws: gy's first column below 3^2, then fx's
+    # two columns below 3^3 each; every draw triple in turn must give
+    # 3^8 distinct forms, which are then every closed form
+    triples = list(product(range(9), range(27), range(27)))
+    rng = ReplayRandom((x for t in triples for x in t), (9, 27, 27))
+    forms = random_closed_forms(S22, rng, len(triples))
     assert next(rng.draws, None) is None
     assert len(set(forms)) == len(forms) == 3 ** 8
     assert set(forms) == set(enumerate_closed(S22))
@@ -499,10 +489,11 @@ def test_random_proper_coloring_is_the_validated_coloring(m, n, seed):
 
 
 # two seeded draws of random_proper_coloring on 2x3, recorded from its
-# cell-by-cell sampler; a change to the rng calls changes them
+# sampler of one base-6 draw per row of cells; a change to the rng calls
+# or to how a draw is read changes them
 PINNED_COLORINGS = [
-    ((1, 0, 2, 0), (0, 1, 0, 1), (2, 0, 1, 2)),
-    ((1, 0, 1, 2), (0, 2, 0, 1), (1, 0, 1, 0)),
+    ((1, 0, 2, 0), (2, 1, 0, 2), (0, 2, 1, 0)),
+    ((0, 1, 0, 2), (1, 2, 1, 0), (0, 1, 2, 1)),
 ]
 
 
