@@ -83,11 +83,15 @@ class Record:
     once, when the class is made.  An instance is built from positional
     or keyword arguments, one per field, and then runs the class's
     __post_init__, which may normalize a field with object.__setattr__.
-    Fields live in the instance __dict__, so a trusted constructor can
-    hand over a dict it built (grid._unchecked).  Assignment and deletion
-    raise AttributeError; == holds only between instances of one class
-    with equal fields, and the hash is that of the tuple of field values
-    in field order.
+    Fields live in the instance __dict__, so a trusted constructor hands
+    over a dict it built, with object.__new__ and _set_dict in its own
+    body: no __post_init__ runs and nothing is checked or copied.
+    Trusted constructors take only tables the library built itself,
+    tuples of tuples of field elements on a shape already checked;
+    values from outside go through the validating constructors.
+    Assignment and deletion raise AttributeError; == holds only between
+    instances of one class with equal fields, and the hash is that of
+    the tuple of field values in field order.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -113,6 +117,12 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+# The setter of a record's instance __dict__, for the trusted
+# constructors: one call that installs the dict they built, without
+# object.__setattr__'s lookup of the same descriptor.
+_set_dict = Record.__dict__["__dict__"].__set__
 
 
 class Field(Record):

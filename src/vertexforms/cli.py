@@ -226,20 +226,19 @@ def _verify_poincare(args) -> tuple:
     try:
         tables = closed_form_tables(shape, force=args.force)
     except SizeGuardError:
-        forms = random_closed_forms(shape, rng, args.samples)
+        tables = [(w.fx, w.gy) for w in random_closed_forms(shape, rng, args.samples)]
         mode = "random"
     else:
-        forms = (OneForm.trusted(shape, f, g) for f, g in tables)
         mode = "exhaustive"
     checked = 0
-    for w in forms:
-        dw = exterior_derivative(antiderivative(w))
-        if (dw.fx, dw.gy) != (w.fx, w.gy):
+    for fx, gy in tables:
+        dw = exterior_derivative(antiderivative(OneForm.trusted(shape, fx, gy)))
+        if dw.fx != fx or dw.gy != gy:
             payload = {
                 "suite": "poincare",
                 "passed": False,
-                "counterexample": {"fx": [list(r) for r in w.fx],
-                                   "gy": [list(r) for r in w.gy]},
+                "counterexample": {"fx": [list(r) for r in fx],
+                                   "gy": [list(r) for r in gy]},
             }
             return payload, False
         checked += 1
@@ -265,7 +264,7 @@ def _verify_bijection(args) -> tuple:
         w = OneForm.trusted(shape, f, g)
         for t in (0, 1, 2):
             w2, t2 = form_from_coloring(coloring_from_form(w, t))
-            if t2 != t or (w2.fx, w2.gy) != (f, g):
+            if t2 != t or w2.fx != f or w2.gy != g:
                 st = LatticeState.trusted(shape, GF3, f, g)
                 return {"suite": "bijection", "passed": False,
                         "counterexample": state_doc(st) | {"t": t}}, False

@@ -50,16 +50,15 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import accumulate, product, repeat
-from operator import add, contains, itemgetter
+from operator import add, contains
 
-from .algebra import GF3, FieldMatrix, Record
+from .algebra import GF3, FieldMatrix, Record, _set_dict
 from .grid import (
     BoundarySpec,
     GridShape,
     InputError,
     LatticeState,
     _freeze_grid,
-    _unchecked,
     _vertex_incidence,
     check_boundary,
     guard_cost,
@@ -87,7 +86,9 @@ class ScalarField(Record):
     @classmethod
     def trusted(cls, shape: GridShape, h: tuple) -> ScalarField:
         """A field from a tuple of tuples the library built, unchecked."""
-        return _unchecked(cls, {"shape": shape, "h": h})
+        obj = object.__new__(cls)
+        _set_dict(obj, {"shape": shape, "h": h})
+        return obj
 
     def at(self, i: int, j: int) -> int:
         return self.h[i - 1][j - 1]
@@ -108,7 +109,9 @@ class OneForm(Record):
     @classmethod
     def trusted(cls, shape: GridShape, fx: tuple, gy: tuple) -> OneForm:
         """A form from tuples of tuples the library built, unchecked."""
-        return _unchecked(cls, {"shape": shape, "fx": fx, "gy": gy})
+        obj = object.__new__(cls)
+        _set_dict(obj, {"shape": shape, "fx": fx, "gy": gy})
+        return obj
 
     def fx_at(self, i: int, j: int) -> int:
         return self.fx[i - 1][j - 1]
@@ -130,7 +133,9 @@ class Coloring(Record):
     @classmethod
     def trusted(cls, shape: GridShape, cells: tuple) -> Coloring:
         """A coloring from a tuple of tuples the library built, unchecked."""
-        return _unchecked(cls, {"shape": shape, "cells": cells})
+        obj = object.__new__(cls)
+        _set_dict(obj, {"shape": shape, "cells": cells})
+        return obj
 
     def at(self, i: int, j: int) -> int:
         return self.cells[i - 1][j - 1]
@@ -168,7 +173,7 @@ def _potential(fx, gy, cx: int = 0, cy: int = 0, t: int = 0) -> tuple:
     gy column, one entry longer.  On a closed rectangle form h is the
     potential of fx + cx and gy + cy, so _differences(h, -cx, -cy) ==
     (fx, gy)."""
-    bases = _climb(t, tuple(map(itemgetter(0), fx)), cx)
+    bases = _climb(t, next(zip(*fx)), cx)  # fx's bottom row
     return tuple(map(_climb, bases, gy, repeat(cy)))
 
 
@@ -184,7 +189,8 @@ def partial_y(field: ScalarField) -> tuple:
 
 def exterior_derivative(field: ScalarField) -> OneForm:
     """d(h) = (D_x h) dx + (D_y h) dy."""
-    return OneForm.trusted(field.shape, *_differences(field.h))
+    fx, gy = _differences(field.h)
+    return OneForm.trusted(field.shape, fx, gy)
 
 
 def is_closed(w: OneForm) -> bool:
@@ -198,9 +204,10 @@ def antiderivative(w: OneForm) -> ScalarField:
     h[i][j] is the sum of fx along the bottom row up to column i, plus
     gy up column i to height j.  Requires the form to be closed.
     """
-    if not is_closed(w):
+    fx, gy = w.fx, w.gy
+    if first_bad_vertex(CLOSED_F3, fx, gy) is not None:
         raise ValueError("antiderivative requires a closed form")
-    return ScalarField.trusted(w.shape, _potential(w.fx, w.gy))
+    return ScalarField.trusted(w.shape, _potential(fx, gy))
 
 
 def closedness_matrix(shape: GridShape) -> FieldMatrix:
@@ -327,10 +334,11 @@ def coloring_from_form(w: OneForm, t: int) -> Coloring:
     """
     if t not in (0, 1, 2):
         raise ValueError("base label t must be in {0, 1, 2}")
-    if not is_admissible_form(w):
+    fx, gy = w.fx, w.gy
+    if first_bad_vertex(SIX_VERTEX, fx, gy) is not None:  # is_admissible_form
         raise ValueError("coloring_from_form requires an admissible closed form")
     # h + t + i + j sums fx + 1 and gy + 1 along the path from t
-    return Coloring.trusted(w.shape, _potential(w.fx, w.gy, 1, 1, t))
+    return Coloring.trusted(w.shape, _potential(fx, gy, 1, 1, t))
 
 
 def form_from_coloring(c: Coloring) -> tuple:

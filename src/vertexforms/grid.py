@@ -22,7 +22,7 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .algebra import GF2, GF3, Field, FieldMatrix, Record
+from .algebra import GF2, GF3, Field, FieldMatrix, Record, _set_dict
 
 _FIELD_NAMES = {"F2": GF2, "F3": GF3}
 
@@ -102,19 +102,6 @@ def _check_entries(values: Sequence[int], p: int, label: str) -> None:
             raise ValueError(f"{label} entries must be ints in [0, {p})")
 
 
-def _unchecked(cls, values: dict):
-    """An instance of the record class cls holding values as they are.
-
-    For the trusted constructors: tables the library built itself, as
-    tuples of tuples of field elements on a shape already checked, so
-    no __post_init__ runs and nothing is checked or copied.  Values
-    from outside go through the validating constructors.
-    """
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", values)
-    return obj
-
-
 def _freeze_grid(values: Sequence[Sequence[int]], rows: int, cols: int,
                  field: Field, label: str) -> tuple:
     if len(values) != rows:
@@ -149,7 +136,9 @@ class LatticeState(Record):
     @classmethod
     def trusted(cls, shape: GridShape, field: Field, f: tuple, g: tuple) -> LatticeState:
         """A state from tuples of tuples the library built, unchecked."""
-        return _unchecked(cls, {"shape": shape, "field": field, "f": f, "g": g})
+        obj = object.__new__(cls)
+        _set_dict(obj, {"shape": shape, "field": field, "f": f, "g": g})
+        return obj
 
     def f_at(self, i: int, j: int) -> int:
         """f[i][j] with 1-based indices, i in [1, m], j in [1, n+1]."""

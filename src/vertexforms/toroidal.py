@@ -32,8 +32,8 @@ from __future__ import annotations
 from itertools import repeat
 
 from .forms_rect import _f3_digits, _potential, _rise, _step, is_admissible_six
-from .grid import GridShape, InputError, LatticeState, _freeze_grid, _unchecked, guard_cost
-from .algebra import GF3, Record
+from .grid import GridShape, InputError, LatticeState, _freeze_grid, guard_cost
+from .algebra import GF3, Record, _set_dict
 from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
 
 _INV3 = {1: 1, 2: 2}
@@ -72,7 +72,9 @@ class PeriodicField(Record):
     def trusted(cls, shape: GridShape, values: tuple) -> PeriodicField:
         """A field from a tuple of tuples the library built on a shape
         whose periods were checked, unchecked."""
-        return _unchecked(cls, {"shape": shape, "values": values})
+        obj = object.__new__(cls)
+        _set_dict(obj, {"shape": shape, "values": values})
+        return obj
 
     def at(self, i: int, j: int) -> int:
         """Value at any integer pair, through index reduction."""
@@ -98,7 +100,9 @@ class ToroidalOneForm(Record):
     def trusted(cls, shape: GridShape, fx: tuple, gy: tuple) -> ToroidalOneForm:
         """A form from tuples of tuples the library built on a shape whose
         periods were checked, unchecked."""
-        return _unchecked(cls, {"shape": shape, "fx": fx, "gy": gy})
+        obj = object.__new__(cls)
+        _set_dict(obj, {"shape": shape, "fx": fx, "gy": gy})
+        return obj
 
     def fx_at(self, i: int, j: int) -> int:
         return self.fx[index_reduce(i, self.shape.m) - 1][

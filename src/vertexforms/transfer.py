@@ -21,7 +21,11 @@ Boundaries:
 * free - every boundary edge ranges over {0, 1};
 * fixed - a BoundarySpec pins the bottom frontier, each row's left
   bit, each row's right bit and the top frontier read out at the end;
-  an F3 boundary value of 2 admits no state;
+  an F3 boundary value of 2 admits no state, and neither does a
+  boundary that breaks a conservation law every nonzero-weight pattern
+  keeps: an odd boundary sum when each l + t + r + b is even, an
+  unbalanced flow when each l + t = r + b.  Those return 0 before the
+  guard, with no sweep;
 * toroidal - the trace: the sum over bottom rows s0 of the sweeps that
   start at s0 and end at s0, with each row closed on itself.
 
@@ -90,10 +94,11 @@ def _first_bad_row(patterns, fi: tuple, left: tuple, right: tuple) -> int:
     """The first 1-based row j whose vertex in the column between g
     columns left and right, on f column fi, is not one of the patterns,
     or 0 when every one is."""
+    if all(map(patterns.__contains__, zip(left, fi[1:], right, fi))):
+        return 0
     for j, pattern in enumerate(zip(left, fi[1:], right, fi), 1):
         if pattern not in patterns:
             return j
-    return 0
 
 
 def first_bad_vertex(patterns, f, g):
@@ -106,13 +111,15 @@ def first_bad_vertex(patterns, f, g):
     edges_at_vertex does.  Each column of vertices is checked by
     _first_bad_row, a bounded memo keyed by the patterns and the
     column's three edge columns, so a column seen before costs one
-    lookup.
+    lookup.  A scan inside any() passes the columns; only a table with
+    a bad column reads them again, one memo hit each, to name it.
     """
     allowed = frozenset(patterns)  # patterns itself for the three tables
+    if not any(map(_first_bad_row, repeat(allowed), f, g, g[1:])):
+        return None
     for i, j in enumerate(map(_first_bad_row, repeat(allowed), f, g, g[1:]), 1):
         if j:
             return i, j
-    return None
 
 
 def count_states(patterns, shape: GridShape, boundary: BoundarySpec | None = None,
@@ -222,9 +229,35 @@ def _bits(values) -> int:
     return sum(x << k for k, x in enumerate(values))
 
 
+def _admits(table: dict, boundary: BoundarySpec) -> bool:
+    """False when a conservation law of the table's nonzero-weight
+    patterns rules the fixed boundary out, so that it admits no state.
+
+    Summed over all vertices, l + t + r + b counts each interior edge
+    twice and each boundary edge once, and l + t - r - b cancels each
+    interior edge and leaves sum(g_left) + sum(f_top) - sum(g_right) -
+    sum(f_bottom).  So if every pattern has an even l + t + r + b (the
+    eight-vertex rule), the boundary's sum is even, and if every
+    pattern has l + t = r + b (the six-vertex ice rule), the boundary's
+    flow balances (Baxter 1982, ch. 8).  A boundary value outside
+    {0, 1} admits no state either.
+    """
+    edges = boundary.edge_tuple()
+    if any(x not in (0, 1) for x in edges):
+        return False
+    live = [p for p, w in table.items() if w]
+    if sum(edges) % 2 and all(sum(p) % 2 == 0 for p in live):
+        return False
+    inflow = sum(boundary.g_left) + sum(boundary.f_top)
+    outflow = sum(boundary.g_right) + sum(boundary.f_bottom)
+    return inflow == outflow or not all(l + t == r + b for l, t, r, b in live)
+
+
 def _integer_sum(table: dict, shape: GridShape, boundary, toroidal: bool, force: bool) -> int:
     if toroidal and boundary is not None:
         raise ValueError("a toroidal sum takes no boundary")
+    if boundary is not None and not _admits(table, boundary):
+        return 0  # before the guard: no sweep runs
     m, n = shape.m, shape.n
     moves = {(left, bottom): [] for left in (0, 1) for bottom in (0, 1)}
     for (left, top, right, bottom), w in table.items():
@@ -239,8 +272,6 @@ def _integer_sum(table: dict, shape: GridShape, boundary, toroidal: bool, force:
         )
     if boundary is None:
         return sum(_sweep(moves, m, n, dict.fromkeys(range(1 << m), 1)).values())
-    if any(x not in (0, 1) for x in boundary.edge_tuple()):
-        return 0
     end = _sweep(moves, m, n, {_bits(boundary.f_bottom): 1},
                  left=boundary.g_left, right=boundary.g_right)
     return end.get(_bits(boundary.f_top), 0)

@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -797,9 +799,11 @@ def test_parser_is_built_once_and_handlers_are_read_per_call(capsys, monkeypatch
 
 
 def test_console_script_smoke():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "vertexforms.cli", "count", "--m", "2", "--n", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"count": 82}

@@ -126,3 +126,27 @@ def test_records_of_two_classes_on_the_same_tables_are_unequal():
 def test_a_record_repr_reads_like_its_dataclass():
     assert repr(GridShape(3, 2)) == "GridShape(m=3, n=2)"
     assert repr(GF2) == "Field(p=2, name='F2')"
+
+
+TRUSTED = [LatticeState, ScalarField, OneForm, Coloring, PeriodicField, ToroidalOneForm]
+
+
+def test_every_trusted_constructor_is_listed():
+    assert {cls for cls in FIELDS if hasattr(cls, "trusted")} == set(TRUSTED)
+
+
+@pytest.mark.parametrize("cls", TRUSTED, ids=lambda c: c.__name__)
+def test_a_trusted_record_is_the_validated_one(cls):
+    args = SAMPLES[cls]
+    trusted, checked = cls.trusted(*args), cls(*args)
+    assert type(trusted) is cls
+    assert trusted == checked and checked == trusted and not trusted != checked
+    assert hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked)
+    assert list(vars(trusted).items()) == list(vars(checked).items())
+    # it holds the values it was handed, uncopied, and stays immutable
+    assert all(getattr(trusted, name) is value for name, value in zip(cls._fields, args))
+    with pytest.raises(AttributeError):
+        setattr(trusted, cls._fields[-1], args[-1])
+    other = cls.trusted(*args[:-1], grid(len(args[-1]), len(args[-1][0]))[::-1])
+    assert other != trusted and other == cls(*args[:-1], other._values(other)[-1])

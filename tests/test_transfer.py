@@ -6,9 +6,13 @@ tables column by column and are checked against oracles of their own
 in the module tests, and partition functions with a per-state product
 of R-matrix components over those same lists, on shapes up to 3x3,
 free, fixed and toroidal boundaries, and rational weights that include
-zeros and negative values.  Also here: the column walk itself, what the
-size guard charges sums and listings, and the commuting row transfer
-matrices of weights that solve the Yang-Baxter equation.
+zeros and negative values.  Also here: the column walk itself,
+first_bad_vertex against a vertex scan, the conservation laws that rule
+a fixed boundary out before any sweep, the paper's F2 counts at sizes
+no listing reaches, the weighted symmetries (half-turn, transpose,
+complement, and gauge invariance on the torus), what the size guard
+charges sums and listings, and the commuting row transfer matrices of
+weights that solve the Yang-Baxter equation.
 """
 
 import random
@@ -19,7 +23,7 @@ from itertools import product
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_solvable_triple, random_weights, recursive_state_tables
@@ -105,6 +109,7 @@ def boundary(shape, field, values):
 
 
 ratios = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+nonzero_ratios = ratios.filter(bool)
 six_weights = st.builds(lambda v: VertexWeights(*v, 0, 0), st.tuples(*[ratios] * 6))
 eight_weights = st.builds(lambda v: VertexWeights(*v), st.tuples(*[ratios] * 8))
 
@@ -185,6 +190,58 @@ def test_first_bad_vertex_matches_a_vertex_scan(data):
     if m % 3 and n % 3:
         w = ToroidalOneForm(shape=shape, fx=[c[:n] for c in f], gy=g[:m])
         assert is_closed_toroidal(w) == closed_toroidal_by_wrap(w)
+
+
+def rule_tables(patterns, rng, m, n):
+    """Random f and g columns (lists) on which every vertex shows one of
+    the patterns: a random g0, then each f column climbed from a random
+    bottom value, a random top admitted at each vertex, and the next g
+    column read off the table."""
+    right = {(left, top, bottom): r for left, top, r, bottom in patterns}
+    values = sorted({x for p in patterns for x in p})
+    f, g = [], [[rng.choice(values) for _ in range(n)]]
+    for _ in range(m):
+        col, nxt = [rng.choice(values)], []
+        for left in g[-1]:
+            top = rng.choice([t for t in values if (left, t, col[-1]) in right])
+            nxt.append(right[left, top, col[-1]])
+            col.append(top)
+        f.append(col)
+        g.append(nxt)
+    return f, g
+
+
+@pytest.mark.parametrize("patterns", [CLOSED_F3, SIX_VERTEX, EIGHT_VERTEX],
+                         ids=["F3", "six", "eight"])
+def test_first_bad_vertex_names_planted_bad_vertices(patterns):
+    # each planted edit changes one edge to another value of the table's
+    # alphabet, which breaks the rule at the vertices on that edge; the
+    # memo is cleared first, so each table is checked once through the
+    # memo's misses and once through its hits
+    rng = random.Random(11)
+    values = sorted({x for p in patterns for x in p})
+    for _ in range(60):
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        f, g = rule_tables(patterns, rng, m, n)
+        state = LatticeState(shape=GridShape(m, n), field=GF3, f=f, g=g)
+        assert first_bad_vertex(patterns, state.f, state.g) is None
+        edits = rng.randint(1, 3)
+        for _ in range(edits):
+            col = rng.choice(rng.choice([f, g]))
+            k = rng.randrange(len(col))
+            col[k] = rng.choice([x for x in values if x != col[k]])
+        state = LatticeState(shape=GridShape(m, n), field=GF3, f=f, g=g)
+        expected = first_bad_by_scan(patterns, state)
+        if edits == 1:
+            assert expected is not None
+        transfer._first_bad_row.cache_clear()
+        assert first_bad_vertex(patterns, state.f, state.g) == expected
+        # only the columns up to the first bad one are computed, and the
+        # second call computes none
+        misses = transfer._first_bad_row.cache_info().misses
+        assert 1 <= misses <= (m if expected is None else expected[0])
+        assert first_bad_vertex(patterns, state.f, state.g) == expected
+        assert transfer._first_bad_row.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
@@ -513,6 +570,136 @@ def test_weighted_sum_is_invariant_under_the_lattice_symmetries(table, m, n, tor
     assert weighted_sum(turned, GridShape(m, n), toroidal=toroidal) == z
     flipped = {transpose(p): x for p, x in w.items()}
     assert weighted_sum(flipped, GridShape(n, m), toroidal=toroidal) == z
+
+
+def complement(pattern):
+    """Every edge value of a vertex flipped: the same shape, with each
+    weight's +1 and -1 swapped."""
+    return tuple(1 - x for x in pattern)
+
+
+def test_the_complement_swaps_each_weights_signs():
+    for p, (letter, sign) in PATTERNS.items():
+        assert PATTERNS[complement(p)] == (letter, -sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([SIX_VERTEX, EIGHT_VERTEX]),
+       st.sampled_from([(2, 3), (3, 3), (4, 3), (3, 5)]),
+       st.sampled_from(["free", "fixed", "toroidal"]), st.data())
+def test_weighted_sum_is_invariant_under_the_complement(table, mn, kind, data):
+    shape = GridShape(*mn)
+    w = {p: data.draw(ratios) for p in sorted(table)}
+    flipped = {complement(p): x for p, x in w.items()}
+    b = flipped_b = None
+    if kind == "fixed":
+        # a boundary the conservation laws admit, so that the sweep runs
+        count = 2 * shape.m + 2 * shape.n
+        values = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+        b = boundary(shape, GF2, values)
+        flipped_b = boundary(shape, GF2, [1 - x for x in values])
+        assume(transfer._admits(w, b))
+    toroidal = kind == "toroidal"
+    z = weighted_sum(w, shape, b, toroidal=toroidal)
+    assert weighted_sum(flipped, shape, flipped_b, toroidal=toroidal) == z
+
+
+def gauged(table, letter, k):
+    """The table with its letter's +1 weight times k and -1 weight over k."""
+    scale = {(letter, 1): k, (letter, -1): 1 / Fraction(k)}
+    return {p: x * scale.get(PATTERNS[p], 1) for p, x in table.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 3), (3, 4)]), eight_weights, st.sampled_from("cd"),
+       nonzero_ratios)
+def test_toroidal_sum_is_gauge_invariant(mn, w, letter, k):
+    # on the torus each closed row and column has as many 1 -> 0 steps as
+    # 0 -> 1 steps, so every state has as many c(+1) as c(-1) vertices and
+    # as many d(+1) as d(-1): Z reads c and d only through c1 c-1 and d1 d-1
+    table = {p: w.weight(*PATTERNS[p]) for p in EIGHT_VERTEX}
+    shape = GridShape(*mn)
+    z = weighted_sum(table, shape, toroidal=True)
+    assert weighted_sum(gauged(table, letter, k), shape, toroidal=True) == z
+
+
+def test_a_free_boundary_sum_is_not_gauge_invariant():
+    ones = dict.fromkeys(EIGHT_VERTEX, 1)
+    shape = GridShape(2, 2)
+    assert weighted_sum(ones, shape) == count_total(shape) == 256
+    assert weighted_sum(gauged(ones, "c", 2), shape) == Fraction(577, 2)
+
+
+# -- conservation laws: a fixed boundary that breaks one admits no state
+
+
+# right = left or top or bottom: a table the walk can step, which keeps
+# neither law, as (1, 1, 1, 0) shows, so no boundary is ruled out
+OR_RULE = frozenset((left, top, left | top | bottom, bottom)
+                    for left, top, bottom in product((0, 1), repeat=3))
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("patterns", [SIX_VERTEX, EIGHT_VERTEX, OR_RULE],
+                         ids=["six", "eight", "or"])
+def test_conservation_laws_meet_the_walk_on_every_boundary(patterns, m, n):
+    shape = GridShape(m, n)
+    for values in product((0, 1), repeat=2 * m + 2 * n):
+        b = boundary(shape, GF2, values)
+        walked = sum(1 for _ in state_tables(patterns, shape, b))
+        assert count_states(patterns, shape, b) == walked
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3)]), six_weights)
+def test_conservation_laws_with_weights_where_d_is_zero(mn, w):
+    # the eight-vertex table with d = 0 keeps only six-vertex patterns
+    # live, so both laws hold; some drawn a, b or c weights are 0 too
+    shape = GridShape(*mn)
+    table = {p: w.weight(*PATTERNS[p]) for p in EIGHT_VERTEX}
+    for values in product((0, 1), repeat=2 * shape.m + 2 * shape.n):
+        b = boundary(shape, GF2, values)
+        states = [LatticeState.trusted(shape, GF2, f, g)
+                  for f, g in state_tables(EIGHT_VERTEX, shape, b)]
+        assert weighted_sum(table, shape, b) == direct_sum(w, states)
+
+
+def test_a_boundary_the_conservation_laws_rule_out_is_not_swept(monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("a boundary ruled out was swept")
+
+    monkeypatch.setattr(transfer, "_sweep", sweep)
+    shape = GridShape(12, 12)
+    odd = boundary(shape, GF2, (1,) + (0,) * 47)
+    assert boundary_parity(odd) == 1
+    assert count_states(EIGHT_VERTEX, shape, odd) == 0
+    assert weighted_sum(dict.fromkeys(EIGHT_VERTEX, Fraction(1, 3)), shape, odd) == 0
+    # even, but two arrows leave through the bottom and none come back
+    unbalanced = boundary(shape, GF3, (1, 1) + (0,) * 46)
+    assert count_states(SIX_VERTEX, shape, unbalanced) == 0
+    with pytest.raises(AssertionError, match="swept"):
+        count_states(EIGHT_VERTEX, shape, unbalanced)
+
+
+# -- the paper's F2 counts, at sizes no listing reaches
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_eight_vertex_fixed_boundary_counts_are_the_f2_closed_form(m):
+    rng = random.Random(m)
+    shape = GridShape(m, m)
+    for parity in (0, 1):
+        values = [rng.randrange(2) for _ in range(4 * m - 1)]
+        values.append((sum(values) + parity) % 2)
+        b = boundary(shape, GF2, values)
+        assert boundary_parity(b) == parity
+        expected = 0 if parity else 2 ** ((m - 1) * (m - 1))
+        assert count_states(EIGHT_VERTEX, shape, b) == eightvertex.count_with_boundary(b) == expected
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 5), (5, 3)])
+def test_eight_vertex_toroidal_counts_are_the_f2_closed_form(m, n):
+    assert count_states(EIGHT_VERTEX, GridShape(m, n), toroidal=True) == 2 ** (m * n + 1)
 
 
 # -- the size guard: a sum is charged its sweep, a listing its states
