@@ -7,8 +7,13 @@ built directly from ints, which needs no Fraction per entry.  One
 Gauss-Jordan elimination, in integers, serves all three: over F_p every
 update is reduced mod p, and over Q each row is scaled to integers once
 and kept primitive, fraction-free (Bareiss 1968), until a last division
-by its pivot.  rank and pivot_columns read the echelon basis before
-back substitution.  No floating point is used anywhere in the package.
+by its pivot.  The rows are read into an echelon basis until every
+column has a pivot; once a row clears to zero before that, the kernel
+of the basis is read, and a later row orthogonal to all of it lies in
+the span and is skipped without a clearing.  rank and pivot_columns
+read the echelon basis before back substitution; rref and
+nullspace_basis share one back substitution over the integer rows.
+No floating point is used anywhere in the package.
 It lists no kernels: every state and closed-form listing is the column
 walk of transfer.state_tables.
 
@@ -273,6 +278,50 @@ def _clear(row: list, prow: list, col: int, support: list, p: int,
     return [x // g for x in row] if g > 1 else row
 
 
+def _reduce(basis: dict, support: dict, p: int) -> None:
+    """Back-substitute an echelon basis in place, last pivot first.
+
+    Each row is cleared at the later pivots with rows already reduced,
+    which are zero at every pivot but their own, so a clearing adds
+    nonzeros only in free columns and the result is canonical for the
+    row space.  Over Q a row stays an integer row, divided by its gcd
+    after each clearing, which keeps the entries small; its pivot need
+    not be 1.  Rows reduced before, when an earlier kernel was read,
+    are cleared only at the pivots that joined since.
+    """
+    for col in sorted(basis, reverse=True):
+        row = basis[col]
+        for c in support[col]:
+            if c > col and c in basis:
+                row = _clear(row, basis[c], c, support[c], p)
+        basis[col] = row
+        support[col] = list(compress(range(len(row)), row))
+
+
+def _kernel(basis: dict, support: dict, ncols: int, p: int) -> list:
+    """One integer vector per free column of the basis, ascending, that
+    spans its right kernel: the basis is reduced in place, unless it has
+    a pivot in every column and so no kernel, and the vector of free
+    column c is a list of (column, value) pairs, c's first.  Over F_p
+    the value at c is 1 and the others are mod p; over Q the value at c
+    is the lcm of the pivots of the rows nonzero at c, so every value
+    is an integer."""
+    if len(basis) == ncols:
+        return []
+    _reduce(basis, support, p)
+    kernel = []
+    for c in range(ncols):
+        if c in basis:
+            continue
+        above = [(j, row[c], row[j]) for j, row in basis.items() if row[c]]
+        if p:
+            kernel.append([(c, 1)] + [(j, -x % p) for j, x, _ in above])
+        else:
+            scale = lcm(*(pivot for _, _, pivot in above))
+            kernel.append([(c, scale)] + [(j, -x * (scale // pivot)) for j, x, pivot in above])
+    return kernel
+
+
 def _echelon(m: FieldMatrix) -> tuple:
     """(basis, support): an echelon basis of m's row space, keyed by pivot
     column, and the nonzero columns of each of its rows.
@@ -280,28 +329,42 @@ def _echelon(m: FieldMatrix) -> tuple:
     The rows are read one at a time: a row is cleared at each pivot the
     basis holds, left to right, and joins it at its first nonzero column
     if anything is left.  Reading stops once every column has a pivot,
-    since the remaining rows then lie in the span.  Over F_p the rows
-    are ints mod p and a row joins the basis scaled by its pivot's
-    inverse.  Over Q the rows are integer multiples of the true ones: a
-    clearing multiplies the row by the pivot and subtracts a multiple of
-    the pivot row, which keeps every entry an integer, and a row is
-    divided by its gcd when it joins the basis.
+    since the remaining rows then lie in the span.  A row that clears to
+    zero before that has the kernel of the basis read (_kernel, which
+    reduces the basis), and each later row is first tested by its dot
+    products with that kernel, a certificate of the span: a row
+    orthogonal to all of it lies in the span and is skipped without a
+    clearing, and any other row is cleared and joins the basis, which
+    drops the kernel until the next row that clears to zero.  A matrix
+    of full row rank meets no such row and pays nothing for this.
+
+    Over F_p the rows are ints mod p and a row joins the basis scaled by
+    its pivot's inverse.  Over Q the rows are integer multiples of the
+    true ones: a clearing multiplies the row by the pivot and subtracts
+    a multiple of the pivot row, which keeps every entry an integer, and
+    a row is divided by its gcd when it joins the basis.
     """
     p = m.field.p
     nrows, ncols = m.rows, m.cols
     cols = range(ncols)
     basis = {}  # pivot column -> its row
     support = {}  # pivot column -> the nonzero columns of its row
+    kernel = None  # the basis's kernel, read at a row that cleared to zero
     for i in range(nrows):
         if len(basis) == ncols:
             break
         row = list(m.row(i)) if p else _integer_row(m.row(i))
+        if kernel is not None:
+            dots = (sum([row[k] * x for k, x in v]) for v in kernel)
+            if not any((d % p for d in dots) if p else dots):
+                continue
         lead = next(compress(cols, row), None)
         while lead in basis:
             # made primitive once, when it joins the basis
             row = _clear(row, basis[lead], lead, support[lead], p, primitive=False)
             lead = next(compress(cols[lead + 1:], row[lead + 1:]), None)
         if lead is None:
+            kernel = _kernel(basis, support, ncols, p)
             continue
         if p and row[lead] != 1:
             inv = pow(row[lead], -1, p)
@@ -311,32 +374,19 @@ def _echelon(m: FieldMatrix) -> tuple:
             row = [x // g for x in row] if g > 1 else row
         basis[lead] = row
         support[lead] = list(compress(cols, row))
+        kernel = None
     return basis, support
 
 
 def rref(m: FieldMatrix) -> FieldMatrix:
-    """Reduced row echelon form by Gauss-Jordan elimination.
-
-    The echelon basis of _echelon is back-substituted, last pivot first:
-    each pivot column is cleared above its pivot with a row that is
-    already reduced, so the result is canonical for the row space.  Over
-    Q a row is divided by its gcd after each clearing above, which keeps
-    the entries small, and by its pivot once, at the end.
-    """
+    """Reduced row echelon form by Gauss-Jordan elimination: the echelon
+    basis of _echelon, back-substituted by _reduce, with each row divided
+    by its pivot once, at the end, over Q."""
     p = m.field.p
     nrows, ncols = m.rows, m.cols
-    cols = range(ncols)
     basis, support = _echelon(m)
+    _reduce(basis, support, p)
     pivots = sorted(basis)
-    # a row reduced at the later pivots is zero at every pivot but its own,
-    # so clearing with it adds nonzeros only in free columns
-    for col in reversed(pivots):
-        row = basis[col]
-        for c in support[col]:
-            if c > col and c in basis:
-                row = _clear(row, basis[c], c, support[c], p)
-        basis[col] = row
-        support[col] = list(compress(cols, row))
     rows = [basis[c] for c in pivots]
     if p:
         zero = 0
@@ -346,17 +396,6 @@ def rref(m: FieldMatrix) -> FieldMatrix:
     entries = [x for row in rows for x in row]
     entries += [zero] * (ncols * (nrows - len(rows)))
     return FieldMatrix(m.field, nrows, ncols, tuple(entries))
-
-
-def _pivots(r: FieldMatrix) -> list[int]:
-    """Pivot columns of a matrix in rref: the first nonzero of each nonzero row."""
-    pivots = []
-    for i in range(r.rows):
-        j = next((j for j, x in enumerate(r.row(i)) if x), None)
-        if j is None:
-            break
-        pivots.append(j)
-    return pivots
 
 
 def pivot_columns(m: FieldMatrix) -> list[int]:
@@ -375,18 +414,19 @@ def nullspace_basis(m: FieldMatrix) -> list[tuple]:
 
     Vectors are ordered by ascending free-column index, and the vector
     for free column c has a 1 in position c.  This makes the basis
-    deterministic, which downstream enumeration relies on.
+    deterministic, which downstream enumeration relies on.  The vectors
+    are _kernel's integer vectors of the echelon basis, divided over Q
+    by their value at c: one Fraction per nonzero entry, and no rref
+    matrix is built.
     """
-    r = rref(m)
     p = m.field.p
     zero, one = _entry(m.field, 0), _entry(m.field, 1)
-    pivots = _pivots(r)
-    basis = []
-    for c in sorted(set(range(m.cols)) - set(pivots)):
+    basis, support = _echelon(m)
+    out = []
+    for (c, scale), *rest in _kernel(basis, support, m.cols, p):
         v = [zero] * m.cols
         v[c] = one
-        for i, j in enumerate(pivots):
-            # pivot entry is 1, so x_j = -R[i][c]
-            v[j] = -r.at(i, c) % p if p else -r.at(i, c)
-        basis.append(tuple(v))
-    return basis
+        for j, x in rest:
+            v[j] = x if p else Fraction(x, scale)
+        out.append(tuple(v))
+    return out

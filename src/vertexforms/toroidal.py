@@ -134,7 +134,8 @@ def _wrapped_differences(values: tuple, r: int = 0, s: int = 0) -> tuple:
 
 def toroidal_derivatives(h: PeriodicField) -> ToroidalOneForm:
     """d(h) as a toroidal form."""
-    return ToroidalOneForm.trusted(h.shape, *_wrapped_differences(h.values))
+    fx, gy = _wrapped_differences(h.values)
+    return ToroidalOneForm.trusted(h.shape, fx, gy)
 
 
 def is_closed_toroidal(w: ToroidalOneForm) -> bool:
@@ -198,7 +199,8 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
 
 def reconstruct(d: CohomologyDecomposition) -> ToroidalOneForm:
     """The form r dx + s dy + dh determined by a decomposition."""
-    return ToroidalOneForm.trusted(d.h.shape, *_wrapped_differences(d.h.values, d.r, d.s))
+    fx, gy = _wrapped_differences(d.h.values, d.r, d.s)
+    return ToroidalOneForm.trusted(d.h.shape, fx, gy)
 
 
 def _random_decompositions(shape: GridShape, rng, k: int):

@@ -581,7 +581,8 @@ def _linear_system_in_r(s: VertexWeights, t: VertexWeights) -> FieldMatrix:
     positive Ls Lt.  That, and dropping zero rows and repeats up to
     sign, leaves the row space alone, and with it the solution space
     and the canonical rref it is read from.  The entries stay ints,
-    which rref reads as rationals without a Fraction per entry.
+    which the elimination reads as rationals without a Fraction per
+    entry.
     """
     (sv, _), (tv, _) = lcm_scaled(s.as_vector()), lcm_scaled(t.as_vector())
     rows = {}

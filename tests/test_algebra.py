@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mat_vec, oracle_nullspace, oracle_rref
+from conftest import FIXTURES, mat_vec, oracle_nullspace, oracle_rref
+from vertexforms import algebra
 from vertexforms.algebra import (
     GF2,
     GF3,
@@ -16,6 +17,7 @@ from vertexforms.algebra import (
     rank,
     rref,
 )
+from vertexforms.yangbaxter import _linear_system_in_r, deserialize_weights, solve_R
 
 FIELDS = [GF2, GF3, QQ]
 
@@ -106,6 +108,54 @@ def tall_matrices(draw, max_rows=30, max_cols=8):
     return FieldMatrix.from_rows(field, rows)
 
 
+@st.composite
+def certificate_matrices(draw, max_cols=7):
+    """Matrices over F2, F3 or Q that lead the elimination through its
+    kernel certificate: independent rows, then a row in their span (a
+    combination, or zero with no rows before it) while the rank is below
+    the column count, so the kernel is read; then an independent row,
+    which the kernel must not pass and which drops it; then rows in the
+    span again, which read the kernel anew and are skipped.  The
+    independent rows are triangular in permuted columns with a nonzero
+    diagonal, and their other entries are zero half the time, so a
+    later independent row is often orthogonal to some kernel vectors
+    but not to all.  A Q matrix holds Fractions, or plain ints put in
+    without from_rows."""
+    field = draw(st.sampled_from(FIELDS))
+    cols = draw(st.integers(2, max_cols))
+    raw_ints = field is QQ and draw(st.booleans())
+    if field is QQ and not raw_ints:
+        entry = st.fractions(-4, 4, max_denominator=6)
+    else:
+        entry = st.integers(-6, 6)
+    nonzero = entry.filter(lambda x: x % field.p if field.p else x)
+    sparse = st.one_of(st.just(0), entry)
+    order = draw(st.permutations(range(cols)))
+    independent = []
+    for k in range(cols):
+        triangular = [0] * k + [draw(nonzero)] + [draw(sparse) for _ in range(k + 1, cols)]
+        independent.append([triangular[order[j]] for j in range(cols)])
+
+    def in_span(basis):
+        total = [0] * cols
+        for row in basis:
+            k = draw(st.integers(-2, 2))
+            total = [x + k * y for x, y in zip(total, row)]
+        return total
+
+    known = draw(st.integers(0, cols - 2))  # rows read before the first zero
+    rows = independent[:known] + [in_span(independent[:known])]
+    for k in range(known + 1, draw(st.integers(known + 1, cols)) + 1):
+        rows.append(independent[k - 1])
+        rows += [in_span(independent[:k]) for _ in range(draw(st.integers(1, 3)))]
+    if raw_ints:
+        return FieldMatrix(QQ, len(rows), cols, tuple(x for row in rows for x in row))
+    return FieldMatrix.from_rows(field, rows)
+
+
+ORACLE_CASES = st.one_of(degenerate_matrices(), tall_matrices(), certificate_matrices())
+
+
 def test_field_element_validation():
     # ints are reduced mod p, and over Q become Fractions
     assert FieldMatrix.from_rows(GF3, [[3, -1]]).entries == (0, 2)
@@ -125,7 +175,7 @@ def test_field_element_validation():
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.one_of(degenerate_matrices(), tall_matrices()))
+@given(ORACLE_CASES)
 def test_rref_matches_oracle(m):
     r = rref(m)
     assert r.entries == oracle_rref(m).entries
@@ -134,7 +184,7 @@ def test_rref_matches_oracle(m):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.one_of(degenerate_matrices(), tall_matrices()))
+@given(ORACLE_CASES)
 def test_rank_and_pivot_columns_match_oracle(m):
     # both read the echelon basis, without back substitution
     pivots = [next(j for j, x in enumerate(row) if x)
@@ -144,12 +194,34 @@ def test_rank_and_pivot_columns_match_oracle(m):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.one_of(degenerate_matrices(), tall_matrices()))
+@given(ORACLE_CASES)
 def test_nullspace_matches_oracle(m):
     basis = nullspace_basis(m)
     assert basis == oracle_nullspace(m)
     if m.field is QQ:
         assert all(type(x) is Fraction for v in basis for x in v)
+
+
+@pytest.mark.parametrize("pair", ["solvable", "generic"])
+def test_solve_r_clears_few_rows(monkeypatch, pair):
+    # the solvable system (rank 7 of 8) meets a row that clears to zero
+    # at rank 4 and again at rank 7, and its later rows pass the kernel
+    # certificate with no clearing; the generic one reaches full column
+    # rank at its eighth row and reads no further
+    s, t = (deserialize_weights((FIXTURES / f"weights_{pair}_{x}.json").read_text())
+            for x in "st")
+    system = _linear_system_in_r(s, t)
+    prefixes = (FieldMatrix(QQ, k, 8, system.entries[:8 * k]) for k in range(1, system.rows))
+    reach = next((prefix.rows for prefix in prefixes if not oracle_nullspace(prefix)),
+                 system.rows)
+    clears, rows_read = [], []
+    clear, row = algebra._clear, FieldMatrix.row
+    monkeypatch.setattr(algebra, "_clear", lambda *a, **k: clears.append(1) or clear(*a, **k))
+    monkeypatch.setattr(FieldMatrix, "row", lambda m, i: rows_read.append(i) or row(m, i))
+    basis = solve_R(s, t).basis
+    assert len(clears) <= 30
+    assert rows_read == list(range(reach))
+    assert list(basis) == oracle_nullspace(system)
 
 
 def test_identity_and_shapes():

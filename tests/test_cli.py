@@ -378,16 +378,18 @@ def test_verify_cohomology_mode_is_the_listing_guard(capsys, monkeypatch, m, n, 
 def test_random_verify_modes_build_no_f3_kernel(capsys, monkeypatch, argv):
     import vertexforms.algebra as algebra
 
-    rref = algebra.rref
+    echelon = algebra._echelon
 
-    def rref_but_not_over_f3(matrix):
+    def echelon_but_not_over_f3(matrix):
         if matrix.field is GF3:
             raise AssertionError("an F3 matrix was reduced")
-        return rref(matrix)
+        return echelon(matrix)
 
-    monkeypatch.setattr(algebra, "rref", rref_but_not_over_f3)
-    with pytest.raises(AssertionError):
-        algebra.nullspace_basis(algebra.FieldMatrix.identity(GF3, 2))
+    # every reduction starts with the echelon basis
+    monkeypatch.setattr(algebra, "_echelon", echelon_but_not_over_f3)
+    for reduce in (algebra.rref, algebra.rank, algebra.pivot_columns, algebra.nullspace_basis):
+        with pytest.raises(AssertionError):
+            reduce(algebra.FieldMatrix.identity(GF3, 2))
     code, doc = run_json(capsys, "verify", *argv)
     assert code == 0 and doc["mode"] == "random" and doc["passed"] is True
 

@@ -572,6 +572,40 @@ def test_weighted_sum_is_invariant_under_the_lattice_symmetries(table, m, n, tor
     assert weighted_sum(flipped, GridShape(n, m), toroidal=toroidal) == z
 
 
+def turned_boundary(b):
+    """A fixed boundary turned through 180 degrees: each side is the
+    opposite one, reversed, with every edge value flipped."""
+    def turn(side):
+        return tuple(1 - x for x in reversed(side))
+    return BoundarySpec(b.shape, b.field, turn(b.f_top), turn(b.f_bottom),
+                        turn(b.g_right), turn(b.g_left))
+
+
+def transposed_boundary(b):
+    """A fixed boundary reflected in the diagonal, on the n x m shape:
+    the bottom and left sides swap, and so do the top and right."""
+    return BoundarySpec(GridShape(b.shape.n, b.shape.m), b.field,
+                        b.g_left, b.g_right, b.f_bottom, b.f_top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([SIX_VERTEX, EIGHT_VERTEX]), st.integers(2, 4), st.integers(2, 4),
+       st.data())
+def test_fixed_boundary_sum_is_invariant_under_the_lattice_symmetries(table, m, n, data):
+    shape = GridShape(m, n)
+    w = {p: data.draw(ratios) for p in sorted(table)}
+    count = 2 * m + 2 * n
+    values = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+    b = boundary(shape, GF2, values)
+    # a boundary the conservation laws admit, so that the sweep runs
+    assume(transfer._admits(w, b))
+    z = weighted_sum(w, shape, b)
+    turned = {half_turn(p): x for p, x in w.items()}
+    assert weighted_sum(turned, shape, turned_boundary(b)) == z
+    flipped = {transpose(p): x for p, x in w.items()}
+    assert weighted_sum(flipped, GridShape(n, m), transposed_boundary(b)) == z
+
+
 def complement(pattern):
     """Every edge value of a vertex flipped: the same shape, with each
     weight's +1 and -1 swapped."""
