@@ -31,7 +31,7 @@ _EXPORTS = {
         "Coloring", "OneForm", "ScalarField", "antiderivative", "closedness_matrix",
         "coloring_from_form", "count_colorings", "count_six", "closed_form_tables",
         "enumerate_closed", "enumerate_six", "exterior_derivative",
-        "form_from_coloring", "form_to_state", "is_admissible_form",
+        "form_from_coloring", "is_admissible_form",
         "is_admissible_six", "is_closed", "is_proper", "random_closed_form",
         "random_closed_forms", "random_proper_coloring", "six_state_tables",
         "state_to_form",
@@ -44,23 +44,22 @@ _EXPORTS = {
         "CohomologyDecomposition", "FiberEntry", "PeriodicField", "ToroidalOneForm",
         "admissible_shifts", "count_six_toroidal", "decompose",
         "closed_toroidal_tables", "enumerate_closed_toroidal", "enumerate_six_toroidal",
-        "has_toroidal_boundary", "index_reduce", "is_closed_toroidal", "is_sparse",
+        "has_toroidal_boundary", "is_closed_toroidal", "is_sparse",
         "reconstruct", "sparse_fibers", "state_to_sparse", "state_to_toroidal_form",
         "toroidal_derivatives", "toroidal_state_tables",
     ),
     "eightvertex": (
-        "DefectMap", "boundary_parity", "construct_state", "count_total",
-        "count_valid_boundaries", "count_with_boundary", "defect_map", "defect_vector",
-        "eight_state_tables", "enumerate_eight", "is_admissible_eight",
+        "boundary_parity", "construct_state", "count_total", "count_valid_boundaries",
+        "count_with_boundary", "defect_map", "eight_state_tables", "enumerate_eight",
+        "is_admissible_eight",
     ),
     "yangbaxter": (
-        "RESIDUALS28_LABELS", "RESIDUALS28_ROWS", "STAR_TRIANGLE_TABLE", "BoundaryHex",
+        "RESIDUALS28_LABELS", "RESIDUALS28_ROWS", "STAR_TRIANGLE_TABLE",
         "ConditionReport", "SolveReport", "VertexWeights", "check_necessary_conditions",
         "commutator_vanishes", "component", "deserialize_weights", "embed",
-        "f_invariant", "g_invariant", "matrix_to_weights", "partition_function",
-        "residuals28", "residuals28_of", "serialize_weights", "solve_R",
-        "star_triangle_residual", "star_triangle_residuals", "weights_from_vector",
-        "weights_to_matrix", "yb_commutator",
+        "f_invariant", "g_invariant", "partition_function", "residuals28",
+        "residuals28_of", "serialize_weights", "solve_R", "star_triangle_residuals",
+        "weights_from_vector", "weights_to_matrix", "yb_commutator",
     ),
 }
 

@@ -306,7 +306,7 @@ def _verify_cohomology(args) -> tuple:
             w = ToroidalOneForm.trusted(shape, fx, gy)
             dec = decompose(w)
             w2 = reconstruct(dec)
-            if (w2.fx, w2.gy) != (w.fx, w.gy) or dec.h.at(1, 1) != 0:
+            if (w2.fx, w2.gy) != (w.fx, w.gy) or dec.h.values[0][0] != 0:
                 return {"suite": "cohomology", "passed": False,
                         "counterexample": {"fx": [list(r) for r in w.fx],
                                            "gy": [list(r) for r in w.gy]}}, False
@@ -373,7 +373,7 @@ def _verify_defect_rank(args) -> tuple:
     from .transfer import EIGHT_VERTEX, count_states
 
     shape = GridShape(args.m, args.n)
-    rk = rank(defect_map(shape).matrix)
+    rk = rank(defect_map(shape))
     expected = shape.m * shape.n
     total = count_total(shape)
     payload = {
@@ -445,11 +445,8 @@ def cmd_ybe(args) -> int:
 
     if args.action in ("check", "residuals"):
         r = _load_weights(args.r)
-        s = _load_weights(args.s)
-        t = _load_weights(args.t)
-    else:
-        s = _load_weights(args.s)
-        t = _load_weights(args.t)
+    s = _load_weights(args.s)
+    t = _load_weights(args.t)
     if args.action == "check":
         zero = commutator_vanishes(r, s, t)
         _emit({"commutator_zero": zero})

@@ -4,7 +4,9 @@ Eight-vertex admissibility asks only that the four edge values at each
 vertex have even sum, so the admissible states are exactly the kernel
 of a per-vertex parity map on the F2 edge space.  That map is the
 rectangle's closedness rule right - left = top - bottom mod 2: grid's
-vertex incidence matrix, which forms_rect reads over F3.  The counts lean
+vertex incidence matrix, which defect_map returns as a FieldMatrix over
+F2, as forms_rect's closedness_matrix returns it over F3; a state's
+per-vertex parities are that matrix times its edge vector.  The counts lean
 on that linearity: total and fixed-boundary counts are rank-nullity's
 closed forms, and a state extending a given boundary is written down in
 closed form.
@@ -14,7 +16,7 @@ bottom mod 2, column by column (transfer.state_tables).
 
 from __future__ import annotations
 
-from .algebra import GF2, FieldMatrix, Record
+from .algebra import GF2, FieldMatrix
 from .grid import (
     BoundarySpec,
     GridShape,
@@ -22,43 +24,25 @@ from .grid import (
     LatticeState,
     _vertex_incidence,
     check_boundary,
-    edges_at_vertex,
     guard_cost,
 )
 from .transfer import EIGHT_VERTEX, first_bad_vertex, state_tables
 
 
-class DefectMap(Record):
-    """Per-vertex parity map as an mn x (edge count) matrix over F2.
+def defect_map(shape: GridShape) -> FieldMatrix:
+    """The per-vertex parity map, mn x edge_count over F2: grid's vertex
+    incidence matrix, where -1 is 1.
 
     Row vertex_index(i, j) has 1-entries at exactly the four incident
     edges f[i][j], f[i][j+1], g[i][j], g[i+1][j]; a state is admissible
     iff its edge vector lies in the kernel.
     """
-
-    shape: GridShape
-    matrix: FieldMatrix
-
-
-def defect_map(shape: GridShape) -> DefectMap:
-    """The parity map: grid's vertex incidence matrix over F2, where -1 is 1."""
-    return DefectMap(shape, _vertex_incidence(shape, GF2))
+    return _vertex_incidence(shape, GF2)
 
 
 def _require_binary(values) -> None:
     if any(x not in (0, 1) for x in values):
         raise InputError("eight-vertex parity is defined for edge values in {0, 1} only")
-
-
-def defect_vector(state: LatticeState) -> tuple:
-    """Per-vertex parity of the four incident edges, in vertex_index order."""
-    _require_binary(state.edge_tuple())
-    m, n = state.shape.m, state.shape.n
-    return tuple(
-        sum(edges_at_vertex(state, i, j)) % 2
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    )
 
 
 def is_admissible_eight(state: LatticeState) -> bool:

@@ -74,7 +74,7 @@ from .transfer import (
 
 
 class ScalarField(Record):
-    """F3 values on the (m+1) x (n+1) vertex grid, indexed [i][j], 1-based access."""
+    """F3 values on the (m+1) x (n+1) vertex grid, indexed [i][j]."""
 
     shape: GridShape
     h: tuple
@@ -89,9 +89,6 @@ class ScalarField(Record):
         obj = object.__new__(cls)
         _set_dict(obj, {"shape": shape, "h": h})
         return obj
-
-    def at(self, i: int, j: int) -> int:
-        return self.h[i - 1][j - 1]
 
 
 class OneForm(Record):
@@ -113,12 +110,6 @@ class OneForm(Record):
         _set_dict(obj, {"shape": shape, "fx": fx, "gy": gy})
         return obj
 
-    def fx_at(self, i: int, j: int) -> int:
-        return self.fx[i - 1][j - 1]
-
-    def gy_at(self, i: int, j: int) -> int:
-        return self.gy[i - 1][j - 1]
-
 
 class Coloring(Record):
     """Z/3 labels on the (m+1) x (n+1) vertex grid, indexed like ScalarField."""
@@ -136,9 +127,6 @@ class Coloring(Record):
         obj = object.__new__(cls)
         _set_dict(obj, {"shape": shape, "cells": cells})
         return obj
-
-    def at(self, i: int, j: int) -> int:
-        return self.cells[i - 1][j - 1]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -177,18 +165,9 @@ def _potential(fx, gy, cx: int = 0, cy: int = 0, t: int = 0) -> tuple:
     return tuple(map(_climb, bases, gy, repeat(cy)))
 
 
-def partial_x(field: ScalarField) -> tuple:
-    """(D_x h)[i][j] = h[i+1][j] - h[i][j], shape m x (n+1)."""
-    return _differences(field.h)[0]
-
-
-def partial_y(field: ScalarField) -> tuple:
-    """(D_y h)[i][j] = h[i][j+1] - h[i][j], shape (m+1) x n."""
-    return _differences(field.h)[1]
-
-
 def exterior_derivative(field: ScalarField) -> OneForm:
-    """d(h) = (D_x h) dx + (D_y h) dy."""
+    """d(h) = (D_x h) dx + (D_y h) dy: fx[i][j] = h[i+1][j] - h[i][j],
+    m x (n+1), and gy[i][j] = h[i][j+1] - h[i][j], (m+1) x n."""
     fx, gy = _differences(field.h)
     return OneForm.trusted(field.shape, fx, gy)
 
@@ -310,13 +289,6 @@ def state_to_form(state: LatticeState) -> OneForm:
     if state.field is not GF3:
         raise ValueError("expected an F3 state")
     return OneForm.trusted(state.shape, state.f, state.g)
-
-
-def form_to_state(w: OneForm) -> LatticeState:
-    """Inverse of state_to_form; requires an admissible form."""
-    if not is_admissible_form(w):
-        raise ValueError("form is not admissible (closed with values in {0, 1})")
-    return LatticeState(shape=w.shape, field=GF3, f=w.fx, g=w.gy)
 
 
 def is_proper(c: Coloring) -> bool:

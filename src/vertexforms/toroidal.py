@@ -1,12 +1,13 @@
 """Doubly periodic forms, cohomology decomposition, and sparse potentials.
 
 Functions and forms here live on a torus with periods (m, n): values are
-stored on the fundamental domain [1, m] x [1, n] and looked up anywhere
-through index reduction.  The decomposition machinery requires that
-neither period is divisible by 3; without that, dx or dy becomes exact
-and the decomposition below loses both existence and uniqueness, so the
-types, decompose and everything built on it reject such shapes
-outright.  Counting and listing the toroidal six-vertex states divide
+stored on the fundamental domain, m columns of n entries, and the
+calculus reads past its edge by repeating the first column after the
+last and each column's first entry on top.  The decomposition
+machinery requires that neither period is divisible by 3; without
+that, dx or dy becomes exact and the decomposition below loses both
+existence and uniqueness, so the types, decompose and everything built
+on it reject such shapes outright.  Counting and listing the toroidal six-vertex states divide
 by nothing and take any periods.
 
 Every closed toroidal 1-form w then splits uniquely as
@@ -39,13 +40,6 @@ from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, sta
 _INV3 = {1: 1, 2: 2}
 
 
-def index_reduce(i: int, period: int) -> int:
-    """The representative of i in [1, period] modulo the period."""
-    if period < 1:
-        raise ValueError("period must be positive")
-    return (i - 1) % period + 1
-
-
 def check_periods(shape: GridShape) -> None:
     """Refuse a toroidal shape with a period divisible by 3."""
     if shape.m % 3 == 0 or shape.n % 3 == 0:
@@ -76,12 +70,6 @@ class PeriodicField(Record):
         _set_dict(obj, {"shape": shape, "values": values})
         return obj
 
-    def at(self, i: int, j: int) -> int:
-        """Value at any integer pair, through index reduction."""
-        return self.values[index_reduce(i, self.shape.m) - 1][
-            index_reduce(j, self.shape.n) - 1
-        ]
-
 
 class ToroidalOneForm(Record):
     """Doubly periodic 1-form, fx and gy both on the m x n fundamental domain."""
@@ -103,16 +91,6 @@ class ToroidalOneForm(Record):
         obj = object.__new__(cls)
         _set_dict(obj, {"shape": shape, "fx": fx, "gy": gy})
         return obj
-
-    def fx_at(self, i: int, j: int) -> int:
-        return self.fx[index_reduce(i, self.shape.m) - 1][
-            index_reduce(j, self.shape.n) - 1
-        ]
-
-    def gy_at(self, i: int, j: int) -> int:
-        return self.gy[index_reduce(i, self.shape.m) - 1][
-            index_reduce(j, self.shape.n) - 1
-        ]
 
 
 class CohomologyDecomposition(Record):
@@ -234,7 +212,7 @@ def partial_images(h: PeriodicField) -> tuple:
 
 def is_sparse(h: PeriodicField) -> bool:
     """Neither partial derivative is surjective onto F3, and h[1][1] = 0."""
-    if h.at(1, 1) != 0:
+    if h.values[0][0] != 0:
         return False
     im_x, im_y = partial_images(h)
     return len(im_x) < 3 and len(im_y) < 3

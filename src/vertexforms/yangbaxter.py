@@ -22,9 +22,10 @@ The table is evaluated in integers, the way the transfer sweep sums:
 each of r, s and t is scaled once by the lcm of its denominators
 (transfer.lcm_scaled), every row sums its monomials as ints, and a
 residual is one division by the product of the three lcms.
-The paper's definitions stay as the oracles the tests check the table
-against: embed and yb_commutator (the 8x8 commutator) and the 64-term
-star_triangle_residual.
+The paper's definitions are the oracles the tests check the table
+against: the 8x8 commutator yb_commutator, with embed, and the 64-term
+star_triangle_residual, which sums component products and lives with
+the tests' other oracles in tests/conftest.py.
 
 The necessary conditions and solve_R's linear system and witness scan
 run in integers the same way, with one Fraction per value reported.
@@ -176,23 +177,6 @@ def weights_to_matrix(w: VertexWeights) -> FieldMatrix:
     return FieldMatrix.from_rows(QQ, rows)
 
 
-def matrix_to_weights(m: FieldMatrix) -> VertexWeights:
-    """Read the eight weights back; rejects entries off the zero pattern."""
-    if (m.rows, m.cols) != (4, 4):
-        raise ValueError("R-matrix must be 4x4")
-    allowed = set(_MATRIX_SLOTS.values())
-    for r in range(4):
-        for c in range(4):
-            if (r, c) not in allowed and m.at(r, c) != 0:
-                raise ValueError(
-                    f"matrix violates the eight-vertex zero pattern at ({r}, {c})"
-                )
-    values = {}
-    for (letter, sign), (r, c) in _MATRIX_SLOTS.items():
-        values[_KEY_TO_ATTR[letter + ("1" if sign == 1 else "-1")]] = m.at(r, c)
-    return VertexWeights(**values)
-
-
 def component(w: VertexWeights, nu: int, beta: int, theta: int, gamma: int) -> Fraction:
     """Matrix entry for inputs (nu, beta) and outputs (theta, gamma).
 
@@ -241,58 +225,22 @@ def yb_commutator(r: VertexWeights, s: VertexWeights, t: VertexWeights) -> Field
     return mat_sub(matmul(matmul(r12, s13), t23), matmul(matmul(t23, s13), r12))
 
 
-class BoundaryHex(Record):
-    """The six external labels of the star-triangle hexagon.
-
-    sigma and tau enter the crossing vertex, beta enters from above;
-    theta, rho, alpha leave.  Internal labels are summed over inside
-    star_triangle_residual.
-    """
-
-    sigma: int
-    tau: int
-    beta: int
-    theta: int
-    rho: int
-    alpha: int
-
-    def bits(self) -> tuple:
-        return (self.sigma, self.tau, self.beta, self.theta, self.rho, self.alpha)
-
-
-def star_triangle_residual(r: VertexWeights, s: VertexWeights, t: VertexWeights,
-                           ext: BoundaryHex) -> Fraction:
-    """Crossing-first side minus crossing-last side, one external labeling.
-
-    Each side sums the weight products over the 8 assignments of its
-    three internal edge labels.
-    """
-    sg, ta, be, th, rh, al = ext.bits()
-    lhs = Fraction(0)
-    for gamma, mu, nu in product((0, 1), repeat=3):
-        lhs += (component(r, sg, ta, nu, mu)
-                * component(s, nu, be, th, gamma)
-                * component(t, mu, gamma, rh, al))
-    rhs = Fraction(0)
-    for delta, phi, psi in product((0, 1), repeat=3):
-        rhs += (component(t, ta, be, psi, delta)
-                * component(s, sg, delta, phi, al)
-                * component(r, phi, psi, th, rh))
-    return lhs - rhs
-
-
 # Weight of each vertex pattern as an index into VertexWeights.as_vector().
 _WEIGHT_INDEX = {p: WEIGHT_KEYS.index(f"{letter}{sign}") for p, (letter, sign) in PATTERNS.items()}
 
 
 def _star_triangle_table() -> tuple:
-    """star_triangle_residual as a polynomial, one row per external labeling.
+    """The star-triangle residual as a polynomial, one row per external
+    labeling: crossing-first side minus crossing-last side.
 
-    Row e (labelings in lexicographic order) lists (coefficient, i, j, k)
-    for each monomial r[i] s[j] t[k] that survives once the two sides
-    cancel, with i, j, k indices into as_vector().  Each side chains one
-    vertex pattern per weight, matched on the internal edges; a chain
-    through a component off PATTERNS is zero and never appears.
+    The six external labels are (sigma, tau, beta, theta, rho, alpha):
+    sigma and tau enter the crossing vertex, beta enters from above, and
+    theta, rho and alpha leave.  Row e (labelings in lexicographic
+    order) lists (coefficient, i, j, k) for each monomial r[i] s[j]
+    t[k] that survives once the two sides cancel, with i, j, k indices
+    into as_vector().  Each side chains one vertex pattern per weight,
+    matched on the internal edges; a chain through a component off
+    PATTERNS is zero and never appears.
     """
     rows = [{} for _ in range(64)]
 
@@ -336,11 +284,11 @@ def star_triangle_residuals(r: VertexWeights, s: VertexWeights,
                             t: VertexWeights) -> tuple:
     """All 64 residuals, external labels in lexicographic order.
 
-    Evaluates STAR_TRIANGLE_TABLE; entry e equals star_triangle_residual
-    at the e-th labeling.  The vector is zero exactly when
-    yb_commutator(r, s, t) vanishes: the residual at (sigma, tau, beta,
-    theta, rho, alpha) is minus the commutator entry in row (theta, rho,
-    alpha), column (sigma, tau, beta).
+    Evaluates STAR_TRIANGLE_TABLE, entry e at the e-th labeling.  The
+    vector is zero exactly when yb_commutator(r, s, t) vanishes: the
+    residual at (sigma, tau, beta, theta, rho, alpha) is minus the
+    commutator entry in row (theta, rho, alpha), column (sigma, tau,
+    beta).
     """
     rv, sv, tv, scale = _scaled(r, s, t)
     zero = Fraction(0)

@@ -24,6 +24,10 @@ toroidal decompose and reconstruct, written a generator or an index
 loop per column with no memo, which the column kernels of forms_rect
 are checked against (test_column_kernels.py).  ReplayRandom stands in
 for random.Random where a test replays chosen draws into a sampler.
+star_triangle_residual, the paper's 64-term sum over a BoundaryHex of
+external labels, is the oracle yangbaxter's STAR_TRIANGLE_TABLE is
+checked against, and periodic_at, a 1-based lookup through index
+reduction, is how the toroidal oracles read a periodic table anywhere.
 """
 
 from fractions import Fraction
@@ -33,9 +37,9 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from vertexforms.algebra import Field, FieldMatrix, rref
+from vertexforms.algebra import Field, FieldMatrix, Record, rref
 from vertexforms.grid import deserialize_state
-from vertexforms.yangbaxter import VertexWeights
+from vertexforms.yangbaxter import VertexWeights, component
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -141,6 +145,57 @@ def random_weights(rng) -> VertexWeights:
     return VertexWeights(*(
         Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(8)
     ))
+
+
+class BoundaryHex(Record):
+    """The six external labels of the star-triangle hexagon.
+
+    sigma and tau enter the crossing vertex, beta enters from above;
+    theta, rho, alpha leave.  Internal labels are summed over inside
+    star_triangle_residual.
+    """
+
+    sigma: int
+    tau: int
+    beta: int
+    theta: int
+    rho: int
+    alpha: int
+
+    def bits(self) -> tuple:
+        return (self.sigma, self.tau, self.beta, self.theta, self.rho, self.alpha)
+
+
+def star_triangle_residual(r: VertexWeights, s: VertexWeights, t: VertexWeights,
+                           ext: BoundaryHex) -> Fraction:
+    """Crossing-first side minus crossing-last side, one external labeling.
+
+    Each side sums the weight products over the 8 assignments of its
+    three internal edge labels.
+    """
+    sg, ta, be, th, rh, al = ext.bits()
+    lhs = Fraction(0)
+    for gamma, mu, nu in product((0, 1), repeat=3):
+        lhs += (component(r, sg, ta, nu, mu)
+                * component(s, nu, be, th, gamma)
+                * component(t, mu, gamma, rh, al))
+    rhs = Fraction(0)
+    for delta, phi, psi in product((0, 1), repeat=3):
+        rhs += (component(t, ta, be, psi, delta)
+                * component(s, sg, delta, phi, al)
+                * component(r, phi, psi, th, rh))
+    return lhs - rhs
+
+
+def index_reduce(i: int, period: int) -> int:
+    """The representative of i in [1, period] modulo the period."""
+    return (i - 1) % period + 1
+
+
+def periodic_at(table, i: int, j: int):
+    """Entry (i, j), 1-based, of a doubly periodic table of m columns of
+    n entries, at any integer pair: each index reduced by its period."""
+    return table[index_reduce(i, len(table)) - 1][index_reduce(j, len(table[0])) - 1]
 
 
 def combine(field: Field, start: Sequence[int], coeffs, vectors) -> list:

@@ -22,13 +22,10 @@ from vertexforms.forms_rect import (
     enumerate_six,
     exterior_derivative,
     form_from_coloring,
-    form_to_state,
     is_admissible_form,
     is_admissible_six,
     is_closed,
     is_proper,
-    partial_x,
-    partial_y,
     random_closed_form,
     random_closed_forms,
     random_proper_coloring,
@@ -71,14 +68,14 @@ S22 = GridShape(2, 2)
 
 
 def test_partial_derivatives_on_named_fields():
-    const = scalar(S22, lambda i, j: 1)
-    assert all(x == 0 for row in partial_x(const) for x in row)
-    assert all(x == 0 for row in partial_y(const) for x in row)
-    coord_x = scalar(S22, lambda i, j: i)
-    assert all(x == 1 for row in partial_x(coord_x) for x in row)
-    assert all(x == 0 for row in partial_y(coord_x) for x in row)
-    prod_field = scalar(S22, lambda i, j: i * j)
-    px, py = partial_x(prod_field), partial_y(prod_field)
+    const = exterior_derivative(scalar(S22, lambda i, j: 1))
+    assert all(x == 0 for row in const.fx for x in row)
+    assert all(x == 0 for row in const.gy for x in row)
+    coord_x = exterior_derivative(scalar(S22, lambda i, j: i))
+    assert all(x == 1 for row in coord_x.fx for x in row)
+    assert all(x == 0 for row in coord_x.gy for x in row)
+    prod_field = exterior_derivative(scalar(S22, lambda i, j: i * j))
+    px, py = prod_field.fx, prod_field.gy
     for i in range(1, 3):
         for j in range(1, 4):
             assert px[i - 1][j - 1] == j % 3
@@ -119,7 +116,7 @@ def test_antiderivative_named_examples():
     h = antiderivative(dx)
     for i in range(1, 4):
         for j in range(1, 4):
-            assert h.at(i, j) == (i - 1) % 3
+            assert h.h[i - 1][j - 1] == (i - 1) % 3
 
 
 def test_antiderivative_recovers_potential_up_to_constant():
@@ -128,8 +125,8 @@ def test_antiderivative_recovers_potential_up_to_constant():
         h0 = scalar(S22, lambda i, j: rng.randrange(3))
         w = exterior_derivative(h0)
         h = antiderivative(w)
-        assert h.at(1, 1) == 0
-        diff = {(h.at(i, j) - h0.at(i, j)) % 3 for i in range(1, 4) for j in range(1, 4)}
+        assert h.h[0][0] == 0
+        diff = {(x - x0) % 3 for col, col0 in zip(h.h, h0.h) for x, x0 in zip(col, col0)}
         assert len(diff) == 1
         dh = exterior_derivative(h)
         assert dh.fx == w.fx and dh.gy == w.gy
@@ -185,7 +182,6 @@ def test_rectangle_calculus_matches_the_loops(m, n, rng):
                                     for _ in range(m + 1)])
     dh = exterior_derivative(h)
     assert (dh.fx, dh.gy) == partials_by_loop(h.h, m, n)
-    assert (partial_x(h), partial_y(h)) == (dh.fx, dh.gy)
     w = random_closed_form(shape, rng)
     assert _differences(_potential(w.fx, w.gy)) == (w.fx, w.gy)
     assert antiderivative(w).h == antiderivative_by_loop(w)
@@ -313,12 +309,7 @@ def test_state_form_round_trip_exhaustive_2x2():
     for state in enumerate_six(S22):
         w = state_to_form(state)
         assert is_closed(w) and is_admissible_form(w)
-        assert form_to_state(w) == state
-
-
-def test_form_to_state_rejects_inadmissible():
-    with pytest.raises(ValueError, match="admissible"):
-        form_to_state(OneForm(shape=S22, fx=[[2, 0, 0], [0, 0, 0]], gy=[[0, 0]] * 3))
+        assert LatticeState(shape=w.shape, field=GF3, f=w.fx, g=w.gy) == state
 
 
 def test_stripe_colorings():
@@ -326,10 +317,10 @@ def test_stripe_colorings():
     c0 = coloring_from_form(zero, 0)
     for i in range(1, 4):
         for j in range(1, 4):
-            assert c0.at(i, j) == (i + j - 2) % 3
+            assert c0.cells[i - 1][j - 1] == (i + j - 2) % 3
     c1 = coloring_from_form(zero, 1)
     assert all(
-        c1.at(i, j) == (c0.at(i, j) + 1) % 3 for i in range(1, 4) for j in range(1, 4)
+        x1 == (x0 + 1) % 3 for col1, col0 in zip(c1.cells, c0.cells) for x1, x0 in zip(col1, col0)
     )
     w, t = form_from_coloring(c0)
     assert t == 0 and all(x == 0 for row in w.fx for x in row)
@@ -516,11 +507,11 @@ def test_antiderivative_normalizes_random_potentials(m, n, data):
     )
     w = exterior_derivative(h0)
     h = antiderivative(w)
-    assert h.at(1, 1) == 0
+    assert h.h[0][0] == 0
     assert all(
-        (h.at(i, j) - h0.at(i, j)) % 3 == (0 - h0.at(1, 1)) % 3
-        for i in range(1, m + 2)
-        for j in range(1, n + 2)
+        (x - x0) % 3 == (0 - h0.h[0][0]) % 3
+        for col, col0 in zip(h.h, h0.h)
+        for x, x0 in zip(col, col0)
     )
 
 

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import BoundaryHex
 from vertexforms.algebra import GF2, GF3, Field, FieldMatrix
-from vertexforms.eightvertex import DefectMap
 from vertexforms.forms_rect import Coloring, OneForm, ScalarField
 from vertexforms.grid import BoundarySpec, GridShape, LatticeState
 from vertexforms.toroidal import (
@@ -19,7 +19,7 @@ from vertexforms.toroidal import (
     PeriodicField,
     ToroidalOneForm,
 )
-from vertexforms.yangbaxter import BoundaryHex, ConditionReport, SolveReport, VertexWeights
+from vertexforms.yangbaxter import ConditionReport, SolveReport, VertexWeights
 
 FIELDS = {
     Field: ("p", "name"),
@@ -30,7 +30,6 @@ FIELDS = {
     ScalarField: ("shape", "h"),
     OneForm: ("shape", "fx", "gy"),
     Coloring: ("shape", "cells"),
-    DefectMap: ("shape", "matrix"),
     PeriodicField: ("shape", "values"),
     ToroidalOneForm: ("shape", "fx", "gy"),
     CohomologyDecomposition: ("r", "s", "h"),
@@ -61,7 +60,6 @@ SAMPLES = {
     ScalarField: (S22, grid(3, 3)),
     OneForm: (S22, grid(2, 3), grid(3, 2)),
     Coloring: (S22, grid(3, 3)),
-    DefectMap: (S22, FieldMatrix(GF2, 1, 2, (1, 1))),
     PeriodicField: (S22, grid(2, 2)),
     ToroidalOneForm: (S22, grid(2, 2), grid(2, 2)),
     CohomologyDecomposition: (1, 2, H),
@@ -76,7 +74,7 @@ SAMPLES = {
 
 
 def test_every_record_class_is_sampled():
-    assert len(FIELDS) == 17 and FIELDS.keys() == SAMPLES.keys()
+    assert len(FIELDS) == 16 and FIELDS.keys() == SAMPLES.keys()
 
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)

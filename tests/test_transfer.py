@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_solvable_triple, random_weights, recursive_state_tables
+from conftest import periodic_at, random_solvable_triple, random_weights, recursive_state_tables
 from vertexforms import eightvertex, forms_rect, grid, transfer
 from vertexforms.algebra import GF2, GF3, QQ, FieldMatrix, matmul, rank
 from vertexforms.eightvertex import boundary_parity, count_total, enumerate_eight
@@ -146,10 +146,12 @@ def first_bad_by_scan(patterns, state):
 
 
 def closed_toroidal_by_wrap(w):
-    """D_y fx = D_x gy at each vertex, read through fx_at/gy_at index reduction."""
+    """D_y fx = D_x gy at each vertex, read through periodic_at's index reduction."""
     m, n = w.shape.m, w.shape.n
+    fx, gy = w.fx, w.gy
     return all(
-        (w.fx_at(i, j + 1) - w.fx_at(i, j)) % 3 == (w.gy_at(i + 1, j) - w.gy_at(i, j)) % 3
+        (periodic_at(fx, i, j + 1) - periodic_at(fx, i, j)) % 3
+        == (periodic_at(gy, i + 1, j) - periodic_at(gy, i, j)) % 3
         for i in range(1, m + 1)
         for j in range(1, n + 1)
     )

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
+    BoundaryHex,
     baxter_weights,
     random_solvable_pair,
     random_solvable_triple,
     random_weights,
     solvable_triple,
+    star_triangle_residual,
     tanh_sub,
 )
 from vertexforms import grid, yangbaxter
@@ -31,7 +33,6 @@ from vertexforms.yangbaxter import (
     RESIDUALS28_ROWS,
     STAR_TRIANGLE_TABLE,
     WEIGHT_KEYS,
-    BoundaryHex,
     ConditionReport,
     VertexWeights,
     WeightConditionError,
@@ -43,12 +44,10 @@ from vertexforms.yangbaxter import (
     embed,
     f_invariant,
     g_invariant,
-    matrix_to_weights,
     partition_function,
     residuals28,
     serialize_weights,
     solve_R,
-    star_triangle_residual,
     star_triangle_residuals,
     weights_from_vector,
     weights_to_matrix,
@@ -172,16 +171,6 @@ def test_matrix_layout():
         for c in range(4):
             if (r, c) not in slots:
                 assert m.at(r, c) == 0
-    assert matrix_to_weights(m) == w
-
-
-def test_matrix_zero_pattern_enforced():
-    rows = [[0] * 4 for _ in range(4)]
-    rows[0][1] = 1
-    with pytest.raises(ValueError, match="zero pattern"):
-        matrix_to_weights(FieldMatrix.from_rows(QQ, rows))
-    with pytest.raises(ValueError, match="4x4"):
-        matrix_to_weights(FieldMatrix.from_rows(QQ, [[1, 0], [0, 1]]))
 
 
 def test_component_anchors():
