@@ -22,7 +22,7 @@ _EXPORTS = {
         "nullspace_basis", "pivot_columns", "rank", "rref",
     ),
     "grid": (
-        "SIZE_GUARD_BITS", "BoundarySpec", "GridShape", "LatticeState",
+        "SIZE_GUARD_BITS", "TORUS", "BoundarySpec", "GridShape", "LatticeState",
         "InputError", "SizeGuardError", "StateFormatError", "WeightConditionError", "WeightFormatError",
         "boundary_of", "deserialize_boundary", "deserialize_state", "edges_at_vertex",
         "guard_size", "serialize_boundary", "serialize_state", "state_doc",
@@ -42,11 +42,11 @@ _EXPORTS = {
     ),
     "toroidal": (
         "CohomologyDecomposition", "FiberEntry", "PeriodicField", "ToroidalOneForm",
-        "admissible_shifts", "count_six_toroidal", "decompose",
+        "admissible_shifts", "decompose",
         "closed_toroidal_tables", "enumerate_closed_toroidal", "enumerate_six_toroidal",
         "has_toroidal_boundary", "is_closed_toroidal", "is_sparse",
         "reconstruct", "sparse_fibers", "state_to_sparse", "state_to_toroidal_form",
-        "toroidal_derivatives", "toroidal_state_tables",
+        "toroidal_derivatives",
     ),
     "eightvertex": (
         "boundary_parity", "construct_state", "count_total", "count_valid_boundaries",

@@ -19,6 +19,7 @@ import sys
 
 from .algebra import GF2, GF3, rank
 from .grid import (
+    TORUS,
     GridShape,
     InputError,
     LatticeState,
@@ -49,11 +50,14 @@ def _read_text(path: str) -> str:
 
 def _load_boundary(args, shape: GridShape):
     """The --boundary file's boundary, checked against shape and the
-    model's field; None when no file is given.  A toroidal model takes none."""
+    model's field; None when no file is given, and TORUS for --model
+    toroidal, which takes no file."""
+    if args.model == "toroidal":
+        if args.boundary is not None:
+            raise InputError("--model toroidal takes no boundary file")
+        return TORUS
     if args.boundary is None:
         return None
-    if args.model == "toroidal":
-        raise InputError("--model toroidal takes no boundary file")
     b = deserialize_boundary(_read_text(args.boundary))
     check_boundary(b, shape, _FIELDS[args.model])
     return b
@@ -109,11 +113,6 @@ def cmd_count(args) -> int:
 
         _emit({"total": count_total(shape)} if boundary is None
               else {"count": count_with_boundary(boundary)})
-        return 0
-    if args.model == "toroidal":
-        from .toroidal import count_six_toroidal
-
-        _emit({"count": count_six_toroidal(shape, force=args.force)})
         return 0
     from .forms_rect import count_six
 
@@ -183,12 +182,7 @@ def cmd_enumerate(args) -> int:
     boundary = _load_boundary(args, shape)
     # each walk charges the guard when called, before anything is printed;
     # count is the sweep's, called for the JSON header only
-    if args.model == "toroidal":
-        from .toroidal import count_six_toroidal, toroidal_state_tables
-
-        field, tables = GF3, toroidal_state_tables(shape, force=args.force)
-        count = lambda: count_six_toroidal(shape, force=args.force)
-    elif args.model == "eight":
+    if args.model == "eight":
         from .eightvertex import count_total, count_with_boundary, eight_state_tables
 
         field, tables = GF2, eight_state_tables(shape, boundary, force=args.force)
@@ -330,12 +324,13 @@ def _verify_cohomology(args) -> tuple:
 
 
 def _verify_sparse_fibers(args) -> tuple:
-    from .toroidal import count_six_toroidal, sparse_fibers
+    from .forms_rect import count_six
+    from .toroidal import sparse_fibers
 
     shape = GridShape(args.m, args.n)
     entries = sparse_fibers(shape, force=args.force)  # checks the periods first
     # fiber sizes come from the enumeration, the total from the transfer trace
-    total = count_six_toroidal(shape, force=args.force)
+    total = count_six(shape, force=args.force, boundary=TORUS)
     report = []
     seen = 0
     for fe in entries:
@@ -529,8 +524,8 @@ _positive_int = _int_at_least(1, "positive")
 
 
 def _add_shape_args(p) -> None:
-    p.add_argument("--m", type=int, required=True, help="rows of vertices")
-    p.add_argument("--n", type=int, required=True, help="columns of vertices")
+    p.add_argument("--m", type=int, required=True, help="columns of vertices")
+    p.add_argument("--n", type=int, required=True, help="rows of vertices")
 
 
 @functools.cache

@@ -33,7 +33,7 @@ def defect_map(shape: GridShape) -> FieldMatrix:
     """The per-vertex parity map, mn x edge_count over F2: grid's vertex
     incidence matrix, where -1 is 1.
 
-    Row vertex_index(i, j) has 1-entries at exactly the four incident
+    Row (i - 1) n + (j - 1) has 1-entries at exactly the four incident
     edges f[i][j], f[i][j+1], g[i][j], g[i+1][j]; a state is admissible
     iff its edge vector lies in the kernel.
     """

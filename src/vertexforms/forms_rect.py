@@ -38,11 +38,11 @@ CLOSED_F3 too, not a kernel.  The random samplers, random_closed_forms
 here, random_proper_coloring and toroidal's for verify cohomology, make
 one integer rng.randrange per column and read it as digits, base 3
 through _f3_digits or base 6.  six_state_tables is the guarded walk over
-the states in edge_tuple order, optionally with a fixed boundary that
-is pinned during the walk, not filtered after it;
-enumerate_six lists it.  Values built here from tables the library made
-(by the walk, d and its inverse, the coloring bijection) use the trusted
-constructors, which check nothing.
+the states in edge_tuple order, free, on a fixed boundary that is
+pinned during the walk, not filtered after it, or on the torus (TORUS);
+enumerate_six lists it and count_six counts it.  Values built here from
+tables the library made (by the walk, d and its inverse, the coloring
+bijection) use the trusted constructors, which check nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from operator import add, contains
 
 from .algebra import GF3, FieldMatrix, Record, _set_dict
 from .grid import (
-    BoundarySpec,
+    TORUS,
     GridShape,
     InputError,
     LatticeState,
@@ -326,41 +326,46 @@ def form_from_coloring(c: Coloring) -> tuple:
     return OneForm.trusted(c.shape, fx, gy), c.cells[0][0]
 
 
-def six_state_tables(shape: GridShape, boundary: BoundarySpec | None = None,
-                     force: bool = False):
-    """The (f, g) tables of the admissible six-vertex states, optionally
-    with a fixed boundary, by edge tuple (f block, g block).
+def six_state_tables(shape: GridShape, boundary=None, force: bool = False):
+    """The (f, g) tables of the admissible six-vertex states on a free
+    (None), fixed (an F3 BoundarySpec) or TORUS boundary, by edge tuple
+    (f block, g block).
 
     Checks the boundary and charges the guard when called, before any
-    table is built, then returns transfer.state_tables' iterator.  The
-    boundary is pinned during the walk, so only matching states are
-    built; a boundary value of 2 admits no state.  The guard charges the
-    free state count times edge_count, which bounds what a pinned
-    listing builds.
+    table is built, then returns transfer.state_tables' iterator.  A
+    fixed boundary is pinned during the walk, so only matching states
+    are built; a boundary value of 2 admits no state.  On the torus the
+    states are the rectangle states whose top f row repeats the bottom
+    one and whose right g column repeats the left one.  The guard
+    charges edge_count times the state count of the lattice with its
+    fixed ends freed: the free count for a free or fixed boundary, which
+    bounds what a pinned listing builds, and the torus count for TORUS.
     """
-    check_boundary(boundary, shape, GF3)
-    guard_cost(count_states(SIX_VERTEX, shape, force=force) * shape.edge_count, force)
+    if boundary is not TORUS:
+        check_boundary(boundary, shape, GF3)
+    freed = TORUS if boundary is TORUS else None
+    guard_cost(count_states(SIX_VERTEX, shape, freed, force) * shape.edge_count, force)
     return state_tables(SIX_VERTEX, shape, boundary)
 
 
-def enumerate_six(shape: GridShape, boundary: BoundarySpec | None = None,
-                  force: bool = False) -> list[LatticeState]:
-    """Admissible six-vertex states, optionally with a fixed boundary, in
+def enumerate_six(shape: GridShape, boundary=None, force: bool = False) -> list[LatticeState]:
+    """Admissible six-vertex states on a free, fixed or TORUS boundary, in
     the order and under the guard of six_state_tables."""
     return [LatticeState.trusted(shape, GF3, f, g)
             for f, g in six_state_tables(shape, boundary, force)]
 
 
-def count_six(shape: GridShape, force: bool = False,
-              boundary: BoundarySpec | None = None) -> int:
-    """Number of admissible six-vertex states, optionally with a fixed boundary.
+def count_six(shape: GridShape, force: bool = False, boundary=None) -> int:
+    """Number of admissible six-vertex states on a free (None), fixed (an
+    F3 BoundarySpec) or TORUS boundary.
 
     Computed by the transfer sweep, which charges the guard its own
     work; enumerate_six lists the same states by the column walk on the
     same table.  A boundary value of 2 admits no state.
     """
-    check_boundary(boundary, shape, GF3)
-    return count_states(SIX_VERTEX, shape, boundary, force=force)
+    if boundary is not TORUS:
+        check_boundary(boundary, shape, GF3)
+    return count_states(SIX_VERTEX, shape, boundary, force)
 
 
 def count_colorings(width: int, height: int, force: bool = False) -> int:

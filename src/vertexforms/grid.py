@@ -182,6 +182,20 @@ class BoundarySpec(Record):
         return self.f_bottom + self.f_top + self.g_left + self.g_right
 
 
+class _Torus:
+    def __repr__(self):
+        return "TORUS"
+
+
+# The periodic boundary, the third a lattice sum or walk takes beside
+# None (free) and a BoundarySpec (fixed): each row closes on itself and
+# the top frontier on the bottom one, so a sum is the trace of the row
+# transfer matrix (Baxter 1982, ch. 8).  transfer's count_states,
+# weighted_sum and state_tables take it, and forms_rect's count_six,
+# six_state_tables and enumerate_six.
+TORUS = _Torus()
+
+
 def edges_at_vertex(state: LatticeState, i: int, j: int) -> tuple:
     """(left, top, right, bottom) edge values at interior vertex (i, j)."""
     m, n = state.shape.m, state.shape.n
@@ -193,11 +207,6 @@ def edges_at_vertex(state: LatticeState, i: int, j: int) -> tuple:
         state.g_at(i + 1, j),
         state.f_at(i, j),
     )
-
-
-def vertex_index(shape: GridShape, i: int, j: int) -> int:
-    """Row of vertex (i, j) in vertex-major order; i outer, j inner."""
-    return (i - 1) * shape.n + (j - 1)
 
 
 def f_edge_index(shape: GridShape, i: int, j: int) -> int:
@@ -214,8 +223,9 @@ def _vertex_incidence(shape: GridShape, field: Field) -> FieldMatrix:
     """The matrix of the vertex rule right - left = top - bottom over F2
     or F3.
 
-    Row vertex_index(i, j) holds 1 at the vertex's top and left edges
-    and -1 mod p at its bottom and right edges, in edge_tuple columns.
+    Row (i - 1) n + (j - 1), that of vertex (i, j), holds 1 at the
+    vertex's top and left edges and -1 mod p at its bottom and right
+    edges, in edge_tuple columns.
     Over F3 its kernel is the closed 1-forms, over F2 the eight-vertex
     states.  The entries are reduced here, so from_rows' check is skipped.
     """
@@ -245,8 +255,10 @@ def boundary_of(state: LatticeState) -> BoundarySpec:
     )
 
 
-def check_boundary(boundary: BoundarySpec | None, shape: GridShape, field: Field) -> None:
-    """Refuse a boundary of another shape or over another field; None is free."""
+def check_boundary(boundary: BoundarySpec | None, shape: GridShape,
+                   field: Field | None = None) -> None:
+    """Refuse a boundary of another shape, or over another field than a
+    field given; None is free."""
     if boundary is None:
         return
     if boundary.shape != shape:
@@ -254,7 +266,7 @@ def check_boundary(boundary: BoundarySpec | None, shape: GridShape, field: Field
             f"boundary is for shape ({boundary.shape.m}, {boundary.shape.n}), which "
             f"does not match the shape requested ({shape.m}, {shape.n})"
         )
-    if boundary.field is not field:
+    if field is not None and boundary.field is not field:
         raise InputError(f"boundary is over {boundary.field.name}, expected {field.name}")
 
 

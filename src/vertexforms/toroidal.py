@@ -7,8 +7,9 @@ last and each column's first entry on top.  The decomposition
 machinery requires that neither period is divisible by 3; without
 that, dx or dy becomes exact and the decomposition below loses both
 existence and uniqueness, so the types, decompose and everything built
-on it reject such shapes outright.  Counting and listing the toroidal six-vertex states divide
-by nothing and take any periods.
+on it reject such shapes outright.  Counting and listing the toroidal
+six-vertex states divide by nothing and take any periods: they are
+forms_rect's count_six and enumerate_six on grid.TORUS.
 
 Every closed toroidal 1-form w then splits uniquely as
 
@@ -32,10 +33,18 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .forms_rect import _f3_digits, _potential, _rise, _step, is_admissible_six
-from .grid import GridShape, InputError, LatticeState, _freeze_grid, guard_cost
+from .forms_rect import (
+    _f3_digits,
+    _potential,
+    _rise,
+    _step,
+    enumerate_six,
+    is_admissible_six,
+    six_state_tables,
+)
+from .grid import TORUS, GridShape, InputError, LatticeState, _freeze_grid, guard_cost
 from .algebra import GF3, Record, _set_dict
-from .transfer import CLOSED_F3, SIX_VERTEX, count_states, first_bad_vertex, state_tables
+from .transfer import CLOSED_F3, first_bad_vertex, state_tables
 
 _INV3 = {1: 1, 2: 2}
 
@@ -134,14 +143,14 @@ def closed_toroidal_tables(shape: GridShape, force: bool = False):
 
     Checks the periods and charges the guard, forms times edge_count,
     when called, before any table is built, then returns an iterator
-    over the toroidal walk of transfer.state_tables on CLOSED_F3, with
+    over the TORUS walk of transfer.state_tables on CLOSED_F3, with
     the repeated last f entries and g column dropped: they repeat
     earlier ones, so the 3^(mn + 1) forms stay in order.
     """
     check_periods(shape)
     guard_cost(3 ** (shape.m * shape.n + 1) * shape.edge_count, force)
     return (_domain_tables(shape.n, f, g)
-            for f, g in state_tables(CLOSED_F3, shape, toroidal=True))
+            for f, g in state_tables(CLOSED_F3, shape, TORUS))
 
 
 def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[ToroidalOneForm]:
@@ -245,38 +254,10 @@ def state_to_sparse(state: LatticeState) -> PeriodicField:
     return decompose(w).h
 
 
-def toroidal_state_tables(shape: GridShape, force: bool = False):
-    """The (f, g) tables of the admissible six-vertex states with toroidal
-    boundary conditions, by edge tuple.
-
-    These are the rectangle states whose top f row repeats the bottom
-    one and whose right g column repeats the left one.  Checks the
-    periods and charges the guard when called, before any table is
-    built, then returns the iterator of transfer.state_tables, which
-    walks them with each f column's ends tied and the last g column
-    closed on the first.  The guard charges the toroidal state count,
-    from the transfer trace, times edge_count.  Any periods are taken:
-    the walk divides by nothing.
-    """
-    guard_cost(count_states(SIX_VERTEX, shape, toroidal=True, force=force) * shape.edge_count,
-               force)
-    return state_tables(SIX_VERTEX, shape, toroidal=True)
-
-
 def enumerate_six_toroidal(shape: GridShape, force: bool = False) -> list[LatticeState]:
-    """All admissible six-vertex states with toroidal boundary conditions,
-    in the order and under the guard of toroidal_state_tables."""
-    return [LatticeState.trusted(shape, GF3, f, g)
-            for f, g in toroidal_state_tables(shape, force)]
-
-
-def count_six_toroidal(shape: GridShape, force: bool = False) -> int:
-    """Number of admissible toroidal six-vertex states, by the transfer trace.
-
-    enumerate_six_toroidal lists the same states by the column walk.
-    Any periods are taken, and the trace charges the guard its own work.
-    """
-    return count_states(SIX_VERTEX, shape, toroidal=True, force=force)
+    """All admissible six-vertex states with toroidal boundary conditions:
+    enumerate_six on TORUS.  Any periods are taken."""
+    return enumerate_six(shape, TORUS, force)
 
 
 class FiberEntry(Record):
@@ -311,13 +292,13 @@ def sparse_fibers(shape: GridShape, force: bool = False) -> list[FiberEntry]:
     carries the admissible (r, s) shift choices for its potential; the
     fiber is exactly {r dx + s dy + dh} over those choices, so its size
     is the product of the two choice counts.  The states come from
-    toroidal_state_tables, so each is admissible with toroidal boundary
+    six_state_tables on TORUS, so each is admissible with toroidal boundary
     and its form, the fundamental domain of its tables, needs no check.
     Periods divisible by 3 are refused before the walk starts.
     """
     check_periods(shape)
     groups: dict = {}
-    for f, g in toroidal_state_tables(shape, force):
+    for f, g in six_state_tables(shape, TORUS, force):
         h = decompose(ToroidalOneForm.trusted(shape, *_domain_tables(shape.n, f, g))).h
         groups.setdefault(h.values, []).append(LatticeState.trusted(shape, GF3, f, g))
     entries = []

@@ -16,18 +16,21 @@ work is at most 2^(m+1) keys (2^(m+2) on the torus) times the moves
 per key times mn dict updates, 2^m times that for the toroidal trace;
 the size guard charges every sum that bound before it starts.
 
-Boundaries:
+Boundaries, the one boundary argument of count_states, weighted_sum
+and state_tables:
 
-* free - every boundary edge ranges over {0, 1};
-* fixed - a BoundarySpec pins the bottom frontier, each row's left
-  bit, each row's right bit and the top frontier read out at the end;
-  an F3 boundary value of 2 admits no state, and neither does a
-  boundary that breaks a conservation law every nonzero-weight pattern
-  keeps: an odd boundary sum when each l + t + r + b is even, an
-  unbalanced flow when each l + t = r + b.  Those return 0 before the
-  guard, with no sweep;
-* toroidal - the trace: the sum over bottom rows s0 of the sweeps that
-  start at s0 and end at s0, with each row closed on itself.
+* None, free - every boundary edge ranges over {0, 1};
+* a BoundarySpec, fixed - it pins the bottom frontier, each row's left
+  bit, each row's right bit and the top frontier read out at the end.
+  A boundary of another shape is refused (InputError).  An F3
+  boundary value of 2 admits no state, and neither does a boundary
+  that breaks a conservation law every nonzero-weight pattern keeps:
+  an odd boundary sum when each l + t + r + b is even, an unbalanced
+  flow when each l + t = r + b.  Those return 0 before the guard, with
+  no sweep;
+* grid.TORUS, the torus - the trace: the sum over bottom rows s0 of
+  the sweeps that start at s0 and end at s0, with each row closed on
+  itself.
 
 Rational weights are scaled by the lcm L of their denominators
 (lcm_scaled, which yangbaxter's star-triangle sums use too), the sweep
@@ -64,7 +67,7 @@ from functools import lru_cache
 from itertools import product, repeat
 from math import lcm
 
-from .grid import BoundarySpec, GridShape, guard_cost
+from .grid import TORUS, GridShape, check_boundary, guard_cost
 
 # (left, top, right, bottom) pattern -> the (letter, sign) of the weight
 # it carries.  This is also the R-matrix component layout of yangbaxter.
@@ -122,14 +125,22 @@ def first_bad_vertex(patterns, f, g):
             return i, j
 
 
-def count_states(patterns, shape: GridShape, boundary: BoundarySpec | None = None,
-                 toroidal: bool = False, force: bool = False) -> int:
-    """Number of labelings in which every vertex shows one of the patterns."""
-    return _integer_sum(dict.fromkeys(patterns, 1), shape, boundary, toroidal, force)
+def count_states(patterns, shape: GridShape, boundary=None, force: bool = False) -> int:
+    """Number of labelings in which every vertex shows one of the
+    patterns, on a free (None), fixed (BoundarySpec) or TORUS boundary."""
+    return _integer_sum(dict.fromkeys(patterns, 1), shape, boundary, force)
 
 
-def state_tables(patterns, shape: GridShape, boundary: BoundarySpec | None = None,
-                 toroidal: bool = False):
+def _pinned(boundary, shape: GridShape):
+    """The BoundarySpec that pins a fixed boundary, refused when it is
+    for another shape; None for a free boundary and for TORUS."""
+    if boundary is None or boundary is TORUS:
+        return None
+    check_boundary(boundary, shape)
+    return boundary
+
+
+def state_tables(patterns, shape: GridShape, boundary=None):
     """Yield the (f, g) tables of count_states' labelings, in edge_tuple order.
 
     f is m columns of n + 1 values and g is m + 1 columns of n values,
@@ -142,16 +153,15 @@ def state_tables(patterns, shape: GridShape, boundary: BoundarySpec | None = Non
     vertex no pattern admits.  The live g0 branches are grouped by f
     column and the f columns visited sorted, so the states come out in
     edge_tuple order with no sort of states.  A fixed boundary pins each
-    f column's two ends, g0 and the last g column; a toroidal one ties
-    each f column's ends together and asks the last g column to equal
-    g0.  The last g column is checked vertex by vertex, and (left,
-    bottom, right) fixes top too, so there a climb admits one top value
-    per vertex and does not try every column.  Edge values range over
+    f column's two ends, g0 and the last g column; TORUS ties each f
+    column's ends together and asks the last g column to equal g0.  The
+    last g column is checked vertex by vertex, and (left, bottom, right)
+    fixes top too, so there a climb admits one top value per vertex and
+    does not try every column.  Edge values range over
     the values the patterns use, and a boundary value no pattern uses
     yields nothing.  The caller charges the guard.
     """
-    if toroidal and boundary is not None:
-        raise ValueError("a toroidal walk takes no boundary")
+    toroidal, boundary = boundary is TORUS, _pinned(boundary, shape)
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in patterns}
     bits = tuple(sorted({x for p in patterns for x in p}))
@@ -205,15 +215,16 @@ def state_tables(patterns, shape: GridShape, boundary: BoundarySpec | None = Non
             stack += [(i + 1, fs + (f,), by_f[f]) for f in sorted(by_f, reverse=True)]
 
 
-def weighted_sum(weights: dict, shape: GridShape, boundary: BoundarySpec | None = None,
-                 toroidal: bool = False, force: bool = False) -> Fraction:
-    """Sum over labelings of the product of per-vertex weights, exactly.
+def weighted_sum(weights: dict, shape: GridShape, boundary=None,
+                 force: bool = False) -> Fraction:
+    """Sum over labelings of the product of per-vertex weights, exactly,
+    on a free (None), fixed (BoundarySpec) or TORUS boundary.
 
     weights maps patterns to ints or Fractions; zero and negative
     weights are allowed.
     """
     integers, scale = lcm_scaled(weights.values())
-    total = _integer_sum(dict(zip(weights, integers)), shape, boundary, toroidal, force)
+    total = _integer_sum(dict(zip(weights, integers)), shape, boundary, force)
     return Fraction(total, scale ** shape.vertex_count)
 
 
@@ -229,7 +240,7 @@ def _bits(values) -> int:
     return sum(x << k for k, x in enumerate(values))
 
 
-def _admits(table: dict, boundary: BoundarySpec) -> bool:
+def _admits(table: dict, boundary) -> bool:
     """False when a conservation law of the table's nonzero-weight
     patterns rules the fixed boundary out, so that it admits no state.
 
@@ -253,9 +264,8 @@ def _admits(table: dict, boundary: BoundarySpec) -> bool:
     return inflow == outflow or not all(l + t == r + b for l, t, r, b in live)
 
 
-def _integer_sum(table: dict, shape: GridShape, boundary, toroidal: bool, force: bool) -> int:
-    if toroidal and boundary is not None:
-        raise ValueError("a toroidal sum takes no boundary")
+def _integer_sum(table: dict, shape: GridShape, boundary, force: bool) -> int:
+    toroidal, boundary = boundary is TORUS, _pinned(boundary, shape)
     if boundary is not None and not _admits(table, boundary):
         return 0  # before the guard: no sweep runs
     m, n = shape.m, shape.n

@@ -106,16 +106,6 @@ class VertexWeights(Record):
             if type(value) is not Fraction:
                 object.__setattr__(self, attr, _exact(value))
 
-    @classmethod
-    def from_pairs(cls, a, b, c, d) -> "VertexWeights":
-        """Build from (plus, minus) pairs, one per letter."""
-        return cls(a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1])
-
-    @classmethod
-    def identity(cls) -> "VertexWeights":
-        """a and b weights 1, c and d weights 0: the identity R-matrix."""
-        return cls(1, 1, 1, 1, 0, 0, 0, 0)
-
     def weight(self, letter: str, sign: int) -> Fraction:
         """Signed lookup: weight("c", -1) is c_neg1."""
         # a tuple, not "abcd", whose substrings "ab" and "" would pass;

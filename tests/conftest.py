@@ -24,6 +24,8 @@ toroidal decompose and reconstruct, written a generator or an index
 loop per column with no memo, which the column kernels of forms_rect
 are checked against (test_column_kernels.py).  ReplayRandom stands in
 for random.Random where a test replays chosen draws into a sampler.
+from_pairs, identity_weights and vertex_index build test inputs and
+name matrix rows; no code in the package needs them.
 star_triangle_residual, the paper's 64-term sum over a BoundaryHex of
 external labels, is the oracle yangbaxter's STAR_TRIANGLE_TABLE is
 checked against, and periodic_at, a 1-based lookup through index
@@ -38,7 +40,7 @@ from typing import Iterator, Sequence
 import pytest
 
 from vertexforms.algebra import Field, FieldMatrix, Record, rref
-from vertexforms.grid import deserialize_state
+from vertexforms.grid import TORUS, deserialize_state
 from vertexforms.yangbaxter import VertexWeights, component
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,6 +140,21 @@ def random_solvable_triple(rng):
         if any(v == 0 for w in triple for v in w.as_vector()):
             continue
         return triple
+
+
+def from_pairs(a, b, c, d) -> VertexWeights:
+    """Weights from (plus, minus) pairs, one per letter."""
+    return VertexWeights(a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1])
+
+
+def identity_weights() -> VertexWeights:
+    """a and b weights 1, c and d weights 0: the identity R-matrix."""
+    return VertexWeights(1, 1, 1, 1, 0, 0, 0, 0)
+
+
+def vertex_index(shape, i: int, j: int) -> int:
+    """Row of vertex (i, j) in the vertex incidence matrix: i outer, j inner."""
+    return (i - 1) * shape.n + (j - 1)
 
 
 def random_weights(rng) -> VertexWeights:
@@ -339,17 +356,18 @@ def toroidal_six_states(m: int, n: int) -> list:
     return sorted(states)
 
 
-def recursive_state_tables(patterns, shape, boundary=None, toroidal=False):
+def recursive_state_tables(patterns, shape, boundary=None):
     """The (f, g) tables transfer.state_tables yields, in its order, by a
     recursive climb: each f column is grown one vertex at a time, one
     generator frame per f entry, trying each top value in order and
     carrying every live g0 with its g columns so far, in g0 order.  A
     fixed boundary pins each f column's ends, g0 and the last g column;
-    a toroidal walk ties each f column's ends and asks the last g column
-    to equal g0, both checked vertex by vertex in the last column.
+    TORUS ties each f column's ends and asks the last g column to equal
+    g0, both checked vertex by vertex in the last column.
     """
-    if toroidal and boundary is not None:
-        raise ValueError("a toroidal walk takes no boundary")
+    toroidal = boundary is TORUS
+    if toroidal:
+        boundary = None
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in patterns}
     bits = tuple(sorted({x for p in patterns for x in p}))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, solvable_triple, toroidal_six_states
+from conftest import FIXTURES, identity_weights, solvable_triple, toroidal_six_states
 from vertexforms.algebra import GF2, GF3
 from vertexforms.cli import main
 from vertexforms.forms_rect import enumerate_six
@@ -172,12 +172,12 @@ def test_enumerate_six_with_boundary(capsys, tmp_path, values):
 
 
 @pytest.mark.parametrize("target,model", [
-    ("count_six", "six"), ("count_total", "eight"), ("count_six_toroidal", "toroidal"),
+    ("count_six", "six"), ("count_total", "eight"), ("count_six", "toroidal"),
 ])
 def test_enumerate_checks_the_count_header_against_the_walk(monkeypatch, target, model):
     # the header is printed before the walk runs; a walk that lists
     # another number of states is an internal error, never exit 2
-    home = {"six": "forms_rect", "eight": "eightvertex", "toroidal": "toroidal"}[model]
+    home = "eightvertex" if model == "eight" else "forms_rect"
     monkeypatch.setattr(f"vertexforms.{home}.{target}", lambda *args, **kwargs: 1)
     with pytest.raises(RuntimeError, match="listed .* states, the sweep counted 1"):
         main(["enumerate", "--model", model, "--m", "2", "--n", "2"])
@@ -411,8 +411,8 @@ def test_verify_sparse_fibers(capsys):
 
 
 def test_verify_sparse_fibers_checks_an_independent_total(capsys, monkeypatch):
-    monkeypatch.setattr("vertexforms.toroidal.count_six_toroidal",
-                        lambda shape, force=False: 17)
+    monkeypatch.setattr("vertexforms.forms_rect.count_six",
+                        lambda shape, force=False, boundary=None: 17)
     code, doc = run_json(capsys, "verify", "sparse-fibers", "--m", "2", "--n", "2")
     assert code == 1 and doc["passed"] is False and doc["states"] == 17
 
@@ -528,14 +528,14 @@ def test_ybe_conditions_fail(capsys, tmp_path):
 
 
 def test_ybe_conditions_zero_weight(capsys, tmp_path):
-    sf = write_weights(tmp_path, "sid.json", VertexWeights.identity())
+    sf = write_weights(tmp_path, "sid.json", identity_weights())
     tf = write_weights(tmp_path, "tfull.json", VertexWeights(1, 1, 1, 1, 1, 1, 1, 1))
     code, out, err = run(capsys, "ybe", "conditions", "--s", sf, "--t", tf)
     assert code == 2 and "nonzero" in err
 
 
 def test_ybe_solve_identity(capsys, tmp_path):
-    f = write_weights(tmp_path, "id.json", VertexWeights.identity())
+    f = write_weights(tmp_path, "id.json", identity_weights())
     code, doc = run_json(capsys, "ybe", "solve", "--s", f, "--t", f)
     assert code == 0
     assert doc["dimension"] == 8
@@ -559,7 +559,7 @@ def test_ybe_solve_scan_miss(capsys, tmp_path):
 
 @pytest.mark.parametrize("value", ["-1", "two"])
 def test_ybe_solve_bad_scan_range_exits_2(capsys, tmp_path, value):
-    f = write_weights(tmp_path, "id.json", VertexWeights.identity())
+    f = write_weights(tmp_path, "id.json", identity_weights())
     code, out, err = run(capsys, "ybe", "solve", "--s", f, "--t", f, "--scan-range", value)
     assert code == 2 and out == ""
     assert "--scan-range: must be a nonnegative integer" in err
@@ -567,7 +567,7 @@ def test_ybe_solve_bad_scan_range_exits_2(capsys, tmp_path, value):
 
 def test_ybe_solve_scan_is_size_guarded(capsys, tmp_path):
     # dimension 4 with no twisted element: the scan would try all 61^4
-    s = write_weights(tmp_path, "id.json", VertexWeights.identity())
+    s = write_weights(tmp_path, "id.json", identity_weights())
     t = write_weights(tmp_path, "ab.json", VertexWeights(2, 3, 5, 7, 0, 0, 0, 0))
     code, out, err = run(capsys, "ybe", "solve", "--s", s, "--t", t, "--scan-range", "30")
     assert code == 2 and out == "" and "2^27 exceeds the 2^26 guard" in err
@@ -756,10 +756,10 @@ def test_undecodable_file_exits_2(capsys, tmp_path):
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
-    def broken(shape, force=False):
+    def broken(shape, force=False, boundary=None):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr("vertexforms.toroidal.count_six_toroidal", broken)
+    monkeypatch.setattr("vertexforms.forms_rect.count_six", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["count", "--model", "toroidal", "--m", "2", "--n", "2"])
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import affine_span, mat_vec
+from conftest import affine_span, mat_vec, vertex_index
 from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
 from vertexforms.eightvertex import (
     boundary_parity,
@@ -25,7 +25,6 @@ from vertexforms.grid import (
     edges_at_vertex,
     f_edge_index,
     g_edge_index,
-    vertex_index,
 )
 
 S22 = GridShape(2, 2)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ReplayRandom, affine_span, backtrack_colorings, mat_vec
+from conftest import ReplayRandom, affine_span, backtrack_colorings, mat_vec, vertex_index
 from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
 from vertexforms import forms_rect
 from vertexforms.forms_rect import (
@@ -29,9 +29,11 @@ from vertexforms.forms_rect import (
     random_closed_form,
     random_closed_forms,
     random_proper_coloring,
+    six_state_tables,
     state_to_form,
 )
 from vertexforms.grid import (
+    TORUS,
     BoundarySpec,
     GridShape,
     LatticeState,
@@ -39,7 +41,6 @@ from vertexforms.grid import (
     boundary_of,
     f_edge_index,
     g_edge_index,
-    vertex_index,
 )
 from vertexforms.toroidal import PeriodicField, ToroidalOneForm
 from vertexforms.transfer import first_bad_vertex
@@ -623,6 +624,22 @@ def test_enumerate_six_boundary_refusals():
     big = GridShape(9, 9)
     with pytest.raises(SizeGuardError):
         enumerate_six(big, boundary=six_boundary(big, (0,) * 36))
+
+
+def test_six_state_tables_charge_the_lattice_with_its_fixed_ends_freed(monkeypatch):
+    # edge_count times the free count for a free or fixed boundary, and
+    # times the torus count for TORUS
+    charges = []
+    monkeypatch.setattr(forms_rect, "guard_cost", lambda units, force: charges.append(units))
+    monkeypatch.setattr(forms_rect, "state_tables", lambda *args: iter(()))
+    s44 = GridShape(4, 4)
+    for b in (None, six_boundary(s44, (0,) * 16), TORUS):
+        six_state_tables(s44, b)
+    assert charges == [193662 * 40, 193662 * 40, 2970 * 40]
+    monkeypatch.undo()
+    with pytest.raises(SizeGuardError, match="2\\^27"):
+        six_state_tables(GridShape(5, 4))
+    next(six_state_tables(GridShape(5, 4), TORUS))  # charged 2^20: it runs
 
 
 @pytest.mark.parametrize("make", [

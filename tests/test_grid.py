@@ -19,11 +19,10 @@ from vertexforms.grid import (
     guard_size,
     serialize_boundary,
     serialize_state,
-    vertex_index,
 )
 from vertexforms.forms_rect import Coloring, OneForm, ScalarField
 from vertexforms.toroidal import PeriodicField, ToroidalOneForm
-from conftest import load_state
+from conftest import load_state, vertex_index
 
 
 def zero_state(m, n, field=GF3):

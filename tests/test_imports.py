@@ -99,6 +99,15 @@ def test_count_loads_neither_yangbaxter_nor_toroidal():
     assert not loaded & {"vertexforms.yangbaxter", "vertexforms.toroidal"}
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_the_toroidal_count_and_listing_load_no_toroidal(command):
+    # they are the six-vertex count and walk on TORUS
+    loaded = loaded_after('from vertexforms.cli import main\n'
+                          f'main([{command!r}, "--model", "toroidal", "--m", "2", "--n", "2"])')
+    assert "vertexforms.forms_rect" in loaded
+    assert "vertexforms.toroidal" not in loaded
+
+
 def test_no_command_loads_dataclasses_or_inspect():
     watched = ("dataclasses", "inspect")
     every_module = "".join(f"import vertexforms.{path.stem}\n" for path in MODULES)

@@ -1,19 +1,18 @@
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import affine_span, index_reduce, periodic_at, toroidal_six_states
 from vertexforms.algebra import GF3, FieldMatrix, nullspace_basis
-from vertexforms.forms_rect import is_admissible_six
-from vertexforms.grid import GridShape, LatticeState, SizeGuardError
+from vertexforms.forms_rect import count_six, is_admissible_six, six_state_tables
+from vertexforms.grid import TORUS, GridShape, LatticeState, SizeGuardError
 from vertexforms.toroidal import (
     CohomologyDecomposition,
     PeriodicField,
     ToroidalOneForm,
     admissible_shifts,
-    count_six_toroidal,
     decompose,
     enumerate_closed_toroidal,
     enumerate_six_toroidal,
@@ -102,8 +101,9 @@ def test_toroidal_states_take_periods_divisible_by_three(shape):
     # refuses these periods
     s = GridShape(*shape)
     states = toroidal_six_states(*shape)
-    assert count_six_toroidal(s) == len(states)
+    assert count_six(s, boundary=TORUS) == len(states)
     assert [state.edge_tuple() for state in enumerate_six_toroidal(s)] == states
+    assert [tuple(chain(*f, *g)) for f, g in six_state_tables(s, TORUS)] == states
 
 
 def test_derivative_of_constant_vanishes():

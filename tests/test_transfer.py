@@ -5,17 +5,20 @@ enumerate_six_toroidal, enumerate_eight), which walk the same vertex
 tables column by column and are checked against oracles of their own
 in the module tests, and partition functions with a per-state product
 of R-matrix components over those same lists, on shapes up to 3x3,
-free, fixed and toroidal boundaries, and rational weights that include
-zeros and negative values.  Also here: the column walk itself,
+free, fixed and toroidal (TORUS) boundaries, and rational weights that
+include zeros and negative values.  Also here: the column walk itself,
 first_bad_vertex against a vertex scan, the conservation laws that rule
-a fixed boundary out before any sweep, the paper's F2 counts at sizes
-no listing reaches, the weighted symmetries (half-turn, transpose,
-complement, and gauge invariance on the torus), what the size guard
+a fixed boundary out before any sweep, the refusal of a fixed boundary
+of another shape, the paper's F2 counts at sizes no listing reaches,
+the weighted symmetries (half-turn, transpose, complement, and gauge
+invariance on the torus), the gluing laws that give the free and
+toroidal sums as sums of fixed ones, what the size guard
 charges sums and listings, and the commuting row transfer matrices of
 weights that solve the Yang-Baxter equation.
 """
 
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -39,8 +42,10 @@ from vertexforms.forms_rect import (
     random_proper_coloring,
 )
 from vertexforms.grid import (
+    TORUS,
     BoundarySpec,
     GridShape,
+    InputError,
     LatticeState,
     SizeGuardError,
     boundary_of,
@@ -50,7 +55,6 @@ from vertexforms.toroidal import (
     CohomologyDecomposition,
     PeriodicField,
     ToroidalOneForm,
-    count_six_toroidal,
     enumerate_six_toroidal,
     is_closed_toroidal,
     reconstruct,
@@ -261,10 +265,10 @@ def test_eight_count_matches_enumeration(m, n):
 def test_toroidal_count_matches_enumeration(m, n):
     shape = GridShape(m, n)
     states = enumerate_six_toroidal(shape)
-    assert count_six_toroidal(shape) == len(states)
+    assert count_six(shape, boundary=TORUS) == len(states)
     w = VertexWeights(1, Fraction(-2, 3), 0, Fraction(1, 2), 3, Fraction(-1, 4), 0, 0)
     table = {p: w.weight(*PATTERNS[p]) for p in SIX_VERTEX}
-    assert weighted_sum(table, shape, toroidal=True) == direct_sum(w, states)
+    assert weighted_sum(table, shape, TORUS) == direct_sum(w, states)
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
@@ -410,7 +414,7 @@ def test_state_tables_list_what_count_states_counts(m, n):
         f, g = rng.choice(list(state_tables(patterns, shape)))
         realised = boundary(shape, GF3, [c[0] for c in f] + [c[-1] for c in f] + [*g[0], *g[-1]])
         assert (f, g) in state_tables(patterns, shape, realised)
-        cases = [{}, {"toroidal": True}, {"boundary": realised}]
+        cases = [{}, {"boundary": TORUS}, {"boundary": realised}]
         for values in ((0, 1), (0, 1, 2)):
             bits = [rng.choice(values) for _ in range(2 * (m + n))]
             cases.append({"boundary": boundary(shape, GF3, bits)})
@@ -442,7 +446,7 @@ def listing_size(name, kind, shape):
     # the sweep's frontier spans m columns, and the diagonal reflection
     # keeps both tables: count the orientation with the shorter frontier
     short = GridShape(min(m, n), max(m, n))
-    return count_states(TABLES[name], short, toroidal=kind == "toroidal")
+    return count_states(TABLES[name], short, TORUS if kind == "toroidal" else None)
 
 
 WALK_CASES = [
@@ -463,7 +467,7 @@ def test_state_tables_are_the_recursive_walk(data):
     # six-vertex state, which all three tables admit
     name, kind, m, n = data.draw(st.sampled_from(WALK_CASES))
     patterns, shape = TABLES[name], GridShape(m, n)
-    kw = {"toroidal": True} if kind == "toroidal" else {}
+    kw = {"boundary": TORUS} if kind == "toroidal" else {}
     if kind == "pinned":
         if data.draw(st.booleans()):
             field = data.draw(st.sampled_from([GF2, GF3]))
@@ -521,21 +525,29 @@ def test_toroidal_walk_work_follows_its_states(m, n):
     # 2970); on the tall 2x6 torus, a last column that tried every top
     # value before matching g0 would climb past that
     shape = GridShape(m, n)
-    tables, work = walk_work(SIX_VERTEX, shape, toroidal=True)
-    assert len(tables) == count_six_toroidal(shape)
+    tables, work = walk_work(SIX_VERTEX, shape, TORUS)
+    assert len(tables) == count_six(shape, boundary=TORUS)
     assert work <= 2 * len(tables) * shape.edge_count
 
 
-def test_state_tables_refuse_a_toroidal_boundary():
-    shape = GridShape(2, 2)
-    with pytest.raises(ValueError, match="toroidal"):
-        list(state_tables(SIX_VERTEX, shape, boundary(shape, GF3, (0,) * 8), toroidal=True))
+@pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (2, 3)])
+def test_the_engine_refuses_a_fixed_boundary_of_another_shape(m, n):
+    # a side of another length would be read short, or past its end
+    shape, b = GridShape(m, n), boundary(GridShape(2, 2), GF3, (0,) * 8)
+    message = re.escape(f"boundary is for shape (2, 2), which does not match "
+                        f"the shape requested ({m}, {n})")
+    with pytest.raises(InputError, match=message):
+        count_states(SIX_VERTEX, shape, b)
+    with pytest.raises(InputError, match=message):
+        weighted_sum(dict.fromkeys(EIGHT_VERTEX, Fraction(1, 2)), shape, b)
+    with pytest.raises(InputError, match=message):
+        next(state_tables(SIX_VERTEX, shape, b))
 
 
 def test_weighted_sum_with_all_zero_weights_is_zero():
     table = dict.fromkeys(EIGHT_VERTEX, Fraction(0))
     assert weighted_sum(table, GridShape(3, 3)) == 0
-    assert weighted_sum({}, GridShape(2, 2), toroidal=True) == 0
+    assert weighted_sum({}, GridShape(2, 2), TORUS) == 0
 
 
 # -- lattice symmetries: a sum is the sum of its weights re-keyed
@@ -564,14 +576,14 @@ def test_symmetries_map_each_vertex_table_onto_itself(symmetry, table):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([SIX_VERTEX, EIGHT_VERTEX]), st.integers(2, 4), st.integers(2, 4),
-       st.booleans(), st.data())
-def test_weighted_sum_is_invariant_under_the_lattice_symmetries(table, m, n, toroidal, data):
+       st.sampled_from([None, TORUS]), st.data())
+def test_weighted_sum_is_invariant_under_the_lattice_symmetries(table, m, n, b, data):
     w = {p: data.draw(ratios) for p in sorted(table)}
-    z = weighted_sum(w, GridShape(m, n), toroidal=toroidal)
+    z = weighted_sum(w, GridShape(m, n), b)
     turned = {half_turn(p): x for p, x in w.items()}
-    assert weighted_sum(turned, GridShape(m, n), toroidal=toroidal) == z
+    assert weighted_sum(turned, GridShape(m, n), b) == z
     flipped = {transpose(p): x for p, x in w.items()}
-    assert weighted_sum(flipped, GridShape(n, m), toroidal=toroidal) == z
+    assert weighted_sum(flipped, GridShape(n, m), b) == z
 
 
 def turned_boundary(b):
@@ -635,9 +647,10 @@ def test_weighted_sum_is_invariant_under_the_complement(table, mn, kind, data):
         b = boundary(shape, GF2, values)
         flipped_b = boundary(shape, GF2, [1 - x for x in values])
         assume(transfer._admits(w, b))
-    toroidal = kind == "toroidal"
-    z = weighted_sum(w, shape, b, toroidal=toroidal)
-    assert weighted_sum(flipped, shape, flipped_b, toroidal=toroidal) == z
+    if kind == "toroidal":
+        b = flipped_b = TORUS
+    z = weighted_sum(w, shape, b)
+    assert weighted_sum(flipped, shape, flipped_b) == z
 
 
 def gauged(table, letter, k):
@@ -655,8 +668,8 @@ def test_toroidal_sum_is_gauge_invariant(mn, w, letter, k):
     # as many d(+1) as d(-1): Z reads c and d only through c1 c-1 and d1 d-1
     table = {p: w.weight(*PATTERNS[p]) for p in EIGHT_VERTEX}
     shape = GridShape(*mn)
-    z = weighted_sum(table, shape, toroidal=True)
-    assert weighted_sum(gauged(table, letter, k), shape, toroidal=True) == z
+    z = weighted_sum(table, shape, TORUS)
+    assert weighted_sum(gauged(table, letter, k), shape, TORUS) == z
 
 
 def test_a_free_boundary_sum_is_not_gauge_invariant():
@@ -735,7 +748,45 @@ def test_eight_vertex_fixed_boundary_counts_are_the_f2_closed_form(m):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 5), (5, 3)])
 def test_eight_vertex_toroidal_counts_are_the_f2_closed_form(m, n):
-    assert count_states(EIGHT_VERTEX, GridShape(m, n), toroidal=True) == 2 ** (m * n + 1)
+    assert count_states(EIGHT_VERTEX, GridShape(m, n), TORUS) == 2 ** (m * n + 1)
+
+
+# -- gluing laws: the free and toroidal sums from the fixed ones
+
+
+def letter_table(patterns, seed):
+    """The patterns' weights from random_weights: rationals, zero and
+    negative among them."""
+    w = random_weights(random.Random(seed))
+    return {p: w.weight(*PATTERNS[p]) for p in patterns}
+
+
+@pytest.mark.parametrize("table", [SIX_VERTEX, EIGHT_VERTEX], ids=["six", "eight"])
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (3, 4), (4, 4)])
+def test_the_toroidal_sum_glues_the_fixed_sums(table, m, n):
+    # Baxter 1982, ch. 8: the toroidal sum is the trace of the row
+    # transfer matrix, so it sums the fixed sums over the boundaries
+    # whose top row is the bottom one and whose right column the left one
+    shape = GridShape(m, n)
+    w = letter_table(table, 10 * m + n)
+    terms = [weighted_sum(w, shape, boundary(shape, GF2, s + s + h + h))
+             for s in product((0, 1), repeat=m) for h in product((0, 1), repeat=n)]
+    assert any(terms)
+    assert weighted_sum(w, shape, TORUS) == sum(terms)
+
+
+@pytest.mark.parametrize("table,m,n", [(SIX_VERTEX, 2, 3), (EIGHT_VERTEX, 2, 3),
+                                       (SIX_VERTEX, 3, 3)],
+                         ids=["six-2x3", "eight-2x3", "six-3x3"])
+def test_the_free_sum_glues_the_fixed_sums(table, m, n):
+    # a free boundary edge ranges over {0, 1}: the free sum is the sum
+    # of the fixed sums over every boundary
+    shape = GridShape(m, n)
+    w = letter_table(table, 10 * m + n + 1)
+    terms = [weighted_sum(w, shape, boundary(shape, GF2, bits))
+             for bits in product((0, 1), repeat=2 * (m + n))]
+    assert any(terms)
+    assert weighted_sum(w, shape) == sum(terms)
 
 
 # -- the size guard: a sum is charged its sweep, a listing its states
@@ -744,7 +795,7 @@ def test_eight_vertex_toroidal_counts_are_the_f2_closed_form(m, n):
 def test_cheap_sums_and_listings_need_no_force():
     assert count_six(GridShape(4, 3)) == len(enumerate_six(GridShape(4, 3))) == 18150
     s44 = GridShape(4, 4)
-    assert count_six_toroidal(s44) == len(enumerate_six_toroidal(s44)) == 2970
+    assert count_six(s44, boundary=TORUS) == len(enumerate_six_toroidal(s44)) == 2970
     ones = VertexWeights(*(1,) * 8)
     s55 = GridShape(5, 5)
     assert partition_function(ones, s55, "eight") == count_total(s55) == 2 ** 35
@@ -805,7 +856,7 @@ def test_row_matrix_trace_is_the_toroidal_sum(m, n):
         power = matmul(power, t)
     trace = sum(power.entries[k * (power.cols + 1)] for k in range(power.rows))
     table = {p: w.weight(*PATTERNS[p]) for p in PATTERNS}
-    assert trace == weighted_sum(table, GridShape(m, n), toroidal=True)
+    assert trace == weighted_sum(table, GridShape(m, n), TORUS)
 
 
 def test_solvable_weights_give_commuting_row_matrices():

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (
     BoundaryHex,
     baxter_weights,
+    from_pairs,
+    identity_weights,
     random_solvable_pair,
     random_solvable_triple,
     random_weights,
@@ -94,7 +96,7 @@ def test_vector_round_trip():
 
 
 def test_from_pairs_and_named_lookups():
-    w = VertexWeights.from_pairs((1, 2), (3, 4), (5, 6), (7, 8))
+    w = from_pairs((1, 2), (3, 4), (5, 6), (7, 8))
     assert (w.a1, w.a_neg1) == (1, 2)
     assert (w.d1, w.d_neg1) == (7, 8)
     assert w.weight("c", -1) == 6
@@ -455,9 +457,9 @@ def test_residuals28_match_the_typed_equations(triple):
 
 
 @pytest.mark.parametrize("s,t", [
-    (VertexWeights.identity(), VertexWeights.identity()),
+    (identity_weights(), identity_weights()),
     (weights_from_vector((0,) * 8), weights_from_vector((0,) * 8)),
-    (VertexWeights.identity(), VertexWeights(2, 3, 5, 7, 0, 0, 0, 0)),
+    (identity_weights(), VertexWeights(2, 3, 5, 7, 0, 0, 0, 0)),
     (baxter_weights(Fraction(1, 5), Fraction(1, 7)),) * 2,
     (VertexWeights(2, 3, 5, 7, 2, 3, 2, 5), VertexWeights(1, 2, 3, 4, 5, 6, 7, 8)),
     (W_EQ7, S_EQ7),
@@ -520,12 +522,12 @@ def test_integer_evaluation_is_exact_at_scale(triple):
 
 def test_solve_rejects_negative_scan_range():
     with pytest.raises(ValueError, match="nonnegative"):
-        solve_R(VertexWeights.identity(), VertexWeights.identity(), scan_range=-1)
+        solve_R(identity_weights(), identity_weights(), scan_range=-1)
 
 
 def test_solve_scan_is_size_guarded(monkeypatch):
     # dimension 8: the default scan is charged 5^8 * 8 < 2^22 and runs
-    identity = VertexWeights.identity()
+    identity = identity_weights()
     assert solve_R(identity, identity).witness is not None
     monkeypatch.setattr(grid, "SIZE_GUARD_BITS", 21)
     with pytest.raises(SizeGuardError, match="2\\^22 exceeds"):
@@ -556,10 +558,10 @@ def test_residual_labels_cover_the_system():
 
 
 def test_f_invariant_examples():
-    assert f_invariant(VertexWeights.identity()) == 2
+    assert f_invariant(identity_weights()) == 2
     assert f_invariant(weights_from_vector((1,) * 8)) == 0
     assert f_invariant(
-        VertexWeights.from_pairs((2, 3), (1, 1), (1, 2), (1, 1))
+        from_pairs((2, 3), (1, 1), (1, 2), (1, 1))
     ) == 4
 
 
@@ -597,9 +599,9 @@ def test_conditions_fail_on_generic_pair():
 def test_conditions_require_nonzero_weights():
     full = VertexWeights(1, 1, 1, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError, match="weights of S nonzero"):
-        check_necessary_conditions(VertexWeights.identity(), full)
+        check_necessary_conditions(identity_weights(), full)
     with pytest.raises(ValueError, match="weights of T nonzero"):
-        check_necessary_conditions(full, VertexWeights.identity())
+        check_necessary_conditions(full, identity_weights())
 
 
 # -- the necessary conditions in Fraction arithmetic, as first written ----------
@@ -784,12 +786,12 @@ def test_conditions_and_system_rows_do_no_fraction_arithmetic(monkeypatch):
 
 
 def test_solve_identity_pair_is_unconstrained():
-    rep = solve_R(VertexWeights.identity(), VertexWeights.identity())
+    rep = solve_R(identity_weights(), identity_weights())
     assert rep.dimension == 8
     assert rep.witness is not None
     w = rep.witness
     assert all(x != 0 for x in (w.c1, w.c_neg1, w.d1, w.d_neg1))
-    assert yb_commutator(w, VertexWeights.identity(), VertexWeights.identity()).is_zero()
+    assert yb_commutator(w, identity_weights(), identity_weights()).is_zero()
 
 
 def test_solve_untwisted_pair_reports_scan_miss():
@@ -849,7 +851,7 @@ def test_partition_function_validation():
     with pytest.raises(ValueError, match="d1 = d-1 = 0"):
         partition_function(weights_from_vector((1,) * 8), GridShape(2, 2), "six")
     with pytest.raises(ValueError, match="unknown model"):
-        partition_function(VertexWeights.identity(), GridShape(2, 2), "ising")
+        partition_function(identity_weights(), GridShape(2, 2), "ising")
 
 
 def test_partition_function_against_direct_sum():
