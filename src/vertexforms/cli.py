@@ -25,6 +25,7 @@ from .grid import (
     LatticeState,
     SIZE_GUARD_BITS,
     SizeGuardError,
+    _NotClosedError,
     check_boundary,
     deserialize_boundary,
     deserialize_state,
@@ -226,8 +227,14 @@ def _verify_poincare(args) -> tuple:
         mode = "exhaustive"
     checked = 0
     for fx, gy in tables:
-        dw = exterior_derivative(antiderivative(OneForm.trusted(shape, fx, gy)))
-        if dw.fx != fx or dw.gy != gy:
+        # antiderivative refuses a form d of its potential does not give
+        # back: a fault here, as the walk and the sampler make them closed
+        try:
+            dw = exterior_derivative(antiderivative(OneForm.trusted(shape, fx, gy)))
+            passed = dw.fx == fx and dw.gy == gy
+        except _NotClosedError:
+            passed = False
+        if not passed:
             payload = {
                 "suite": "poincare",
                 "passed": False,
@@ -298,9 +305,15 @@ def _verify_cohomology(args) -> tuple:
     if tables is not None:
         for fx, gy in tables:
             w = ToroidalOneForm.trusted(shape, fx, gy)
-            dec = decompose(w)
-            w2 = reconstruct(dec)
-            if (w2.fx, w2.gy) != (w.fx, w.gy) or dec.h.values[0][0] != 0:
+            # decompose refuses a form reconstruct would not give back:
+            # a fault here, as the walk makes the forms closed
+            try:
+                dec = decompose(w)
+                w2 = reconstruct(dec)
+                passed = (w2.fx, w2.gy) == (w.fx, w.gy) and dec.h.values[0][0] == 0
+            except _NotClosedError:
+                passed = False
+            if not passed:
                 return {"suite": "cohomology", "passed": False,
                         "counterexample": {"fx": [list(r) for r in w.fx],
                                            "gy": [list(r) for r in w.gy]}}, False
@@ -314,7 +327,11 @@ def _verify_cohomology(args) -> tuple:
                                        "decompositions": triples}}, False
     else:
         for dec in _random_decompositions(shape, random.Random(args.seed), args.samples):
-            if decompose(reconstruct(dec)) != dec:
+            try:
+                passed = decompose(reconstruct(dec)) == dec
+            except _NotClosedError:
+                passed = False
+            if not passed:
                 return {"suite": "cohomology", "passed": False,
                         "counterexample": {"r": dec.r, "s": dec.s,
                                            "h": [list(rw) for rw in dec.h.values]}}, False

@@ -30,6 +30,9 @@ turn correspond to proper 3-colorings of the corner grid; both
 directions are implemented here.  Closedness and admissibility are
 the vertex tables of transfer (CLOSED_F3, SIX_VERTEX); counts come
 from its sweep and listings, closed forms too, from its column walk.
+antiderivative alone checks closedness by the calculus instead: a form
+is closed when d of its potential gives it back, and those differences
+are the kernel calls exterior_derivative makes next, memo hits.
 count_colorings counts the colorings by a sweep of its own, a cell at a
 time, that reads no vertex table, so count --check-colorings compares
 two independent engines; its test oracle is a backtracking count
@@ -58,6 +61,7 @@ from .grid import (
     GridShape,
     InputError,
     LatticeState,
+    _NotClosedError,
     _freeze_grid,
     _vertex_incidence,
     check_boundary,
@@ -181,12 +185,16 @@ def antiderivative(w: OneForm) -> ScalarField:
     """The scalar field h with dh = w and h[1][1] = 0.
 
     h[i][j] is the sum of fx along the bottom row up to column i, plus
-    gy up column i to height j.  Requires the form to be closed.
+    gy up column i to height j.  Requires the form to be closed, and
+    checks it by the calculus, not the vertex table: D_y h is gy by
+    construction, so w is closed, being dh, exactly when D_x h is fx.
+    Those _step calls are the ones exterior_derivative(h) makes next.
     """
-    fx, gy = w.fx, w.gy
-    if first_bad_vertex(CLOSED_F3, fx, gy) is not None:
-        raise ValueError("antiderivative requires a closed form")
-    return ScalarField.trusted(w.shape, _potential(fx, gy))
+    fx = w.fx
+    h = _potential(fx, w.gy)
+    if tuple(map(_step, h, h[1:], repeat(0))) != fx:
+        raise _NotClosedError("antiderivative requires a closed form")
+    return ScalarField.trusted(w.shape, h)
 
 
 def closedness_matrix(shape: GridShape) -> FieldMatrix:

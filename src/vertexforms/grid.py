@@ -53,6 +53,13 @@ class WeightConditionError(InputError):
     """Raised when weights break a precondition of the computation asked for."""
 
 
+class _NotClosedError(ValueError):
+    """Raised when forms_rect.antiderivative or toroidal.decompose is
+    given a form that is not closed.  A verify suite makes its forms
+    closed, so there it is a fault, which that suite reports as its
+    counterexample: it catches this class, never a bare ValueError."""
+
+
 def guard_size(log2_count: int, force: bool = False) -> None:
     """Refuse operations charged more than 2^SIZE_GUARD_BITS unless forced."""
     if log2_count > SIZE_GUARD_BITS and not force:
@@ -192,7 +199,7 @@ class _Torus:
 # the top frontier on the bottom one, so a sum is the trace of the row
 # transfer matrix (Baxter 1982, ch. 8).  transfer's count_states,
 # weighted_sum and state_tables take it, and forms_rect's count_six,
-# six_state_tables and enumerate_six.
+# six_state_tables and enumerate_six; check_boundary refuses it.
 TORUS = _Torus()
 
 
@@ -258,9 +265,12 @@ def boundary_of(state: LatticeState) -> BoundarySpec:
 def check_boundary(boundary: BoundarySpec | None, shape: GridShape,
                    field: Field | None = None) -> None:
     """Refuse a boundary of another shape, or over another field than a
-    field given; None is free."""
+    field given, and TORUS, which the callers that take it keep from
+    here; None is free."""
     if boundary is None:
         return
+    if boundary is TORUS:
+        raise InputError("takes a free or fixed boundary, not TORUS")
     if boundary.shape != shape:
         raise InputError(
             f"boundary is for shape ({boundary.shape.m}, {boundary.shape.n}), which "

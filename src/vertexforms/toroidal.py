@@ -24,7 +24,11 @@ The calculus is the rectangle's (forms_rect), a column at a time
 through its bounded column memos: toroidal_derivatives and reconstruct
 take its column differences with the first column and row repeated,
 r and s added as the kernels' offsets, and decompose integrates fx - r
-and gy - s with its bottom-then-up potential.  The random mode of
+and gy - s with its bottom-then-up potential.  decompose checks
+closedness by the calculus too: it refuses a form that r dx + s dy + dh
+does not give back, and on a form reconstruct has just built those
+differences are memo hits.  is_closed_toroidal is the same check on
+the vertex table, CLOSED_F3.  The random mode of
 verify cohomology draws its triples (r, s, h) here, one rng.randrange
 per column read as base-3 digits (_random_decompositions).
 """
@@ -42,7 +46,15 @@ from .forms_rect import (
     is_admissible_six,
     six_state_tables,
 )
-from .grid import TORUS, GridShape, InputError, LatticeState, _freeze_grid, guard_cost
+from .grid import (
+    TORUS,
+    GridShape,
+    InputError,
+    LatticeState,
+    _NotClosedError,
+    _freeze_grid,
+    guard_cost,
+)
 from .algebra import GF3, Record, _set_dict
 from .transfer import CLOSED_F3, first_bad_vertex, state_tables
 
@@ -172,15 +184,20 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
 
     The divisions are exact because the periods are prime to 3, which
     is checked again here: a trusted form skips the type's check.
+    Requires the form to be closed, and checks it by the calculus, not
+    the vertex table: every r dx + s dy + dh is closed, and a closed w
+    is the one its own r, s and h make, so w is closed exactly when
+    reconstruct would give it back.  On a form reconstruct has just
+    built, those kernel calls are its own, memo hits.
     """
     check_periods(w.shape)
-    if not is_closed_toroidal(w):
-        raise ValueError("decompose requires a closed toroidal form")
     m, n = w.shape.m, w.shape.n
     r = (_INV3[m % 3] * sum(col[0] for col in w.fx)) % 3
     s = (_INV3[n % 3] * sum(w.gy[0])) % 3
     # gy's last entry only closes each column: n values of h per column
     values = _potential(w.fx, [col[:-1] for col in w.gy], -r, -s)
+    if _wrapped_differences(values, r, s) != (w.fx, w.gy):
+        raise _NotClosedError("decompose requires a closed toroidal form")
     return CohomologyDecomposition(r=r, s=s, h=PeriodicField.trusted(w.shape, values))
 
 

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -392,6 +393,44 @@ def test_random_verify_modes_build_no_f3_kernel(capsys, monkeypatch, argv):
             reduce(algebra.FieldMatrix.identity(GF3, 2))
     code, doc = run_json(capsys, "verify", *argv)
     assert code == 0 and doc["mode"] == "random" and doc["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [["poincare", "--m", "6", "--n", "6"],
+                                  ["cohomology", "--m", "8", "--n", "7"]],
+                         ids=["poincare", "cohomology"])
+def test_random_verify_modes_read_no_vertex_table(capsys, argv):
+    # antiderivative and decompose check closedness by the calculus, so
+    # first_bad_vertex's memo is neither hit nor missed
+    import vertexforms.transfer as transfer
+
+    before = transfer._first_bad_row.cache_info()
+    code, doc = run_json(capsys, "verify", *argv)
+    assert code == 0 and doc["mode"] == "random" and doc["passed"] is True
+    assert transfer._first_bad_row.cache_info() == before
+
+
+@pytest.mark.parametrize("argv,home,keys", [
+    (["poincare", "--m", "2", "--n", "2"], "forms_rect", {"fx", "gy"}),
+    (["poincare", "--m", "6", "--n", "6"], "forms_rect", {"fx", "gy"}),
+    (["cohomology", "--m", "2", "--n", "2"], "toroidal", {"fx", "gy"}),
+    (["cohomology", "--m", "8", "--n", "7"], "toroidal", {"r", "s", "h"}),
+], ids=["poincare-exhaustive", "poincare-random", "cohomology-exhaustive",
+        "cohomology-random"])
+def test_a_wrong_potential_is_a_counterexample(capsys, monkeypatch, argv, home, keys):
+    # a potential one off at its last vertex gives no form back, so
+    # antiderivative or decompose refuses the suite's first form, which
+    # the suite reports, exit 1, rather than raise
+    module = importlib.import_module(f"vertexforms.{home}")
+    potential = module._potential
+
+    def wrong(*args):
+        h = potential(*args)
+        return h[:-1] + (h[-1][:-1] + ((h[-1][-1] + 1) % 3,),)
+
+    monkeypatch.setattr(module, "_potential", wrong)
+    code, doc = run_json(capsys, "verify", *argv, "--samples", "5")
+    assert code == 1 and doc["passed"] is False
+    assert set(doc["counterexample"]) == keys
 
 
 def test_verify_cohomology_bad_period(capsys):

@@ -8,6 +8,10 @@ table through every offset in one process, so a memo that returned an
 entry built for another offset, base or neighbour column would show.
 Tables are random F3 tables up to 7 columns of 7 entries: rectangles
 and tori, closed and non-closed forms, proper and improper colorings.
+antiderivative and decompose check closedness by the calculus, not by
+the vertex table; near-closed forms, closed ones with up to two entries
+moved, show that they refuse exactly the forms is_closed and
+is_closed_toroidal, the vertex-table checks, reject.
 """
 
 import random
@@ -39,6 +43,7 @@ from vertexforms.forms_rect import (
     form_from_coloring,
     is_closed,
     is_proper,
+    random_closed_forms,
     random_proper_coloring,
 )
 from vertexforms.grid import GridShape
@@ -46,8 +51,10 @@ from vertexforms.toroidal import (
     CohomologyDecomposition,
     PeriodicField,
     ToroidalOneForm,
+    _random_decompositions,
     _wrapped_differences,
     decompose,
+    is_closed_toroidal,
     reconstruct,
     toroidal_derivatives,
 )
@@ -164,3 +171,42 @@ def test_wrapped_differences_take_any_periods(m, n, data):
     dfx, dgy = naive_toroidal_derivatives(values)
     for r, s in product(OFFSETS, repeat=2):
         assert _wrapped_differences(values, r, s) == (shifted(dfx, r), shifted(dgy, s))
+
+
+def perturbed(data, fx: tuple, gy: tuple) -> tuple:
+    """fx and gy with 0 to 2 entries each moved by a nonzero F3 value."""
+    tables = [list(map(list, fx)), list(map(list, gy))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        col = data.draw(st.sampled_from(data.draw(st.sampled_from(tables))))
+        j = data.draw(st.integers(0, len(col) - 1))
+        col[j] = (col[j] + data.draw(st.integers(1, 2))) % 3
+    return tables
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2 ** 32), st.data())
+def test_antiderivative_refuses_exactly_what_is_closed_rejects(m, n, seed, data):
+    shape = GridShape(m, n)
+    w = random_closed_forms(shape, random.Random(seed), 1)[0]
+    fx, gy = perturbed(data, w.fx, w.gy)
+    v = OneForm(shape=shape, fx=fx, gy=gy)
+    if is_closed(v):
+        assert exterior_derivative(antiderivative(v)) == v
+    else:
+        with pytest.raises(ValueError, match="^antiderivative requires a closed form$"):
+            antiderivative(v)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(PERIODS), st.sampled_from(PERIODS), st.integers(0, 2 ** 32),
+       st.data())
+def test_decompose_refuses_exactly_what_is_closed_toroidal_rejects(m, n, seed, data):
+    shape = GridShape(m, n)
+    w = reconstruct(next(_random_decompositions(shape, random.Random(seed), 1)))
+    fx, gy = perturbed(data, w.fx, w.gy)
+    v = ToroidalOneForm(shape=shape, fx=fx, gy=gy)
+    if is_closed_toroidal(v):
+        assert reconstruct(decompose(v)) == v
+    else:
+        with pytest.raises(ValueError, match="^decompose requires a closed toroidal form$"):
+            decompose(v)

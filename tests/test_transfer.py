@@ -9,10 +9,12 @@ free, fixed and toroidal (TORUS) boundaries, and rational weights that
 include zeros and negative values.  Also here: the column walk itself,
 first_bad_vertex against a vertex scan, the conservation laws that rule
 a fixed boundary out before any sweep, the refusal of a fixed boundary
-of another shape, the paper's F2 counts at sizes no listing reaches,
-the weighted symmetries (half-turn, transpose, complement, and gauge
-invariance on the torus), the gluing laws that give the free and
-toroidal sums as sums of fixed ones, what the size guard
+of another shape and of TORUS where only free or fixed ones are taken,
+the paper's F2 counts at sizes no listing reaches, the domain-wall 2-
+and 3-enumerations, the weighted symmetries (half-turn, transpose,
+complement, and gauge invariance on the torus), the gluing laws that
+give the free and toroidal sums as sums of fixed ones and a fixed sum
+as sums over a row or a column cut, what the size guard
 charges sums and listings, and the commuting row transfer matrices of
 weights that solve the Yang-Baxter equation.
 """
@@ -32,7 +34,12 @@ from hypothesis import strategies as st
 from conftest import periodic_at, random_solvable_triple, random_weights, recursive_state_tables
 from vertexforms import eightvertex, forms_rect, grid, transfer
 from vertexforms.algebra import GF2, GF3, QQ, FieldMatrix, matmul, rank
-from vertexforms.eightvertex import boundary_parity, count_total, enumerate_eight
+from vertexforms.eightvertex import (
+    boundary_parity,
+    count_total,
+    eight_state_tables,
+    enumerate_eight,
+)
 from vertexforms.forms_rect import (
     OneForm,
     count_six,
@@ -372,6 +379,31 @@ def test_domain_wall_sums_are_two_enumerations(n):
         assert weighted_sum(weights, shape, constant_sides(n, *ANTI_DOMAIN_WALL)) == anti
 
 
+def three_enumeration(n):
+    """A(n; 3), the 3-enumeration of n x n alternating sign matrices
+    (Kuperberg 1996): for n = 2k + 1 it is 3^(k(k+1)) prod_{j=1..k}
+    ((3j-1)! / (k+j)!)^2, and A(2k + 2; 3) is A(2k + 1; 3) 3^k (3k+2)! k!
+    / ((2k+1)!)^2."""
+    k = (n - 1) // 2
+    odd = 3 ** (k * (k + 1)) * prod((Fraction(factorial(3 * j - 1), factorial(k + j)) ** 2
+                                     for j in range(1, k + 1)), start=Fraction(1))
+    if n % 2:
+        return odd
+    return odd * 3 ** k * factorial(3 * k + 2) * factorial(k) / factorial(2 * k + 1) ** 2
+
+
+def test_three_enumeration_formula_names_the_known_values():
+    assert [three_enumeration(n) for n in range(1, 7)] == [1, 2, 9, 90, 2025, 102060]
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_domain_wall_sums_are_three_enumerations(n):
+    # weight 3 on the c vertices of the matrix's -1 entries, 1 elsewhere
+    weights = {pattern: 3 if PATTERNS[pattern] == ("c", -1) else 1 for pattern in SIX_VERTEX}
+    shape = GridShape(n, n)
+    assert weighted_sum(weights, shape, constant_sides(n, *DOMAIN_WALL)) == three_enumeration(n)
+
+
 def test_six_partition_function_refuses_f2_boundary():
     shape = GridShape(2, 2)
     b = boundary(shape, GF2, (0,) * 8)
@@ -542,6 +574,24 @@ def test_the_engine_refuses_a_fixed_boundary_of_another_shape(m, n):
         weighted_sum(dict.fromkeys(EIGHT_VERTEX, Fraction(1, 2)), shape, b)
     with pytest.raises(InputError, match=message):
         next(state_tables(SIX_VERTEX, shape, b))
+
+
+def test_free_or_fixed_callers_refuse_the_torus_by_name():
+    # they take a free or a fixed boundary; TORUS is refused input, not
+    # read as a BoundarySpec (AttributeError: no attribute 'shape')
+    shape = GridShape(2, 2)
+    message = "^takes a free or fixed boundary, not TORUS$"
+    with pytest.raises(InputError, match=message):
+        grid.check_boundary(TORUS, shape)
+    with pytest.raises(InputError, match=message):
+        partition_function(VertexWeights(*(1,) * 8), shape, "eight", boundary=TORUS)
+    with pytest.raises(InputError, match=message):
+        partition_function(VertexWeights(1, 1, 1, 1, 1, 1, 0, 0), shape, "six",
+                           boundary=TORUS)
+    with pytest.raises(InputError, match=message):
+        enumerate_eight(shape, TORUS)
+    with pytest.raises(InputError, match=message):
+        eight_state_tables(shape, TORUS)
 
 
 def test_weighted_sum_with_all_zero_weights_is_zero():
@@ -751,7 +801,8 @@ def test_eight_vertex_toroidal_counts_are_the_f2_closed_form(m, n):
     assert count_states(EIGHT_VERTEX, GridShape(m, n), TORUS) == 2 ** (m * n + 1)
 
 
-# -- gluing laws: the free and toroidal sums from the fixed ones
+# -- gluing laws: the free and toroidal sums from the fixed ones, and a
+# fixed sum from the fixed sums of its two halves
 
 
 def letter_table(patterns, seed):
@@ -787,6 +838,71 @@ def test_the_free_sum_glues_the_fixed_sums(table, m, n):
              for bits in product((0, 1), repeat=2 * (m + n))]
     assert any(terms)
     assert weighted_sum(w, shape) == sum(terms)
+
+
+def state_boundary(table, shape, rng):
+    """The boundary of a random state of the table, which the table
+    admits: a six-vertex state's from a random proper coloring, and for
+    eight a random boundary of even parity, which every eight-vertex
+    state's boundary has and every one of which some state has."""
+    if table is SIX_VERTEX:
+        w, _ = form_from_coloring(random_proper_coloring(shape, rng))
+        return boundary_of(LatticeState.trusted(shape, GF3, w.fx, w.gy))
+    values = [rng.randrange(2) for _ in range(2 * (shape.m + shape.n) - 1)]
+    return boundary(shape, GF2, values + [sum(values) % 2])
+
+
+def weighted_case(table, shape, seed):
+    """(letter_table weights, state_boundary) from the first seed on
+    whose sum is not 0: zero weights can rule out every state of a
+    boundary, and a law is shown only on a sum that has terms."""
+    for seed in range(seed, seed + 100):
+        w = letter_table(table, seed)
+        b = state_boundary(table, shape, random.Random(seed))
+        if weighted_sum(w, shape, b):
+            return w, b
+    raise AssertionError("no nonzero fixed sum in 100 draws")
+
+
+@pytest.mark.parametrize("table", [SIX_VERTEX, EIGHT_VERTEX], ids=["six", "eight"])
+@pytest.mark.parametrize("m,low,high", [(2, 2, 2), (3, 2, 3), (5, 3, 2), (4, 2, 6),
+                                        (6, 4, 4)])
+def test_a_fixed_sum_glues_across_a_row_cut(table, m, low, high):
+    # Baxter 1982, ch. 8: the sweep is a product of row transfer matrices,
+    # so the sum on m x (low + high) is the sum, over the m vertical edges
+    # a cut above row low crosses, of the product of the fixed sums below
+    # and above the cut
+    shape, below, above = GridShape(m, low + high), GridShape(m, low), GridShape(m, high)
+    w, b = weighted_case(table, shape, 100 * m + 10 * low + high)
+    terms = [weighted_sum(w, below, BoundarySpec(
+                 shape=below, field=b.field, f_bottom=b.f_bottom, f_top=cut,
+                 g_left=b.g_left[:low], g_right=b.g_right[:low]))
+             * weighted_sum(w, above, BoundarySpec(
+                 shape=above, field=b.field, f_bottom=cut, f_top=b.f_top,
+                 g_left=b.g_left[low:], g_right=b.g_right[low:]))
+             for cut in product((0, 1), repeat=m)]
+    assert any(terms)
+    assert weighted_sum(w, shape, b) == sum(terms)
+
+
+@pytest.mark.parametrize("table", [SIX_VERTEX, EIGHT_VERTEX], ids=["six", "eight"])
+@pytest.mark.parametrize("left,right,n", [(2, 2, 2), (2, 3, 3), (3, 2, 5), (4, 4, 6),
+                                          (4, 4, 8)])
+def test_a_fixed_sum_glues_across_a_column_cut(table, left, right, n):
+    # the same law along the other side: a cut right of column left
+    # crosses n horizontal edges
+    shape = GridShape(left + right, n)
+    west, east = GridShape(left, n), GridShape(right, n)
+    w, b = weighted_case(table, shape, 100 * left + 10 * right + n)
+    terms = [weighted_sum(w, west, BoundarySpec(
+                 shape=west, field=b.field, f_bottom=b.f_bottom[:left],
+                 f_top=b.f_top[:left], g_left=b.g_left, g_right=cut))
+             * weighted_sum(w, east, BoundarySpec(
+                 shape=east, field=b.field, f_bottom=b.f_bottom[left:],
+                 f_top=b.f_top[left:], g_left=cut, g_right=b.g_right))
+             for cut in product((0, 1), repeat=n)]
+    assert any(terms)
+    assert weighted_sum(w, shape, b) == sum(terms)
 
 
 # -- the size guard: a sum is charged its sweep, a listing its states
