@@ -88,12 +88,14 @@ class Record:
     once, when the class is made.  An instance is built from positional
     or keyword arguments, one per field, and then runs the class's
     __post_init__, which may normalize a field with object.__setattr__.
-    Fields live in the instance __dict__, so a trusted constructor hands
-    over a dict it built, with object.__new__ and _set_dict in its own
-    body: no __post_init__ runs and nothing is checked or copied.
-    Trusted constructors take only tables the library built itself,
-    tuples of tuples of field elements on a shape already checked;
-    values from outside go through the validating constructors.
+    Fields live in the instance __dict__.  The table records (LatticeState,
+    ScalarField, OneForm, Coloring, PeriodicField, ToroidalOneForm) share
+    one trusted constructor (``trusted = _trusted`` in the class body): its
+    keyword arguments, every field in field order, become the instance
+    dict, so no __post_init__ runs and nothing is checked or copied.
+    It takes only tables the library built itself, tuples of tuples of
+    field elements on a shape already checked; values from outside go
+    through the validating constructors.
     Assignment and deletion raise AttributeError; == holds only between
     instances of one class with equal fields, and the hash is that of
     the tuple of field values in field order.
@@ -124,10 +126,18 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-# The setter of a record's instance __dict__, for the trusted
-# constructors: one call that installs the dict they built, without
-# object.__setattr__'s lookup of the same descriptor.
+# The setter of a record's instance __dict__: one call that installs a
+# dict, without object.__setattr__'s lookup of the same descriptor.
 _set_dict = Record.__dict__["__dict__"].__set__
+
+
+@classmethod
+def _trusted(cls, **fields):
+    """The table records' trusted constructor (see Record): the keyword
+    dict, every field in field order, is the new instance's dict."""
+    obj = object.__new__(cls)
+    _set_dict(obj, fields)
+    return obj
 
 
 class Field(Record):

@@ -230,7 +230,7 @@ def _verify_poincare(args) -> tuple:
         # antiderivative refuses a form d of its potential does not give
         # back: a fault here, as the walk and the sampler make them closed
         try:
-            dw = exterior_derivative(antiderivative(OneForm.trusted(shape, fx, gy)))
+            dw = exterior_derivative(antiderivative(OneForm.trusted(shape=shape, fx=fx, gy=gy)))
             passed = dw.fx == fx and dw.gy == gy
         except _NotClosedError:
             passed = False
@@ -262,11 +262,11 @@ def _verify_bijection(args) -> tuple:
     rng = random.Random(args.seed)
     checked = 0
     for f, g in six_state_tables(shape, force=args.force):
-        w = OneForm.trusted(shape, f, g)
+        w = OneForm.trusted(shape=shape, fx=f, gy=g)
         for t in (0, 1, 2):
             w2, t2 = form_from_coloring(coloring_from_form(w, t))
             if t2 != t or w2.fx != f or w2.gy != g:
-                st = LatticeState.trusted(shape, GF3, f, g)
+                st = LatticeState.trusted(shape=shape, field=GF3, f=f, g=g)
                 return {"suite": "bijection", "passed": False,
                         "counterexample": state_doc(st) | {"t": t}}, False
             checked += 1
@@ -304,13 +304,12 @@ def _verify_cohomology(args) -> tuple:
         tables, mode = None, "random"
     if tables is not None:
         for fx, gy in tables:
-            w = ToroidalOneForm.trusted(shape, fx, gy)
-            # decompose refuses a form reconstruct would not give back:
-            # a fault here, as the walk makes the forms closed
+            w = ToroidalOneForm.trusted(shape=shape, fx=fx, gy=gy)
+            # decompose refuses a form its (r, s, h) does not rebuild: a
+            # fault here, as the walk makes the forms closed; what is left
+            # to check is the normalization h(1, 1) = 0
             try:
-                dec = decompose(w)
-                w2 = reconstruct(dec)
-                passed = (w2.fx, w2.gy) == (w.fx, w.gy) and dec.h.values[0][0] == 0
+                passed = decompose(w).h.values[0][0] == 0
             except _NotClosedError:
                 passed = False
             if not passed:

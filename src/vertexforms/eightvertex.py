@@ -151,5 +151,5 @@ def enumerate_eight(shape: GridShape, boundary: BoundarySpec | None = None,
                     force: bool = False) -> list:
     """All admissible states, optionally with a fixed boundary, in the
     order and under the guard of eight_state_tables."""
-    return [LatticeState.trusted(shape, GF2, f, g)
+    return [LatticeState.trusted(shape=shape, field=GF2, f=f, g=g)
             for f, g in eight_state_tables(shape, boundary, force)]

@@ -55,7 +55,7 @@ from functools import lru_cache
 from itertools import accumulate, product, repeat
 from operator import add, contains
 
-from .algebra import GF3, FieldMatrix, Record, _set_dict
+from .algebra import GF3, FieldMatrix, Record, _trusted
 from .grid import (
     TORUS,
     GridShape,
@@ -87,12 +87,7 @@ class ScalarField(Record):
         m, n = self.shape.m, self.shape.n
         object.__setattr__(self, "h", _freeze_grid(self.h, m + 1, n + 1, GF3, "h"))
 
-    @classmethod
-    def trusted(cls, shape: GridShape, h: tuple) -> ScalarField:
-        """A field from a tuple of tuples the library built, unchecked."""
-        obj = object.__new__(cls)
-        _set_dict(obj, {"shape": shape, "h": h})
-        return obj
+    trusted = _trusted
 
 
 class OneForm(Record):
@@ -107,12 +102,7 @@ class OneForm(Record):
         object.__setattr__(self, "fx", _freeze_grid(self.fx, m, n + 1, GF3, "fx"))
         object.__setattr__(self, "gy", _freeze_grid(self.gy, m + 1, n, GF3, "gy"))
 
-    @classmethod
-    def trusted(cls, shape: GridShape, fx: tuple, gy: tuple) -> OneForm:
-        """A form from tuples of tuples the library built, unchecked."""
-        obj = object.__new__(cls)
-        _set_dict(obj, {"shape": shape, "fx": fx, "gy": gy})
-        return obj
+    trusted = _trusted
 
 
 class Coloring(Record):
@@ -125,12 +115,7 @@ class Coloring(Record):
         m, n = self.shape.m, self.shape.n
         object.__setattr__(self, "cells", _freeze_grid(self.cells, m + 1, n + 1, GF3, "cells"))
 
-    @classmethod
-    def trusted(cls, shape: GridShape, cells: tuple) -> Coloring:
-        """A coloring from a tuple of tuples the library built, unchecked."""
-        obj = object.__new__(cls)
-        _set_dict(obj, {"shape": shape, "cells": cells})
-        return obj
+    trusted = _trusted
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -173,7 +158,7 @@ def exterior_derivative(field: ScalarField) -> OneForm:
     """d(h) = (D_x h) dx + (D_y h) dy: fx[i][j] = h[i+1][j] - h[i][j],
     m x (n+1), and gy[i][j] = h[i][j+1] - h[i][j], (m+1) x n."""
     fx, gy = _differences(field.h)
-    return OneForm.trusted(field.shape, fx, gy)
+    return OneForm.trusted(shape=field.shape, fx=fx, gy=gy)
 
 
 def is_closed(w: OneForm) -> bool:
@@ -194,7 +179,7 @@ def antiderivative(w: OneForm) -> ScalarField:
     h = _potential(fx, w.gy)
     if tuple(map(_step, h, h[1:], repeat(0))) != fx:
         raise _NotClosedError("antiderivative requires a closed form")
-    return ScalarField.trusted(w.shape, h)
+    return ScalarField.trusted(shape=w.shape, h=h)
 
 
 def closedness_matrix(shape: GridShape) -> FieldMatrix:
@@ -223,7 +208,7 @@ def closed_form_tables(shape: GridShape, force: bool = False):
 def enumerate_closed(shape: GridShape, force: bool = False) -> list[OneForm]:
     """All closed 1-forms on the shape, in the order and under the guard
     of closed_form_tables."""
-    return [OneForm.trusted(shape, f, g) for f, g in closed_form_tables(shape, force)]
+    return [OneForm.trusted(shape=shape, fx=f, gy=g) for f, g in closed_form_tables(shape, force)]
 
 
 # _FIVE_DIGITS[x]: the five base-3 digits of x < 243, high digit first
@@ -262,7 +247,7 @@ def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[On
         for f in fx:
             # vertex (i, j): g[i][j], f[i][j+1], f[i][j] fix g[i+1][j]
             gy.append(tuple(map(right.__getitem__, zip(gy[-1], f[1:], f))))
-        forms.append(OneForm.trusted(shape, fx, tuple(gy)))
+        forms.append(OneForm.trusted(shape=shape, fx=fx, gy=tuple(gy)))
     return forms
 
 
@@ -296,7 +281,7 @@ def state_to_form(state: LatticeState) -> OneForm:
     """Reinterpret a six-vertex state's edge labels as a 1-form over F3."""
     if state.field is not GF3:
         raise ValueError("expected an F3 state")
-    return OneForm.trusted(state.shape, state.f, state.g)
+    return OneForm.trusted(shape=state.shape, fx=state.f, gy=state.g)
 
 
 def is_proper(c: Coloring) -> bool:
@@ -318,7 +303,7 @@ def coloring_from_form(w: OneForm, t: int) -> Coloring:
     if first_bad_vertex(SIX_VERTEX, fx, gy) is not None:  # is_admissible_form
         raise ValueError("coloring_from_form requires an admissible closed form")
     # h + t + i + j sums fx + 1 and gy + 1 along the path from t
-    return Coloring.trusted(w.shape, _potential(fx, gy, 1, 1, t))
+    return Coloring.trusted(shape=w.shape, cells=_potential(fx, gy, 1, 1, t))
 
 
 def form_from_coloring(c: Coloring) -> tuple:
@@ -331,7 +316,7 @@ def form_from_coloring(c: Coloring) -> tuple:
     # a difference is 0, an improper edge, exactly where d - 1 is 2
     if any(map(contains, fx + gy, repeat(2))):
         raise ValueError("form_from_coloring requires a proper coloring")
-    return OneForm.trusted(c.shape, fx, gy), c.cells[0][0]
+    return OneForm.trusted(shape=c.shape, fx=fx, gy=gy), c.cells[0][0]
 
 
 def six_state_tables(shape: GridShape, boundary=None, force: bool = False):
@@ -359,7 +344,7 @@ def six_state_tables(shape: GridShape, boundary=None, force: bool = False):
 def enumerate_six(shape: GridShape, boundary=None, force: bool = False) -> list[LatticeState]:
     """Admissible six-vertex states on a free, fixed or TORUS boundary, in
     the order and under the guard of six_state_tables."""
-    return [LatticeState.trusted(shape, GF3, f, g)
+    return [LatticeState.trusted(shape=shape, field=GF3, f=f, g=g)
             for f, g in six_state_tables(shape, boundary, force)]
 
 
@@ -446,4 +431,4 @@ def random_proper_coloring(shape: GridShape, rng: random.Random) -> Coloring:
             row.append(left)
         below_row = tuple(row)
         rows.append(below_row)
-    return Coloring.trusted(shape, tuple(zip(*rows)))
+    return Coloring.trusted(shape=shape, cells=tuple(zip(*rows)))

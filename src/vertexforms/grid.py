@@ -22,7 +22,7 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .algebra import GF2, GF3, Field, FieldMatrix, Record, _set_dict
+from .algebra import GF2, GF3, Field, FieldMatrix, Record, _trusted
 
 _FIELD_NAMES = {"F2": GF2, "F3": GF3}
 
@@ -140,12 +140,7 @@ class LatticeState(Record):
         object.__setattr__(self, "f", _freeze_grid(self.f, m, n + 1, self.field, "f"))
         object.__setattr__(self, "g", _freeze_grid(self.g, m + 1, n, self.field, "g"))
 
-    @classmethod
-    def trusted(cls, shape: GridShape, field: Field, f: tuple, g: tuple) -> LatticeState:
-        """A state from tuples of tuples the library built, unchecked."""
-        obj = object.__new__(cls)
-        _set_dict(obj, {"shape": shape, "field": field, "f": f, "g": g})
-        return obj
+    trusted = _trusted
 
     def f_at(self, i: int, j: int) -> int:
         """f[i][j] with 1-based indices, i in [1, m], j in [1, n+1]."""

@@ -55,7 +55,7 @@ from .grid import (
     _freeze_grid,
     guard_cost,
 )
-from .algebra import GF3, Record, _set_dict
+from .algebra import GF3, Record, _trusted
 from .transfer import CLOSED_F3, first_bad_vertex, state_tables
 
 _INV3 = {1: 1, 2: 2}
@@ -83,13 +83,7 @@ class PeriodicField(Record):
             _freeze_grid(self.values, self.shape.m, self.shape.n, GF3, "values"),
         )
 
-    @classmethod
-    def trusted(cls, shape: GridShape, values: tuple) -> PeriodicField:
-        """A field from a tuple of tuples the library built on a shape
-        whose periods were checked, unchecked."""
-        obj = object.__new__(cls)
-        _set_dict(obj, {"shape": shape, "values": values})
-        return obj
+    trusted = _trusted  # on a shape whose periods were checked
 
 
 class ToroidalOneForm(Record):
@@ -105,13 +99,7 @@ class ToroidalOneForm(Record):
         object.__setattr__(self, "fx", _freeze_grid(self.fx, m, n, GF3, "fx"))
         object.__setattr__(self, "gy", _freeze_grid(self.gy, m, n, GF3, "gy"))
 
-    @classmethod
-    def trusted(cls, shape: GridShape, fx: tuple, gy: tuple) -> ToroidalOneForm:
-        """A form from tuples of tuples the library built on a shape whose
-        periods were checked, unchecked."""
-        obj = object.__new__(cls)
-        _set_dict(obj, {"shape": shape, "fx": fx, "gy": gy})
-        return obj
+    trusted = _trusted  # on a shape whose periods were checked
 
 
 class CohomologyDecomposition(Record):
@@ -134,7 +122,7 @@ def _wrapped_differences(values: tuple, r: int = 0, s: int = 0) -> tuple:
 def toroidal_derivatives(h: PeriodicField) -> ToroidalOneForm:
     """d(h) as a toroidal form."""
     fx, gy = _wrapped_differences(h.values)
-    return ToroidalOneForm.trusted(h.shape, fx, gy)
+    return ToroidalOneForm.trusted(shape=h.shape, fx=fx, gy=gy)
 
 
 def is_closed_toroidal(w: ToroidalOneForm) -> bool:
@@ -168,7 +156,7 @@ def closed_toroidal_tables(shape: GridShape, force: bool = False):
 def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[ToroidalOneForm]:
     """All closed toroidal 1-forms, in the order and under the guard of
     closed_toroidal_tables."""
-    return [ToroidalOneForm.trusted(shape, fx, gy)
+    return [ToroidalOneForm.trusted(shape=shape, fx=fx, gy=gy)
             for fx, gy in closed_toroidal_tables(shape, force)]
 
 
@@ -198,13 +186,14 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
     values = _potential(w.fx, [col[:-1] for col in w.gy], -r, -s)
     if _wrapped_differences(values, r, s) != (w.fx, w.gy):
         raise _NotClosedError("decompose requires a closed toroidal form")
-    return CohomologyDecomposition(r=r, s=s, h=PeriodicField.trusted(w.shape, values))
+    h = PeriodicField.trusted(shape=w.shape, values=values)
+    return CohomologyDecomposition(r=r, s=s, h=h)
 
 
 def reconstruct(d: CohomologyDecomposition) -> ToroidalOneForm:
     """The form r dx + s dy + dh determined by a decomposition."""
     fx, gy = _wrapped_differences(d.h.values, d.r, d.s)
-    return ToroidalOneForm.trusted(d.h.shape, fx, gy)
+    return ToroidalOneForm.trusted(shape=d.h.shape, fx=fx, gy=gy)
 
 
 def _random_decompositions(shape: GridShape, rng, k: int):
@@ -224,7 +213,8 @@ def _random_decompositions(shape: GridShape, rng, k: int):
         r, s = _f3_digits(rng.randrange(9), 2)
         values = [(0,) + _f3_digits(rng.randrange(first), n - 1)]
         values += [_f3_digits(rng.randrange(column), n) for _ in range(m - 1)]
-        yield CohomologyDecomposition(r, s, PeriodicField.trusted(shape, tuple(values)))
+        h = PeriodicField.trusted(shape=shape, values=tuple(values))
+        yield CohomologyDecomposition(r, s, h)
 
 
 def partial_images(h: PeriodicField) -> tuple:
@@ -316,11 +306,13 @@ def sparse_fibers(shape: GridShape, force: bool = False) -> list[FiberEntry]:
     check_periods(shape)
     groups: dict = {}
     for f, g in six_state_tables(shape, TORUS, force):
-        h = decompose(ToroidalOneForm.trusted(shape, *_domain_tables(shape.n, f, g))).h
-        groups.setdefault(h.values, []).append(LatticeState.trusted(shape, GF3, f, g))
+        fx, gy = _domain_tables(shape.n, f, g)
+        h = decompose(ToroidalOneForm.trusted(shape=shape, fx=fx, gy=gy)).h
+        state = LatticeState.trusted(shape=shape, field=GF3, f=f, g=g)
+        groups.setdefault(h.values, []).append(state)
     entries = []
     for values in sorted(groups):
-        h = PeriodicField.trusted(shape, values)
+        h = PeriodicField.trusted(shape=shape, values=values)
         r_choices, s_choices = admissible_shifts(h)
         entries.append(
             FiberEntry(

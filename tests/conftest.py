@@ -30,10 +30,14 @@ star_triangle_residual, the paper's 64-term sum over a BoundaryHex of
 external labels, is the oracle yangbaxter's STAR_TRIANGLE_TABLE is
 checked against, and periodic_at, a 1-based lookup through index
 reduction, is how the toroidal oracles read a periodic table anywhere.
+fraction_det, a Fraction elimination with row swaps, evaluates the
+Izergin-Korepin determinant, and row_transfer builds the row transfer
+matrices whose commutation the Yang-Baxter solutions imply.
 """
 
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, product
+from math import prod
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -323,6 +327,45 @@ def mat_vec(a: FieldMatrix, v: Sequence) -> tuple:
     p = a.field.p
     out = (sum(x * y for x, y in zip(a.row(i), v)) for i in range(a.rows))
     return tuple(x % p for x in out) if p else tuple(out)
+
+
+def fraction_det(rows) -> Fraction:
+    """The determinant of a square matrix of ints or Fractions by plain
+    Fraction elimination, swapping a zero pivot with a row below: the
+    oracle the lattice's determinant laws use, apart from algebra's
+    integer elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def row_transfer(w: VertexWeights, m: int) -> list:
+    """The row transfer matrix of the weights w on a toroidal row of m
+    vertices, m <= 4, as exact Fractions.  Rows are the top edges and
+    columns the bottom ones, both in product((0, 1), repeat=m) order;
+    entry [top][bottom] sums, over the row's horizontal edges h, the
+    product of component(w, h_i, top_i, h_(i+1 mod m), bottom_i): each
+    vertex's (left, top, right, bottom) weight, the last right edge
+    being the first left one."""
+    if not 1 <= m <= 4:
+        raise ValueError("row_transfer builds rows of 1 to 4 vertices")
+    rows = list(product((0, 1), repeat=m))
+    weight = {labels: component(w, *labels) for labels in product((0, 1), repeat=4)}
+    return [[sum(prod(weight[h[i], top[i], h[(i + 1) % m], bottom[i]] for i in range(m))
+                 for h in rows)
+             for bottom in rows]
+            for top in rows]
 
 
 def toroidal_six_states(m: int, n: int) -> list:

@@ -433,6 +433,28 @@ def test_a_wrong_potential_is_a_counterexample(capsys, monkeypatch, argv, home, 
     assert set(doc["counterexample"]) == keys
 
 
+@pytest.mark.parametrize("argv,keys", [
+    (["--m", "2", "--n", "2"], {"fx", "gy"}),
+    (["--m", "8", "--n", "7", "--samples", "5"], {"r", "s", "h"}),
+], ids=["exhaustive", "random"])
+def test_an_unnormalized_potential_is_a_counterexample(capsys, monkeypatch, argv, keys):
+    # a potential shifted by a constant has the same differences, so
+    # decompose takes every form, but h(1, 1) is no longer 0: the
+    # exhaustive suite's normalization check and the random suite's
+    # comparison of decompositions are what catch it
+    import vertexforms.toroidal as toroidal
+
+    potential = toroidal._potential
+
+    def shifted(*args):
+        return tuple(tuple((x + 1) % 3 for x in col) for col in potential(*args))
+
+    monkeypatch.setattr(toroidal, "_potential", shifted)
+    code, doc = run_json(capsys, "verify", "cohomology", *argv)
+    assert code == 1 and doc["passed"] is False
+    assert set(doc["counterexample"]) == keys
+
+
 def test_verify_cohomology_bad_period(capsys):
     code, out, err = run(capsys, "verify", "cohomology", "--m", "3", "--n", "2")
     assert code == 2 and "rejected" in err

@@ -249,7 +249,7 @@ def test_trusted_construction_equals_validated(cls, data):
     }
     given_field = {"field": field} if cls is LatticeState else {}
     validated = cls(shape=GridShape(m, n), **given_field, **tables)
-    trusted = cls.trusted(GridShape(m, n), *given_field.values(),
-                          *(tuple(map(tuple, t)) for t in tables.values()))
+    trusted = cls.trusted(shape=GridShape(m, n), **given_field,
+                          **{name: tuple(map(tuple, t)) for name, t in tables.items()})
     assert trusted == validated and hash(trusted) == hash(validated)
     assert vars(trusted) == vars(validated)

@@ -2,15 +2,19 @@
 
 Each record class derives from algebra.Record and lists its fields as
 annotations.  FIELDS pins, for every class, the field names its dataclass had, in
-order; SAMPLES gives one valid positional construction of each.
+order; SAMPLES gives one valid positional construction of each.  The
+six table records share one trusted constructor, and the package's
+syntax trees show every call of it naming its class's fields in order.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import BoundaryHex
-from vertexforms.algebra import GF2, GF3, Field, FieldMatrix
+from vertexforms.algebra import GF2, GF3, Field, FieldMatrix, _trusted
 from vertexforms.forms_rect import Coloring, OneForm, ScalarField
 from vertexforms.grid import BoundarySpec, GridShape, LatticeState
 from vertexforms.toroidal import (
@@ -116,7 +120,8 @@ def test_record_matches_its_dataclass(cls):
 
 def test_records_of_two_classes_on_the_same_tables_are_unequal():
     fx, gy = grid(2, 2), grid(2, 2)
-    rect, torus = OneForm.trusted(S22, fx, gy), ToroidalOneForm.trusted(S22, fx, gy)
+    rect = OneForm.trusted(shape=S22, fx=fx, gy=gy)
+    torus = ToroidalOneForm.trusted(shape=S22, fx=fx, gy=gy)
     assert vars(rect) == vars(torus)
     assert rect != torus and torus != rect
 
@@ -136,7 +141,7 @@ def test_every_trusted_constructor_is_listed():
 @pytest.mark.parametrize("cls", TRUSTED, ids=lambda c: c.__name__)
 def test_a_trusted_record_is_the_validated_one(cls):
     args = SAMPLES[cls]
-    trusted, checked = cls.trusted(*args), cls(*args)
+    trusted, checked = cls.trusted(**dict(zip(cls._fields, args))), cls(*args)
     assert type(trusted) is cls
     assert trusted == checked and checked == trusted and not trusted != checked
     assert hash(trusted) == hash(checked)
@@ -146,5 +151,35 @@ def test_a_trusted_record_is_the_validated_one(cls):
     assert all(getattr(trusted, name) is value for name, value in zip(cls._fields, args))
     with pytest.raises(AttributeError):
         setattr(trusted, cls._fields[-1], args[-1])
-    other = cls.trusted(*args[:-1], grid(len(args[-1]), len(args[-1][0]))[::-1])
+    last = grid(len(args[-1]), len(args[-1][0]))[::-1]
+    other = cls.trusted(**dict(zip(cls._fields, args[:-1] + (last,))))
     assert other != trusted and other == cls(*args[:-1], other._values(other)[-1])
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vertexforms"
+
+
+def test_the_table_records_share_one_trusted_constructor():
+    # read off each module's syntax tree: the keyword dict of a
+    # trusted call is the instance dict, so a call that names fields
+    # out of order or misses one would build a record that only looks
+    # valid; the instance-dict setter and object.__new__ stay with it
+    by_name = {cls.__name__: cls for cls in TRUSTED}
+    called, setters = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "trusted"):
+                where = f"{path.name}:{node.lineno}"
+                cls = by_name[node.func.value.id]
+                assert not node.args, where
+                assert tuple(kw.arg for kw in node.keywords) == cls._fields, where
+                called.add(cls)
+            if ((isinstance(node, ast.Name) and node.id == "_set_dict")
+                    or (isinstance(node, ast.alias) and node.name == "_set_dict")
+                    or (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                        and isinstance(node.value, ast.Name) and node.value.id == "object")):
+                setters.add(path.name)
+    assert called == set(TRUSTED)
+    assert setters == {"algebra.py"}
+    assert {cls.trusted.__func__ for cls in TRUSTED} == {_trusted.__func__}

@@ -82,7 +82,7 @@ def test_periods_divisible_by_three_rejected(shape):
         )
     with pytest.raises(ValueError, match="divisible"):
         decompose(ToroidalOneForm.trusted(
-            s, tuple((0,) * n for _ in range(m)), tuple((0,) * n for _ in range(m))))
+            shape=s, fx=tuple((0,) * n for _ in range(m)), gy=tuple((0,) * n for _ in range(m))))
     with pytest.raises(ValueError, match="divisible"):
         enumerate_closed_toroidal(s)
     with pytest.raises(ValueError, match="divisible"):

@@ -11,7 +11,8 @@ first_bad_vertex against a vertex scan, the conservation laws that rule
 a fixed boundary out before any sweep, the refusal of a fixed boundary
 of another shape and of TORUS where only free or fixed ones are taken,
 the paper's F2 counts at sizes no listing reaches, the domain-wall 2-
-and 3-enumerations, the weighted symmetries (half-turn, transpose,
+and 3-enumerations and Izergin-Korepin determinant (its fraction_det
+oracle checked against the Leibniz expansion), the weighted symmetries (half-turn, transpose,
 complement, and gauge invariance on the torus), the gluing laws that
 give the free and toroidal sums as sums of fixed ones and a fixed sum
 as sums over a row or a column cut, what the size guard
@@ -24,14 +25,21 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import periodic_at, random_solvable_triple, random_weights, recursive_state_tables
+from conftest import (
+    fraction_det,
+    periodic_at,
+    random_solvable_triple,
+    random_weights,
+    recursive_state_tables,
+    row_transfer,
+)
 from vertexforms import eightvertex, forms_rect, grid, transfer
 from vertexforms.algebra import GF2, GF3, QQ, FieldMatrix, matmul, rank
 from vertexforms.eightvertex import (
@@ -404,6 +412,56 @@ def test_domain_wall_sums_are_three_enumerations(n):
     assert weighted_sum(weights, shape, constant_sides(n, *DOMAIN_WALL)) == three_enumeration(n)
 
 
+def leibniz_det(rows):
+    """The determinant as its sum over permutations, signed by inversions."""
+    n = len(rows)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * prod(rows[i][p[i]] for i in range(n))
+               for p in permutations(range(n)))
+
+
+def test_fraction_det_is_the_leibniz_expansion():
+    assert fraction_det([[0, 1], [1, 0]]) == -1
+    assert fraction_det([[0, 2, 1], [0, 1, 3], [4, 5, 6]]) == 20
+    assert fraction_det([[1, 2], [2, 4]]) == 0
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        # zeros are common, so pivots go missing and rows swap
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+                 for _ in range(n)] for _ in range(n)]
+        assert fraction_det(rows) == leibniz_det(rows)
+
+
+def izergin_korepin(n, u, eta):
+    """The domain-wall sum at a = u + eta, b = u, c = eta, d = 0
+    (Korepin 1982; Izergin 1987): (ab)^(n^2) / (prod_{k<n} k!)^2 times
+    det[phi^(i+j)(u)]_{i,j<n}, where phi(u) = 1/u - 1/(u + eta)."""
+    def phi(k):  # the k-th derivative of phi at u
+        return (-1) ** k * factorial(k) * (u ** -(k + 1) - (u + eta) ** -(k + 1))
+
+    scale = ((u + eta) * u) ** (n * n) / prod(factorial(k) for k in range(n)) ** 2
+    return scale * fraction_det([[phi(i + j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["eta>0", "eta<0"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_domain_wall_sums_are_the_izergin_korepin_determinant(n, sign):
+    # a = u + eta, b = u, c = eta is the rational point Delta = 1:
+    # a^2 + b^2 - c^2 = 2ab
+    rng = random.Random(10 * n + (sign > 0))
+    u = eta = Fraction(0)
+    while not u or not u + eta:
+        u = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        eta = sign * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    w = VertexWeights(u + eta, u + eta, u, u, eta, eta, 0, 0)
+    weights = {pattern: w.weight(*PATTERNS[pattern]) for pattern in SIX_VERTEX}
+    shape, z = GridShape(n, n), izergin_korepin(n, u, eta)
+    assert z
+    assert weighted_sum(weights, shape, constant_sides(n, *DOMAIN_WALL)) == z
+    assert weighted_sum(weights, shape, constant_sides(n, *ANTI_DOMAIN_WALL)) == z
+
+
 def test_six_partition_function_refuses_f2_boundary():
     shape = GridShape(2, 2)
     b = boundary(shape, GF2, (0,) * 8)
@@ -758,7 +816,7 @@ def test_conservation_laws_with_weights_where_d_is_zero(mn, w):
     table = {p: w.weight(*PATTERNS[p]) for p in EIGHT_VERTEX}
     for values in product((0, 1), repeat=2 * shape.m + 2 * shape.n):
         b = boundary(shape, GF2, values)
-        states = [LatticeState.trusted(shape, GF2, f, g)
+        states = [LatticeState.trusted(shape=shape, field=GF2, f=f, g=g)
                   for f, g in state_tables(EIGHT_VERTEX, shape, b)]
         assert weighted_sum(table, shape, b) == direct_sum(w, states)
 
@@ -847,7 +905,7 @@ def state_boundary(table, shape, rng):
     state's boundary has and every one of which some state has."""
     if table is SIX_VERTEX:
         w, _ = form_from_coloring(random_proper_coloring(shape, rng))
-        return boundary_of(LatticeState.trusted(shape, GF3, w.fx, w.gy))
+        return boundary_of(LatticeState.trusted(shape=shape, field=GF3, f=w.fx, g=w.gy))
     values = [rng.randrange(2) for _ in range(2 * (shape.m + shape.n) - 1)]
     return boundary(shape, GF2, values + [sum(values) % 2])
 
@@ -943,24 +1001,8 @@ def test_force_reaches_the_sweep(monkeypatch):
 
 
 def row_matrix(w, width):
-    """The periodic row transfer matrix: entry (a, b) sums, over the
-    horizontal bits of a closed row of the given width, the product of
-    vertex weights with bottom bits a and top bits b."""
-    table = {p: w.weight(*PATTERNS[p]) for p in PATTERNS}
-    rows = []
-    for a in range(1 << width):
-        row = []
-        for b in range(1 << width):
-            total = Fraction(0)
-            for h in product((0, 1), repeat=width):
-                prod = Fraction(1)
-                for i in range(width):
-                    pattern = (h[i], b >> i & 1, h[(i + 1) % width], a >> i & 1)
-                    prod *= table.get(pattern, 0)
-                total += prod
-            row.append(total)
-        rows.append(row)
-    return FieldMatrix.from_rows(QQ, rows)
+    """conftest's row_transfer as a matrix over Q, for matmul."""
+    return FieldMatrix.from_rows(QQ, row_transfer(w, width))
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (4, 2)])

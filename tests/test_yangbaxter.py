@@ -7,13 +7,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
+    FIXTURES,
     BoundaryHex,
     baxter_weights,
+    fraction_det,
     from_pairs,
     identity_weights,
     random_solvable_pair,
     random_solvable_triple,
     random_weights,
+    row_transfer,
     solvable_triple,
     star_triangle_residual,
     tanh_sub,
@@ -871,3 +874,50 @@ def test_partition_function_against_direct_sum():
                 prod *= m.at(2 * right + bottom, 2 * left + top)
         total += prod
     assert partition_function(w, GridShape(2, 2), "six") == total
+
+
+# -- the lattice side of a solution (Baxter 1982, ch. 9-10): when (R, S, T)
+# solves the Yang-Baxter equation and R is invertible, conjugating by R
+# carries S's row transfer matrix past T's, so the two commute.  The
+# converse does not hold, so nothing is asserted of other pairs but the
+# generic fixture's.
+
+
+def row_transfers_commute(s, t, m) -> bool:
+    """Whether the row transfer matrices of s and t on m vertices commute."""
+    a, b = row_transfer(s, m), row_transfer(t, m)
+
+    def times(x, y):
+        return [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)] for row in x]
+
+    return times(a, b) == times(b, a)
+
+
+def invertible(r) -> bool:
+    matrix = weights_to_matrix(r)
+    return fraction_det([matrix.row(i) for i in range(4)]) != 0
+
+
+def fixture_weights(kind):
+    return [deserialize_weights((FIXTURES / f"weights_{kind}_{x}.json").read_text())
+            for x in "rst"]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_the_solvable_fixture_has_commuting_row_transfer_matrices(m):
+    # the fixture's R is singular (b^2 = c1 c-1), so the theorem does
+    # not reach this pair; its S and T commute all the same
+    r, s, t = fixture_weights("solvable")
+    assert commutator_vanishes(r, s, t) and not invertible(r)
+    assert row_transfers_commute(s, t, m)
+    _, s, t = fixture_weights("generic")
+    assert not row_transfers_commute(s, t, m)
+
+
+@settings(deadline=None, max_examples=30)
+@given(solvable)
+def test_solutions_with_an_invertible_r_have_commuting_row_transfer_matrices(triple):
+    r, s, t = triple
+    assume(s != t and commutator_vanishes(r, s, t) and invertible(r))
+    assert row_transfers_commute(s, t, 2)
+    assert row_transfers_commute(s, t, 3)
