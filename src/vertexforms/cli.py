@@ -30,6 +30,7 @@ from .grid import (
     deserialize_boundary,
     deserialize_state,
     edges_at_vertex,
+    guard_cost,
     state_doc,
 )
 
@@ -112,7 +113,7 @@ def cmd_count(args) -> int:
     if args.model == "eight":
         from .eightvertex import count_total, count_with_boundary
 
-        _emit({"total": count_total(shape)} if boundary is None
+        _emit({"total": count_total(shape, args.force)} if boundary is None
               else {"count": count_with_boundary(boundary)})
         return 0
     from .forms_rect import count_six
@@ -187,7 +188,7 @@ def cmd_enumerate(args) -> int:
         from .eightvertex import count_total, count_with_boundary, eight_state_tables
 
         field, tables = GF2, eight_state_tables(shape, boundary, force=args.force)
-        count = lambda: (count_total(shape) if boundary is None
+        count = lambda: (count_total(shape, args.force) if boundary is None
                          else count_with_boundary(boundary))
     else:
         from .forms_rect import count_six, six_state_tables
@@ -221,6 +222,9 @@ def _verify_poincare(args) -> tuple:
     try:
         tables = closed_form_tables(shape, force=args.force)
     except SizeGuardError:
+        # a random form holds edge_count values: refuse a shape where one
+        # alone passes the guard
+        guard_cost(shape.edge_count)
         tables = [(w.fx, w.gy) for w in random_closed_forms(shape, rng, args.samples)]
         mode = "random"
     else:
@@ -301,6 +305,9 @@ def _verify_cohomology(args) -> tuple:
     try:
         tables, mode = closed_toroidal_tables(shape, force=args.force), "exhaustive"
     except SizeGuardError:
+        # a random form holds edge_count values: refuse a shape where one
+        # alone passes the guard
+        guard_cost(shape.edge_count)
         tables, mode = None, "random"
     if tables is not None:
         for fx, gy in tables:
@@ -384,9 +391,10 @@ def _verify_defect_rank(args) -> tuple:
     from .transfer import EIGHT_VERTEX, count_states
 
     shape = GridShape(args.m, args.n)
+    guard_cost(shape.vertex_count * shape.edge_count, args.force)  # the map's entries
     rk = rank(defect_map(shape))
     expected = shape.m * shape.n
-    total = count_total(shape)
+    total = count_total(shape, args.force)
     payload = {
         "suite": "defect-rank",
         "shape": [shape.m, shape.n],
@@ -547,12 +555,15 @@ def _add_shape_args(p) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process; it holds command names, and main looks up
-    each handler per call, so a handler wrapped later still runs."""
+    each handler per call, so a handler wrapped later still runs.  A
+    parser with subcommands keeps the action add_subparsers returned as
+    its ``subcommands``, whose choices map a name to its parser: main
+    walks them by name."""
     parser = argparse.ArgumentParser(
         prog="vertexforms",
         description="Exact six- and eight-vertex model computations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.subcommands = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count admissible states")
     _add_shape_args(p)
@@ -570,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="override the size guard")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    vsub = p.add_subparsers(dest="suite", required=True)
+    vsub = p.subcommands = p.add_subparsers(dest="suite", required=True)
     for name in ("poincare", "bijection", "cohomology", "sparse-fibers", "defect-rank"):
         vp = vsub.add_parser(name)
         _add_shape_args(vp)
@@ -586,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--model", choices=("six", "eight"), default="six")
 
     p = sub.add_parser("ybe", help="Yang-Baxter checks and solving")
-    ysub = p.add_subparsers(dest="action", required=True)
+    ysub = p.subcommands = p.add_subparsers(dest="action", required=True)
     for name in ("check", "residuals"):
         yp = ysub.add_parser(name)
         yp.add_argument("--r", required=True, help="R weights JSON file")
@@ -613,10 +624,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Nested subparsers cost argparse one parse per level.  So main steps
+    # down while the next word names a subcommand, and argparse parses
+    # only the chosen command's options.  A word that names none stops
+    # the walk, and the parser reached reports it, or the leftover
+    # words, as parse_args would.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = top = build_parser()
+    chosen = {}
+    while (sub := getattr(parser, "subcommands", None)) and argv and argv[0] in sub.choices:
+        chosen[sub.dest] = word = argv.pop(0)
+        parser = sub.choices[word]
     try:
-        args = build_parser().parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            top.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as e:
         return int(e.code or 0)
+    vars(args).update(chosen)
     handler = {"count": cmd_count, "enumerate": cmd_enumerate, "verify": cmd_verify,
                "ybe": cmd_ybe, "partition": cmd_partition}[args.command]
     try:

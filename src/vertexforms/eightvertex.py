@@ -51,11 +51,14 @@ def is_admissible_eight(state: LatticeState) -> bool:
     return first_bad_vertex(EIGHT_VERTEX, state.f, state.g) is None
 
 
-def count_total(shape: GridShape) -> int:
+def count_total(shape: GridShape, force: bool = False) -> int:
     """Number of admissible states, 2^(m + n + mn), in closed form: the
     defect map has rank mn, which verify defect-rank checks, so its
-    kernel has dimension edge_count - mn = m + n + mn."""
-    return 2 ** (shape.m + shape.n + shape.m * shape.n)
+    kernel has dimension edge_count - mn = m + n + mn.  The guard is
+    charged the exponent, the bits the power takes to build."""
+    exponent = shape.m + shape.n + shape.m * shape.n
+    guard_cost(exponent, force)
+    return 2 ** exponent
 
 
 def boundary_parity(b: BoundarySpec) -> int:
@@ -142,7 +145,7 @@ def eight_state_tables(shape: GridShape, boundary: BoundarySpec | None = None,
     bit per vertex.
     """
     check_boundary(boundary, shape, GF2)
-    states = count_total(shape) if boundary is None else count_with_boundary(boundary)
+    states = count_total(shape, force) if boundary is None else count_with_boundary(boundary)
     guard_cost(states * shape.edge_count, force)
     return state_tables(EIGHT_VERTEX, shape, boundary) if states else iter(())
 

@@ -66,6 +66,7 @@ from .grid import (
     _vertex_incidence,
     check_boundary,
     guard_cost,
+    guard_power,
 )
 from .transfer import (
     _MEMO_SIZE,
@@ -201,7 +202,7 @@ def closed_form_tables(shape: GridShape, force: bool = False):
     which walks CLOSED_F3 and lists all 3^(mn + m + n) in edge_tuple
     order, which is (fx, gy) order.
     """
-    guard_cost(3 ** (shape.m * shape.n + shape.m + shape.n) * shape.edge_count, force)
+    guard_power(3, shape.m * shape.n + shape.m + shape.n, shape.edge_count, force)
     return state_tables(CLOSED_F3, shape)
 
 
@@ -380,7 +381,7 @@ def count_colorings(width: int, height: int, force: bool = False) -> int:
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
     rows, columns = sorted((width, height))
-    guard_cost(3 * 2 ** (rows + 1) * width * height, force)
+    guard_power(2, rows + 1, 3 * width * height, force)
     # allowed[left][below]: the colors differing from both, as 1-tuples
     allowed = [[[(c,) for c in range(3) if c not in (left, below)] for below in range(4)]
                for left in range(4)]

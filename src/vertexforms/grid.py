@@ -74,6 +74,14 @@ def guard_cost(units: int, force: bool = False) -> None:
     guard_size(max(units - 1, 0).bit_length(), force)
 
 
+def guard_power(base: int, exponent: int, units: int, force: bool = False) -> None:
+    """guard_cost(base ** exponent * units), with the exponent charged
+    first: a power takes time and memory in its exponent to build, so
+    one whose exponent alone passes the guard is refused unbuilt."""
+    guard_cost(exponent, force)
+    guard_cost(base ** exponent * units, force)
+
+
 class GridShape(Record):
     """Number of interior columns (m) and rows (n); both at least 2."""
 
@@ -277,8 +285,9 @@ def check_boundary(boundary: BoundarySpec | None, shape: GridShape,
 
 def _parse_object(text: str, where: str, error: type) -> dict:
     """The JSON object in text; error for anything else, for invalid
-    JSON and for an integer too long for int (json.loads raises a bare
-    ValueError past sys.get_int_max_str_digits() digits)."""
+    JSON, for an integer too long for int (json.loads raises a bare
+    ValueError past sys.get_int_max_str_digits() digits) and for arrays
+    or objects nested past the interpreter's recursion limit."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -286,6 +295,8 @@ def _parse_object(text: str, where: str, error: type) -> dict:
     except ValueError:
         raise error(f"{where}: an integer in it has more than "
                     f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise error(f"{where}: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise error(f"{where}: top level must be a JSON object")
     return doc

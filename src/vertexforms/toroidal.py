@@ -53,7 +53,7 @@ from .grid import (
     LatticeState,
     _NotClosedError,
     _freeze_grid,
-    guard_cost,
+    guard_power,
 )
 from .algebra import GF3, Record, _trusted
 from .transfer import CLOSED_F3, first_bad_vertex, state_tables
@@ -148,7 +148,7 @@ def closed_toroidal_tables(shape: GridShape, force: bool = False):
     earlier ones, so the 3^(mn + 1) forms stay in order.
     """
     check_periods(shape)
-    guard_cost(3 ** (shape.m * shape.n + 1) * shape.edge_count, force)
+    guard_power(3, shape.m * shape.n + 1, shape.edge_count, force)
     return (_domain_tables(shape.n, f, g)
             for f, g in state_tables(CLOSED_F3, shape, TORUS))
 

@@ -67,7 +67,7 @@ from functools import lru_cache
 from itertools import product, repeat
 from math import lcm
 
-from .grid import TORUS, GridShape, check_boundary, guard_cost
+from .grid import TORUS, GridShape, check_boundary, guard_power
 
 # (left, top, right, bottom) pattern -> the (letter, sign) of the weight
 # it carries.  This is also the R-matrix component layout of yangbaxter.
@@ -273,9 +273,10 @@ def _integer_sum(table: dict, shape: GridShape, boundary, force: bool) -> int:
     for (left, top, right, bottom), w in table.items():
         if w:
             moves[left, bottom].append((top, right, w))
-    keys = 1 << m + (2 if toroidal else 1)
-    starts = 1 << m if toroidal else 1
-    guard_cost(keys * max(map(len, moves.values())) * m * n * starts, force)
+    # keys times starts: 2^(m + 1) keys from one start, or 2^(m + 2)
+    # from each of the torus's 2^m starts
+    guard_power(2, 2 * m + 2 if toroidal else m + 1,
+                max(map(len, moves.values())) * m * n, force)
     if toroidal:
         return sum(
             _sweep(moves, m, n, {s0: 1}, toroidal=True).get(s0, 0) for s0 in range(1 << m)

@@ -663,6 +663,38 @@ def test_size_guard_exits_2(capsys):
     assert code == 2 and "guard" in err
 
 
+def test_defect_rank_is_charged_its_map_entries(capsys):
+    # 100 x 100: 10^4 vertices times 20200 edges
+    code, out, err = run(capsys, "verify", "defect-rank", "--m", "100", "--n", "100")
+    assert code == 2 and out == "" and "cost of 2^28 exceeds the 2^26 guard" in err
+
+
+# the interpreter, its address space capped at 1 GiB, running main
+LIMITED_MAIN = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from vertexforms.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+
+
+# m = 10^20 + 1 is prime to 3, so the toroidal suites pass their period
+# check and reach the guard
+@pytest.mark.parametrize("command", [
+    "count", "count --model eight", "count --model toroidal", "count --check-colorings",
+    "enumerate", "enumerate --model eight", "enumerate --model toroidal",
+    "verify bijection", "verify sparse-fibers", "verify defect-rank", "verify poincare",
+    "verify cohomology", "partition --model eight --weights {weights}",
+])
+def test_a_shape_too_large_to_price_exits_2(command):
+    # in a process of its own, under a memory cap and a timeout: the
+    # guard refuses the charge before any of it is built
+    argv = command.format(weights=FIXTURES / "weights_generic_s.json").split()
+    argv += ["--m", str(10 ** 20 + 1), "--n", "2"]
+    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], capture_output=True,
+                          text=True, timeout=20, env=src_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cost of 2^") and "Traceback" not in proc.stderr
+
+
 def test_missing_file_exits_2(capsys):
     code, out, err = run(capsys, "verify", "state", "--in", "no_such_file.json")
     assert code == 2 and "cannot read" in err
@@ -757,6 +789,21 @@ def test_integer_too_long_for_int_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == f"error: {where} document: an integer in it has more than 4300 digits\n", argv
+
+
+# a 2 KB document that json.loads cannot read without passing the
+# recursion limit
+@pytest.mark.parametrize("argv,where", [
+    (["partition", "--m", "2", "--n", "2", "--weights", "{doc}"], "weights"),
+    (["count", "--m", "2", "--n", "2", "--boundary", "{doc}"], "boundary"),
+    (["verify", "state", "--in", "{doc}"], "state"),
+], ids=["weights", "boundary", "state"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv, where):
+    doc = tmp_path / "nested.json"
+    doc.write_text("[" * 1000 + "]" * 1000)
+    code, out, err = run(capsys, *(a.format(doc=doc) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {where} document: arrays or objects nested too deeply\n"
 
 
 @pytest.mark.parametrize("command", ["count", "enumerate"])
@@ -861,12 +908,112 @@ def test_parser_is_built_once_and_handlers_are_read_per_call(capsys, monkeypatch
     assert len(calls) == 1
 
 
-def test_console_script_smoke():
+def src_env() -> dict:
+    """The environment, with src/ first on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "vertexforms.cli", "count", "--m", "2", "--n", "2"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"count": 82}
+
+
+# -- how main reaches a command: it walks the command words itself, and
+# argparse parses only the chosen command's options
+
+# one argv of each leaf command; the handler is stubbed, so the files
+# need not exist
+LEAVES = [
+    "count --m 3 --n 2 --model eight --force",
+    "enumerate --m 2 --n 3 --format csv",
+    "partition --m 2 --n 2 --weights w.json --model eight --boundary b.json",
+    "verify poincare --m 2 --n 3 --seed 4 --samples 7",
+    "verify bijection --m 3 --n 2 --force",
+    "verify cohomology --m 4 --n 2 --samples 9",
+    "verify sparse-fibers --m 2 --n 2 --format csv",
+    "verify defect-rank --m 3 --n 3",
+    "verify state --in s.json --model eight",
+    "ybe check --r r.json --s s.json --t t.json",
+    "ybe residuals --r r.json --s s.json --t t.json --format csv",
+    "ybe conditions --s s.json --t t.json",
+    "ybe solve --s s.json --t t.json --scan-range 3",
+]
+
+
+def stub_handlers(monkeypatch) -> list:
+    """Replace every cmd_* handler with one that records its namespace."""
+    import vertexforms.cli as cli
+
+    seen = []
+    for name in ("cmd_count", "cmd_enumerate", "cmd_verify", "cmd_ybe", "cmd_partition"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    return seen
+
+
+@pytest.mark.parametrize("command", LEAVES, ids=[c.split(" --")[0] for c in LEAVES])
+def test_a_handler_gets_the_namespace_parse_args_gives(monkeypatch, command):
+    import vertexforms.cli as cli
+
+    seen = stub_handlers(monkeypatch)
+    assert main(command.split()) == 0
+    assert seen == [cli.build_parser().parse_args(command.split())]
+
+
+def parse_args_output(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of build_parser().parse_args on an
+    argv it refuses or answers with help."""
+    import vertexforms.cli as cli
+
+    with pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return int(exited.value.code or 0), out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["-h", "count"], ["frobnicate"], ["cnt", "--m", "2"], ["-"],
+    ["--foo", "count", "--m", "2", "--n", "2"],
+    ["count"], ["count", "-h"], ["count", "--m", "2", "--n", "2", "-h"],
+    ["verify"], ["verify", "-h"], ["verify", "bogus"], ["verify", "--m", "3"],
+    ["verify", "state", "-h"], ["ybe"], ["ybe", "-h"], ["ybe", "--s", "a", "solve"],
+    ["ybe", "solve", "-h"], ["ybe", "check", "--s", "x"],
+    ["count", "--m", "2", "--n", "2", "--bogus"], ["count", "--m", "2", "--n", "2", "extra"],
+    ["count", "--m", "2", "--n", "2", "--m"], ["count", "--m", "2", "--m", "x", "--n", "2"],
+    ["count", "--mod", "x", "--m", "2", "--n", "2"], ["enumerate", "--f", "--m", "2", "--n", "2"],
+    ["count", "--", "--m", "2", "--n", "2"], ["--", "count", "--m", "2", "--n", "2"],
+    ["count", "--m", "2", "--n", "2", "--"], ["verify", "poincare", "bijection"],
+    ["ybe", "solve", "--s", "a", "--t", "b", "--scan-range", "-1"],
+])
+def test_refusals_and_help_match_parse_args_byte_for_byte(capsys, monkeypatch, argv):
+    stub_handlers(monkeypatch)
+    expected = parse_args_output(capsys, argv)
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("command,prog", [
+    ("count --m 2 --n 2", "vertexforms count"),
+    ("ybe residuals --r r --s s --t t", "vertexforms ybe residuals"),
+    ("verify state --in s.json", "vertexforms verify state"),
+])
+def test_a_valid_command_is_parsed_once(monkeypatch, command, prog):
+    import argparse
+
+    stub_handlers(monkeypatch)
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *args: calls.append(self.prog) or parse(self, *args))
+    assert main(command.split()) == 0
+    assert calls == [prog]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["vertexforms", "count", "--m", "2", "--n", "2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 82}

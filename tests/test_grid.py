@@ -16,6 +16,8 @@ from vertexforms.grid import (
     edges_at_vertex,
     f_edge_index,
     g_edge_index,
+    guard_cost,
+    guard_power,
     guard_size,
     serialize_boundary,
     serialize_state,
@@ -203,6 +205,22 @@ def test_guard_size():
     with pytest.raises(SizeGuardError, match="2\\^40"):
         guard_size(40)
     guard_size(40, force=True)
+
+
+def test_guard_power_charges_as_guard_cost_and_refuses_a_huge_exponent_unbuilt():
+    for base, exponent, units in ((2, 20, 3), (2, 30, 3), (3, 10, 84), (3, 48, 84)):
+        charged = []
+        for guard in (lambda: guard_cost(base ** exponent * units),
+                      lambda: guard_power(base, exponent, units)):
+            try:
+                guard()
+                charged.append(None)
+            except SizeGuardError as e:
+                charged.append(str(e))
+        assert charged[0] == charged[1]
+    # 3^(10^30) is never built: the exponent alone is charged 2^100
+    with pytest.raises(SizeGuardError, match="^cost of 2\\^100 exceeds"):
+        guard_power(3, 10 ** 30, 5)
 
 
 @settings(deadline=None, max_examples=30)
