@@ -49,7 +49,8 @@ _EXPORTS = {
         "toroidal_derivatives",
     ),
     "eightvertex": (
-        "boundary_parity", "construct_state", "count_total", "count_valid_boundaries",
+        "boundary_parity", "construct_state", "count_eight", "count_total",
+        "count_valid_boundaries",
         "count_with_boundary", "defect_map", "eight_state_tables", "enumerate_eight",
         "is_admissible_eight",
     ),

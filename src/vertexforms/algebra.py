@@ -200,25 +200,11 @@ class FieldMatrix(Record):
             flat.extend([_entry(field, x) for x in r])
         return cls(field, nrows, ncols, tuple(flat))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "FieldMatrix":
-        one, zero = _entry(field, 1), _entry(field, 0)
-        return cls(
-            field, n, n,
-            tuple(one if i == j else zero for i in range(n) for j in range(n)),
-        )
-
     def at(self, r: int, c: int) -> Scalar:
         return self.entries[r * self.cols + c]
 
     def row(self, r: int) -> tuple:
         return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def to_rows(self) -> list:
-        return [list(self.row(r)) for r in range(self.rows)]
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
 
 
 def _check_same_field(a: FieldMatrix, b: FieldMatrix) -> None:

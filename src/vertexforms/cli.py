@@ -26,10 +26,10 @@ from .grid import (
     SIZE_GUARD_BITS,
     SizeGuardError,
     _NotClosedError,
-    check_boundary,
     deserialize_boundary,
     deserialize_state,
     edges_at_vertex,
+    exact_text,
     guard_cost,
     state_doc,
 )
@@ -37,7 +37,18 @@ from .grid import (
 # Each command imports the modules it runs when it runs, so a fresh
 # process loads only grid and algebra before it parses its arguments.
 
-_FIELDS = {"six": GF3, "eight": GF2}
+
+def _model(name: str) -> tuple:
+    """(field, count, walk) of a --model, toroidal being six on TORUS:
+    count(shape, boundary, force) and the guarded walk(shape, boundary,
+    force) each check the boundary against the shape and the field."""
+    if name == "eight":
+        from .eightvertex import count_eight, eight_state_tables
+
+        return GF2, count_eight, eight_state_tables
+    from .forms_rect import count_six, six_state_tables
+
+    return GF3, count_six, six_state_tables
 
 
 def _read_text(path: str) -> str:
@@ -50,19 +61,15 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {e}") from None
 
 
-def _load_boundary(args, shape: GridShape):
-    """The --boundary file's boundary, checked against shape and the
-    model's field; None when no file is given, and TORUS for --model
-    toroidal, which takes no file."""
+def _load_boundary(args):
+    """The --boundary file's boundary, parsed, which the library checks
+    against the shape and the field; None when no file is given, and
+    TORUS for --model toroidal, which takes no file."""
     if args.model == "toroidal":
         if args.boundary is not None:
             raise InputError("--model toroidal takes no boundary file")
         return TORUS
-    if args.boundary is None:
-        return None
-    b = deserialize_boundary(_read_text(args.boundary))
-    check_boundary(b, shape, _FIELDS[args.model])
-    return b
+    return None if args.boundary is None else deserialize_boundary(_read_text(args.boundary))
 
 
 def _load_weights(path: str):
@@ -71,8 +78,10 @@ def _load_weights(path: str):
     return deserialize_weights(_read_text(path))
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload, exact=(), force: bool = False) -> None:
+    """Print payload as indented JSON with sorted keys; exact holds the
+    ints in it whose text may be long (grid.exact_text charges it)."""
+    print(exact_text(lambda: json.dumps(payload, indent=2, sort_keys=True), exact, force))
 
 
 def _edge_headers(shape: GridShape) -> list:
@@ -109,16 +118,11 @@ def cmd_count(args) -> int:
             "match": colorings == 3 * states,
         })
         return 0 if colorings == 3 * states else 1
-    boundary = _load_boundary(args, shape)
-    if args.model == "eight":
-        from .eightvertex import count_total, count_with_boundary
-
-        _emit({"total": count_total(shape, args.force)} if boundary is None
-              else {"count": count_with_boundary(boundary)})
-        return 0
-    from .forms_rect import count_six
-
-    _emit({"count": count_six(shape, force=args.force, boundary=boundary)})
+    boundary = _load_boundary(args)
+    count = _model(args.model)[1](shape, boundary, args.force)
+    # the free eight-vertex count is the closed form's total
+    _emit({"total" if args.model == "eight" and boundary is None else "count": count},
+          (count,), args.force)
     return 0
 
 
@@ -138,7 +142,7 @@ class _ColumnTexts(dict):
         return text
 
 
-def _emit_listing(shape: GridShape, field, count: int, tables) -> None:
+def _emit_listing(shape: GridShape, field, count: int, tables, force: bool) -> None:
     """Print {"count": count, "states": [...]} as _emit would, one state
     at a time, as the walk yields its (f, g) tables.
 
@@ -150,7 +154,8 @@ def _emit_listing(shape: GridShape, field, count: int, tables) -> None:
     """
     m = shape.m
     doc = {"m": m, "n": shape.n, "field": field.name, "f": [None] * m, "g": [None] * (m + 1)}
-    text = json.dumps({"count": count, "states": [doc]}, indent=2, sort_keys=True)
+    text = exact_text(lambda: json.dumps({"count": count, "states": [doc]}, indent=2,
+                                         sort_keys=True), (count,), force)
     head, text = text.split("[", 1)  # "count" sorts first, so this [ opens "states"
     state, tail = text.rsplit("]", 1)
     state, indent = state.rsplit("\n", 1)  # indent: the line of the closing ]
@@ -181,24 +186,15 @@ def _emit_csv_listing(shape: GridShape, tables) -> None:
 
 def cmd_enumerate(args) -> int:
     shape = GridShape(args.m, args.n)
-    boundary = _load_boundary(args, shape)
-    # each walk charges the guard when called, before anything is printed;
-    # count is the sweep's, called for the JSON header only
-    if args.model == "eight":
-        from .eightvertex import count_total, count_with_boundary, eight_state_tables
-
-        field, tables = GF2, eight_state_tables(shape, boundary, force=args.force)
-        count = lambda: (count_total(shape, args.force) if boundary is None
-                         else count_with_boundary(boundary))
-    else:
-        from .forms_rect import count_six, six_state_tables
-
-        field, tables = GF3, six_state_tables(shape, boundary, force=args.force)
-        count = lambda: count_six(shape, force=args.force, boundary=boundary)
+    boundary = _load_boundary(args)
+    field, count, walk = _model(args.model)
+    # the walk checks the boundary and charges the guard when called,
+    # before anything is printed; count is called for the JSON header only
+    tables = walk(shape, boundary, args.force)
     if args.format == "csv":
         _emit_csv_listing(shape, tables)
     else:
-        _emit_listing(shape, field, count(), tables)
+        _emit_listing(shape, field, count(shape, boundary, args.force), tables, args.force)
     return 0
 
 
@@ -222,9 +218,7 @@ def _verify_poincare(args) -> tuple:
     try:
         tables = closed_form_tables(shape, force=args.force)
     except SizeGuardError:
-        # a random form holds edge_count values: refuse a shape where one
-        # alone passes the guard
-        guard_cost(shape.edge_count)
+        # the sampler refuses a shape one random form of which passes the guard
         tables = [(w.fx, w.gy) for w in random_closed_forms(shape, rng, args.samples)]
         mode = "random"
     else:
@@ -239,13 +233,9 @@ def _verify_poincare(args) -> tuple:
         except _NotClosedError:
             passed = False
         if not passed:
-            payload = {
-                "suite": "poincare",
-                "passed": False,
-                "counterexample": {"fx": [list(r) for r in fx],
-                                   "gy": [list(r) for r in gy]},
-            }
-            return payload, False
+            return {"suite": "poincare", "passed": False,
+                    "counterexample": {"fx": [list(r) for r in fx],
+                                       "gy": [list(r) for r in gy]}}, False
         checked += 1
     return {"suite": "poincare", "shape": [shape.m, shape.n], "mode": mode,
             "checked": checked, "passed": True}, True
@@ -301,13 +291,11 @@ def _verify_cohomology(args) -> tuple:
     m, n = shape.m, shape.n
     checked = 0
     # exhaustive when the listing's guard takes the shape, random
-    # otherwise; the listing checks the periods before its guard
+    # otherwise; the listing checks the periods before its guard, and the
+    # sampler refuses a shape one random form of which passes the guard
     try:
         tables, mode = closed_toroidal_tables(shape, force=args.force), "exhaustive"
     except SizeGuardError:
-        # a random form holds edge_count values: refuse a shape where one
-        # alone passes the guard
-        guard_cost(shape.edge_count)
         tables, mode = None, "random"
     if tables is not None:
         for fx, gy in tables:
@@ -354,32 +342,14 @@ def _verify_sparse_fibers(args) -> tuple:
     entries = sparse_fibers(shape, force=args.force)  # checks the periods first
     # fiber sizes come from the enumeration, the total from the transfer trace
     total = count_six(shape, force=args.force, boundary=TORUS)
-    report = []
-    seen = 0
-    for fe in entries:
-        report.append({
-            "h": [list(r) for r in fe.h.values],
-            "r_choices": list(fe.r_choices),
-            "s_choices": list(fe.s_choices),
-            "fiber_size": fe.fiber_size,
-        })
-        seen += fe.fiber_size
-    passed = seen == total and all(
-        fe.fiber_size == len(fe.r_choices) * len(fe.s_choices) for fe in entries
-    )
+    report = [{"h": [list(r) for r in fe.h.values], "r_choices": list(fe.r_choices),
+               "s_choices": list(fe.s_choices), "fiber_size": fe.fiber_size} for fe in entries]
+    passed = sum(fe.fiber_size for fe in entries) == total and all(
+        fe.fiber_size == len(fe.r_choices) * len(fe.s_choices) for fe in entries)
     if args.format == "csv":
-        _emit_csv(
-            ["h", "r_choices", "s_choices", "fiber_size"],
-            (
-                [
-                    json.dumps(e["h"]),
-                    " ".join(map(str, e["r_choices"])),
-                    " ".join(map(str, e["s_choices"])),
-                    e["fiber_size"],
-                ]
-                for e in report
-            ),
-        )
+        _emit_csv(["h", "r_choices", "s_choices", "fiber_size"],
+                  ([json.dumps(e["h"]), " ".join(map(str, e["r_choices"])),
+                    " ".join(map(str, e["s_choices"])), e["fiber_size"]] for e in report))
     else:
         _emit({"suite": "sparse-fibers", "shape": [shape.m, shape.n],
                "fibers": report, "states": total, "passed": passed})
@@ -387,25 +357,20 @@ def _verify_sparse_fibers(args) -> tuple:
 
 
 def _verify_defect_rank(args) -> tuple:
-    from .eightvertex import count_total, count_valid_boundaries, defect_map
+    from .eightvertex import count_eight, count_valid_boundaries, defect_map
     from .transfer import EIGHT_VERTEX, count_states
 
     shape = GridShape(args.m, args.n)
     guard_cost(shape.vertex_count * shape.edge_count, args.force)  # the map's entries
     rk = rank(defect_map(shape))
     expected = shape.m * shape.n
-    total = count_total(shape, args.force)
-    payload = {
-        "suite": "defect-rank",
-        "shape": [shape.m, shape.n],
-        "rank": rk,
-        "expected_rank": expected,
-        "total_states": total,
-        "valid_boundaries": count_valid_boundaries(shape),
-    }
+    total = count_eight(shape, force=args.force)
+    payload = {"suite": "defect-rank", "shape": [shape.m, shape.n], "rank": rk,
+               "expected_rank": expected, "total_states": total,
+               "valid_boundaries": count_valid_boundaries(shape)}
     passed = rk == expected
     if shape.edge_count <= SIZE_GUARD_BITS or args.force:
-        # the sweep's count does not use the kernel formula behind count_total
+        # the sweep's count does not use the kernel formula behind count_eight
         swept = count_states(EIGHT_VERTEX, shape, force=args.force)
         payload["brute_total"] = swept
         passed = passed and swept == total
@@ -417,7 +382,7 @@ def _verify_state(args) -> tuple:
     from .transfer import EIGHT_VERTEX, SIX_VERTEX, first_bad_vertex
 
     state = deserialize_state(_read_text(args.infile))
-    field = _FIELDS[args.model]
+    field = _model(args.model)[0]
     if state.field is not field:
         raise InputError(f"state document is over {state.field.name}, expected {field.name}")
     if args.model == "eight":
@@ -472,37 +437,33 @@ def cmd_ybe(args) -> int:
         return 0 if zero else 1
     if args.action == "residuals":
         r64 = star_triangle_residuals(r, s, t)
-        r28 = residuals28_of(r64)
+        # each of the 28 is one of the 64 up to sign
+        t64, t28 = exact_text(lambda: ([str(v) for v in r64],
+                                       [str(v) for v in residuals28_of(r64)]), r64)
         if args.format == "csv":
-            rows = [["star", i, "", str(v)] for i, v in enumerate(r64)]
-            rows += [
-                ["eq", i, RESIDUALS28_LABELS[i], str(v)] for i, v in enumerate(r28)
-            ]
+            rows = [["star", i, "", v] for i, v in enumerate(t64)]
+            rows += [["eq", i, RESIDUALS28_LABELS[i], v] for i, v in enumerate(t28)]
             _emit_csv(["kind", "index", "label", "value"], rows)
         else:
             _emit({
-                "residuals64": [str(v) for v in r64],
-                "residuals28": [
-                    {"label": RESIDUALS28_LABELS[i], "value": str(v)}
-                    for i, v in enumerate(r28)
-                ],
+                "residuals64": t64,
+                "residuals28": [{"label": RESIDUALS28_LABELS[i], "value": v}
+                                for i, v in enumerate(t28)],
                 "all_zero": not any(r64),
             })
         return 0
     if args.action == "conditions":
         report = check_necessary_conditions(s, t)
-        _emit(report.as_dict())
+        _emit(exact_text(report.as_dict, vars(report).values()))
         return 0 if report.all_hold else 1
     # solve
     report = solve_R(s, t, scan_range=args.scan_range)
-    payload = {
-        "dimension": report.dimension,
-        "basis": [[str(x) for x in vec] for vec in report.basis],
-        "scanned": report.scanned,
-    }
+    vector = report.witness.as_vector() if report.witness is not None else ()
+    basis, witness = exact_text(lambda: ([[str(x) for x in v] for v in report.basis],
+                                         [str(x) for x in vector]), (*report.basis, vector))
+    payload = {"dimension": report.dimension, "basis": basis, "scanned": report.scanned}
     if report.witness is not None:
-        payload["witness"] = {
-            key: str(x) for key, x in zip(WEIGHT_KEYS, report.witness.as_vector())}
+        payload["witness"] = dict(zip(WEIGHT_KEYS, witness))
         payload["witness_commutator_zero"] = commutator_vanishes(report.witness, s, t)
     else:
         payload["witness"] = None
@@ -519,9 +480,9 @@ def cmd_partition(args) -> int:
 
     shape = GridShape(args.m, args.n)
     w = _load_weights(args.weights)
-    boundary = _load_boundary(args, shape)
+    boundary = _load_boundary(args)
     z = partition_function(w, shape, args.model, boundary=boundary, force=args.force)
-    _emit({"value": str(z)})
+    _emit(exact_text(lambda: {"value": str(z)}, (z,), args.force))
     return 0
 
 

@@ -61,6 +61,16 @@ def count_total(shape: GridShape, force: bool = False) -> int:
     return 2 ** exponent
 
 
+def count_eight(shape: GridShape, boundary: BoundarySpec | None = None,
+                force: bool = False) -> int:
+    """Number of admissible states on a free (None) or fixed (an F2
+    BoundarySpec) boundary, in closed form: count_total's or
+    count_with_boundary's.  A boundary of another shape or field is
+    refused first."""
+    check_boundary(boundary, shape, GF2)
+    return count_total(shape, force) if boundary is None else count_with_boundary(boundary)
+
+
 def boundary_parity(b: BoundarySpec) -> int:
     """Total parity of the 2m + 2n boundary values.
 
@@ -134,18 +144,17 @@ def eight_state_tables(shape: GridShape, boundary: BoundarySpec | None = None,
     """The (f, g) tables of all admissible states, optionally with a fixed
     boundary, by edge_tuple.
 
-    Checks the boundary and charges the guard when called, before any
-    table is built, then returns transfer.state_tables' iterator: it
-    walks the eight-vertex table, where each vertex's right edge is the
-    parity of its other three, so the states come out in edge_tuple
-    order with no sort.  An odd-parity boundary yields nothing, without
-    a walk.  The guard charges states times edge_count, which bounds
-    the walk: every top bit it tries before the last column extends to
-    a state, and in the last column the pinned right edge leaves one top
-    bit per vertex.
+    Checks the boundary (count_eight) and charges the guard when called,
+    before any table is built, then returns transfer.state_tables'
+    iterator: it walks the eight-vertex table, where each vertex's right
+    edge is the parity of its other three, so the states come out in
+    edge_tuple order with no sort.  An odd-parity boundary yields
+    nothing, without a walk.  The guard charges states times edge_count,
+    which bounds the walk: every top bit it tries before the last column
+    extends to a state, and in the last column the pinned right edge
+    leaves one top bit per vertex.
     """
-    check_boundary(boundary, shape, GF2)
-    states = count_total(shape, force) if boundary is None else count_with_boundary(boundary)
+    states = count_eight(shape, boundary, force)
     guard_cost(states * shape.edge_count, force)
     return state_tables(EIGHT_VERTEX, shape, boundary) if states else iter(())
 

@@ -236,8 +236,12 @@ def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[On
     n + 1 digits of one below 3^(n + 1), and each next gy column is read
     off CLOSED_F3, as state_tables does.  So the m + 1 draws map one to
     one onto the 3^(mn + m + n) closed forms.  The rng draws are those
-    of k calls of random_closed_form.
+    of k calls of random_closed_form.  A form holds edge_count values,
+    so a shape where one form alone passes the guard is refused first,
+    with no force: verify poincare draws forms only where the guard
+    refuses the exhaustive listing.
     """
+    guard_cost(shape.edge_count)
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in CLOSED_F3}
     first, column = 3 ** n, 3 ** (n + 1)
@@ -349,7 +353,7 @@ def enumerate_six(shape: GridShape, boundary=None, force: bool = False) -> list[
             for f, g in six_state_tables(shape, boundary, force)]
 
 
-def count_six(shape: GridShape, force: bool = False, boundary=None) -> int:
+def count_six(shape: GridShape, boundary=None, force: bool = False) -> int:
     """Number of admissible six-vertex states on a free (None), fixed (an
     F3 BoundarySpec) or TORUS boundary.
 

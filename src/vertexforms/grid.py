@@ -19,8 +19,11 @@ internal tuples are stored 0-based.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections.abc import Sequence
+from itertools import chain
+from operator import attrgetter
 
 from .algebra import GF2, GF3, Field, FieldMatrix, Record, _trusted
 
@@ -75,11 +78,40 @@ def guard_cost(units: int, force: bool = False) -> None:
 
 
 def guard_power(base: int, exponent: int, units: int, force: bool = False) -> None:
-    """guard_cost(base ** exponent * units), with the exponent charged
-    first: a power takes time and memory in its exponent to build, so
-    one whose exponent alone passes the guard is refused unbuilt."""
+    """guard_cost(base ** exponent * units), base >= 2, with the exponent
+    charged first: a power takes time and memory in its exponent to
+    build, so one whose exponent alone passes the guard is refused
+    unbuilt.  Past an exponent of 2^16 no power is built: the charge is
+    ceil(exponent log2(base)) plus the bits of units, within two of it."""
     guard_cost(exponent, force)
-    guard_cost(base ** exponent * units, force)
+    if exponent <= 1 << 16:
+        guard_cost(base ** exponent * units, force)
+    else:
+        guard_size(math.ceil(exponent * math.log2(base)) + max(units - 1, 0).bit_length(), force)
+
+
+def exact_text(make, values, force: bool = False):
+    """make(), which makes the decimal text of the exact values, ints and
+    Fractions alone or in tuples, and writes nothing.  CPython refuses
+    the text of an int past sys.get_int_max_str_digits() digits, a guard
+    on parsing, with a ValueError, before it writes a long one.  Then
+    the text is charged and made again with the limit lifted: CPython
+    3.11 writes an int of d 30-bit digits in about d^2 / 2 steps (0.17 s
+    at 2^26 on 2 vCPUs), one text at a time, so the longest numerator or
+    denominator is charged that."""
+    try:
+        return make()
+    except ValueError:  # a text past the limit; any other fault raises again below
+        flat = chain.from_iterable(v if type(v) is tuple else (v,) for v in values)
+        terms = chain.from_iterable(map(attrgetter("numerator", "denominator"), flat))
+        digits = -(-max(map(int.bit_length, terms), default=0) // 30)
+        guard_cost(digits * digits // 2, force)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return make()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class GridShape(Record):

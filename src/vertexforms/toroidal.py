@@ -53,6 +53,7 @@ from .grid import (
     LatticeState,
     _NotClosedError,
     _freeze_grid,
+    guard_cost,
     guard_power,
 )
 from .algebra import GF3, Record, _trusted
@@ -204,9 +205,12 @@ def _random_decompositions(shape: GridShape, rng, k: int):
     digits of a draw below 9, h's first column is 0 and then the n - 1
     digits of a draw below 3^(n - 1), and each of its other m - 1
     columns the n digits of one below 3^n.  So the m + 1 draws map one
-    to one onto the 3^(mn + 1) triples.  Checks the periods first.
+    to one onto the 3^(mn + 1) triples.  Checks the periods first, then
+    refuses, with no force, a shape where one form of edge_count values
+    alone passes the guard, as random_closed_forms does.
     """
     check_periods(shape)
+    guard_cost(shape.edge_count)
     m, n = shape.m, shape.n
     first, column = 3 ** (n - 1), 3 ** n
     for _ in range(k):

@@ -575,17 +575,15 @@ def partition_function(w: VertexWeights, shape: GridShape, model: str,
     model "six" sums over six-vertex states and requires both d weights
     to be zero; "eight" sums over eight-vertex states.  A None boundary
     means free boundary, otherwise states are restricted to it (over F3
-    for six, F2 for eight); an odd eight-vertex boundary gives 0.  Exact,
-    by the transfer sweep, which charges the size guard its own work.
+    for six, F2 for eight); an odd eight-vertex boundary gives 0.  The
+    boundary is checked before the d weights.  Exact, by the transfer
+    sweep, which charges the size guard its own work.
     """
-    if model == "six":
-        if w.d1 != 0 or w.d_neg1 != 0:
-            raise WeightConditionError("six-vertex partition function requires d1 = d-1 = 0")
-        patterns, field = SIX_VERTEX, GF3
-    elif model == "eight":
-        patterns, field = EIGHT_VERTEX, GF2
-    else:
+    if model not in ("six", "eight"):
         raise ValueError(f"unknown model {model!r}")
-    check_boundary(boundary, shape, field)
-    weights = {p: w.weight(*PATTERNS[p]) for p in patterns}
+    six = model == "six"
+    check_boundary(boundary, shape, GF3 if six else GF2)
+    if six and (w.d1 != 0 or w.d_neg1 != 0):
+        raise WeightConditionError("six-vertex partition function requires d1 = d-1 = 0")
+    weights = {p: w.weight(*PATTERNS[p]) for p in (SIX_VERTEX if six else EIGHT_VERTEX)}
     return weighted_sum(weights, shape, boundary, force=force)

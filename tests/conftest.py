@@ -10,7 +10,8 @@ random_weights are the generic negative instances.
 Also here are oracle_rref and oracle_nullspace, Gauss-Jordan elimination
 one field operation per entry (Fractions over Q), which algebra's integer
 rref and nullspace_basis are checked against, with mat_vec, the
-matrix-vector product the kernel tests use,
+matrix-vector product the kernel tests use, and identity_matrix, to_rows
+and is_zero, which build and read FieldMatrix values,
 affine_span, the kernel-walk oracle that the closed-form and
 eight-vertex listings are checked against, with its vector helper combine
 (tests of both in test_affine_span.py),
@@ -239,7 +240,7 @@ def affine_span(field: Field, base: Sequence[int], basis: list) -> Iterator[tupl
     first differing coefficient: walking the coefficient tuples in lex
     order, one row per level, lists the vectors in lex order unsorted.
     """
-    rows = [r for r in rref(FieldMatrix.from_rows(field, basis)).to_rows() if any(r)]
+    rows = [r for r in to_rows(rref(FieldMatrix.from_rows(field, basis))) if any(r)]
     pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
     vec = [x % field.p for x in base]
     for r, c in zip(rows, pivots):
@@ -309,7 +310,7 @@ def oracle_nullspace(m: FieldMatrix) -> list:
     sub, _, _ = field_ops(m.field)
     zero, one = (0, 1) if m.field.p else (Fraction(0), Fraction(1))
     pivots = [next(j for j, x in enumerate(row) if x != 0)
-              for row in r.to_rows() if any(x != 0 for x in row)]
+              for row in to_rows(r) if any(x != 0 for x in row)]
     basis = []
     for c in (c for c in range(m.cols) if c not in pivots):
         v = [zero] * m.cols
@@ -318,6 +319,22 @@ def oracle_nullspace(m: FieldMatrix) -> list:
             v[j] = sub(zero, r.at(i, c))
         basis.append(tuple(v))
     return basis
+
+
+def identity_matrix(field: Field, n: int) -> FieldMatrix:
+    """The n x n identity matrix over field."""
+    one, zero = (1, 0) if field.p else (Fraction(1), Fraction(0))
+    return FieldMatrix(field, n, n, tuple(one if i == j else zero
+                                          for i in range(n) for j in range(n)))
+
+
+def to_rows(m: FieldMatrix) -> list:
+    """The rows of m, as lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def is_zero(m: FieldMatrix) -> bool:
+    return not any(m.entries)
 
 
 def mat_vec(a: FieldMatrix, v: Sequence) -> tuple:

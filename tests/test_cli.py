@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -10,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, identity_weights, solvable_triple, toroidal_six_states
+from conftest import (
+    FIXTURES,
+    identity_matrix,
+    identity_weights,
+    solvable_triple,
+    toroidal_six_states,
+)
 from vertexforms.algebra import GF2, GF3
 from vertexforms.cli import main
 from vertexforms.forms_rect import enumerate_six
@@ -23,8 +30,13 @@ from vertexforms.grid import (
     serialize_state,
 )
 from vertexforms.yangbaxter import (
+    WEIGHT_KEYS,
     VertexWeights,
+    check_necessary_conditions,
+    deserialize_weights,
+    partition_function,
     serialize_weights,
+    star_triangle_residuals,
     weights_from_vector,
 )
 
@@ -390,7 +402,7 @@ def test_random_verify_modes_build_no_f3_kernel(capsys, monkeypatch, argv):
     monkeypatch.setattr(algebra, "_echelon", echelon_but_not_over_f3)
     for reduce in (algebra.rref, algebra.rank, algebra.pivot_columns, algebra.nullspace_basis):
         with pytest.raises(AssertionError):
-            reduce(algebra.FieldMatrix.identity(GF3, 2))
+            reduce(identity_matrix(GF3, 2))
     code, doc = run_json(capsys, "verify", *argv)
     assert code == 0 and doc["mode"] == "random" and doc["passed"] is True
 
@@ -789,6 +801,115 @@ def test_integer_too_long_for_int_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == f"error: {where} document: an integer in it has more than 4300 digits\n", argv
+
+
+# Exact results longer than the interpreter's limit on an int's text
+# (sys.get_int_max_str_digits(), 4300 digits by default): the CLI writes
+# them with the limit lifted, charged to the guard, and parsing keeps it.
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def long_weights(tmp_path, name, base: int) -> str:
+    """Weights of eight distinct 4000-digit integers, as strings."""
+    doc = {key: str(10 ** 3999 * base + k) for k, key in enumerate(WEIGHT_KEYS, 1)}
+    return write_json(tmp_path, name, doc)
+
+
+def test_a_total_past_the_digit_limit_is_printed(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--model", "eight", "--m", "100", "--n", "150")
+    assert code == 0 and err == "" and sys.get_int_max_str_digits() == limit
+    with no_digit_limit():
+        assert out == json.dumps({"total": 2 ** 15250}, indent=2) + "\n"
+        assert len(str(2 ** 15250)) > 4300
+
+
+def test_a_partition_value_past_the_digit_limit_is_printed(capsys, tmp_path):
+    tiny = f"1/{10 ** 200}"
+    w = VertexWeights(tiny, 1, tiny, 1, 1, 1, 0, 0)
+    code, doc = run_json(capsys, "partition", "--m", "5", "--n", "5",
+                         "--weights", write_weights(tmp_path, "w.json", w))
+    assert code == 0
+    with no_digit_limit():
+        expected = str(partition_function(w, GridShape(5, 5), "six"))
+    assert doc == {"value": expected} and len(expected) > 4300
+
+
+def test_ybe_values_past_the_digit_limit_are_printed(capsys, tmp_path):
+    r, s, t = (long_weights(tmp_path, f"{x}.json", base) for x, base in zip("rst", (1, 2, 3)))
+    code, doc = run_json(capsys, "ybe", "residuals", "--r", r, "--s", s, "--t", t)
+    assert code == 0
+    code, csv_out, err = run(capsys, "ybe", "residuals", "--r", r, "--s", s, "--t", t,
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    code_c, conditions = run_json(capsys, "ybe", "conditions", "--s", s, "--t", t)
+    r, s, t = (deserialize_weights(Path(f).read_text()) for f in (r, s, t))
+    report = check_necessary_conditions(s, t)
+    with no_digit_limit():
+        residuals = [str(v) for v in star_triangle_residuals(r, s, t)]
+        expected = report.as_dict()
+    assert doc["residuals64"] == residuals and max(map(len, residuals)) > 4300
+    assert [row.split(",")[-1] for row in csv_out.splitlines()[1:65]] == residuals
+    assert code_c == (0 if report.all_hold else 1) and conditions == expected
+
+
+def test_a_weight_past_the_digit_limit_is_still_refused(capsys, tmp_path):
+    # after a value past the limit is printed, parsing keeps the limit
+    assert run(capsys, "count", "--model", "eight", "--m", "100", "--n", "150")[0] == 0
+    doc = json.loads(serialize_weights(VertexWeights(1, 1, 1, 1, 1, 1, 0, 0)))
+    doc["a1"] = "7" * 4301
+    code, out, err = run(capsys, "partition", "--m", "2", "--n", "2",
+                         "--weights", write_json(tmp_path, "w.json", doc))
+    assert code == 2 and out == "" and "'a1' must be an integer or 'p/q' string" in err
+
+
+def test_a_long_value_is_charged_its_text(capsys):
+    # 2^361200 has 12041 30-bit digits, about 2^26.1 steps to write
+    argv = ["count", "--model", "eight", "--m", "600", "--n", "600"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: cost of 2^27 exceeds the 2^26 guard; "
+                   "pass force=True (CLI: --force) to override\n")
+    code, out, err = run(capsys, *argv, "--force")
+    with no_digit_limit():
+        assert code == 0 and out == json.dumps({"total": 2 ** 361200}, indent=2) + "\n"
+
+
+# Each command reaches a model's front door, which checks the boundary;
+# the CLI only parses the file.
+@pytest.mark.parametrize("argv", [
+    ["count"], ["enumerate"], ["enumerate", "--format", "csv"], ["partition", "--weights", "{w}"],
+], ids=["count", "enumerate", "enumerate-csv", "partition"])
+@pytest.mark.parametrize("model", ["six", "eight"])
+@pytest.mark.parametrize("shape,field_of,message", [
+    ((2, 3), {"six": GF3, "eight": GF2}, "which does not match the shape requested (2, 2)"),
+    ((2, 2), {"six": GF2, "eight": GF3}, "expected F"),
+], ids=["shape", "field"])
+def test_each_command_refuses_a_wrong_boundary_through_the_library(
+        capsys, tmp_path, argv, model, shape, field_of, message):
+    w = write_weights(tmp_path, "w.json", VertexWeights(1, 1, 1, 1, 1, 1, 0, 0))
+    bfile = zero_boundary_file(tmp_path, GridShape(*shape), field_of[model])
+    argv = [a.format(w=w) for a in argv]
+    code, out, err = run(capsys, *argv, "--model", model, "--m", "2", "--n", "2",
+                         "--boundary", bfile)
+    assert code == 2 and out == "" and message in err
+
+
+def test_partition_checks_the_boundary_before_the_d_weights(capsys, tmp_path):
+    w = write_weights(tmp_path, "w.json", weights_from_vector((1,) * 8))
+    bfile = zero_boundary_file(tmp_path, GridShape(2, 3), GF3)
+    code, out, err = run(capsys, "partition", "--m", "2", "--n", "2", "--weights", w,
+                         "--boundary", bfile)
+    assert code == 2 and out == "" and "requested (2, 2)" in err and "d1" not in err
 
 
 # a 2 KB document that json.loads cannot read without passing the

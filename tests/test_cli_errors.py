@@ -7,6 +7,13 @@ catches no ValueError (nor anything wider, which would catch it too),
 and main's exit-2 handler names exactly InputError and SizeGuardError.
 This reads cli.py's syntax tree, as test_bounded_caches.py does, and
 resolves each name in the imported module.
+
+Nor does the CLI re-decide what a model's front door decides: it
+imports none of check_boundary, count_total and count_with_boundary
+(eightvertex.count_eight and the walks check the boundary and pick the
+count), defines no table of fields of its own (_FIELDS), and charges
+the guard (guard_cost) only for the map entries of verify defect-rank,
+since defect_map takes no force; the library charges everything else.
 """
 
 import ast
@@ -95,3 +102,43 @@ def test_main_handlers_are_read_in_order():
               "        pass\n")
     assert main_handlers(source) == [["SystemExit"],
                                      ["InputError", "KeyError", "SizeGuardError"]]
+
+
+def front_door_faults(source: str) -> list:
+    """What has cli.py re-deciding a library rule: an import of
+    check_boundary, count_total or count_with_boundary, a _FIELDS
+    binding, and a call of guard_cost outside _verify_defect_rank."""
+    tree = ast.parse(source)
+    found = [f"imports {alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if alias.name in ("check_boundary", "count_total", "count_with_boundary")]
+    found += [f"binds _FIELDS at line {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "_FIELDS"
+              and isinstance(node.ctx, ast.Store)]
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_verify_defect_rank":
+            allowed.update(id(call) for call in ast.walk(node))
+    found += [f"guard_cost at line {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "guard_cost"
+              and id(node) not in allowed]
+    return found
+
+
+def test_cli_leaves_the_boundary_counts_and_charges_to_the_library():
+    assert front_door_faults(CLI.read_text()) == []
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_verify_defect_rank"
+               for node in ast.parse(CLI.read_text()).body)
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from .grid import GridShape, check_boundary\n", ["imports check_boundary"]),
+    ("def f():\n    from .eightvertex import count_total, count_with_boundary\n",
+     ["imports count_total", "imports count_with_boundary"]),
+    ("_FIELDS = {}\n", ["binds _FIELDS at line 1"]),
+    ("def cmd_count(args):\n    guard_cost(1)\n", ["guard_cost at line 2"]),
+    ("def _verify_defect_rank(args):\n    guard_cost(1, args.force)\n", []),
+    ("from .eightvertex import count_eight\nx = _FIELDS\n", []),
+])
+def test_a_front_door_fault_is_caught(source, found):
+    assert front_door_faults(source) == found

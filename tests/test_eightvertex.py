@@ -4,21 +4,25 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import affine_span, mat_vec, vertex_index
+from conftest import affine_span, mat_vec, to_rows, vertex_index
 from vertexforms.algebra import GF2, GF3, FieldMatrix, nullspace_basis, rank
 from vertexforms.eightvertex import (
     boundary_parity,
     construct_state,
+    count_eight,
     count_total,
     count_valid_boundaries,
     count_with_boundary,
     defect_map,
+    eight_state_tables,
     enumerate_eight,
     is_admissible_eight,
 )
 from vertexforms.grid import (
+    TORUS,
     BoundarySpec,
     GridShape,
+    InputError,
     LatticeState,
     SizeGuardError,
     boundary_of,
@@ -76,7 +80,7 @@ def enumerate_eight_coset(shape, boundary=None):
     pinned to 0, listed by affine_span.
     """
     m, n = shape.m, shape.n
-    rows = defect_map(shape).to_rows()
+    rows = to_rows(defect_map(shape))
     base = [0] * shape.edge_count
     if boundary is not None:
         pins = [f_edge_index(shape, i, j) for i in range(1, m + 1) for j in (1, n + 1)]
@@ -231,6 +235,33 @@ def test_count_total_against_brute_force():
         if is_admissible_eight(LatticeState(shape=S22, field=GF2, f=f, g=g)):
             hits += 1
     assert hits == count_total(S22) == 256
+
+
+def test_count_eight_is_the_closed_form_of_its_boundary():
+    odd = BoundarySpec(shape=S22, field=GF2, f_bottom=(1, 0), f_top=(0, 0),
+                       g_left=(0, 0), g_right=(0, 0))
+    even = BoundarySpec(shape=S22, field=GF2, f_bottom=(1, 0), f_top=(1, 0),
+                        g_left=(0, 0), g_right=(0, 0))
+    assert count_eight(S22) == count_total(S22) == 256
+    assert count_eight(S22, even) == count_with_boundary(even) == 2
+    assert count_eight(S22, odd) == 0
+    with pytest.raises(SizeGuardError):
+        count_eight(GridShape(10, 10 ** 7))
+    assert count_eight(GridShape(10, 10), force=True) == 2 ** 120
+
+
+def test_count_eight_refuses_a_boundary_it_does_not_count():
+    # of another shape or field, or the torus, before any count
+    wrong_shape = BoundarySpec(shape=GridShape(2, 3), field=GF2, f_bottom=(0, 0),
+                               f_top=(0, 0), g_left=(0, 0, 0), g_right=(0, 0, 0))
+    wrong_field = BoundarySpec(shape=S22, field=GF3, f_bottom=(0, 0), f_top=(0, 0),
+                               g_left=(0, 0), g_right=(0, 0))
+    for boundary, message in ((wrong_shape, "requested \\(2, 2\\)"),
+                              (wrong_field, "expected F2"), (TORUS, "not TORUS")):
+        with pytest.raises(InputError, match=message):
+            count_eight(S22, boundary)
+        with pytest.raises(InputError, match=message):
+            eight_state_tables(S22, boundary)
 
 
 def test_enumeration_methods_agree():

@@ -1,4 +1,7 @@
 import json
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from vertexforms.grid import (
     deserialize_boundary,
     deserialize_state,
     edges_at_vertex,
+    exact_text,
     f_edge_index,
     g_edge_index,
     guard_cost,
@@ -221,6 +225,44 @@ def test_guard_power_charges_as_guard_cost_and_refuses_a_huge_exponent_unbuilt()
     # 3^(10^30) is never built: the exponent alone is charged 2^100
     with pytest.raises(SizeGuardError, match="^cost of 2\\^100 exceeds"):
         guard_power(3, 10 ** 30, 5)
+
+
+def test_guard_power_builds_no_power_past_an_exponent_of_2_to_the_16():
+    # 3^(10^7) takes seconds to build; the charge is read off log2(3)
+    # (10^7 log2(3) + log2(5) = 15849627.3)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="^cost of 2\\^1584962[89] exceeds"):
+        guard_power(3, 10 ** 7, 5)
+    assert time.perf_counter() - start < 0.05
+    for base, exponent, units in ((3, (1 << 16) + 1, 84), (3, 10 ** 5, 5), (2, 70001, 3)):
+        exact = (base ** exponent * units - 1).bit_length()
+        with pytest.raises(SizeGuardError) as refused:
+            guard_power(base, exponent, units)
+        charged = int(str(refused.value).split("^", 1)[1].split(" ", 1)[0])
+        assert exact <= charged <= exact + 2
+        guard_power(base, exponent, units, force=True)
+
+
+def test_exact_text_charges_a_text_past_the_digit_limit_and_lifts_the_limit():
+    # d 30-bit digits are charged d^2 / 2 steps: 11585 digits pass, 11586 do not
+    limit = sys.get_int_max_str_digits()
+    small = [1, Fraction(1, 3), True, (Fraction(-2, 7), 5)]
+    assert exact_text(lambda: "made", small) == "made"
+    passes = [(2 ** (30 * 11585 - 1),), Fraction(1, 2 ** 100)]
+    assert exact_text(lambda: len(str(passes[0][0])), passes) > 100000
+    for values in ([2 ** (30 * 11586 - 1)], [1, Fraction(-1, 2 ** (30 * 11586 - 1))],
+                   [(0, -(2 ** (30 * 11586 - 1)))]):
+        big = values[-1][-1] if isinstance(values[-1], tuple) else values[-1]
+        with pytest.raises(SizeGuardError, match="^cost of 2\\^27 exceeds"):
+            exact_text(lambda: str(big), values)
+        assert exact_text(lambda: len(str(big)), values, force=True) > 100000
+    assert sys.get_int_max_str_digits() == limit
+    # a text within the limit is made once, uncharged; another fault raises again
+    calls = []
+    assert exact_text(lambda: calls.append(1) or str(2 ** 1000), []) and calls == [1]
+    with pytest.raises(ValueError, match="fault"):
+        exact_text(lambda: calls.append(2) or int("fault"), [])
+    assert calls == [1, 2, 2] and sys.get_int_max_str_digits() == limit
 
 
 @settings(deadline=None, max_examples=30)

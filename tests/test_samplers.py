@@ -19,7 +19,7 @@ import pytest
 
 from conftest import ReplayRandom
 from vertexforms.forms_rect import _f3_digits, random_closed_forms, random_proper_coloring
-from vertexforms.grid import GridShape
+from vertexforms.grid import GridShape, SizeGuardError
 from vertexforms.toroidal import _random_decompositions, decompose, reconstruct
 
 
@@ -41,6 +41,19 @@ def test_f3_digits_are_one_to_one_on_a_sample(k):
     digits = {_f3_digits(x, k) for x in xs}
     assert all(len(d) == k and set(d) <= {0, 1, 2} for d in digits)
     assert len(digits) == len(xs)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda shape, rng: random_closed_forms(shape, rng, 1),
+    lambda shape, rng: next(_random_decompositions(shape, rng, 1)),
+], ids=["closed-forms", "decompositions"])
+def test_a_sampler_refuses_a_shape_one_form_of_which_passes_the_guard(draw):
+    # 10001 x 10001, prime to 3: a form holds 2 * 10001 * 10002 values,
+    # charged 2^28 before any draw
+    rng = ReplayRandom(iter(()), ())
+    with pytest.raises(SizeGuardError, match="^cost of 2\\^28 exceeds"):
+        draw(GridShape(10001, 10001), rng)
+    assert len(random_closed_forms(GridShape(2, 2), random.Random(0), 3)) == 3
 
 
 def test_random_decompositions_map_the_draws_onto_the_triples():

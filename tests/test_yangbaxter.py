@@ -13,7 +13,9 @@ from conftest import (
     baxter_weights,
     fraction_det,
     from_pairs,
+    identity_matrix,
     identity_weights,
+    is_zero,
     random_solvable_pair,
     random_solvable_triple,
     random_weights,
@@ -24,8 +26,8 @@ from conftest import (
 )
 from vertexforms import grid, yangbaxter
 from vertexforms.algebra import QQ, FieldMatrix, nullspace_basis
-from vertexforms.grid import BoundarySpec, GridShape, SizeGuardError
-from vertexforms.algebra import GF2
+from vertexforms.grid import BoundarySpec, GridShape, InputError, SizeGuardError
+from vertexforms.algebra import GF2, GF3
 from vertexforms.yangbaxter import (
     A1,
     A_NEG1,
@@ -236,7 +238,7 @@ def test_embed_against_kronecker():
     m = FieldMatrix.from_rows(
         QQ, [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
     )
-    i2 = FieldMatrix.identity(QQ, 2)
+    i2 = identity_matrix(QQ, 2)
     assert embed(m, 12).entries == kron(m, i2).entries
     assert embed(m, 23).entries == kron(i2, m).entries
     p = swap_middle_last()
@@ -247,11 +249,11 @@ def test_embed_against_kronecker():
 
 
 def test_embed_validation():
-    i2 = FieldMatrix.identity(QQ, 2)
+    i2 = identity_matrix(QQ, 2)
     with pytest.raises(ValueError, match="4x4"):
         embed(i2, 12)
     with pytest.raises(ValueError, match="slot"):
-        embed(FieldMatrix.identity(QQ, 4), 21)
+        embed(identity_matrix(QQ, 4), 21)
 
 
 def test_commutator_of_solvable_triple_vanishes():
@@ -259,7 +261,7 @@ def test_commutator_of_solvable_triple_vanishes():
         Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
         Fraction(2), Fraction(3, 2), Fraction(5, 3),
     )
-    assert yb_commutator(R, S, T).is_zero()
+    assert is_zero(yb_commutator(R, S, T))
     assert all(x == 0 for x in star_triangle_residuals(R, S, T))
     assert all(x == 0 for x in residuals28(R, S, T))
 
@@ -296,7 +298,7 @@ def test_three_formulations_agree():
     )
     triples.append((bumped, S, T))
     for r, s, t in triples:
-        flat = yb_commutator(r, s, t).is_zero()
+        flat = is_zero(yb_commutator(r, s, t))
         all64 = all(x == 0 for x in star_triangle_residuals(r, s, t))
         all28 = all(x == 0 for x in residuals28(r, s, t))
         assert flat == all64 == all28
@@ -438,7 +440,7 @@ def test_table_matches_both_oracles(triple):
     assert residuals == commutator_residuals(r, s, t)
     assert residuals == tuple(star_triangle_residual(r, s, t, BoundaryHex(*bits))
                               for bits in product((0, 1), repeat=6))
-    assert commutator_vanishes(r, s, t) == yb_commutator(r, s, t).is_zero()
+    assert commutator_vanishes(r, s, t) == is_zero(yb_commutator(r, s, t))
 
 
 def test_each_equation_is_one_signed_table_row():
@@ -520,7 +522,7 @@ def test_integer_evaluation_is_exact_at_scale(triple):
     assert all(type(x) is Fraction for x in r28)
     assert r28 == tuple(sign * expected[e] for e, sign in RESIDUALS28_ROWS)
     vanishes = commutator_vanishes(r, s, t)
-    assert vanishes == (not any(expected)) == yb_commutator(r, s, t).is_zero()
+    assert vanishes == (not any(expected)) == is_zero(yb_commutator(r, s, t))
     assert solve_R(s, t, scan_range=0).basis == old_solution_basis(s, t)
 
 
@@ -548,7 +550,7 @@ def test_pure_c_triple_fails_only_eq7():
     assert nonzero == [24]
     assert RESIDUALS28_LABELS[24].startswith("eq7")
     assert res[24] == 1
-    assert not yb_commutator(W_EQ7, S_EQ7, W_EQ7).is_zero()
+    assert not is_zero(yb_commutator(W_EQ7, S_EQ7, W_EQ7))
 
 
 def test_residual_labels_cover_the_system():
@@ -795,7 +797,7 @@ def test_solve_identity_pair_is_unconstrained():
     assert rep.witness is not None
     w = rep.witness
     assert all(x != 0 for x in (w.c1, w.c_neg1, w.d1, w.d_neg1))
-    assert yb_commutator(w, identity_weights(), identity_weights()).is_zero()
+    assert is_zero(yb_commutator(w, identity_weights(), identity_weights()))
 
 
 def test_solve_untwisted_pair_reports_scan_miss():
@@ -823,11 +825,11 @@ def test_solve_twisted_pairs_find_witnesses():
         assert rep.witness is not None
         w = rep.witness
         assert all(x != 0 for x in (w.c1, w.c_neg1, w.d1, w.d_neg1))
-        assert yb_commutator(w, s, t).is_zero()
+        assert is_zero(yb_commutator(w, s, t))
         assert check_necessary_conditions(s, t).all_hold
     # every basis vector solves the system on its own
     for v in rep.basis:
-        assert yb_commutator(weights_from_vector(v), s, t).is_zero()
+        assert is_zero(yb_commutator(weights_from_vector(v), s, t))
 
 
 def test_solvable_family_closes_under_difference():
@@ -835,7 +837,7 @@ def test_solvable_family_closes_under_difference():
     R = baxter_weights(tanh_sub(t1, t2), h)
     S = baxter_weights(t1, h)
     T = baxter_weights(t2, h)
-    assert yb_commutator(R, S, T).is_zero()
+    assert is_zero(yb_commutator(R, S, T))
 
 
 def test_partition_function_counts_with_unit_weights():
@@ -856,6 +858,14 @@ def test_partition_function_validation():
         partition_function(weights_from_vector((1,) * 8), GridShape(2, 2), "six")
     with pytest.raises(ValueError, match="unknown model"):
         partition_function(identity_weights(), GridShape(2, 2), "ising")
+
+
+def test_partition_function_checks_the_boundary_before_the_d_weights():
+    # weights with d != 0 on a boundary of another shape: the boundary is refused
+    wide = BoundarySpec(shape=GridShape(3, 2), field=GF3, f_bottom=(0, 0, 0),
+                        f_top=(0, 0, 0), g_left=(0, 0), g_right=(0, 0))
+    with pytest.raises(InputError, match="requested \\(2, 2\\)"):
+        partition_function(weights_from_vector((1,) * 8), GridShape(2, 2), "six", wide)
 
 
 def test_partition_function_against_direct_sum():
@@ -921,6 +931,25 @@ def test_the_solvable_fixture_has_commuting_row_transfer_matrices(m):
     assert row_transfers_commute(s, t, m)
     _, s, t = fixture_weights("generic")
     assert not row_transfers_commute(s, t, m)
+
+
+def test_an_invertible_solve_witness_has_commuting_row_transfer_matrices():
+    # solve_R's witness R solves the equation with S and T; where R is
+    # invertible, the row transfer matrices of S and T commute.  Seeded
+    # solvable pairs and the fixtures; at least one witness is invertible.
+    pairs = [random_solvable_pair(random.Random(seed)) for seed in range(8)]
+    pairs += [fixture_weights(kind)[1:] for kind in ("solvable", "generic")]
+    pairs.append([identity_weights(), identity_weights()])
+    invertible_witnesses = 0
+    for s, t in pairs:
+        witness = solve_R(s, t).witness
+        if witness is None or not invertible(witness):
+            continue
+        invertible_witnesses += 1
+        assert commutator_vanishes(witness, s, t)
+        assert row_transfers_commute(s, t, 2)
+        assert row_transfers_commute(s, t, 3)
+    assert invertible_witnesses >= 8
 
 
 @settings(deadline=None, max_examples=30)
