@@ -204,13 +204,7 @@ def cmd_enumerate(args) -> int:
 def _verify_poincare(args) -> tuple:
     import random
 
-    from .forms_rect import (
-        OneForm,
-        antiderivative,
-        closed_form_tables,
-        exterior_derivative,
-        random_closed_forms,
-    )
+    from .forms_rect import _differences, _potential, closed_form_tables, random_closed_forms
 
     shape = GridShape(args.m, args.n)
     rng = random.Random(args.seed)
@@ -225,14 +219,9 @@ def _verify_poincare(args) -> tuple:
         mode = "exhaustive"
     checked = 0
     for fx, gy in tables:
-        # antiderivative refuses a form d of its potential does not give
-        # back: a fault here, as the walk and the sampler make them closed
-        try:
-            dw = exterior_derivative(antiderivative(OneForm.trusted(shape=shape, fx=fx, gy=gy)))
-            passed = dw.fx == fx and dw.gy == gy
-        except _NotClosedError:
-            passed = False
-        if not passed:
+        # d of the potential gives the form back: antiderivative's
+        # closedness check and exterior_derivative's value in one test
+        if _differences(_potential(fx, gy)) != (fx, gy):
             return {"suite": "poincare", "passed": False,
                     "counterexample": {"fx": [list(r) for r in fx],
                                        "gy": [list(r) for r in gy]}}, False
@@ -245,21 +234,29 @@ def _verify_bijection(args) -> tuple:
     import random
 
     from .forms_rect import (
-        OneForm,
+        _differences,
+        _potential,
         coloring_from_form,
         form_from_coloring,
         random_proper_coloring,
         six_state_tables,
     )
+    from .transfer import SIX_VERTEX, first_bad_vertex
 
     shape = GridShape(args.m, args.n)
     rng = random.Random(args.seed)
     checked = 0
     for f, g in six_state_tables(shape, force=args.force):
-        w = OneForm.trusted(shape=shape, fx=f, gy=g)
+        # coloring_from_form's precondition, once a state: the walk makes
+        # the states admissible, so a state that fails it is a fault
+        admissible = first_bad_vertex(SIX_VERTEX, f, g) is None
         for t in (0, 1, 2):
-            w2, t2 = form_from_coloring(coloring_from_form(w, t))
-            if t2 != t or w2.fx != f or w2.gy != g:
+            # coloring_from_form's cells, then form_from_coloring's form
+            # and base label; its properness test is implied, since the
+            # form given back is the state's {0, 1} tables, so no
+            # difference minus 1 is 2
+            cells = _potential(f, g, 1, 1, t)
+            if not admissible or cells[0][0] != t or _differences(cells, -1, -1) != (f, g):
                 st = LatticeState.trusted(shape=shape, field=GF3, f=f, g=g)
                 return {"suite": "bijection", "passed": False,
                         "counterexample": state_doc(st) | {"t": t}}, False

@@ -31,8 +31,10 @@ directions are implemented here.  Closedness and admissibility are
 the vertex tables of transfer (CLOSED_F3, SIX_VERTEX); counts come
 from its sweep and listings, closed forms too, from its column walk.
 antiderivative alone checks closedness by the calculus instead: a form
-is closed when d of its potential gives it back, and those differences
-are the kernel calls exterior_derivative makes next, memo hits.
+is closed when d of its potential gives it back.  verify poincare and
+the exhaustive part of verify bijection make that test on the walk's or
+the sampler's tables with _potential and _differences themselves, so
+they build no record.
 count_colorings counts the colorings by a sweep of its own, a cell at a
 time, that reads no vertex table, so count --check-colorings compares
 two independent engines; its test oracle is a backtracking count
@@ -40,10 +42,11 @@ two independent engines; its test oracle is a backtracking count
 CLOSED_F3 too, not a kernel.  The random samplers, random_closed_forms
 here, random_proper_coloring and toroidal's for verify cohomology, make
 one integer rng.randrange per column and read it as digits, base 3
-through _f3_digits or base 6.  six_state_tables is the guarded walk over
-the states in edge_tuple order, free, on a fixed boundary that is
-pinned during the walk, not filtered after it, or on the torus (TORUS);
-enumerate_six lists it and count_six counts it.  Values built here from
+through _f3_digits, which splits a tall column in halves first, or base
+6.  six_state_tables is the guarded walk over the states in edge_tuple
+order, free, on a fixed boundary that is pinned during the walk, not
+filtered after it, or on the torus (TORUS); enumerate_six lists it and
+count_six counts it.  Values built here from
 tables the library made (by the walk, d and its inverse, the coloring
 bijection) use the trusted constructors, which check nothing.
 """
@@ -63,6 +66,7 @@ from .grid import (
     LatticeState,
     _NotClosedError,
     _freeze_grid,
+    _guard_sample,
     _vertex_incidence,
     check_boundary,
     guard_cost,
@@ -219,7 +223,15 @@ _FIVE_DIGITS = tuple(product(range(3), repeat=5))
 def _f3_digits(x: int, k: int) -> tuple:
     """The k base-3 digits of an integer 0 <= x < 3^k, five at a time
     from the low end through _FIVE_DIGITS: one to one from [0, 3^k) onto
-    F3^k, with no table or integer larger than the column's."""
+    F3^k, with no table or integer larger than the column's.  A column
+    of more than 60 digits is first split at its j = 5 * (k // 10) low
+    digits, a whole number of chunks, and each half read so, low half
+    first: the same digits, with no long tuple grown five at a time and
+    no long integer divided by 243 over and over, each a k^2 cost."""
+    if k > 60:
+        j = 5 * (k // 10)
+        high, low = divmod(x, 3 ** j)
+        return _f3_digits(low, j) + _f3_digits(high, k - j)
     digits = ()
     while k > 5:
         x, low = divmod(x, 243)
@@ -238,10 +250,10 @@ def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[On
     one onto the 3^(mn + m + n) closed forms.  The rng draws are those
     of k calls of random_closed_form.  A form holds edge_count values,
     so a shape where one form alone passes the guard is refused first,
-    with no force: verify poincare draws forms only where the guard
-    refuses the exhaustive listing.
+    with no force and no flag offered: verify poincare draws forms only
+    where the guard refuses the exhaustive listing.
     """
-    guard_cost(shape.edge_count)
+    _guard_sample(shape.edge_count)
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in CLOSED_F3}
     first, column = 3 ** n, 3 ** (n + 1)

@@ -53,7 +53,7 @@ from .grid import (
     LatticeState,
     _NotClosedError,
     _freeze_grid,
-    guard_cost,
+    _guard_sample,
     guard_power,
 )
 from .algebra import GF3, Record, _trusted
@@ -210,7 +210,7 @@ def _random_decompositions(shape: GridShape, rng, k: int):
     alone passes the guard, as random_closed_forms does.
     """
     check_periods(shape)
-    guard_cost(shape.edge_count)
+    _guard_sample(shape.edge_count)
     m, n = shape.m, shape.n
     first, column = 3 ** (n - 1), 3 ** n
     for _ in range(k):

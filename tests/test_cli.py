@@ -3,10 +3,11 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,14 @@ from conftest import (
 )
 from vertexforms.algebra import GF2, GF3
 from vertexforms.cli import main
-from vertexforms.forms_rect import enumerate_six
+from vertexforms.forms_rect import (
+    OneForm,
+    closed_form_tables,
+    enumerate_six,
+    is_closed,
+    random_closed_forms,
+    six_state_tables,
+)
 from vertexforms.grid import (
     BoundarySpec,
     GridShape,
@@ -28,6 +36,7 @@ from vertexforms.grid import (
     boundary_of,
     serialize_boundary,
     serialize_state,
+    state_doc,
 )
 from vertexforms.yangbaxter import (
     WEIGHT_KEYS,
@@ -424,14 +433,16 @@ def test_random_verify_modes_read_no_vertex_table(capsys, argv):
 @pytest.mark.parametrize("argv,home,keys", [
     (["poincare", "--m", "2", "--n", "2"], "forms_rect", {"fx", "gy"}),
     (["poincare", "--m", "6", "--n", "6"], "forms_rect", {"fx", "gy"}),
+    (["bijection", "--m", "2", "--n", "2"], "forms_rect", {"m", "n", "field", "f", "g", "t"}),
     (["cohomology", "--m", "2", "--n", "2"], "toroidal", {"fx", "gy"}),
     (["cohomology", "--m", "8", "--n", "7"], "toroidal", {"r", "s", "h"}),
-], ids=["poincare-exhaustive", "poincare-random", "cohomology-exhaustive",
+], ids=["poincare-exhaustive", "poincare-random", "bijection", "cohomology-exhaustive",
         "cohomology-random"])
 def test_a_wrong_potential_is_a_counterexample(capsys, monkeypatch, argv, home, keys):
-    # a potential one off at its last vertex gives no form back, so
-    # antiderivative or decompose refuses the suite's first form, which
-    # the suite reports, exit 1, rather than raise
+    # a potential one off at its last vertex gives no form back: d of it
+    # is not the suite's first form or state (poincare, bijection), or
+    # decompose refuses that form (cohomology), and the suite reports
+    # it, exit 1, rather than raise
     module = importlib.import_module(f"vertexforms.{home}")
     potential = module._potential
 
@@ -465,6 +476,89 @@ def test_an_unnormalized_potential_is_a_counterexample(capsys, monkeypatch, argv
     code, doc = run_json(capsys, "verify", "cohomology", *argv)
     assert code == 1 and doc["passed"] is False
     assert set(doc["counterexample"]) == keys
+
+
+def first_state_doc(shape):
+    f, g = next(iter(six_state_tables(shape)))
+    return state_doc(LatticeState(shape=shape, field=GF3, f=f, g=g))
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--m", "2", "--n", "2"],
+    ["poincare", "--m", "6", "--n", "6", "--samples", "5"],
+    ["bijection", "--m", "2", "--n", "2"],
+], ids=["poincare-exhaustive", "poincare-random", "bijection"])
+def test_a_wrong_difference_is_a_counterexample(capsys, monkeypatch, argv):
+    # d one off at its last fx entry gives no form back, so the suite's
+    # first form or state is its counterexample, exit 1
+    import vertexforms.forms_rect as forms_rect
+
+    differences = forms_rect._differences
+
+    def wrong(*args):
+        fx, gy = differences(*args)
+        return fx[:-1] + (fx[-1][:-1] + ((fx[-1][-1] + 1) % 3,),), gy
+
+    monkeypatch.setattr(forms_rect, "_differences", wrong)
+    code, doc = run_json(capsys, "verify", *argv)
+    assert code == 1 and doc["passed"] is False
+    shape = GridShape(int(argv[2]), int(argv[4]))
+    if argv[0] == "bijection":
+        expected = first_state_doc(shape) | {"t": 0}
+    else:
+        if "--samples" in argv:  # the random mode's first draw, at seed 0
+            w = random_closed_forms(shape, random.Random(0), 1)[0]
+            fx, gy = w.fx, w.gy
+        else:
+            fx, gy = next(iter(closed_form_tables(shape)))
+        expected = {"fx": [list(r) for r in fx], "gy": [list(r) for r in gy]}
+    assert doc["counterexample"] == expected
+
+
+def test_a_wrong_base_label_is_a_bijection_counterexample(capsys, monkeypatch):
+    # a potential climbed from 0 where it should start from 2 has the
+    # state's differences, so only the check of the base label sees it,
+    # and the counterexample names that label
+    import vertexforms.forms_rect as forms_rect
+
+    potential = forms_rect._potential
+
+    def from_zero(fx, gy, cx=0, cy=0, t=0):
+        return potential(fx, gy, cx, cy, 0 if t == 2 else t)
+
+    monkeypatch.setattr(forms_rect, "_potential", from_zero)
+    code, doc = run_json(capsys, "verify", "bijection", "--m", "2", "--n", "2")
+    assert code == 1 and doc["passed"] is False
+    assert doc["counterexample"] == first_state_doc(GridShape(2, 2)) | {"t": 2}
+
+
+def test_an_inadmissible_state_is_a_bijection_counterexample(capsys, monkeypatch):
+    # a closed form with the value 2 gives itself back through d of its
+    # potential, but it is no six-vertex state: the suite's admissibility
+    # check reports it, where coloring_from_form would raise
+    import vertexforms.forms_rect as forms_rect
+
+    shape = GridShape(2, 2)
+    f, g = ((2, 2, 2), (0, 0, 0)), ((0, 0), (0, 0), (0, 0))
+    assert is_closed(OneForm(shape=shape, fx=f, gy=g))
+    real = forms_rect.six_state_tables
+    monkeypatch.setattr(forms_rect, "six_state_tables",
+                        lambda *args, **kwargs: chain(real(*args, **kwargs), [(f, g)]))
+    code, doc = run_json(capsys, "verify", "bijection", "--m", "2", "--n", "2")
+    assert code == 1 and doc["passed"] is False
+    bad = state_doc(LatticeState(shape=shape, field=GF3, f=f, g=g))
+    assert doc["counterexample"] == bad | {"t": 0}
+
+
+@pytest.mark.parametrize("suite", ["poincare", "cohomology"])
+def test_a_sampler_refusal_offers_no_flag(capsys, suite):
+    # the random mode runs where the guard refused the listing, so --force
+    # would not lift the charge of one random form: the refusal names no flag
+    code, out, err = run(capsys, "verify", suite, "--m", "10001", "--n", "10001")
+    assert (code, out) == (2, "")
+    assert err == ("error: cost of 2^28 exceeds the 2^26 guard; one random sample alone "
+                   "is charged that, and no flag overrides it\n")
+    assert "force" not in err
 
 
 def test_verify_cohomology_bad_period(capsys):
@@ -724,6 +818,30 @@ def test_boundary_field_mismatch_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "count", "--model", "eight", "--m", "2",
                          "--n", "2", "--boundary", bfile)
     assert code == 2 and "expected F2" in err
+
+
+# a field that is not a string is refused as a format error, not looked
+# up in the table of field names, where a list or an object is unhashable
+@pytest.mark.parametrize("field", [["F2"], {}], ids=["list", "object"])
+@pytest.mark.parametrize("argv", [
+    ["count", "--model", "eight", "--m", "3", "--n", "3", "--boundary"],
+    ["enumerate", "--model", "eight", "--m", "3", "--n", "3", "--boundary"],
+    ["verify", "state", "--model", "eight", "--in"],
+], ids=["count", "enumerate", "verify-state"])
+def test_a_field_that_is_not_a_string_is_a_format_error(capsys, tmp_path, field, argv):
+    shape = GridShape(3, 3)
+    if argv[0] == "verify":
+        kind = "state"
+        doc = json.loads(serialize_state(LatticeState(shape=shape, field=GF2, f=[[0] * 4] * 3,
+                                                      g=[[0] * 3] * 4)))
+    else:
+        kind = "boundary"
+        doc = json.loads(Path(zero_boundary_file(tmp_path, shape, GF2)).read_text())
+    doc["field"] = field
+    code, out, err = run(capsys, *argv, write_json(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {kind} document: 'field' must be one of ['F2', 'F3'], "
+                   f"got {field!r}\n")
 
 
 def test_bad_shape_exits_2(capsys):

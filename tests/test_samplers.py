@@ -43,6 +43,29 @@ def test_f3_digits_are_one_to_one_on_a_sample(k):
     assert len(digits) == len(xs)
 
 
+def f3_digits_by_divmod(x, k):
+    """The oracle: k divmods by 3, low digit first, in _f3_digits' order,
+    five-digit chunks from the low end, each chunk high digit first."""
+    low_first = []
+    for _ in range(k):
+        x, d = divmod(x, 3)
+        low_first.append(d)
+    return tuple(d for i in range(0, k, 5) for d in reversed(low_first[i:i + 5]))
+
+
+# short columns, both sides of the 60-digit cut, splits whose high part
+# is a partial chunk, and long columns that split several times
+@pytest.mark.parametrize("k", [*range(1, 12), 39, 40, 41, 59, 60, 61, 62, 65, 66, 99, 100,
+                               101, 125, 249, 250, 1000, 2999, 3000])
+def test_f3_digits_are_the_base_3_digits(k):
+    rng = random.Random(k)
+    top, split = 3 ** k, 3 ** (5 * (k // 10))
+    xs = {0, 1, top - 1, split - 1, split, top - split} | {rng.randrange(top) for _ in range(20)}
+    for x in xs:
+        if 0 <= x < top:
+            assert _f3_digits(x, k) == f3_digits_by_divmod(x, k)
+
+
 @pytest.mark.parametrize("draw", [
     lambda shape, rng: random_closed_forms(shape, rng, 1),
     lambda shape, rng: next(_random_decompositions(shape, rng, 1)),

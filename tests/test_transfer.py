@@ -13,7 +13,8 @@ of another shape and of TORUS where only free or fixed ones are taken,
 the paper's F2 counts at sizes no listing reaches, the domain-wall 2-
 and 3-enumerations and Izergin-Korepin determinant (its fraction_det
 oracle checked against the Leibniz expansion), the weighted symmetries (half-turn, transpose,
-complement, and gauge invariance on the torus), the gluing laws that
+complement, and gauge invariance on the torus), the F2 dualities of the
+eight-vertex torus sum at symmetric weights, the gluing laws that
 give the free and toroidal sums as sums of fixed ones and a fixed sum
 as sums over a row or a column cut, what the size guard
 charges sums and listings, and the commuting row transfer matrices of
@@ -785,6 +786,58 @@ def test_a_free_boundary_sum_is_not_gauge_invariant():
     shape = GridShape(2, 2)
     assert weighted_sum(ones, shape) == count_total(shape) == 256
     assert weighted_sum(gauged(ones, "c", 2), shape) == Fraction(577, 2)
+
+
+# -- the F2 dualities of the eight-vertex torus sum at symmetric weights,
+# a1 = a-1 = a and likewise for b, c and d (Wegner 1973; Baxter 1982,
+# ch. 10): the sum over the F2 space of toroidal states is unchanged by
+# its Fourier transform, the weak-graph map, and by two swaps of letters
+
+
+def symmetric_table(a, b, c, d):
+    letters = {"a": a, "b": b, "c": c, "d": d}
+    return {p: letters[PATTERNS[p][0]] for p in EIGHT_VERTEX}
+
+
+def weak_graph(a, b, c, d):
+    """The weak-graph transformation, an involution: H / 2 for the 4x4
+    Hadamard matrix H."""
+    return ((a + b + c + d) / 2, (a + b - c - d) / 2, (a - b + c - d) / 2,
+            (a - b - c + d) / 2)
+
+
+DUALITIES = {
+    "weak-graph": weak_graph,
+    "c-d": lambda a, b, c, d: (a, b, d, c),
+    "a-b": lambda a, b, c, d: (b, a, c, d),
+}
+
+positive_ratios = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@pytest.mark.parametrize("duality", DUALITIES.values(), ids=DUALITIES.keys())
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(2, 6), st.tuples(*[positive_ratios] * 4))
+def test_the_eight_vertex_torus_sum_is_unchanged_by_its_f2_dualities(duality, m, n, w):
+    # positive weights give a positive sum; the weak-graph image of w
+    # has the same sum and its weights can take either sign, so each law
+    # is checked there too
+    shape = GridShape(m, n)
+    z = weighted_sum(symmetric_table(*w), shape, TORUS)
+    assert z > 0
+    for weights in (w, weak_graph(*w)):
+        assert weighted_sum(symmetric_table(*duality(*weights)), shape, TORUS) == z
+
+
+def test_the_free_eight_vertex_sum_moves_under_the_weak_graph_map():
+    # the negative control: the law holds on the torus, not on a free lattice
+    rng = random.Random(5)
+    w = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+    shape = GridShape(3, 3)
+    assert weighted_sum(symmetric_table(*weak_graph(*w)), shape, TORUS) == \
+        weighted_sum(symmetric_table(*w), shape, TORUS)
+    assert weighted_sum(symmetric_table(*weak_graph(*w)), shape) != \
+        weighted_sum(symmetric_table(*w), shape)
 
 
 # -- conservation laws: a fixed boundary that breaks one admits no state
