@@ -32,14 +32,15 @@ the vertex tables of transfer (CLOSED_F3, SIX_VERTEX); counts come
 from its sweep and listings, closed forms too, from its column walk.
 antiderivative alone checks closedness by the calculus instead: a form
 is closed when d of its potential gives it back.  verify poincare and
-the exhaustive part of verify bijection make that test on the walk's or
-the sampler's tables with _potential and _differences themselves, so
-they build no record.
+verify bijection make that test, and the coloring maps' checks, on the
+walk's or the samplers' tables with _potential and _differences
+themselves, so they build no form: verify poincare's random forms come
+as tables from _random_closed_tables, which random_closed_forms wraps.
 count_colorings counts the colorings by a sweep of its own, a cell at a
 time, that reads no vertex table, so count --check-colorings compares
 two independent engines; its test oracle is a backtracking count
-(backtrack_colorings in tests/conftest.py).  random_closed_forms reads
-CLOSED_F3 too, not a kernel.  The random samplers, random_closed_forms
+(backtrack_colorings in tests/conftest.py).  _random_closed_tables reads
+CLOSED_F3 too, not a kernel.  The random samplers, _random_closed_tables
 here, random_proper_coloring and toroidal's for verify cohomology, make
 one integer rng.randrange per column and read it as digits, base 3
 through _f3_digits, which splits a tall column in halves first, or base
@@ -64,7 +65,6 @@ from .grid import (
     GridShape,
     InputError,
     LatticeState,
-    _NotClosedError,
     _freeze_grid,
     _guard_sample,
     _vertex_incidence,
@@ -183,7 +183,7 @@ def antiderivative(w: OneForm) -> ScalarField:
     fx = w.fx
     h = _potential(fx, w.gy)
     if tuple(map(_step, h, h[1:], repeat(0))) != fx:
-        raise _NotClosedError("antiderivative requires a closed form")
+        raise ValueError("antiderivative requires a closed form")
     return ScalarField.trusted(shape=w.shape, h=h)
 
 
@@ -240,32 +240,40 @@ def _f3_digits(x: int, k: int) -> tuple:
     return digits + _FIVE_DIGITS[x][5 - k:]
 
 
-def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:
-    """k uniformly random closed 1-forms, drawn by the vertex rule.
+def _random_closed_tables(shape: GridShape, rng: random.Random, k: int):
+    """The (fx, gy) tables of k uniformly random closed 1-forms, one at a
+    time, drawn by the vertex rule.
 
     Each form takes one rng.randrange per column: gy's first column is
     the n base-3 digits of a draw below 3^n, each of fx's m columns the
     n + 1 digits of one below 3^(n + 1), and each next gy column is read
     off CLOSED_F3, as state_tables does.  So the m + 1 draws map one to
-    one onto the 3^(mn + m + n) closed forms.  The rng draws are those
-    of k calls of random_closed_form.  A form holds edge_count values,
-    so a shape where one form alone passes the guard is refused first,
-    with no force and no flag offered: verify poincare draws forms only
-    where the guard refuses the exhaustive listing.
+    one onto the 3^(mn + m + n) closed forms.  A form holds edge_count
+    values, so a shape where one form alone passes the guard is refused
+    before the first draw, with no force and no flag offered: verify
+    poincare draws forms only where the guard refuses the exhaustive
+    listing.
     """
     _guard_sample(shape.edge_count)
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in CLOSED_F3}
     first, column = 3 ** n, 3 ** (n + 1)
-    forms = []
     for _ in range(k):
         gy = [_f3_digits(rng.randrange(first), n)]
         fx = tuple([_f3_digits(rng.randrange(column), n + 1) for _ in range(m)])
         for f in fx:
             # vertex (i, j): g[i][j], f[i][j+1], f[i][j] fix g[i+1][j]
             gy.append(tuple(map(right.__getitem__, zip(gy[-1], f[1:], f))))
-        forms.append(OneForm.trusted(shape=shape, fx=fx, gy=tuple(gy)))
-    return forms
+        yield fx, tuple(gy)
+
+
+def random_closed_forms(shape: GridShape, rng: random.Random, k: int) -> list[OneForm]:
+    """k uniformly random closed 1-forms: the tables of
+    _random_closed_tables, with its draws and its refusal of a shape one
+    form of which passes the guard.  The rng draws are those of k calls
+    of random_closed_form."""
+    return [OneForm.trusted(shape=shape, fx=fx, gy=gy)
+            for fx, gy in _random_closed_tables(shape, rng, k)]
 
 
 def random_closed_form(shape: GridShape, rng: random.Random) -> OneForm:

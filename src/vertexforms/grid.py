@@ -56,13 +56,6 @@ class WeightConditionError(InputError):
     """Raised when weights break a precondition of the computation asked for."""
 
 
-class _NotClosedError(ValueError):
-    """Raised when forms_rect.antiderivative or toroidal.decompose is
-    given a form that is not closed.  A verify suite makes its forms
-    closed, so there it is a fault, which that suite reports as its
-    counterexample: it catches this class, never a bare ValueError."""
-
-
 _OVERRIDE = "pass force=True (CLI: --force) to override"
 
 

@@ -22,15 +22,17 @@ its partial derivatives attains every F3 value.
 
 The calculus is the rectangle's (forms_rect), a column at a time
 through its bounded column memos: toroidal_derivatives and reconstruct
-take its column differences with the first column and row repeated,
-r and s added as the kernels' offsets, and decompose integrates fx - r
-and gy - s with its bottom-then-up potential.  decompose checks
-closedness by the calculus too: it refuses a form that r dx + s dy + dh
-does not give back, and on a form reconstruct has just built those
-differences are memo hits.  is_closed_toroidal is the same check on
-the vertex table, CLOSED_F3.  The random mode of
-verify cohomology draws its triples (r, s, h) here, one rng.randrange
-per column read as base-3 digits (_random_decompositions).
+take its column differences with the first column and row repeated
+(_wrapped_differences), r and s added as the kernels' offsets, and
+decompose's table core (_decompose_tables) integrates fx - r and
+gy - s with the bottom-then-up potential.  decompose checks closedness
+by the calculus too: it refuses a form that r dx + s dy + dh does not
+give back.  is_closed_toroidal is the same check on the vertex table,
+CLOSED_F3.  verify cohomology runs the two table functions itself and
+builds no record: the exhaustive mode splits each form the walk lists,
+the random mode takes the differences of each triple (r, s, h) its
+sampler draws here, one rng.randrange per column read as base-3 digits
+(_random_decompositions), and splits them again.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .grid import (
     GridShape,
     InputError,
     LatticeState,
-    _NotClosedError,
     _freeze_grid,
     _guard_sample,
     guard_power,
@@ -161,13 +162,25 @@ def enumerate_closed_toroidal(shape: GridShape, force: bool = False) -> list[Tor
             for fx, gy in closed_toroidal_tables(shape, force)]
 
 
+def _decompose_tables(m: int, n: int, fx: tuple, gy: tuple) -> tuple:
+    """(r, s, values) of a toroidal form's fundamental-domain tables, its
+    periods (m, n) prime to 3: r is (1/m) times fx's bottom row sum, s is
+    (1/n) times gy's first column sum, and values is the rectangle's
+    potential of fx - r and gy - s.  Checks nothing: on a closed form
+    these are its decomposition, on any other they are not."""
+    r = (_INV3[m % 3] * sum(col[0] for col in fx)) % 3
+    s = (_INV3[n % 3] * sum(gy[0])) % 3
+    # gy's last entry only closes each column: n values of h per column
+    return r, s, _potential(fx, [col[:-1] for col in gy], -r, -s)
+
+
 def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
     """Split a closed toroidal form as r dx + s dy + dh.
 
     r is (1/m) times a row sum of fx, s is (1/n) times a column sum of
     gy, and h is the rectangle's potential of the residuals fx - r and
     gy - s, summed along a bottom-then-up path and cut to the
-    fundamental domain:
+    fundamental domain (_decompose_tables):
 
         h[i][j] = sum_{a<i} (fx[a][1] - r) + sum_{b<j} (gy[i][b] - s).
 
@@ -177,16 +190,15 @@ def decompose(w: ToroidalOneForm) -> CohomologyDecomposition:
     the vertex table: every r dx + s dy + dh is closed, and a closed w
     is the one its own r, s and h make, so w is closed exactly when
     reconstruct would give it back.  On a form reconstruct has just
-    built, those kernel calls are its own, memo hits.
+    built, those kernel calls are its own, memo hits.  On the
+    differences of a drawn triple, as in the random mode of verify
+    cohomology, the check passes whenever the core gives that triple
+    back, so that mode runs the core alone.
     """
     check_periods(w.shape)
-    m, n = w.shape.m, w.shape.n
-    r = (_INV3[m % 3] * sum(col[0] for col in w.fx)) % 3
-    s = (_INV3[n % 3] * sum(w.gy[0])) % 3
-    # gy's last entry only closes each column: n values of h per column
-    values = _potential(w.fx, [col[:-1] for col in w.gy], -r, -s)
+    r, s, values = _decompose_tables(w.shape.m, w.shape.n, w.fx, w.gy)
     if _wrapped_differences(values, r, s) != (w.fx, w.gy):
-        raise _NotClosedError("decompose requires a closed toroidal form")
+        raise ValueError("decompose requires a closed toroidal form")
     h = PeriodicField.trusted(shape=w.shape, values=values)
     return CohomologyDecomposition(r=r, s=s, h=h)
 
@@ -198,8 +210,9 @@ def reconstruct(d: CohomologyDecomposition) -> ToroidalOneForm:
 
 
 def _random_decompositions(shape: GridShape, rng, k: int):
-    """k uniformly random decompositions (r, s, h), h(1, 1) = 0, for the
-    random mode of verify cohomology, one at a time.
+    """k uniformly random decompositions, as (r, s, values) tables with
+    values[0][0] = 0, for the random mode of verify cohomology, one at
+    a time.
 
     Each takes one rng.randrange per column: (r, s) are the two base-3
     digits of a draw below 9, h's first column is 0 and then the n - 1
@@ -217,8 +230,7 @@ def _random_decompositions(shape: GridShape, rng, k: int):
         r, s = _f3_digits(rng.randrange(9), 2)
         values = [(0,) + _f3_digits(rng.randrange(first), n - 1)]
         values += [_f3_digits(rng.randrange(column), n) for _ in range(m - 1)]
-        h = PeriodicField.trusted(shape=shape, values=tuple(values))
-        yield CohomologyDecomposition(r, s, h)
+        yield r, s, tuple(values)
 
 
 def partial_images(h: PeriodicField) -> tuple:

@@ -27,6 +27,7 @@ from vertexforms.forms_rect import (
     enumerate_six,
     is_closed,
     random_closed_forms,
+    random_proper_coloring,
     six_state_tables,
 )
 from vertexforms.grid import (
@@ -37,6 +38,13 @@ from vertexforms.grid import (
     serialize_boundary,
     serialize_state,
     state_doc,
+)
+from vertexforms.toroidal import (
+    CohomologyDecomposition,
+    PeriodicField,
+    ToroidalOneForm,
+    _random_decompositions,
+    closed_toroidal_tables,
 )
 from vertexforms.yangbaxter import (
     WEIGHT_KEYS,
@@ -416,6 +424,32 @@ def test_random_verify_modes_build_no_f3_kernel(capsys, monkeypatch, argv):
     assert code == 0 and doc["mode"] == "random" and doc["passed"] is True
 
 
+@pytest.mark.parametrize("m,n,mode,checked", [(2, 2, "exhaustive", 3 ** 5),
+                                                (8, 7, "random", 500)])
+def test_verify_cohomology_builds_no_toroidal_record(capsys, monkeypatch, m, n, mode, checked):
+    # both modes check the split on tables: decompose, reconstruct and
+    # every constructor of the three toroidal records fail if called
+    import vertexforms.toroidal as toroidal
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a toroidal record was built")
+
+    monkeypatch.setattr(toroidal, "decompose", fail)
+    monkeypatch.setattr(toroidal, "reconstruct", fail)
+    for record in (PeriodicField, ToroidalOneForm, CohomologyDecomposition):
+        monkeypatch.setattr(record, "__init__", fail)
+        if "trusted" in vars(record):
+            monkeypatch.setattr(record, "trusted", fail)
+    with pytest.raises(AssertionError):
+        PeriodicField.trusted(shape=GridShape(2, 2), values=((0, 0), (0, 0)))
+    with pytest.raises(AssertionError):
+        CohomologyDecomposition(r=0, s=0, h=None)
+    code, doc = run_json(capsys, "verify", "cohomology", "--m", str(m), "--n", str(n))
+    assert code == 0
+    assert doc == {"suite": "cohomology", "shape": [m, n], "mode": mode,
+                   "checked": checked, "passed": True}
+
+
 @pytest.mark.parametrize("argv", [["poincare", "--m", "6", "--n", "6"],
                                   ["cohomology", "--m", "8", "--n", "7"]],
                          ids=["poincare", "cohomology"])
@@ -478,6 +512,25 @@ def test_an_unnormalized_potential_is_a_counterexample(capsys, monkeypatch, argv
     assert set(doc["counterexample"]) == keys
 
 
+def test_a_wrong_potential_is_a_random_bijection_counterexample(capsys, monkeypatch):
+    # with no states, the random colorings alone see the potential: one
+    # off at its last vertex, it does not give the first coloring back
+    import vertexforms.forms_rect as forms_rect
+
+    potential = forms_rect._potential
+
+    def wrong(*args):
+        h = potential(*args)
+        return h[:-1] + (h[-1][:-1] + ((h[-1][-1] + 1) % 3,),)
+
+    monkeypatch.setattr(forms_rect, "_potential", wrong)
+    monkeypatch.setattr(forms_rect, "six_state_tables", lambda *args, **kwargs: iter(()))
+    code, doc = run_json(capsys, "verify", "bijection", "--m", "3", "--n", "3", "--samples", "5")
+    assert code == 1 and doc["passed"] is False
+    cells = random_proper_coloring(GridShape(3, 3), random.Random(0)).cells
+    assert doc["counterexample"] == {"cells": [list(r) for r in cells]}
+
+
 def first_state_doc(shape):
     f, g = next(iter(six_state_tables(shape)))
     return state_doc(LatticeState(shape=shape, field=GF3, f=f, g=g))
@@ -487,31 +540,56 @@ def first_state_doc(shape):
     ["poincare", "--m", "2", "--n", "2"],
     ["poincare", "--m", "6", "--n", "6", "--samples", "5"],
     ["bijection", "--m", "2", "--n", "2"],
-], ids=["poincare-exhaustive", "poincare-random", "bijection"])
+    ["bijection", "--m", "2", "--n", "2", "--samples", "5"],
+    ["cohomology", "--m", "2", "--n", "2"],
+    ["cohomology", "--m", "8", "--n", "7", "--samples", "5"],
+], ids=["poincare-exhaustive", "poincare-random", "bijection", "bijection-random",
+        "cohomology-exhaustive", "cohomology-random"])
 def test_a_wrong_difference_is_a_counterexample(capsys, monkeypatch, argv):
-    # d one off at its last fx entry gives no form back, so the suite's
-    # first form or state is its counterexample, exit 1
+    # d one off at its last fx entry (the rectangle) or at its first,
+    # which feeds r (the torus), gives no form back, so the suite's first
+    # form, state, coloring or triple is its counterexample, exit 1
     import vertexforms.forms_rect as forms_rect
+    import vertexforms.toroidal as toroidal
 
-    differences = forms_rect._differences
-
-    def wrong(*args):
-        fx, gy = differences(*args)
-        return fx[:-1] + (fx[-1][:-1] + ((fx[-1][-1] + 1) % 3,),), gy
-
-    monkeypatch.setattr(forms_rect, "_differences", wrong)
-    code, doc = run_json(capsys, "verify", *argv)
-    assert code == 1 and doc["passed"] is False
     shape = GridShape(int(argv[2]), int(argv[4]))
-    if argv[0] == "bijection":
-        expected = first_state_doc(shape) | {"t": 0}
+    rng = random.Random(0)  # the random modes' first draw, at seed 0
+    if argv[0] == "cohomology":
+        wrapped = toroidal._wrapped_differences
+
+        def wrong_wrapped(*args):
+            fx, gy = wrapped(*args)
+            return (((fx[0][0] + 1) % 3,) + fx[0][1:],) + fx[1:], gy
+
+        monkeypatch.setattr(toroidal, "_wrapped_differences", wrong_wrapped)
     else:
-        if "--samples" in argv:  # the random mode's first draw, at seed 0
-            w = random_closed_forms(shape, random.Random(0), 1)[0]
+        differences = forms_rect._differences
+
+        def wrong(*args):
+            fx, gy = differences(*args)
+            return fx[:-1] + (fx[-1][:-1] + ((fx[-1][-1] + 1) % 3,),), gy
+
+        monkeypatch.setattr(forms_rect, "_differences", wrong)
+    if argv[0] == "bijection" and "--samples" in argv:
+        # no states, so the random colorings are the part that sees d
+        monkeypatch.setattr(forms_rect, "six_state_tables", lambda *args, **kwargs: iter(()))
+        expected = {"cells": [list(r) for r in random_proper_coloring(shape, rng).cells]}
+    elif argv[0] == "bijection":
+        expected = first_state_doc(shape) | {"t": 0}
+    elif argv[0] == "cohomology" and "--samples" in argv:
+        r, s, values = next(_random_decompositions(shape, rng, 1))
+        expected = {"r": r, "s": s, "h": [list(col) for col in values]}
+    else:
+        if argv[0] == "cohomology":
+            fx, gy = next(iter(closed_toroidal_tables(shape)))
+        elif "--samples" in argv:
+            w = random_closed_forms(shape, rng, 1)[0]
             fx, gy = w.fx, w.gy
         else:
             fx, gy = next(iter(closed_form_tables(shape)))
         expected = {"fx": [list(r) for r in fx], "gy": [list(r) for r in gy]}
+    code, doc = run_json(capsys, "verify", *argv)
+    assert code == 1 and doc["passed"] is False
     assert doc["counterexample"] == expected
 
 

@@ -202,7 +202,8 @@ def test_antiderivative_refuses_exactly_what_is_closed_rejects(m, n, seed, data)
        st.data())
 def test_decompose_refuses_exactly_what_is_closed_toroidal_rejects(m, n, seed, data):
     shape = GridShape(m, n)
-    w = reconstruct(next(_random_decompositions(shape, random.Random(seed), 1)))
+    r, s, values = next(_random_decompositions(shape, random.Random(seed), 1))
+    w = reconstruct(CohomologyDecomposition(r=r, s=s, h=PeriodicField(shape=shape, values=values)))
     fx, gy = perturbed(data, w.fx, w.gy)
     v = ToroidalOneForm(shape=shape, fx=fx, gy=gy)
     if is_closed_toroidal(v):

@@ -20,7 +20,13 @@ import pytest
 from conftest import ReplayRandom
 from vertexforms.forms_rect import _f3_digits, random_closed_forms, random_proper_coloring
 from vertexforms.grid import GridShape, SizeGuardError
-from vertexforms.toroidal import _random_decompositions, decompose, reconstruct
+from vertexforms.toroidal import (
+    CohomologyDecomposition,
+    PeriodicField,
+    _random_decompositions,
+    decompose,
+    reconstruct,
+)
 
 
 def test_f3_digits_are_one_to_one_exhaustively():
@@ -86,13 +92,13 @@ def test_random_decompositions_map_the_draws_onto_the_triples():
     shape = GridShape(2, 2)
     draws = list(product(range(9), range(3), range(9)))
     rng = ReplayRandom((x for t in draws for x in t), (9, 3, 9))
-    decs = list(_random_decompositions(shape, rng, len(draws)))
+    triples = list(_random_decompositions(shape, rng, len(draws)))
     assert next(rng.draws, None) is None
-    triples = [(d.r, d.s, d.h.values) for d in decs]
     assert len(set(triples)) == len(triples) == 3 ** 5
     assert set(triples) == {(r, s, ((0, a), (b, c)))
                             for r, s, a, b, c in product(range(3), repeat=5)}
-    for d in decs:
+    for r, s, values in triples:
+        d = CohomologyDecomposition(r=r, s=s, h=PeriodicField(shape=shape, values=values))
         assert decompose(reconstruct(d)) == d
 
 
