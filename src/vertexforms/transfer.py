@@ -11,10 +11,24 @@ weight of everything below it (Lieb 1967; Baxter 1982, ch. 8-10).
 The frontier key holds the m vertical bits (bit i - 1 for column i),
 and inside a row the horizontal bit carried to the next vertex at bit
 m.  A toroidal sweep also carries the row's first left bit at bit
-m + 1, so that the row's last right bit can be matched to it.  The
-work is at most 2^(m+1) keys (2^(m+2) on the torus) times the moves
-per key times mn dict updates, 2^m times that for the toroidal trace;
-the size guard charges every sum that bound before it starts.
+m + 1, so that the row's last right bit can be matched to it.
+
+Before a sweep starts, _plan makes its decisions.  When m > n it
+sweeps the transpose, so the frontier spans the short side: vertex
+(l, t, r, b) becomes (b, r, t, l), and the fixed sides (bottom, top,
+left, right) become (left, right, bottom, top).  Then it reads two
+conservation laws off the live (nonzero-weight) patterns (Lieb 1967;
+Baxter 1982, ch. 8).  Under the ice rule, every l + t = r + b, a
+vertex step keeps (vertical bits set) - (carried bit): a pinned row j
+holds at most the C(m + 1, c + 1) keys of c = k - left[j], where k is
+sum(bottom) and then c + right[j] after each row, and a torus row
+C(2m + 2, m + 1) over all 2^m starts.  Under parity, every l + t + r
++ b even, a step keeps the key's parity: 2^m and 2^(2m + 1) keys.
+Free rows, and pinned rows under no law, hold 2^(m + 1) keys, torus
+rows under no law 2^(2m + 2).  The guard is charged the vertex count
+mn first, below the charge whenever a pattern is live, then keys
+times the most moves of a key times m, summed over the rows, which
+bounds the dict updates.
 
 Boundaries, the one boundary argument of count_states, weighted_sum
 and state_tables:
@@ -23,11 +37,10 @@ and state_tables:
 * a BoundarySpec, fixed - it pins the bottom frontier, each row's left
   bit, each row's right bit and the top frontier read out at the end.
   A boundary of another shape is refused (InputError).  An F3
-  boundary value of 2 admits no state, and neither does a boundary
-  that breaks a conservation law every nonzero-weight pattern keeps:
-  an odd boundary sum when each l + t + r + b is even, an unbalanced
-  flow when each l + t = r + b.  Those return 0 before the guard, with
-  no sweep;
+  boundary value of 2 admits no state, and neither does a boundary a
+  law rules out: an odd boundary sum under parity, and under the ice
+  rule a k outside [0, m] or a last k other than sum(top), an
+  unbalanced flow.  Those return 0 before the guard, with no sweep;
 * grid.TORUS, the torus - the trace: the sum over bottom rows s0 of
   the sweeps that start at s0 and end at s0, with each row closed on
   itself.
@@ -65,9 +78,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
-from math import lcm
+from math import comb, lcm
 
-from .grid import TORUS, GridShape, check_boundary, guard_power
+from .grid import TORUS, GridShape, check_boundary, guard_cost
 
 # (left, top, right, bottom) pattern -> the (letter, sign) of the weight
 # it carries.  This is also the R-matrix component layout of yangbaxter.
@@ -131,15 +144,6 @@ def count_states(patterns, shape: GridShape, boundary=None, force: bool = False)
     return _integer_sum(dict.fromkeys(patterns, 1), shape, boundary, force)
 
 
-def _pinned(boundary, shape: GridShape):
-    """The BoundarySpec that pins a fixed boundary, refused when it is
-    for another shape; None for a free boundary and for TORUS."""
-    if boundary is None or boundary is TORUS:
-        return None
-    check_boundary(boundary, shape)
-    return boundary
-
-
 def state_tables(patterns, shape: GridShape, boundary=None):
     """Yield the (f, g) tables of count_states' labelings, in edge_tuple order.
 
@@ -161,7 +165,10 @@ def state_tables(patterns, shape: GridShape, boundary=None):
     the values the patterns use, and a boundary value no pattern uses
     yields nothing.  The caller charges the guard.
     """
-    toroidal, boundary = boundary is TORUS, _pinned(boundary, shape)
+    toroidal = boundary is TORUS
+    if toroidal:
+        boundary = None
+    check_boundary(boundary, shape)
     m, n = shape.m, shape.n
     right = {(left, top, bottom): r for left, top, r, bottom in patterns}
     bits = tuple(sorted({x for p in patterns for x in p}))
@@ -240,52 +247,67 @@ def _bits(values) -> int:
     return sum(x << k for k, x in enumerate(values))
 
 
-def _admits(table: dict, boundary) -> bool:
-    """False when a conservation law of the table's nonzero-weight
-    patterns rules the fixed boundary out, so that it admits no state.
-
-    Summed over all vertices, l + t + r + b counts each interior edge
-    twice and each boundary edge once, and l + t - r - b cancels each
-    interior edge and leaves sum(g_left) + sum(f_top) - sum(g_right) -
-    sum(f_bottom).  So if every pattern has an even l + t + r + b (the
-    eight-vertex rule), the boundary's sum is even, and if every
-    pattern has l + t = r + b (the six-vertex ice rule), the boundary's
-    flow balances (Baxter 1982, ch. 8).  A boundary value outside
-    {0, 1} admits no state either.
-    """
-    edges = boundary.edge_tuple()
-    if any(x not in (0, 1) for x in edges):
-        return False
-    live = [p for p, w in table.items() if w]
-    if sum(edges) % 2 and all(sum(p) % 2 == 0 for p in live):
-        return False
-    inflow = sum(boundary.g_left) + sum(boundary.f_top)
-    outflow = sum(boundary.g_right) + sum(boundary.f_bottom)
-    return inflow == outflow or not all(l + t == r + b for l, t, r, b in live)
+def _plan(table: dict, shape: GridShape, boundary, force: bool):
+    """One sum's decisions, in the module docstring: (moves, m, n, ends,
+    cost) in the swept orientation, or None when a law rules the fixed
+    boundary out.  moves maps (left, bottom) to the live (top, right,
+    weight) triples; ends is the fixed (bottom, top, left, right)."""
+    toroidal = boundary is TORUS
+    check_boundary(None if toroidal else boundary, shape)
+    ends = None if toroidal or boundary is None else (
+        boundary.f_bottom, boundary.f_top, boundary.g_left, boundary.g_right)
+    m, n = shape.m, shape.n
+    live = [(p, w) for p, w in table.items() if w]
+    if m > n:
+        m, n = n, m
+        live = [((b, r, t, l), w) for (l, t, r, b), w in live]
+        ends = ends and (ends[2], ends[3], ends[0], ends[1])
+    ice = all(l + t == r + b for (l, t, r, b), _ in live)
+    even = all(sum(p) % 2 == 0 for p, _ in live)
+    if ends is not None:
+        if any(x not in (0, 1) for side in ends for x in side) or (
+                even and sum(map(sum, ends)) % 2):
+            return None
+        if ice:
+            bottom, top, left, right = ends
+            k, classes = sum(bottom), []
+            for h, r in zip(left, right):
+                if not 0 <= k <= m:
+                    return None
+                classes.append(k - h + 1)
+                k += r - h
+            if k != sum(top):
+                return None
+    guard_cost(m * n, force)
+    moves = {key: [] for key in product((0, 1), repeat=2)}
+    for (l, t, r, b), w in live:
+        moves[l, b].append((t, r, w))
+    if toroidal:
+        keys = n * (comb(2 * m + 2, m + 1) if ice else 1 << 2 * m + 2 - even)
+    elif ends is None:
+        keys = n << m + 1
+    elif ice:
+        keys = sum(map(comb, repeat(m + 1), classes))
+    else:
+        keys = n << m + 1 - even
+    return moves, m, n, ends, keys * max(map(len, moves.values())) * m
 
 
 def _integer_sum(table: dict, shape: GridShape, boundary, force: bool) -> int:
-    toroidal, boundary = boundary is TORUS, _pinned(boundary, shape)
-    if boundary is not None and not _admits(table, boundary):
+    plan = _plan(table, shape, boundary, force)
+    if plan is None:
         return 0  # before the guard: no sweep runs
-    m, n = shape.m, shape.n
-    moves = {(left, bottom): [] for left in (0, 1) for bottom in (0, 1)}
-    for (left, top, right, bottom), w in table.items():
-        if w:
-            moves[left, bottom].append((top, right, w))
-    # keys times starts: 2^(m + 1) keys from one start, or 2^(m + 2)
-    # from each of the torus's 2^m starts
-    guard_power(2, 2 * m + 2 if toroidal else m + 1,
-                max(map(len, moves.values())) * m * n, force)
-    if toroidal:
+    moves, m, n, ends, cost = plan
+    guard_cost(cost, force)
+    if boundary is TORUS:
         return sum(
             _sweep(moves, m, n, {s0: 1}, toroidal=True).get(s0, 0) for s0 in range(1 << m)
         )
-    if boundary is None:
+    if ends is None:
         return sum(_sweep(moves, m, n, dict.fromkeys(range(1 << m), 1)).values())
-    end = _sweep(moves, m, n, {_bits(boundary.f_bottom): 1},
-                 left=boundary.g_left, right=boundary.g_right)
-    return end.get(_bits(boundary.f_top), 0)
+    bottom, top, left, right = ends
+    end = _sweep(moves, m, n, {_bits(bottom): 1}, left=left, right=right)
+    return end.get(_bits(top), 0)
 
 
 def _sweep(moves: dict, m: int, n: int, frontier: dict, left=None, right=None,

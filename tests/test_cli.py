@@ -843,8 +843,11 @@ def test_partition_six_rejects_d_weights(capsys, tmp_path):
 
 
 def test_size_guard_exits_2(capsys):
-    code, out, err = run(capsys, "count", "--m", "30", "--n", "2")
-    assert code == 2 and "guard" in err
+    code, out, err = run(capsys, "count", "--m", "30", "--n", "30")
+    assert code == 2 and out == "" and "cost of 2^42 exceeds the 2^26 guard" in err
+    # 30x2 is swept along its short side, as 2x30 is
+    tall, wide = (run(capsys, "count", "--m", m, "--n", n) for m, n in (("30", "2"), ("2", "30")))
+    assert tall[0] == 0 and tall[1] == wide[1]
 
 
 def test_defect_rank_is_charged_its_map_entries(capsys):
@@ -860,8 +863,9 @@ LIMITED_MAIN = ("import resource, sys\n"
                 "sys.exit(main(sys.argv[1:]))\n")
 
 
-# m = 10^20 + 1 is prime to 3, so the toroidal suites pass their period
-# check and reach the guard
+# m = 10^20 + 1 and 10^6 + 1 are prime to 3, so the toroidal suites pass
+# their period check and reach the guard; a sum sweeps the short side, so
+# one shape has a short side of 2 and the other none
 @pytest.mark.parametrize("command", [
     "count", "count --model eight", "count --model toroidal", "count --check-colorings",
     "enumerate", "enumerate --model eight", "enumerate --model toroidal",
@@ -872,11 +876,12 @@ def test_a_shape_too_large_to_price_exits_2(command):
     # in a process of its own, under a memory cap and a timeout: the
     # guard refuses the charge before any of it is built
     argv = command.format(weights=FIXTURES / "weights_generic_s.json").split()
-    argv += ["--m", str(10 ** 20 + 1), "--n", "2"]
-    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], capture_output=True,
-                          text=True, timeout=20, env=src_env())
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: cost of 2^") and "Traceback" not in proc.stderr
+    for m, n in ((10 ** 20 + 1, 2), (10 ** 6 + 1, 10 ** 6 + 1)):
+        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv, "--m", str(m),
+                               "--n", str(n)], capture_output=True, text=True, timeout=20,
+                              env=src_env())
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: cost of 2^") and "Traceback" not in proc.stderr
 
 
 def test_missing_file_exits_2(capsys):

@@ -90,7 +90,8 @@ def test_periods_divisible_by_three_rejected(shape):
 
 
 def test_sparse_fibers_refuses_the_periods_before_the_walk():
-    # at (9, 6) the walk's guard would refuse first: the trace is charged 2^27
+    # at (9, 6) the walk's guard would refuse first: its 41048196236
+    # states times 123 edges are charged 2^43
     with pytest.raises(ValueError, match=r"\(9, 6\).*divisible"):
         sparse_fibers(GridShape(9, 6))
 
