@@ -203,7 +203,7 @@ def cmd_enumerate(args) -> int:
 def _verify_poincare(args) -> tuple:
     import random
 
-    from .forms_rect import _differences, _potential, _random_closed_tables, closed_form_tables
+    from .forms_rect import _random_closed_tables, _round_trip, closed_form_tables
 
     shape = GridShape(args.m, args.n)
     rng = random.Random(args.seed)
@@ -220,7 +220,7 @@ def _verify_poincare(args) -> tuple:
     for fx, gy in tables:
         # d of the potential gives the form back: antiderivative's
         # closedness check and exterior_derivative's value in one test
-        if _differences(_potential(fx, gy)) != (fx, gy):
+        if not _round_trip(fx, gy):
             return {"suite": "poincare", "passed": False,
                     "counterexample": {"fx": [list(r) for r in fx],
                                        "gy": [list(r) for r in gy]}}, False
@@ -232,29 +232,40 @@ def _verify_poincare(args) -> tuple:
 def _verify_bijection(args) -> tuple:
     import random
 
-    from .forms_rect import _differences, _potential, random_proper_coloring, six_state_tables
+    from .forms_rect import (
+        _differences,
+        _potential,
+        _random_colorings,
+        _round_trip,
+        six_state_tables,
+    )
     from .transfer import SIX_VERTEX, first_bad_vertex
 
     shape = GridShape(args.m, args.n)
     rng = random.Random(args.seed)
+    # every state when the listing's guard takes the shape, then the
+    # random colorings, which run alone where the guard refuses it
+    try:
+        tables = six_state_tables(shape, force=args.force)
+    except SizeGuardError:
+        tables = ()
     checked = 0
-    for f, g in six_state_tables(shape, force=args.force):
+    for f, g in tables:
         # coloring_from_form's precondition, once a state: the walk makes
         # the states admissible, so a state that fails it is a fault
         admissible = first_bad_vertex(SIX_VERTEX, f, g) is None
         for t in (0, 1, 2):
-            # coloring_from_form's cells, then form_from_coloring's form
-            # and base label; its properness test is implied, since the
-            # form given back is the state's {0, 1} tables, so no
-            # difference minus 1 is 2
-            cells = _potential(f, g, 1, 1, t)
-            if not admissible or cells[0][0] != t or _differences(cells, -1, -1) != (f, g):
+            # coloring_from_form's cells, climbed from t, then
+            # form_from_coloring's form and base label; its properness
+            # test is implied, since the form given back is the state's
+            # {0, 1} tables, so no difference minus 1 is 2
+            if not admissible or not _round_trip(f, g, 1, t):
                 st = LatticeState.trusted(shape=shape, field=GF3, f=f, g=g)
                 return {"suite": "bijection", "passed": False,
                         "counterexample": state_doc(st) | {"t": t}}, False
             checked += 1
-    for _ in range(args.samples):
-        cells = random_proper_coloring(shape, rng).cells
+    # the sampler refuses a shape one random coloring of which passes the guard
+    for cells in _random_colorings(shape, rng, args.samples):
         # form_from_coloring's form, then coloring_from_form's cells from
         # it and the base label; an improper edge is a 2 in the form,
         # which no six-vertex pattern has, so the admissibility check

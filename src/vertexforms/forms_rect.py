@@ -20,8 +20,10 @@ transfer._MEMO_SIZE entries keyed by its column tuples and an F3
 offset added to every entry, so a column seen before costs one lookup.
 The offsets are the callers' shifts: the coloring bijection's
 + t + i + j and - 1, and the torus's r and s (toroidal's reconstruct
-and decompose call the same kernels).  is_proper reads the differences
-too: a coloring is proper when no difference along an edge is 0.
+and decompose call the same kernels).  A fourth memo,
+_column_round_trip, with a cap of its own, holds whole column steps of
+the round trip below.  is_proper reads the differences too: a
+coloring is proper when no difference along an edge is 0.
 closedness_matrix is grid's vertex incidence matrix over F3, the one
 eightvertex's defect map reads over F2.
 
@@ -31,11 +33,17 @@ directions are implemented here.  Closedness and admissibility are
 the vertex tables of transfer (CLOSED_F3, SIX_VERTEX); counts come
 from its sweep and listings, closed forms too, from its column walk.
 antiderivative alone checks closedness by the calculus instead: a form
-is closed when d of its potential gives it back.  verify poincare and
-verify bijection make that test, and the coloring maps' checks, on the
-walk's or the samplers' tables with _potential and _differences
-themselves, so they build no form: verify poincare's random forms come
-as tables from _random_closed_tables, which random_closed_forms wraps.
+is closed when d of its potential gives it back.  _round_trip makes
+that test a column step at a time: step i reads only the potential's
+base h[i][0] and the columns gy[i], fx[i] and gy[i + 1], so
+_column_round_trip answers a step seen before in one lookup, and no
+table is built.  antiderivative, verify poincare and the exhaustive
+part of verify bijection (with the coloring shift, from each base
+label) call it on their tables, so the suites build no form: verify
+poincare's random forms come as tables from _random_closed_tables,
+which random_closed_forms wraps.  verify bijection's random colorings,
+from _random_colorings, take _differences and _potential themselves,
+the values of the coloring maps.
 count_colorings counts the colorings by a sweep of its own, a cell at a
 time, that reads no vertex table, so count --check-colorings compares
 two independent engines; its test oracle is a backtracking count
@@ -159,6 +167,35 @@ def _potential(fx, gy, cx: int = 0, cy: int = 0, t: int = 0) -> tuple:
     return tuple(map(_climb, bases, gy, repeat(cy)))
 
 
+# _column_round_trip's cap.  An exhaustive verify poincare at 2x2 takes
+# 729 distinct column steps, verify bijection at 3x3 162: ten rounds of
+# the two and a random 3x3 poincare missed 8250 times at 768 entries
+# and 906, once a step, at 1024 (512 misses the 2x2 alone 7200 times)
+_ROUND_TRIP_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_ROUND_TRIP_MEMO_SIZE)
+def _column_round_trip(base: int, g: tuple, f: tuple, nxt: tuple, c: int) -> bool:
+    """Column i of _round_trip's law, with base = h[i][0], g = gy[i],
+    f = fx[i] and nxt = gy[i + 1]: the potential's column i, climbed
+    from base up g + c, gives g back by D_y - c, and with column i + 1,
+    climbed from base + f[0] + c up nxt + c, gives f back by D_x - c."""
+    col = _climb(base, g, c)
+    return _rise(col, -c) == g and _step(col, _climb((base + f[0] + c) % 3, nxt, c), -c) == f
+
+
+def _round_trip(fx, gy, c: int = 0, t: int = 0) -> bool:
+    """True exactly when h = _potential(fx, gy, c, c, t) starts at t and
+    _differences(h, -c, -c) == (fx, gy): d of the potential gives the
+    form back.  Column i of that law reads only h[i][0], gy[i], fx[i]
+    and gy[i + 1], so it is one _column_round_trip lookup once seen;
+    the bases h[i][0] are the climb _potential makes, and one _rise
+    covers the last gy column.  No table is built."""
+    bases = _climb(t, next(zip(*fx)), c)  # fx's bottom row
+    return (bases[0] == t and all(map(_column_round_trip, bases, gy, fx, gy[1:], repeat(c)))
+            and _rise(_climb(bases[-1], gy[-1], c), -c) == gy[-1])
+
+
 def exterior_derivative(field: ScalarField) -> OneForm:
     """d(h) = (D_x h) dx + (D_y h) dy: fx[i][j] = h[i+1][j] - h[i][j],
     m x (n+1), and gy[i][j] = h[i][j+1] - h[i][j], (m+1) x n."""
@@ -176,15 +213,14 @@ def antiderivative(w: OneForm) -> ScalarField:
 
     h[i][j] is the sum of fx along the bottom row up to column i, plus
     gy up column i to height j.  Requires the form to be closed, and
-    checks it by the calculus, not the vertex table: D_y h is gy by
-    construction, so w is closed, being dh, exactly when D_x h is fx.
-    Those _step calls are the ones exterior_derivative(h) makes next.
+    checks it by the calculus, not the vertex table: w is closed, being
+    then dh, exactly when d of its potential gives it back, the
+    _round_trip that verify poincare and verify bijection check.
     """
-    fx = w.fx
-    h = _potential(fx, w.gy)
-    if tuple(map(_step, h, h[1:], repeat(0))) != fx:
+    fx, gy = w.fx, w.gy
+    if not _round_trip(fx, gy):
         raise ValueError("antiderivative requires a closed form")
-    return ScalarField.trusted(shape=w.shape, h=h)
+    return ScalarField.trusted(shape=w.shape, h=_potential(fx, gy))
 
 
 def closedness_matrix(shape: GridShape) -> FieldMatrix:
@@ -457,3 +493,13 @@ def random_proper_coloring(shape: GridShape, rng: random.Random) -> Coloring:
         below_row = tuple(row)
         rows.append(below_row)
     return Coloring.trusted(shape=shape, cells=tuple(zip(*rows)))
+
+
+def _random_colorings(shape: GridShape, rng: random.Random, k: int):
+    """The cells of k random_proper_coloring draws, one at a time.  A
+    coloring's round trip takes its form, edge_count values, so a shape
+    one form of which passes the guard is refused before the first
+    draw, with no flag offered, as _random_closed_tables refuses it."""
+    _guard_sample(shape.edge_count)
+    for _ in range(k):
+        yield random_proper_coloring(shape, rng).cells

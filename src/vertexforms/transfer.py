@@ -99,9 +99,10 @@ CLOSED_F3 = frozenset((left, top, (left + top - bottom) % 3, bottom)
 
 
 # Entries each column memo keeps: first_bad_vertex's and the calculus
-# kernels of forms_rect.  A 3x3 verify bijection run differences 324
-# column pairs, which 256 entries would keep missing; random tables on
-# larger shapes mostly miss, and the cap bounds what they leave behind.
+# kernels of forms_rect.  The exhaustive verify suites' column steps
+# reach the kernels only when forms_rect's round-trip memo, which has a
+# cap of its own (_ROUND_TRIP_MEMO_SIZE), misses them; random tables
+# mostly miss, and the cap bounds what they leave behind.
 _MEMO_SIZE = 512
 
 

@@ -6,8 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,17 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+@pytest.fixture
+def round_trip_memo():
+    """forms_rect's round-trip memo, cleared before and after the test,
+    so that a patched kernel is reached and leaves no entry behind."""
+    import vertexforms.forms_rect as forms_rect
+
+    forms_rect._column_round_trip.cache_clear()
+    yield forms_rect._column_round_trip
+    forms_rect._column_round_trip.cache_clear()
 
 
 def write_weights(tmp_path, name, w):
@@ -472,19 +484,32 @@ def test_random_verify_modes_read_no_vertex_table(capsys, argv):
     (["cohomology", "--m", "8", "--n", "7"], "toroidal", {"r", "s", "h"}),
 ], ids=["poincare-exhaustive", "poincare-random", "bijection", "cohomology-exhaustive",
         "cohomology-random"])
-def test_a_wrong_potential_is_a_counterexample(capsys, monkeypatch, argv, home, keys):
+def test_a_wrong_potential_is_a_counterexample(capsys, monkeypatch, round_trip_memo, argv,
+                                               home, keys):
     # a potential one off at its last vertex gives no form back: d of it
     # is not the suite's first form or state (poincare, bijection), or
     # decompose refuses that form (cohomology), and the suite reports
-    # it, exit 1, rather than raise
+    # it, exit 1, rather than raise.  The rectangle suites climb the
+    # potential a column at a time (_round_trip), and a column step,
+    # memoized for every column it fits, cannot tell the last column
+    # from the others: there each climb is one off at its last vertex
     module = importlib.import_module(f"vertexforms.{home}")
-    potential = module._potential
+    if home == "forms_rect":
+        climb = module._climb
 
-    def wrong(*args):
-        h = potential(*args)
-        return h[:-1] + (h[-1][:-1] + ((h[-1][-1] + 1) % 3,),)
+        def wrong(*args):
+            col = climb(*args)
+            return col[:-1] + ((col[-1] + 1) % 3,)
 
-    monkeypatch.setattr(module, "_potential", wrong)
+        monkeypatch.setattr(module, "_climb", wrong)
+    else:
+        potential = module._potential
+
+        def wrong(*args):
+            h = potential(*args)
+            return h[:-1] + (h[-1][:-1] + ((h[-1][-1] + 1) % 3,),)
+
+        monkeypatch.setattr(module, "_potential", wrong)
     code, doc = run_json(capsys, "verify", *argv, "--samples", "5")
     assert code == 1 and doc["passed"] is False
     assert set(doc["counterexample"]) == keys
@@ -545,10 +570,13 @@ def first_state_doc(shape):
     ["cohomology", "--m", "8", "--n", "7", "--samples", "5"],
 ], ids=["poincare-exhaustive", "poincare-random", "bijection", "bijection-random",
         "cohomology-exhaustive", "cohomology-random"])
-def test_a_wrong_difference_is_a_counterexample(capsys, monkeypatch, argv):
+def test_a_wrong_difference_is_a_counterexample(capsys, monkeypatch, round_trip_memo, argv):
     # d one off at its last fx entry (the rectangle) or at its first,
     # which feeds r (the torus), gives no form back, so the suite's first
-    # form, state, coloring or triple is its counterexample, exit 1
+    # form, state, coloring or triple is its counterexample, exit 1.
+    # The rectangle's round trips take d a column step at a time
+    # (_round_trip), so there each step is one off at its last entry;
+    # the random colorings take d whole (_differences)
     import vertexforms.forms_rect as forms_rect
     import vertexforms.toroidal as toroidal
 
@@ -562,6 +590,14 @@ def test_a_wrong_difference_is_a_counterexample(capsys, monkeypatch, argv):
             return (((fx[0][0] + 1) % 3,) + fx[0][1:],) + fx[1:], gy
 
         monkeypatch.setattr(toroidal, "_wrapped_differences", wrong_wrapped)
+    elif "--samples" not in argv or argv[0] == "poincare":
+        step = forms_rect._step
+
+        def wrong_step(*args):
+            col = step(*args)
+            return col[:-1] + ((col[-1] + 1) % 3,)
+
+        monkeypatch.setattr(forms_rect, "_step", wrong_step)
     else:
         differences = forms_rect._differences
 
@@ -593,18 +629,25 @@ def test_a_wrong_difference_is_a_counterexample(capsys, monkeypatch, argv):
     assert doc["counterexample"] == expected
 
 
-def test_a_wrong_base_label_is_a_bijection_counterexample(capsys, monkeypatch):
+def test_a_wrong_base_label_is_a_bijection_counterexample(capsys, monkeypatch,
+                                                          round_trip_memo):
     # a potential climbed from 0 where it should start from 2 has the
     # state's differences, so only the check of the base label sees it,
-    # and the counterexample names that label
+    # and the counterexample names that label.  The climb from t is
+    # _round_trip's own, and the column steps climb from the bases it
+    # gives, so the fault goes into _round_trip's globals alone; its
+    # other climb, up the last column, is checked by D_y, which no
+    # shift changes
     import vertexforms.forms_rect as forms_rect
 
-    potential = forms_rect._potential
+    climb, round_trip = forms_rect._climb, forms_rect._round_trip
 
-    def from_zero(fx, gy, cx=0, cy=0, t=0):
-        return potential(fx, gy, cx, cy, 0 if t == 2 else t)
+    def from_zero(base, col, c):
+        return climb(0 if base == 2 else base, col, c)
 
-    monkeypatch.setattr(forms_rect, "_potential", from_zero)
+    monkeypatch.setattr(forms_rect, "_round_trip", types.FunctionType(
+        round_trip.__code__, round_trip.__globals__ | {"_climb": from_zero},
+        round_trip.__name__, round_trip.__defaults__))
     code, doc = run_json(capsys, "verify", "bijection", "--m", "2", "--n", "2")
     assert code == 1 and doc["passed"] is False
     assert doc["counterexample"] == first_state_doc(GridShape(2, 2)) | {"t": 2}
@@ -628,15 +671,41 @@ def test_an_inadmissible_state_is_a_bijection_counterexample(capsys, monkeypatch
     assert doc["counterexample"] == bad | {"t": 0}
 
 
-@pytest.mark.parametrize("suite", ["poincare", "cohomology"])
+@pytest.mark.parametrize("suite", ["poincare", "cohomology", "bijection"])
 def test_a_sampler_refusal_offers_no_flag(capsys, suite):
     # the random mode runs where the guard refused the listing, so --force
-    # would not lift the charge of one random form: the refusal names no flag
+    # would not lift the charge of one random form or coloring: the
+    # refusal names no flag
     code, out, err = run(capsys, "verify", suite, "--m", "10001", "--n", "10001")
     assert (code, out) == (2, "")
     assert err == ("error: cost of 2^28 exceeds the 2^26 guard; one random sample alone "
                    "is charged that, and no flag overrides it\n")
     assert "force" not in err
+
+
+def test_bijection_checks_the_random_colorings_alone_where_the_listing_is_refused(capsys):
+    # the 6x6 state listing is charged 2^41, so the suite checks its
+    # --samples colorings and no state, as poincare falls back to random
+    code, doc = run_json(capsys, "verify", "bijection", "--m", "6", "--n", "6",
+                         "--samples", "5")
+    assert code == 0
+    assert doc == {"suite": "bijection", "shape": [6, 6], "checked": 5, "passed": True}
+
+
+def test_the_round_trip_memo_serves_the_walk(capsys, round_trip_memo):
+    # on a cleared memo, an exhaustive verify poincare misses each
+    # distinct column step (h[i][0], gy[i], fx[i], gy[i + 1]) once, and
+    # its 2 steps a form are hits otherwise: the cap holds the walk's
+    # 729 steps
+    steps = set()
+    for fx, gy in closed_form_tables(GridShape(2, 2)):
+        bases = [x % 3 for x in accumulate((col[0] for col in fx), initial=0)]
+        steps.update(zip(bases, gy, fx, gy[1:]))
+    code, doc = run_json(capsys, "verify", "poincare", "--m", "2", "--n", "2")
+    assert code == 0 and doc["checked"] == 3 ** 8
+    info = round_trip_memo.cache_info()
+    assert len(steps) == 729 and info.misses == len(steps)
+    assert info.hits + info.misses == 2 * 3 ** 8
 
 
 def test_verify_cohomology_bad_period(capsys):

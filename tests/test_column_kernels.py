@@ -11,11 +11,13 @@ and tori, closed and non-closed forms, proper and improper colorings.
 antiderivative and decompose check closedness by the calculus, not by
 the vertex table; near-closed forms, closed ones with up to two entries
 moved, show that they refuse exactly the forms is_closed and
-is_closed_toroidal, the vertex-table checks, reject.
+is_closed_toroidal, the vertex-table checks, reject.  _round_trip, that
+calculus check a column step at a time, is checked against d of the
+potential itself on the tables the suites give it and on others.
 """
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,10 @@ from vertexforms.forms_rect import (
     ScalarField,
     _differences,
     _potential,
+    _random_closed_tables,
+    _round_trip,
     antiderivative,
+    closed_form_tables,
     coloring_from_form,
     exterior_derivative,
     form_from_coloring,
@@ -211,3 +216,48 @@ def test_decompose_refuses_exactly_what_is_closed_toroidal_rejects(m, n, seed, d
     else:
         with pytest.raises(ValueError, match="^decompose requires a closed toroidal form$"):
             decompose(v)
+
+
+# the shapes _round_trip is checked on: squares up to 6x6 and two long strips
+ROUND_TRIP_SHAPES = [(m, n) for m in range(2, 7) for n in range(2, 7)] + [(2, 9), (9, 2)]
+
+
+def corrupted(data, fx: tuple, gy: tuple) -> list:
+    """fx and gy with one entry, the same one in each, moved by each
+    nonzero F3 value, or written as the same F3 value plus or minus 3."""
+    cols = [*fx, *gy]
+    i = data.draw(st.integers(0, len(cols) - 1))
+    k = data.draw(st.integers(0, len(cols[i]) - 1))
+    x = cols[i][k]
+    out = []
+    for y in ((x + 1) % 3, (x + 2) % 3, x + 3, x - 3):
+        spoiled = cols[:i] + [cols[i][:k] + (y,) + cols[i][k + 1:]] + cols[i + 1:]
+        out.append((tuple(spoiled[:len(fx)]), tuple(spoiled[len(fx):])))
+    return out
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(st.sampled_from(ROUND_TRIP_SHAPES), st.integers(0, 2 ** 32), st.data())
+def test_round_trip_is_d_of_the_potential(mn, seed, data):
+    # closed tables from the walk and the sampler, arbitrary ones, and
+    # closed ones with an entry corrupted, each at every offset c and
+    # base label t in F3.  Written as 0..2, a closed table's climbs give
+    # their gy columns back by D_y and start at t, so the rise and
+    # base-label checks decide only where an entry or t is written
+    # otherwise: an entry corrupted to x + 3 or x - 3, a negative t
+    m, n = mn
+    shape = GridShape(m, n)
+    # the walk builds a shape's columns before its first table, so it is
+    # taken up to n = 3 and the sampler stands in for it beyond
+    walk = (closed_form_tables(shape, force=True) if n <= 3
+            else _random_closed_tables(shape, random.Random(seed + 1), 100))
+    walked = next(islice(walk, data.draw(st.integers(0, 99)), None))
+    sampled = next(_random_closed_tables(shape, random.Random(seed), 1))
+    assert _round_trip(*walked) and _round_trip(*sampled)
+    arbitrary = table(data, m, n + 1), table(data, m + 1, n)
+    for fx, gy in (walked, sampled, arbitrary, *corrupted(data, *walked),
+                   *corrupted(data, *sampled)):
+        for c, t in product(OFFSETS, repeat=2):
+            h = _potential(fx, gy, c, c, t)
+            expected = h[0][0] == t and _differences(h, -c, -c) == (fx, gy)
+            assert _round_trip(fx, gy, c, t) == expected
